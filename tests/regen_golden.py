@@ -32,9 +32,31 @@ CASES = {
     ),
     "check_fault_injection": (["check", "findim", "--n", "4", "--inject-fault"], 1),
     "check_malformed_rational": (["check", "verma", "--hw", "abc", "--depth", "3"], 2),
+    "check_verma_negative_hw": (["check", "verma", "--hw", "-3/2", "--depth", "2"], 0),
     "qtable_0": (["qtable", "--max-n", "0"], 0),
     "qtable_2": (["qtable", "--max-n", "2"], 0),
     "qtable_3": (["qtable", "--max-n", "3"], 0),
+    "check_findim_2_quantum_describe": (
+        ["check", "findim", "--n", "2", "--quantum", "--describe"],
+        0,
+    ),
+    "check_verma_5_2_3_describe": (
+        ["check", "verma", "--hw", "5/2", "--depth", "3", "--describe"],
+        0,
+    ),
+    "check_rasskazova_0_1_2_2_describe": (
+        ["check", "rasskazova", "--beta", "0", "--lambda", "1", "--n", "2", "--window", "2",
+         "--describe"],
+        0,
+    ),
+    "check_fault_injection_quantum": (
+        ["check", "findim", "--n", "3", "--quantum", "--inject-fault"],
+        1,
+    ),
+    "hwv_2_2_1_quantum_csv": (
+        ["hwv", "--m", "2", "--n", "2", "--p", "1", "--quantum", "--format", "csv"],
+        0,
+    ),
 }
 
 

@@ -1,4 +1,5 @@
 import json
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -28,12 +29,25 @@ def test_golden(capsys, name):
     assert (code2, out2) == (code, out)
 
 
+def test_regen_cases_match_manifest():
+    import regen_golden
+
+    cases = {name: {"argv": argv, "exit": code} for name, (argv, code) in regen_golden.CASES.items()}
+    assert cases == MANIFEST
+    assert sorted(p.stem for p in GOLDEN.glob("*.json") if p.name != "manifest.json") == sorted(MANIFEST)
+
+
 def test_exit_status_classes_covered():
     assert {case["exit"] for case in MANIFEST.values()} == {0, 1, 2}
 
 
 def test_no_floats_anywhere():
-    for name in MANIFEST:
+    for name, case in MANIFEST.items():
+        text = (GOLDEN / f"{name}.json").read_text()
+        if "csv" in case["argv"]:
+            assert not re.search(r"\d\.\d|\d[eE][-+]?\d", text), name
+            continue
+
         def scan(x):
             assert not isinstance(x, float), (name, x)
             if isinstance(x, list):
@@ -42,7 +56,7 @@ def test_no_floats_anywhere():
             elif isinstance(x, dict):
                 for k, item in x.items():
                     scan(item)
-        scan(json.loads((GOLDEN / f"{name}.json").read_text()))
+        scan(json.loads(text))
 
 
 def test_module_entry_point_matches_golden():
@@ -133,6 +147,23 @@ def test_usage_errors(capsys, argv):
     envelope = json.loads(out)
     assert envelope["status"] == "error"
     assert envelope["command"] == argv
+
+
+@pytest.mark.parametrize(
+    "separate, joined",
+    [
+        (["check", "verma", "--hw", "-3/2", "--depth", "2"],
+         ["check", "verma", "--hw=-3/2", "--depth", "2"]),
+        (["check", "rasskazova", "--beta", "-1/2", "--lambda", "-5/2", "--n", "2", "--window", "2"],
+         ["check", "rasskazova", "--beta=-1/2", "--lambda=-5/2", "--n", "2", "--window", "2"]),
+    ],
+)
+def test_negative_rational_spellings_agree(capsys, separate, joined):
+    # "--hw -3/2" and "--hw=-3/2" name the same input
+    csv = [run_cli(capsys, argv + ["--format", "csv"]) for argv in (separate, joined)]
+    assert csv[0] == csv[1] and csv[0][0] == 0
+    payloads = [json.loads(run_cli(capsys, argv)[1])["payload"] for argv in (separate, joined)]
+    assert payloads[0] == payloads[1]
 
 
 def test_decompose_cross_check_mismatch_is_internal_failure(capsys, monkeypatch):
