@@ -13,11 +13,7 @@ __version__ = "0.1.0"
 from .qarith import (
     ExactDivisionError,
     LaurentPoly,
-    Rational,
-    lp_add,
-    lp_div_exact,
     lp_gcd,
-    lp_mul,
     q_binom,
     q_fact,
     q_int,
@@ -25,6 +21,9 @@ from .qarith import (
     v,
 )
 from .modrep import (
+    CLASSICAL,
+    QUANTUM,
+    Flavor,
     Label,
     RasskazovaParams,
     RelationFailure,
@@ -50,24 +49,22 @@ from .tensorcg import (
     highest_weight_vectors,
     phi_vector,
     phi_vs_oracle,
-    tensor_classical,
-    tensor_quantum,
+    tensor,
     weight_spaces,
 )
 
 __all__ = [
     "ExactDivisionError",
     "LaurentPoly",
-    "Rational",
-    "lp_add",
-    "lp_div_exact",
     "lp_gcd",
-    "lp_mul",
     "q_binom",
     "q_fact",
     "q_int",
     "specialize_one",
     "v",
+    "CLASSICAL",
+    "QUANTUM",
+    "Flavor",
     "Label",
     "RasskazovaParams",
     "RelationFailure",
@@ -91,8 +88,7 @@ __all__ = [
     "highest_weight_vectors",
     "phi_vector",
     "phi_vs_oracle",
-    "tensor_classical",
-    "tensor_quantum",
+    "tensor",
     "weight_spaces",
     "__version__",
 ]

@@ -48,8 +48,7 @@ from .tensorcg import (
     decompose_by_character,
     highest_weight_vectors,
     phi_vs_oracle,
-    tensor_classical,
-    tensor_quantum,
+    tensor,
 )
 
 
@@ -154,12 +153,14 @@ class CommandResult:
     interpretation: str | None = None
 
 
+def _findim_tensor(ns):
+    findim = finite_dim_quantum if ns.quantum else finite_dim_classical
+    return tensor(findim(ns.m), findim(ns.n))
+
+
 def cmd_decompose(ns) -> CommandResult:
     closed = cg_decompose(ns.m, ns.n)
-    if ns.quantum:
-        module = tensor_quantum(finite_dim_quantum(ns.m), finite_dim_quantum(ns.n))
-    else:
-        module = tensor_classical(finite_dim_classical(ns.m), finite_dim_classical(ns.n))
+    module = _findim_tensor(ns)
     peeled = decompose_by_character(module)
     payload = decomposition_json(closed)
     if peeled != closed:
@@ -167,8 +168,7 @@ def cmd_decompose(ns) -> CommandResult:
             "closed-form decomposition disagrees with character peeling",
             {"closed_form": payload, "character": decomposition_json(peeled)},
         )
-    flavor = "quantum" if ns.quantum else "classical"
-    pretty_lines = [f"F_{ns.m} (x) F_{ns.n}  [{flavor}]"]
+    pretty_lines = [f"F_{ns.m} (x) F_{ns.n}  [{module.flavor.name}]"]
     pretty_lines += [f"  weight {w}  multiplicity {mult}" for w, mult in closed.pairs()]
     pretty_lines.append(f"  total dimension {closed.total_dim}")
     csv = "weight,multiplicity\n" + "".join(f"{w},{m}\n" for w, m in closed.pairs())
@@ -178,10 +178,7 @@ def cmd_decompose(ns) -> CommandResult:
 def cmd_hwv(ns) -> CommandResult:
     if ns.p > min(ns.m, ns.n):
         raise UsageError(f"--p must be <= min(m, n) = {min(ns.m, ns.n)}, got {ns.p}")
-    if ns.quantum:
-        module = tensor_quantum(finite_dim_quantum(ns.m), finite_dim_quantum(ns.n))
-    else:
-        module = tensor_classical(finite_dim_classical(ns.m), finite_dim_classical(ns.n))
+    module = _findim_tensor(ns)
     target = ns.m + ns.n - 2 * ns.p
     vectors = [vec for wt, vec in highest_weight_vectors(module) if wt == target]
     if len(vectors) != 1:
@@ -189,10 +186,9 @@ def cmd_hwv(ns) -> CommandResult:
             f"nullspace at weight {target} is {len(vectors)}-dimensional, expected 1"
         )
     vec = vectors[0]
-    flavor = "quantum" if ns.quantum else "classical"
     payload: dict = {
         "weight": target,
-        "flavor": flavor,
+        "flavor": module.flavor.name,
         "vector": vector_json(vec),
     }
     interpretation = None
@@ -277,14 +273,17 @@ def cmd_check(ns) -> CommandResult:
 
 
 def cmd_qtable(ns) -> CommandResult:
-    rows = [
-        {"n": k, "qint": laurent_json(q_int(k)), "qfact": laurent_json(q_fact(k))}
-        for k in range(ns.max_n + 1)
-    ]
-    lines = [f"[{k}] = {q_int(k)}    [{k}]! = {q_fact(k)}" for k in range(ns.max_n + 1)]
+    table = []  # (k, [k], [k]!) with [k]! = [k-1]! [k]
+    fact = q_fact(0)
+    for k in range(ns.max_n + 1):
+        qk = q_int(k)
+        if k > 1:
+            fact = fact * qk
+        table.append((k, qk, fact))
+    rows = [{"n": k, "qint": laurent_json(qk), "qfact": laurent_json(f)} for k, qk, f in table]
+    lines = [f"[{k}] = {qk}    [{k}]! = {f}" for k, qk, f in table]
     csv = "n,qint,qfact\n" + "".join(
-        f"{k},{laurent_token(q_int(k))},{laurent_token(q_fact(k))}\n"
-        for k in range(ns.max_n + 1)
+        f"{k},{laurent_token(qk)},{laurent_token(f)}\n" for k, qk, f in table
     )
     return CommandResult(rows, "\n".join(lines) + "\n", csv)
 

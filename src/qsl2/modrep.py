@@ -6,24 +6,25 @@ family V(beta, lambda, n), together with a machine check of the defining
 algebra relations on every constructed module.
 
 A module is a finite ordered basis with weight labels and sparse
-generator matrices over an exact scalar ring: Fraction for classical
-modules, LaurentPoly for quantum ones.  Modules are immutable after
-construction and every operation here is pure.
+raising and lowering matrices over an exact scalar ring: Fraction for
+classical modules, LaurentPoly for quantum ones.  Modules are immutable
+after construction and every operation here is pure.
+
+Every module carries a ``Flavor``, CLASSICAL or QUANTUM: the one value
+that tells the two apart.  It names the generators, holds the scalar
+ring's zero and one, gives the eigenvalues by which the diagonal
+generators (h, or K and Kinv) act on each weight, so that their
+matrices are never stored, and holds the coproduct as data, the
+defining relations by name and the canonical scaling of kernel vectors.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Callable
 
-from .qarith import LaurentPoly, q_int
-
-CLASSICAL_GENERATORS = ("e", "f", "h")
-QUANTUM_GENERATORS = ("E", "F", "K", "Kinv")
-
-# weight shift of each generator: nonzero entries of its matrix connect
-# basis vectors whose weights differ by exactly this amount
-GENERATOR_SHIFT = {"e": 2, "E": 2, "f": -2, "F": -2, "h": 0, "K": 0, "Kinv": 0}
+from .qarith import LaurentPoly, lp_gcd, primitive, q_int
 
 
 @dataclass(frozen=True)
@@ -64,19 +65,47 @@ class Label:
         return f"{a}*{b}"
 
 
+@dataclass(frozen=True, eq=False)
+class Flavor:
+    """Classical sl(2) or U_v(sl2), as data.
+
+    ``diagonal[g](w)`` is the eigenvalue of g on weight w.
+    ``coproduct[g] = (right, left)`` means D(g) = g (x) right + left (x) g,
+    each twist a diagonal generator or None for 1.  In ``relations``,
+    ``defect(image, w)`` must vanish on each basis vector x of weight w,
+    where ``image(*word)`` applies a word of generators to x, rightmost
+    first.
+    """
+
+    name: str
+    raising: str
+    lowering: str
+    zero: object
+    one: object
+    diagonal: dict
+    coproduct: dict
+    relations: tuple
+    normalize: Callable[[list], list]
+
+    @property
+    def generators(self) -> tuple[str, ...]:
+        return (self.raising, self.lowering, *self.diagonal)
+
+
 class WeightModule:
     """Graded basis with weight labels and sparse generator actions.
 
     ``action[g]`` maps a column label to the sparse column
-    ``{row label: scalar}`` of the matrix of g.  ``boundary`` lists basis
-    vectors whose image under some generator was clipped by truncating
-    an infinite module; relation checks skip them.
+    ``{row label: scalar}`` of the matrix of g; it holds exactly the
+    raising and lowering generators.  ``boundary`` lists basis vectors
+    whose image under some generator was clipped by truncating an
+    infinite module; relation checks skip them.
     """
 
     __slots__ = ("flavor", "name", "basis", "weights", "action", "boundary", "_pos")
 
-    def __init__(self, flavor, name, basis, weights, action, boundary=()):
-        if flavor not in ("classical", "quantum"):
+    def __init__(self, flavor: Flavor, name, basis, weights, action, boundary=()):
+        if not isinstance(flavor, Flavor):
             raise ValueError(f"unknown flavor {flavor!r}")
         self.flavor = flavor
         self.name = name
@@ -90,36 +119,27 @@ class WeightModule:
         self._validate()
 
     @property
-    def generators(self):
-        return CLASSICAL_GENERATORS if self.flavor == "classical" else QUANTUM_GENERATORS
-
-    @property
     def dim(self) -> int:
         return len(self.basis)
 
     def position(self, label: Label) -> int:
         return self._pos[label]
 
-    def weight(self, label: Label):
-        return self.weights[label]
-
-    def zero_scalar(self):
-        return Fraction(0) if self.flavor == "classical" else LaurentPoly()
-
-    def one_scalar(self):
-        return Fraction(1) if self.flavor == "classical" else LaurentPoly({0: 1})
-
     def column(self, gen: str, label: Label) -> dict:
         """Sparse image of a basis vector under a generator."""
-        return self.action[gen].get(label, {})
+        mat = self.action.get(gen)
+        if mat is not None:
+            return mat.get(label, {})
+        c = self.flavor.diagonal[gen](self.weights[label])
+        return {label: c} if c else {}
 
     def _validate(self):
-        expected = set(self.generators)
-        if set(self.action) != expected:
-            raise ValueError(f"{self.name}: generators {set(self.action)} != {expected}")
-        for g, mat in self.action.items():
-            shift = GENERATOR_SHIFT[g]
-            for col, entries in mat.items():
+        fl = self.flavor
+        if set(self.action) != {fl.raising, fl.lowering}:
+            raise ValueError(f"{self.name}: stores {sorted(self.action)}, not {fl.raising} and {fl.lowering}")
+        # raising and lowering entries connect weights that differ by +-2
+        for g, shift in ((fl.raising, 2), (fl.lowering, -2)):
+            for col, entries in self.action[g].items():
                 if col not in self._pos:
                     raise ValueError(f"{self.name}: unknown column label {col}")
                 for row, c in entries.items():
@@ -132,19 +152,9 @@ class WeightModule:
                             f"{self.name}: {g} entry ({row}, {col}) breaks the "
                             f"weight grading"
                         )
-        # the diagonal generator must act by the declared weights
-        diag = "h" if self.flavor == "classical" else "K"
-        for lab in self.basis:
-            col = self.column(diag, lab)
-            if self.flavor == "classical":
-                want = {lab: self.weights[lab]} if self.weights[lab] else {}
-            else:
-                want = {lab: LaurentPoly({self.weights[lab]: 1})}
-            if col != want:
-                raise ValueError(f"{self.name}: {diag} is not diagonal with the declared weights at {lab}")
 
     def __repr__(self):
-        return f"<WeightModule {self.name} dim={self.dim} {self.flavor}>"
+        return f"<WeightModule {self.name} dim={self.dim} {self.flavor.name}>"
 
 
 class Vector:
@@ -166,7 +176,7 @@ class Vector:
 
     @classmethod
     def basis_vector(cls, module: WeightModule, label: Label) -> "Vector":
-        return cls(module, {label: module.one_scalar()})
+        return cls(module, {label: module.flavor.one})
 
     def is_zero(self) -> bool:
         return not self.entries
@@ -181,15 +191,11 @@ class Vector:
     def __add__(self, other: "Vector") -> "Vector":
         out = dict(self.entries)
         for lab, c in other.entries.items():
-            s = out.get(lab, self.module.zero_scalar()) + c
-            if s:
-                out[lab] = s
-            else:
-                out.pop(lab, None)
+            out[lab] = out[lab] + c if lab in out else c
         return Vector(self.module, out)
 
     def __sub__(self, other: "Vector") -> "Vector":
-        return self + other.scaled(-self.module.one_scalar())
+        return self + Vector(self.module, {lab: -c for lab, c in other.entries.items()})
 
     def __eq__(self, other):
         if not isinstance(other, Vector):
@@ -213,19 +219,14 @@ class Vector:
 
 def apply(module: WeightModule, gen: str, x: Vector) -> Vector:
     """Exact sparse matrix-vector product g.x."""
-    if gen not in module.action:
-        raise ValueError(f"generator {gen!r} not defined on {module.flavor} module {module.name}")
+    if gen not in module.flavor.generators:
+        raise ValueError(f"generator {gen!r} not defined on {module.flavor.name} module {module.name}")
     if x.module is not module:
         raise ValueError(f"vector lives in {x.module.name}, not {module.name}")
     out: dict = {}
-    zero = module.zero_scalar()
     for lab, c in x.entries.items():
         for row, a in module.column(gen, lab).items():
-            s = out.get(row, zero) + a * c
-            if s:
-                out[row] = s
-            else:
-                out.pop(row, None)
+            out[row] = out[row] + a * c if row in out else a * c
     return Vector(module, out)
 
 
@@ -243,8 +244,7 @@ def finite_dim_classical(n: int) -> WeightModule:
     weights = {lab: Fraction(n - 2 * k) for k, lab in enumerate(basis)}
     e = {basis[k]: {basis[k - 1]: Fraction(n - k + 1)} for k in range(1, n + 1)}
     f = {basis[k]: {basis[k + 1]: Fraction(k + 1)} for k in range(n)}
-    h = {lab: {lab: w} for lab, w in weights.items() if w}
-    return WeightModule("classical", f"F(n={n})", basis, weights, {"e": e, "f": f, "h": h})
+    return WeightModule(CLASSICAL, f"F(n={n})", basis, weights, {"e": e, "f": f})
 
 
 def finite_dim_quantum(n: int) -> WeightModule:
@@ -258,11 +258,7 @@ def finite_dim_quantum(n: int) -> WeightModule:
     weights = {lab: n - 2 * k for k, lab in enumerate(basis)}
     E = {basis[k]: {basis[k - 1]: q_int(n - k + 1)} for k in range(1, n + 1)}
     F = {basis[k]: {basis[k + 1]: q_int(k + 1)} for k in range(n)}
-    K = {lab: {lab: LaurentPoly({w: 1})} for lab, w in weights.items()}
-    Kinv = {lab: {lab: LaurentPoly({-w: 1})} for lab, w in weights.items()}
-    return WeightModule(
-        "quantum", f"Fq(n={n})", basis, weights, {"E": E, "F": F, "K": K, "Kinv": Kinv}
-    )
+    return WeightModule(QUANTUM, f"Fq(n={n})", basis, weights, {"E": E, "F": F})
 
 
 def verma_classical(hw, depth: int) -> WeightModule:
@@ -282,9 +278,8 @@ def verma_classical(hw, depth: int) -> WeightModule:
         if c:
             e[basis[k]] = {basis[k - 1]: c}
     f = {basis[k]: {basis[k + 1]: Fraction(1)} for k in range(depth)}
-    h = {lab: {lab: w} for lab, w in weights.items() if w}
     name = f"M(hw={hw};depth={depth})"
-    return WeightModule("classical", name, basis, weights, {"e": e, "f": f, "h": h}, boundary=[basis[depth]])
+    return WeightModule(CLASSICAL, name, basis, weights, {"e": e, "f": f}, boundary=[basis[depth]])
 
 
 @dataclass(frozen=True)
@@ -349,10 +344,9 @@ def rasskazova(p: RasskazovaParams) -> WeightModule:
                 col[Label.rasskazova(i, j - 1)] = -one
             if col:
                 f[lab] = col
-    h = {lab: {lab: w} for lab, w in weights.items() if w}
     boundary = [lab for lab in basis if abs(lab.index[1]) == J]
     name = f"V(beta={beta};lambda={lam};n={n};J={J})"
-    return WeightModule("classical", name, basis, weights, {"e": e, "f": f, "h": h}, boundary=boundary)
+    return WeightModule(CLASSICAL, name, basis, weights, {"e": e, "f": f}, boundary=boundary)
 
 
 # -- relation checking ----------------------------------------------------------
@@ -386,10 +380,6 @@ class RelationReport:
         return not self.failures
 
 
-CLASSICAL_RELATIONS = ("[h,e]=2e", "[h,f]=-2f", "[e,f]=h")
-QUANTUM_RELATIONS = ("K Kinv=1", "K E Kinv=v^2 E", "K F Kinv=v^-2 F", "[E,F]=[h]_v")
-
-
 def check_relations(m: WeightModule) -> RelationReport:
     """Verify the defining sl(2) (or U_v(sl2)) relations on every
     non-boundary basis vector with exact arithmetic.
@@ -399,47 +389,31 @@ def check_relations(m: WeightModule) -> RelationReport:
     """
     checked = []
     failures = []
-    excluded = tuple(lab for lab in m.basis if lab in m.boundary)
+    images: dict = {}
 
-    def ap(gen, x):
-        return apply(m, gen, x)
+    def image(*word):
+        # each suffix of a word is applied once per basis vector
+        if word not in images:
+            images[word] = apply(m, word[0], image(*word[1:]))
+        return images[word]
 
     for lab in m.basis:
         if lab in m.boundary:
             continue
         checked.append(lab)
-        x = Vector.basis_vector(m, lab)
-        if m.flavor == "classical":
-            ex, fx, hx = ap("e", x), ap("f", x), ap("h", x)
-            defects = (
-                ("[h,e]=2e", ap("h", ex) - ap("e", hx) - ex.scaled(Fraction(2))),
-                ("[h,f]=-2f", ap("h", fx) - ap("f", hx) + fx.scaled(Fraction(2))),
-                ("[e,f]=h", ap("e", fx) - ap("f", ex) - hx),
-            )
-        else:
-            vv = LaurentPoly({2: 1})
-            vvinv = LaurentPoly({-2: 1})
-            Ex, Fx = ap("E", x), ap("F", x)
-            kinv_x = ap("Kinv", x)
-            qw = x.scaled(q_int(m.weight(lab)))
-            defects = (
-                ("K Kinv=1", ap("K", kinv_x) - x),
-                ("K E Kinv=v^2 E", ap("K", ap("E", kinv_x)) - Ex.scaled(vv)),
-                ("K F Kinv=v^-2 F", ap("K", ap("F", kinv_x)) - Fx.scaled(vvinv)),
-                ("[E,F]=[h]_v", ap("E", Fx) - ap("F", Ex) - qw),
-            )
-        for relname, d in defects:
+        images = {(): Vector.basis_vector(m, lab)}
+        for relname, defect in m.flavor.relations:
+            d = defect(image, m.weights[lab])
             if not d.is_zero():
                 failures.append(RelationFailure(relname, lab, tuple(d.items_in_order())))
 
-    relations = CLASSICAL_RELATIONS if m.flavor == "classical" else QUANTUM_RELATIONS
     return RelationReport(
         module=m.name,
-        flavor=m.flavor,
-        relations=relations,
+        flavor=m.flavor.name,
+        relations=tuple(relname for relname, _ in m.flavor.relations),
         checked=tuple(checked),
         failures=tuple(failures),
-        excluded=excluded,
+        excluded=tuple(lab for lab in m.basis if lab in m.boundary),
     )
 
 
@@ -449,14 +423,67 @@ def corrupt_one_entry(m: WeightModule) -> WeightModule:
     Diagnostic helper: the perturbed module must fail check_relations,
     which exercises the defect reporting and the CLI exit-status path.
     """
-    raising = "e" if m.flavor == "classical" else "E"
+    raising = m.flavor.raising
     mat = m.action[raising]
     for col in m.basis:
-        if col in mat and mat[col]:
+        if mat.get(col):
             row = min(mat[col], key=m.position)
-            action = {g: {c: dict(entries) for c, entries in gmat.items()} for g, gmat in m.action.items()}
-            action[raising][col][row] = action[raising][col][row] + m.one_scalar()
+            action = {**m.action, raising: {**mat, col: {**mat[col], row: mat[col][row] + m.flavor.one}}}
             return WeightModule(
                 m.flavor, m.name + "+fault", m.basis, m.weights, action, boundary=m.boundary
             )
     raise ValueError(f"{m.name} has no raising entries to perturb")
+
+
+# -- the two flavours --------------------------------------------------------------
+
+
+def _normalize_rational(coords: list) -> list:
+    """First nonzero coordinate scaled to 1."""
+    lead = next(c for c in coords if c)
+    return [c / lead for c in coords]
+
+
+def _normalize_laurent(coords: list) -> list:
+    """No common Laurent factor, coprime integer coefficients, positive
+    leading coefficient in the first nonzero coordinate."""
+    nonzero = [c for c in coords if c]
+    g = nonzero[0]
+    for c in nonzero[1:]:
+        g = lp_gcd(g, c)
+    return primitive([c.div_exact(g) if c else c for c in coords])
+
+
+CLASSICAL = Flavor(
+    name="classical",
+    raising="e",
+    lowering="f",
+    zero=Fraction(0),
+    one=Fraction(1),
+    diagonal={"h": lambda w: w},
+    coproduct={"e": (None, None), "f": (None, None)},  # x (x) 1 + 1 (x) x
+    relations=(
+        ("[h,e]=2e", lambda x, w: x("h", "e") - x("e", "h") - x("e").scaled(Fraction(2))),
+        ("[h,f]=-2f", lambda x, w: x("h", "f") - x("f", "h") + x("f").scaled(Fraction(2))),
+        ("[e,f]=h", lambda x, w: x("e", "f") - x("f", "e") - x("h")),
+    ),
+    normalize=_normalize_rational,
+)
+
+QUANTUM = Flavor(
+    name="quantum",
+    raising="E",
+    lowering="F",
+    zero=LaurentPoly(),
+    one=LaurentPoly({0: 1}),
+    diagonal={"K": lambda w: LaurentPoly({w: 1}), "Kinv": lambda w: LaurentPoly({-w: 1})},
+    # D(E) = E (x) K + 1 (x) E, D(F) = F (x) 1 + Kinv (x) F, D(K) = K (x) K
+    coproduct={"E": ("K", None), "F": (None, "Kinv")},
+    relations=(
+        ("K Kinv=1", lambda x, w: x("K", "Kinv") - x()),
+        ("K E Kinv=v^2 E", lambda x, w: x("K", "E", "Kinv") - x("E").scaled(LaurentPoly({2: 1}))),
+        ("K F Kinv=v^-2 F", lambda x, w: x("K", "F", "Kinv") - x("F").scaled(LaurentPoly({-2: 1}))),
+        ("[E,F]=[h]_v", lambda x, w: x("E", "F") - x("F", "E") - x().scaled(q_int(w))),
+    ),
+    normalize=_normalize_laurent,
+)

@@ -13,11 +13,8 @@ The rational scalar type is the standard-library ``fractions.Fraction``
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterator, Mapping, Union
-
-Rational = Fraction
-
-ScalarLike = Union[int, Fraction, "LaurentPoly"]
+from math import gcd, lcm
+from typing import Iterator, Mapping
 
 
 class ExactDivisionError(ArithmeticError):
@@ -47,7 +44,7 @@ class LaurentPoly:
 
     __slots__ = ("_coeffs",)
 
-    def __init__(self, coeffs: Mapping[int, ScalarLike] | int | Fraction = 0):
+    def __init__(self, coeffs: Mapping[int, int | Fraction] | int | Fraction = 0):
         if isinstance(coeffs, (int, Fraction)):
             coeffs = {0: coeffs}
         clean: dict[int, Fraction] = {}
@@ -62,10 +59,6 @@ class LaurentPoly:
         """The generator v."""
         return cls({1: 1})
 
-    @classmethod
-    def monomial(cls, exp: int, coeff: ScalarLike = 1) -> "LaurentPoly":
-        return cls({exp: coeff})
-
     # -- structure ---------------------------------------------------------
 
     def __setattr__(self, name, value):
@@ -75,14 +68,8 @@ class LaurentPoly:
         """(exponent, coefficient) pairs, ascending by exponent."""
         return iter(sorted(self._coeffs.items()))
 
-    def coeff(self, exp: int) -> Fraction:
-        return self._coeffs.get(exp, Fraction(0))
-
     def __bool__(self) -> bool:
         return bool(self._coeffs)
-
-    def __len__(self) -> int:
-        return len(self._coeffs)
 
     @property
     def min_exp(self) -> int:
@@ -105,10 +92,6 @@ class LaurentPoly:
         """Image under the bar involution v -> v^-1."""
         return LaurentPoly({-e: c for e, c in self._coeffs.items()})
 
-    def shift(self, k: int) -> "LaurentPoly":
-        """Multiply by v^k."""
-        return LaurentPoly({e + k: c for e, c in self._coeffs.items()})
-
     # -- arithmetic --------------------------------------------------------
 
     def _coerce(self, other):
@@ -124,11 +107,7 @@ class LaurentPoly:
             return NotImplemented
         out = dict(self._coeffs)
         for e, c in other._coeffs.items():
-            s = out.get(e, Fraction(0)) + c
-            if s:
-                out[e] = s
-            else:
-                out.pop(e, None)
+            out[e] = out.get(e, 0) + c
         return LaurentPoly(out)
 
     __radd__ = __add__
@@ -155,12 +134,7 @@ class LaurentPoly:
         out: dict[int, Fraction] = {}
         for e1, c1 in self._coeffs.items():
             for e2, c2 in other._coeffs.items():
-                e = e1 + e2
-                s = out.get(e, Fraction(0)) + c1 * c2
-                if s:
-                    out[e] = s
-                else:
-                    out.pop(e, None)
+                out[e1 + e2] = out.get(e1 + e2, 0) + c1 * c2
         return LaurentPoly(out)
 
     __rmul__ = __mul__
@@ -254,23 +228,6 @@ class LaurentPoly:
 v = LaurentPoly.gen()
 
 
-def lp_add(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
-    """Exact sum in canonical form."""
-    return a + b
-
-
-def lp_mul(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
-    """Exact product in canonical form."""
-    return a * b
-
-
-def lp_div_exact(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
-    """Exact Laurent quotient; see LaurentPoly.div_exact."""
-    if isinstance(a, (int, Fraction)):
-        a = LaurentPoly({0: a})
-    return a.div_exact(b)
-
-
 def q_int(n: int) -> LaurentPoly:
     """Balanced q-integer [n] = (v^n - v^-n) / (v - v^-1).
 
@@ -341,10 +298,8 @@ def lp_gcd(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
     the greatest common divisor including unit monomial factors, with a
     deterministic choice among associates).
     """
-    if not a:
-        return _canonical_assoc(b)
-    if not b:
-        return _canonical_assoc(a)
+    if not (a and b):
+        return primitive([a or b])[0]
     shift = min(a.min_exp, b.min_exp)
     pa = a._dense(a.min_exp)
     pb = b._dense(b.min_exp)
@@ -353,19 +308,20 @@ def lp_gcd(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
         while rem and not rem[-1]:
             rem.pop()
         pa, pb = pb, rem
-    g = LaurentPoly({shift + i: c for i, c in enumerate(pa) if c})
-    return _canonical_assoc(g)
+    return primitive([LaurentPoly({shift + i: c for i, c in enumerate(pa) if c})])[0]
 
 
-def _canonical_assoc(p: LaurentPoly) -> LaurentPoly:
-    """Canonical associate: integer-primitive, positive leading coefficient."""
-    if not p:
-        return p
-    from math import gcd, lcm
-
-    den = lcm(*(c.denominator for _, c in p.terms()))
-    num = gcd(*(c.numerator for _, c in p.terms()))
-    scale = Fraction(den, num)
-    if p.leading_coeff < 0:
+def primitive(polys: list[LaurentPoly]) -> list[LaurentPoly]:
+    """The polynomials scaled by the one rational that makes all their
+    coefficients coprime integers and the leading coefficient of the
+    first nonzero polynomial positive; all-zero input is returned as is.
+    """
+    coeffs = [c for p in polys for c in p._coeffs.values()]
+    if not coeffs:
+        return polys
+    scale = Fraction(lcm(*(c.denominator for c in coeffs)), gcd(*(c.numerator for c in coeffs)))
+    if next(p for p in polys if p).leading_coeff < 0:
         scale = -scale
-    return p * scale
+    if scale == 1:
+        return polys
+    return [p * scale if p else p for p in polys]

@@ -102,18 +102,18 @@ def module_descriptor(m: WeightModule) -> dict:
     """Full sparse description: flavor, basis, weights, and each
     generator as (row label, column label, scalar) triplets."""
     action = {}
-    for g, mat in m.action.items():
+    for g in m.flavor.generators:
         triplets = []
         for col in m.basis:
-            for row in sorted(mat.get(col, {}), key=m.position):
-                triplets.append([label_str(row), label_str(col), scalar_json(mat[col][row])])
+            entries = m.column(g, col)
+            for row in sorted(entries, key=m.position):
+                triplets.append([label_str(row), label_str(col), scalar_json(entries[row])])
         action[g] = triplets
-    weight_json = rational_json if m.flavor == "classical" else int
     return {
-        "flavor": m.flavor,
+        "flavor": m.flavor.name,
         "name": m.name,
         "basis": [label_str(lab) for lab in m.basis],
-        "weights": [[label_str(lab), weight_json(m.weights[lab])] for lab in m.basis],
+        "weights": [[label_str(lab), rational_json(m.weights[lab])] for lab in m.basis],
         "action": action,
         "boundary": [label_str(lab) for lab in m.basis if lab in m.boundary],
     }

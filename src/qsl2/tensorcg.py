@@ -14,11 +14,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
 from typing import Callable
 
 from .modrep import Label, Vector, WeightModule, apply, finite_dim_quantum
-from .qarith import ExactDivisionError, LaurentPoly, lp_gcd, q_int
+from .qarith import ExactDivisionError, LaurentPoly, q_int
 
 
 class DecompositionError(ValueError):
@@ -44,99 +43,48 @@ class Decomposition:
         """(weight, multiplicity) pairs, descending by weight."""
         return sorted(self.summands.items(), key=lambda t: -t[0])
 
-    def __eq__(self, other):
-        if not isinstance(other, Decomposition):
-            return NotImplemented
-        return self.summands == other.summands
-
 
 # -- tensor products -----------------------------------------------------------
 
 
-def _tensor_basis(a: WeightModule, b: WeightModule):
-    return [Label.tensor(la, lb) for la in a.basis for lb in b.basis]
+def tensor(a: WeightModule, b: WeightModule) -> WeightModule:
+    """Tensor product of two modules of one flavour under its coproduct.
 
-
-def tensor_classical(a: WeightModule, b: WeightModule) -> WeightModule:
-    """Tensor product under the classical coproduct x -> x(x)1 + 1(x)x."""
-    if a.flavor != "classical" or b.flavor != "classical":
-        raise ValueError("tensor_classical needs two classical modules")
-    basis = _tensor_basis(a, b)
+    Each raising or lowering g acts by D(g) = g (x) right + left (x) g,
+    where (right, left) = flavor.coproduct[g] and a twist is a diagonal
+    generator acting by its eigenvalue on that factor's weight, or None
+    for 1: x (x) 1 + 1 (x) x classically, and D(E) = E (x) K + 1 (x) E,
+    D(F) = F (x) 1 + Kinv (x) F, D(K) = K (x) K for U_v(sl2).
+    """
+    if a.flavor is not b.flavor:
+        raise ValueError(f"cannot tensor a {a.flavor.name} and a {b.flavor.name} module")
+    fl = a.flavor
+    basis = [Label.tensor(la, lb) for la in a.basis for lb in b.basis]
     weights = {lab: a.weights[lab.index[0]] + b.weights[lab.index[1]] for lab in basis}
 
-    action: dict = {"e": {}, "f": {}, "h": {}}
+    def twist(gen, w):
+        # eigenvalue of a twist on a factor of weight w; None when it is 1
+        t = fl.diagonal[gen](w) if gen else fl.one
+        return None if t == fl.one else t
+
+    action: dict = {g: {} for g in fl.coproduct}
     for lab in basis:
         la, lb = lab.index
-        for g in ("e", "f"):
-            col: dict = {}
+        for g, (right, left) in fl.coproduct.items():
+            rt, lt = twist(right, b.weights[lb]), twist(left, a.weights[la])
+            col = {}
             for ra, c in a.column(g, la).items():
-                col[Label.tensor(ra, lb)] = c
+                col[Label.tensor(ra, lb)] = c if rt is None else c * rt
+            # g shifts weights, so these rows never meet the ones above
             for rb, c in b.column(g, lb).items():
-                key = Label.tensor(la, rb)
-                s = col.get(key, Fraction(0)) + c
-                if s:
-                    col[key] = s
-                else:
-                    col.pop(key, None)
+                col[Label.tensor(la, rb)] = c if lt is None else lt * c
             if col:
                 action[g][lab] = col
-        if weights[lab]:
-            action["h"][lab] = {lab: weights[lab]}
 
     boundary = [
         lab for lab in basis if lab.index[0] in a.boundary or lab.index[1] in b.boundary
     ]
-    name = f"T({a.name};{b.name})"
-    return WeightModule("classical", name, basis, weights, action, boundary=boundary)
-
-
-def tensor_quantum(a: WeightModule, b: WeightModule) -> WeightModule:
-    """Tensor product under D(E) = E(x)K + 1(x)E, D(F) = F(x)1 + Kinv(x)F,
-    D(K) = K(x)K."""
-    if a.flavor != "quantum" or b.flavor != "quantum":
-        raise ValueError("tensor_quantum needs two quantum modules")
-    basis = _tensor_basis(a, b)
-    weights = {lab: a.weights[lab.index[0]] + b.weights[lab.index[1]] for lab in basis}
-
-    action: dict = {"E": {}, "F": {}, "K": {}, "Kinv": {}}
-    for lab in basis:
-        la, lb = lab.index
-        wa, wb = a.weights[la], b.weights[lb]
-
-        col: dict = {}
-        for ra, c in a.column("E", la).items():  # E (x) K
-            col[Label.tensor(ra, lb)] = c * LaurentPoly({wb: 1})
-        for rb, c in b.column("E", lb).items():  # 1 (x) E
-            key = Label.tensor(la, rb)
-            s = col.get(key, LaurentPoly()) + c
-            if s:
-                col[key] = s
-            else:
-                col.pop(key, None)
-        if col:
-            action["E"][lab] = col
-
-        col = {}
-        for ra, c in a.column("F", la).items():  # F (x) 1
-            col[Label.tensor(ra, lb)] = c
-        for rb, c in b.column("F", lb).items():  # Kinv (x) F
-            key = Label.tensor(la, rb)
-            s = col.get(key, LaurentPoly()) + LaurentPoly({-wa: 1}) * c
-            if s:
-                col[key] = s
-            else:
-                col.pop(key, None)
-        if col:
-            action["F"][lab] = col
-
-        action["K"][lab] = {lab: LaurentPoly({wa + wb: 1})}
-        action["Kinv"][lab] = {lab: LaurentPoly({-(wa + wb): 1})}
-
-    boundary = [
-        lab for lab in basis if lab.index[0] in a.boundary or lab.index[1] in b.boundary
-    ]
-    name = f"T({a.name};{b.name})"
-    return WeightModule("quantum", name, basis, weights, action, boundary=boundary)
+    return WeightModule(fl, f"T({a.name};{b.name})", basis, weights, action, boundary=boundary)
 
 
 def weight_spaces(m: WeightModule) -> dict:
@@ -208,30 +156,6 @@ def _kernel_fraction_free(rows: list[list], ncols: int, one):
     return kernel
 
 
-def _normalize_classical(coords: list[Fraction]) -> list[Fraction]:
-    lead = next(c for c in coords if c)
-    return [c / lead for c in coords]
-
-
-def _normalize_quantum(coords: list[LaurentPoly]) -> list[LaurentPoly]:
-    nonzero = [c for c in coords if c]
-    g = nonzero[0]
-    for c in nonzero[1:]:
-        g = lp_gcd(g, c)
-    coords = [c.div_exact(g) if c else c for c in coords]
-    # clear rational content so coefficients are coprime integers
-    nums, dens = [], []
-    for c in coords:
-        for _, q in c.terms():
-            nums.append(q.numerator)
-            dens.append(q.denominator)
-    scale = Fraction(lcm(*dens), gcd(*nums))
-    first = next(c for c in coords if c)
-    if first.leading_coeff * scale < 0:
-        scale = -scale
-    return [c * scale for c in coords]
-
-
 def highest_weight_vectors(m: WeightModule) -> list[tuple[object, Vector]]:
     """Exact basis of raising-operator kernels, one weight space at a time.
 
@@ -244,8 +168,8 @@ def highest_weight_vectors(m: WeightModule) -> list[tuple[object, Vector]]:
     leading coefficient in the first nonzero entry.  Output is ordered
     by descending weight.
     """
-    raising = "e" if m.flavor == "classical" else "E"
-    zero, one = m.zero_scalar(), m.one_scalar()
+    raising = m.flavor.raising
+    zero, one = m.flavor.zero, m.flavor.one
     spaces = weight_spaces(m)
     out = []
     for w in sorted(spaces, reverse=True):
@@ -262,11 +186,7 @@ def highest_weight_vectors(m: WeightModule) -> list[tuple[object, Vector]]:
                 raise AssertionError(
                     f"nullspace certificate failed at weight {w} of {m.name}"
                 )
-            if m.flavor == "classical":
-                coords = _normalize_classical(coords)
-            else:
-                coords = _normalize_quantum(coords)
-            out.append((w, Vector(m, dict(zip(source, coords)))))
+            out.append((w, Vector(m, dict(zip(source, m.flavor.normalize(coords))))))
     return out
 
 
@@ -366,7 +286,7 @@ def phi_vector(
     if not 0 <= p <= min(m, n):
         raise ValueError(f"need 0 <= p <= min(m, n) = {min(m, n)}, got p = {p}")
 
-    module = tensor_quantum(finite_dim_quantum(m), finite_dim_quantum(n))
+    module = tensor(finite_dim_quantum(m), finite_dim_quantum(n))
     sign = 1 if (n - p) % 2 == 0 else -1
     entries: dict = {}
     for k in range(p + 1):
@@ -427,7 +347,7 @@ def phi_vs_oracle(
         )
     oracle = oracles[0]
 
-    zero = module.zero_scalar()
+    zero = module.flavor.zero
     ratio = None
     witness = None
     for lab in module.basis:

@@ -23,8 +23,7 @@ from qsl2.tensorcg import (
     decompose_by_character,
     highest_weight_vectors,
     phi_vs_oracle,
-    tensor_classical,
-    tensor_quantum,
+    tensor,
 )
 
 
@@ -56,8 +55,8 @@ def test_criterion_1_clebsch_gordan_reproduction():
                 closed = cg_decompose(m, n)
                 expected = {w: 1 for w in range(m + n, abs(m - n) - 1, -2)}
                 assert closed.summands == expected, (m, n)
-                tc = tensor_classical(finite_dim_classical(m), finite_dim_classical(n))
-                tq = tensor_quantum(finite_dim_quantum(m), finite_dim_quantum(n))
+                tc = tensor(finite_dim_classical(m), finite_dim_classical(n))
+                tq = tensor(finite_dim_quantum(m), finite_dim_quantum(n))
                 assert decompose_by_character(tc) == closed, (m, n, "classical")
                 assert decompose_by_character(tq) == closed, (m, n, "quantum")
 
@@ -82,7 +81,7 @@ def test_criterion_3_highest_weight_oracle_soundness():
     with _Criterion(3, "raising-operator nullspace oracle", 30):
         for m in range(7):
             for n in range(7):
-                module = tensor_quantum(finite_dim_quantum(m), finite_dim_quantum(n))
+                module = tensor(finite_dim_quantum(m), finite_dim_quantum(n))
                 found = highest_weight_vectors(module)
                 for p in range(min(m, n) + 1):
                     w = m + n - 2 * p
@@ -97,7 +96,7 @@ def test_criterion_4_transfer_formula_adjudication():
     with _Criterion(4, "explicit formula vs oracle, complete reports", 10):
         for m in range(5):
             for n in range(5):
-                module = tensor_quantum(finite_dim_quantum(m), finite_dim_quantum(n))
+                module = tensor(finite_dim_quantum(m), finite_dim_quantum(n))
                 oracle = dict(highest_weight_vectors(module))
                 for p in range(min(m, n) + 1):
                     report = phi_vs_oracle(m, n, p)
@@ -127,8 +126,8 @@ def test_criterion_5_quantum_classical_consistency():
                     assert specialized == mc.column(gc, col), (n, gq, col)
         for m in range(6):
             for n in range(6):
-                tq = tensor_quantum(finite_dim_quantum(m), finite_dim_quantum(n))
-                tc = tensor_classical(finite_dim_classical(m), finite_dim_classical(n))
+                tq = tensor(finite_dim_quantum(m), finite_dim_quantum(n))
+                tc = tensor(finite_dim_classical(m), finite_dim_classical(n))
                 classical = dict(highest_weight_vectors(tc))
                 for wt, qvec in highest_weight_vectors(tq):
                     spec = {

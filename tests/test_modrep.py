@@ -3,6 +3,8 @@ from fractions import Fraction
 import pytest
 
 from qsl2.modrep import (
+    CLASSICAL,
+    QUANTUM,
     Label,
     RasskazovaParams,
     Vector,
@@ -194,8 +196,8 @@ def test_rasskazova_filtration_never_raises_i():
     for n in (1, 2, 3):
         m = rasskazova(RasskazovaParams(1, 2, n, 4))
         for g in ("e", "f", "h"):
-            for col, entries in m.action[g].items():
-                for row in entries:
+            for col in m.basis:
+                for row in m.column(g, col):
                     assert row.index[0] <= col.index[0]
 
 
@@ -293,11 +295,19 @@ def test_apply_flavor_mismatch():
 def test_weight_grading_enforced():
     basis = [Label.findim(0), Label.findim(1)]
     weights = {basis[0]: Fraction(1), basis[1]: Fraction(-1)}
-    h = {lab: {lab: wt} for lab, wt in weights.items()}
     # e mapping w_0 -> w_1 lowers the weight: must be rejected
-    bad = {"e": {basis[0]: {basis[1]: Fraction(1)}}, "f": {}, "h": h}
+    bad = {"e": {basis[0]: {basis[1]: Fraction(1)}}, "f": {}}
     with pytest.raises(ValueError):
-        WeightModule("classical", "bad", basis, weights, bad)
+        WeightModule(CLASSICAL, "bad", basis, weights, bad)
+
+
+@pytest.mark.parametrize("flavor, diag", [(CLASSICAL, "h"), (QUANTUM, "K"), (QUANTUM, "Kinv")])
+def test_diagonal_generators_are_not_stored(flavor, diag):
+    lab = Label.findim(0)
+    action = {flavor.raising: {}, flavor.lowering: {}}
+    WeightModule(flavor, "ok", [lab], {lab: 0}, action)
+    with pytest.raises(ValueError):
+        WeightModule(flavor, "bad", [lab], {lab: 0}, {**action, diag: {lab: {lab: flavor.one}}})
 
 
 def test_vector_strips_zeros():

@@ -6,7 +6,6 @@ from hypothesis import given, strategies as st
 from qsl2.qarith import (
     ExactDivisionError,
     LaurentPoly,
-    lp_div_exact,
     lp_gcd,
     q_binom,
     q_fact,
@@ -171,27 +170,27 @@ def test_specialize_one():
 
 
 def test_div_exact_factorization():
-    assert lp_div_exact(v**2 - v**-2, v - v**-1) == v + v**-1
+    assert (v**2 - v**-2).div_exact(v - v**-1) == v + v**-1
 
 
 def test_div_exact_identity():
     p = lp(e2=3, e0=Fraction(-1, 3), em5=1)
-    assert lp_div_exact(p, one) == p
+    assert p.div_exact(one) == p
 
 
 def test_div_exact_non_divisible():
     # long division of v+1 by v-1 leaves remainder 2
     with pytest.raises(ExactDivisionError):
-        lp_div_exact(v + 1, v - 1)
+        (v + 1).div_exact(v - 1)
 
 
 def test_div_exact_by_zero():
     with pytest.raises(ZeroDivisionError):
-        lp_div_exact(v, LaurentPoly())
+        v.div_exact(LaurentPoly())
 
 
 def test_div_exact_zero_numerator():
-    assert lp_div_exact(LaurentPoly(), v + 1) == LaurentPoly()
+    assert LaurentPoly().div_exact(v + 1) == LaurentPoly()
 
 
 # -- gcd ------------------------------------------------------------------------
@@ -236,7 +235,7 @@ def test_ring_laws(a, b, c):
 @given(polys, polys)
 def test_product_divides_back(a, b):
     if b:
-        assert lp_div_exact(a * b, b) == a
+        assert (a * b).div_exact(b) == a
 
 
 @given(polys)

@@ -1,12 +1,15 @@
+import dataclasses
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from qsl2.modrep import (
+    QUANTUM,
     Label,
     RasskazovaParams,
     Vector,
+    WeightModule,
     apply,
     check_relations,
     finite_dim_classical,
@@ -26,8 +29,7 @@ from qsl2.tensorcg import (
     highest_weight_vectors,
     phi_vector,
     phi_vs_oracle,
-    tensor_classical,
-    tensor_quantum,
+    tensor,
     weight_spaces,
 )
 
@@ -43,57 +45,73 @@ def pair(i, j):
 
 def test_tensor_classical_unit_factor():
     a, b = finite_dim_classical(0), finite_dim_classical(2)
-    t = tensor_classical(a, b)
+    t = tensor(a, b)
     for g in ("e", "f", "h"):
-        for k, col in b.action[g].items():
+        for k in b.basis:
             got = t.column(g, pair(0, k.index[0]))
-            assert got == {pair(0, r.index[0]): c for r, c in col.items()}
+            assert got == {pair(0, r.index[0]): c for r, c in b.column(g, k).items()}
 
 
 def test_tensor_classical_coproduct():
-    t = tensor_classical(finite_dim_classical(1), finite_dim_classical(1))
+    t = tensor(finite_dim_classical(1), finite_dim_classical(1))
     got = apply(t, "e", Vector.basis_vector(t, pair(1, 1)))
     assert got.entries == {pair(0, 1): 1, pair(1, 0): 1}
 
 
 def test_tensor_dimensions():
-    t = tensor_classical(finite_dim_classical(2), finite_dim_classical(3))
+    t = tensor(finite_dim_classical(2), finite_dim_classical(3))
     assert t.dim == 12
 
 
 def test_tensor_flavor_mismatch():
     with pytest.raises(ValueError):
-        tensor_classical(finite_dim_classical(1), finite_dim_quantum(1))
+        tensor(finite_dim_classical(1), finite_dim_quantum(1))
     with pytest.raises(ValueError):
-        tensor_quantum(finite_dim_quantum(1), finite_dim_classical(1))
+        tensor(finite_dim_quantum(1), finite_dim_classical(1))
 
 
 def test_tensor_quantum_grouplike_K():
-    t = tensor_quantum(finite_dim_quantum(2), finite_dim_quantum(3))
+    t = tensor(finite_dim_quantum(2), finite_dim_quantum(3))
     got = apply(t, "K", Vector.basis_vector(t, pair(0, 0)))
     assert got.entries == {pair(0, 0): v**5}
 
 
 def test_tensor_quantum_E_coproduct():
-    t = tensor_quantum(finite_dim_quantum(1), finite_dim_quantum(1))
+    t = tensor(finite_dim_quantum(1), finite_dim_quantum(1))
     got = apply(t, "E", Vector.basis_vector(t, pair(1, 1)))
     assert got.entries == {pair(0, 1): v**-1, pair(1, 0): LaurentPoly(1)}
 
 
+def test_tensor_follows_the_flavor_coproduct():
+    # D(E) = E (x) 1 + K (x) E, D(F) = F (x) Kinv + 1 (x) F is a coproduct too
+    alt = dataclasses.replace(QUANTUM, coproduct={"E": (None, "K"), "F": ("Kinv", None)})
+
+    def findim(n):
+        f = finite_dim_quantum(n)
+        return WeightModule(alt, f.name, f.basis, f.weights, f.action)
+
+    for m in range(3):
+        for n in range(3):
+            assert check_relations(tensor(findim(m), findim(n))).ok, (m, n)
+    t = tensor(findim(1), findim(1))
+    got = apply(t, "E", Vector.basis_vector(t, pair(1, 1)))
+    assert got.entries == {pair(0, 1): LaurentPoly(1), pair(1, 0): v**-1}
+
+
 def test_tensor_quantum_relations():
     assert check_relations(
-        tensor_quantum(finite_dim_quantum(1), finite_dim_quantum(1))
+        tensor(finite_dim_quantum(1), finite_dim_quantum(1))
     ).ok
     for m in range(4):
         for n in range(4):
-            t = tensor_quantum(finite_dim_quantum(m), finite_dim_quantum(n))
+            t = tensor(finite_dim_quantum(m), finite_dim_quantum(n))
             assert check_relations(t).ok, (m, n)
 
 
 def test_tensor_classical_relations():
     for m in range(4):
         for n in range(4):
-            t = tensor_classical(finite_dim_classical(m), finite_dim_classical(n))
+            t = tensor(finite_dim_classical(m), finite_dim_classical(n))
             assert check_relations(t).ok, (m, n)
 
 
@@ -101,7 +119,7 @@ def test_tensor_classical_relations():
 
 
 def test_weight_spaces_f1f1():
-    t = tensor_classical(finite_dim_classical(1), finite_dim_classical(1))
+    t = tensor(finite_dim_classical(1), finite_dim_classical(1))
     spaces = weight_spaces(t)
     assert {k: len(v) for k, v in spaces.items()} == {2: 1, 0: 2, -2: 1}
     assert spaces[0] == [pair(0, 1), pair(1, 0)]
@@ -113,7 +131,7 @@ def test_weight_spaces_multiplicity_free():
 
 
 def test_weight_spaces_f2f2():
-    t = tensor_classical(finite_dim_classical(2), finite_dim_classical(2))
+    t = tensor(finite_dim_classical(2), finite_dim_classical(2))
     assert len(weight_spaces(t)[0]) == 3
 
 
@@ -162,7 +180,7 @@ def test_kernel_laurent_entries():
 
 
 def test_hwv_classical_f1f1():
-    t = tensor_classical(finite_dim_classical(1), finite_dim_classical(1))
+    t = tensor(finite_dim_classical(1), finite_dim_classical(1))
     found = dict(highest_weight_vectors(t))
     assert set(found) == {2, 0}
     assert found[0].entries == {pair(0, 1): 1, pair(1, 0): -1}
@@ -170,19 +188,16 @@ def test_hwv_classical_f1f1():
 
 
 def test_hwv_top_is_pair_of_tops():
-    for ctor, tensor in (
-        (finite_dim_classical, tensor_classical),
-        (finite_dim_quantum, tensor_quantum),
-    ):
+    for ctor in (finite_dim_classical, finite_dim_quantum):
         t = tensor(ctor(2), ctor(3))
         top = [vec for wt, vec in highest_weight_vectors(t) if wt == 5]
         assert len(top) == 1
-        one = t.one_scalar()
+        one = t.flavor.one
         assert top[0].entries == {pair(0, 0): one}
 
 
 def test_hwv_quantum_f1f1_canonical_form():
-    t = tensor_quantum(finite_dim_quantum(1), finite_dim_quantum(1))
+    t = tensor(finite_dim_quantum(1), finite_dim_quantum(1))
     found = dict(highest_weight_vectors(t))
     # kernel of E on the weight-0 space, normalized to coprime integer
     # coefficients with positive leading coefficient first
@@ -190,9 +205,9 @@ def test_hwv_quantum_f1f1_canonical_form():
 
 
 def test_hwv_annihilated_and_eigen():
-    for ctor, tensor, raising, diag in (
-        (finite_dim_classical, tensor_classical, "e", "h"),
-        (finite_dim_quantum, tensor_quantum, "E", "K"),
+    for ctor, raising, diag in (
+        (finite_dim_classical, "e", "h"),
+        (finite_dim_quantum, "E", "K"),
     ):
         t = tensor(ctor(2), ctor(3))
         for wt, vec in highest_weight_vectors(t):
@@ -204,13 +219,13 @@ def test_hwv_annihilated_and_eigen():
 
 
 def test_hwv_descending_weight_order():
-    t = tensor_classical(finite_dim_classical(3), finite_dim_classical(3))
+    t = tensor(finite_dim_classical(3), finite_dim_classical(3))
     weights = [wt for wt, _ in highest_weight_vectors(t)]
     assert weights == sorted(weights, reverse=True) == [6, 4, 2, 0]
 
 
 def test_hwv_trivial_tensor():
-    t = tensor_quantum(finite_dim_quantum(0), finite_dim_quantum(0))
+    t = tensor(finite_dim_quantum(0), finite_dim_quantum(0))
     assert cg_decompose(0, 0).summands == {0: 1}
     [(wt, vec)] = highest_weight_vectors(t)
     assert wt == 0 and vec.entries == {pair(0, 0): LaurentPoly(1)}
@@ -228,8 +243,8 @@ def test_hwv_on_truncated_verma_finds_submodule_generator():
 def test_hwv_specializes_to_classical():
     for m in range(4):
         for n in range(4):
-            tq = tensor_quantum(finite_dim_quantum(m), finite_dim_quantum(n))
-            tc = tensor_classical(finite_dim_classical(m), finite_dim_classical(n))
+            tq = tensor(finite_dim_quantum(m), finite_dim_quantum(n))
+            tc = tensor(finite_dim_classical(m), finite_dim_classical(n))
             quantum = {wt: vec for wt, vec in highest_weight_vectors(tq)}
             classical = {wt: vec for wt, vec in highest_weight_vectors(tc)}
             assert set(quantum) == set(classical)
@@ -268,7 +283,7 @@ def test_cg_decompose_negative():
 
 
 def test_decompose_by_character_f1f1():
-    t = tensor_classical(finite_dim_classical(1), finite_dim_classical(1))
+    t = tensor(finite_dim_classical(1), finite_dim_classical(1))
     assert decompose_by_character(t) == cg_decompose(1, 1)
 
 
@@ -297,8 +312,8 @@ def test_agreement_of_all_three_routes():
     for m in range(5):
         for n in range(5):
             expected = cg_decompose(m, n)
-            tc = tensor_classical(finite_dim_classical(m), finite_dim_classical(n))
-            tq = tensor_quantum(finite_dim_quantum(m), finite_dim_quantum(n))
+            tc = tensor(finite_dim_classical(m), finite_dim_classical(n))
+            tq = tensor(finite_dim_quantum(m), finite_dim_quantum(n))
             assert decompose_by_character(tc) == expected
             assert decompose_by_character(tq) == expected
             for t in (tc, tq):
@@ -377,6 +392,6 @@ def test_phi_vs_oracle_runs_and_oracle_is_killed():
                 assert isinstance(report, ComparisonReport)
                 assert report.proportional or report.witness is not None
     # oracle side of (2,1,1) independently annihilated by E
-    t = tensor_quantum(finite_dim_quantum(2), finite_dim_quantum(1))
+    t = tensor(finite_dim_quantum(2), finite_dim_quantum(1))
     (oracle,) = [vec for wt, vec in highest_weight_vectors(t) if wt == 1]
     assert apply(t, "E", oracle).is_zero()
