@@ -51,10 +51,8 @@ def tensor(a: WeightModule, b: WeightModule) -> WeightModule:
     """Tensor product of two modules of one flavour under its coproduct.
 
     Each raising or lowering g acts by D(g) = g (x) right + left (x) g,
-    where (right, left) = flavor.coproduct[g] and a twist is a diagonal
-    generator acting by its eigenvalue on that factor's weight, or None
-    for 1: x (x) 1 + 1 (x) x classically, and D(E) = E (x) K + 1 (x) E,
-    D(F) = F (x) 1 + Kinv (x) F, D(K) = K (x) K for U_v(sl2).
+    where (right, left) = flavor.coproduct[g]; a twist acts on its
+    factor by its eigenvalue on that factor's weight, None meaning 1.
     """
     if a.flavor is not b.flavor:
         raise ValueError(f"cannot tensor a {a.flavor.name} and a {b.flavor.name} module")
