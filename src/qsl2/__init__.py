@@ -43,9 +43,11 @@ from .tensorcg import (
     Decomposition,
     DecompositionError,
     Interpretation,
+    NullspaceError,
     WEIGHT_MATCHED,
     cg_decompose,
     decompose_by_character,
+    highest_weight_vector,
     highest_weight_vectors,
     phi_vector,
     phi_vs_oracle,
@@ -82,9 +84,11 @@ __all__ = [
     "Decomposition",
     "DecompositionError",
     "Interpretation",
+    "NullspaceError",
     "WEIGHT_MATCHED",
     "cg_decompose",
     "decompose_by_character",
+    "highest_weight_vector",
     "highest_weight_vectors",
     "phi_vector",
     "phi_vs_oracle",

@@ -1,12 +1,13 @@
 """Command-line surface for batch computation.
 
 Subcommands: decompose, hwv, check, qtable.  Every invocation writes
-exactly one output envelope; the json format (default) is canonical —
-sorted keys, compact separators — so identical invocations are
-byte-identical.  csv renders the flat tables; pretty is for humans and
-carries no stability guarantee.  Errors always emit a json error
-envelope.  Exit status: 0 success, 1 internal check failure (relation
-failures, cross-check mismatch), 2 usage error.
+exactly one output envelope, except -h/--help: that prints argparse's
+help, no envelope, and exits 0 (main raises SystemExit(0)).  The json
+format (default) is canonical — sorted keys, compact separators — so
+identical invocations are byte-identical.  csv renders the flat tables;
+pretty is for humans and carries no stability guarantee.  Errors always
+emit a json error envelope.  Exit status: 0 success, 1 internal check
+failure (relation failures, cross-check mismatch), 2 usage error.
 
 All inputs are flags; rationals are written "a/b".  No configuration
 files, no environment variables, no floating point.
@@ -44,9 +45,10 @@ from .serialize import (
     vector_json,
 )
 from .tensorcg import (
+    NullspaceError,
     cg_decompose,
     decompose_by_character,
-    highest_weight_vectors,
+    highest_weight_vector,
     phi_vs_oracle,
     tensor,
 )
@@ -178,29 +180,21 @@ def cmd_decompose(ns) -> CommandResult:
 def cmd_hwv(ns) -> CommandResult:
     if ns.p > min(ns.m, ns.n):
         raise UsageError(f"--p must be <= min(m, n) = {min(ns.m, ns.n)}, got {ns.p}")
-    module = _findim_tensor(ns)
     target = ns.m + ns.n - 2 * ns.p
-    vectors = [vec for wt, vec in highest_weight_vectors(module) if wt == target]
-    if len(vectors) != 1:
-        raise CheckFailure(
-            f"nullspace at weight {target} is {len(vectors)}-dimensional, expected 1"
-        )
-    vec = vectors[0]
-    payload: dict = {
-        "weight": target,
-        "flavor": module.flavor.name,
-        "vector": vector_json(vec),
-    }
-    interpretation = None
     report = None
-    if ns.quantum:
-        report = phi_vs_oracle(ns.m, ns.n, ns.p)
-        payload["phi"] = comparison_json(report)
-        interpretation = report.interpretation
-
-    lines = [f"highest-weight vector at weight {target} in {module.name}"]
+    try:
+        if ns.quantum:
+            report = phi_vs_oracle(ns.m, ns.n, ns.p)
+            vec = report.oracle
+        else:
+            vec = highest_weight_vector(_findim_tensor(ns), target)
+    except NullspaceError as exc:
+        raise CheckFailure(str(exc))
+    payload = {"weight": target, "flavor": vec.module.flavor.name, "vector": vector_json(vec)}
+    lines = [f"highest-weight vector at weight {target} in {vec.module.name}"]
     lines += [f"  {label_str(lab)}: {scalar_token(c)}" for lab, c in vec.items_in_order()]
     if report is not None:
+        payload["phi"] = comparison_json(report)
         if report.proportional:
             lines.append(f"  formula: proportional, scalar {laurent_token(report.scalar)}")
         else:
@@ -212,6 +206,7 @@ def cmd_hwv(ns) -> CommandResult:
     csv = "label,coefficient\n" + "".join(
         f"{label_str(lab)},{scalar_token(c)}\n" for lab, c in vec.items_in_order()
     )
+    interpretation = report.interpretation if report else None
     return CommandResult(payload, "\n".join(lines) + "\n", csv, interpretation)
 
 

@@ -418,7 +418,8 @@ def check_relations(m: WeightModule) -> RelationReport:
 
 
 def corrupt_one_entry(m: WeightModule) -> WeightModule:
-    """Copy of m with one raising-operator matrix entry perturbed by +1.
+    """Copy of m with one raising-operator matrix entry perturbed by +1
+    (by -1 where +1 would cancel it).
 
     Diagnostic helper: the perturbed module must fail check_relations,
     which exercises the defect reporting and the CLI exit-status path.
@@ -428,7 +429,8 @@ def corrupt_one_entry(m: WeightModule) -> WeightModule:
     for col in m.basis:
         if mat.get(col):
             row = min(mat[col], key=m.position)
-            action = {**m.action, raising: {**mat, col: {**mat[col], row: mat[col][row] + m.flavor.one}}}
+            c = mat[col][row] + m.flavor.one or mat[col][row] - m.flavor.one
+            action = {**m.action, raising: {**mat, col: {**mat[col], row: c}}}
             return WeightModule(
                 m.flavor, m.name + "+fault", m.basis, m.weights, action, boundary=m.boundary
             )

@@ -193,6 +193,10 @@ class LaurentPoly:
             raise ExactDivisionError(f"{other} does not divide {self}")
         return LaurentPoly({la - lb + i: c for i, c in enumerate(quot) if c})
 
+    def __truediv__(self, other):
+        # exact; calls div_exact by name, not as an alias, so wrappers of it see "/"
+        return self.div_exact(other)
+
     def _dense(self, low: int) -> list[Fraction]:
         """Coefficients of v^low .. v^max as a dense list."""
         out = [Fraction(0)] * (self.max_exp - low + 1)

@@ -24,6 +24,10 @@ class DecompositionError(ValueError):
     """Weight multiset is not that of a finite-dimensional module."""
 
 
+class NullspaceError(ArithmeticError):
+    """A raising-operator kernel failed its certificate or its expected dimension."""
+
+
 @dataclass(frozen=True)
 class Decomposition:
     """Multiset of highest weights of the irreducible summands."""
@@ -96,12 +100,6 @@ def weight_spaces(m: WeightModule) -> dict:
 # -- exact nullspace by fraction-free elimination ------------------------------
 
 
-def _exact_div(a, b):
-    if isinstance(a, LaurentPoly):
-        return a.div_exact(b)
-    return a / b
-
-
 def _kernel_fraction_free(rows: list[list], ncols: int, one):
     """Right kernel of a matrix over an exact integral domain.
 
@@ -134,7 +132,7 @@ def _kernel_fraction_free(rows: list[list], ncols: int, one):
             f = m[i][c]
             # every non-pivot row gets the one-step update, even when f
             # is zero: the uniform rescaling keeps later divisions exact
-            m[i] = [_exact_div(p * m[i][j] - f * m[r][j], prev) for j in range(ncols)]
+            m[i] = [(p * m[i][j] - f * m[r][j]) / prev for j in range(ncols)]
         pivots.append((r, c))
         prev = p
         r += 1
@@ -154,8 +152,9 @@ def _kernel_fraction_free(rows: list[list], ncols: int, one):
     return kernel
 
 
-def highest_weight_vectors(m: WeightModule) -> list[tuple[object, Vector]]:
-    """Exact basis of raising-operator kernels, one weight space at a time.
+def highest_weight_vectors(m: WeightModule, weight=None) -> list[tuple[object, Vector]]:
+    """Exact basis of raising-operator kernels, one weight space at a time;
+    only the space of ``weight`` when it is given (none if m lacks it).
 
     For each weight space, the nullspace of e (resp. E) restricted to it
     is computed by fraction-free elimination and certified by applying
@@ -169,8 +168,9 @@ def highest_weight_vectors(m: WeightModule) -> list[tuple[object, Vector]]:
     raising = m.flavor.raising
     zero, one = m.flavor.zero, m.flavor.one
     spaces = weight_spaces(m)
+    asked = sorted(spaces, reverse=True) if weight is None else [w for w in spaces if w == weight]
     out = []
-    for w in sorted(spaces, reverse=True):
+    for w in asked:
         source = spaces[w]
         target = spaces.get(w + 2, [])
         tpos = {lab: i for i, lab in enumerate(target)}
@@ -181,11 +181,18 @@ def highest_weight_vectors(m: WeightModule) -> list[tuple[object, Vector]]:
         for coords in _kernel_fraction_free(rows, len(source), one):
             vec = Vector(m, dict(zip(source, coords)))
             if not apply(m, raising, vec).is_zero():
-                raise AssertionError(
-                    f"nullspace certificate failed at weight {w} of {m.name}"
-                )
+                raise NullspaceError(f"nullspace certificate failed at weight {w} of {m.name}")
             out.append((w, Vector(m, dict(zip(source, m.flavor.normalize(coords))))))
     return out
+
+
+def highest_weight_vector(m: WeightModule, weight) -> Vector:
+    """The highest-weight vector of ``weight``; NullspaceError unless the
+    raising-operator kernel there is one-dimensional."""
+    found = highest_weight_vectors(m, weight)
+    if len(found) != 1:
+        raise NullspaceError(f"nullspace at weight {weight} is {len(found)}-dimensional, expected 1")
+    return found[0][1]
 
 
 # -- decompositions ------------------------------------------------------------
@@ -314,12 +321,14 @@ class ComparisonReport:
     after denominator clearing, divided by the normalized oracle
     vector).  Otherwise ``witness`` is (basis label, formula
     coefficient, oracle coefficient) at the first disagreeing position.
+    ``oracle`` is the normalized oracle vector compared against.
     """
 
     proportional: bool
     scalar: LaurentPoly | None
     witness: tuple | None
     interpretation: str
+    oracle: Vector
 
     def __post_init__(self):
         if self.proportional:
@@ -333,40 +342,24 @@ def phi_vs_oracle(
 ) -> ComparisonReport:
     """Compare the transfer formula's vector with the nullspace oracle's
     highest-weight vector of weight m+n-2p.  Disagreement is a report
-    outcome, not an error."""
+    outcome, not an error; an oracle that is not one vector raises
+    NullspaceError."""
     phi = phi_vector(m, n, p, interpretation)
     module = phi.module
-    target = m + n - 2 * p
-    oracles = [vec for w, vec in highest_weight_vectors(module) if w == target]
-    if len(oracles) != 1:
-        raise AssertionError(
-            f"expected a one-dimensional nullspace at weight {target}, "
-            f"found {len(oracles)}"
-        )
-    oracle = oracles[0]
+    oracle = highest_weight_vector(module, m + n - 2 * p)
 
     zero = module.flavor.zero
     ratio = None
-    witness = None
     for lab in module.basis:
-        a = phi.entries.get(lab, zero)
-        b = oracle.entries.get(lab, zero)
+        a, b = phi.entries.get(lab, zero), oracle.entries.get(lab, zero)
         if not a and not b:
             continue
-        if ratio is None:
-            if not a or not b:
-                witness = (lab, a, b)
-                break
+        if ratio is None and a and b:
             try:
-                ratio = a.div_exact(b)
+                ratio = a / b
+                continue
             except ExactDivisionError:
-                witness = (lab, a, b)
-                break
-            continue
-        if a != ratio * b:
-            witness = (lab, a, b)
-            break
-
-    if witness is not None:
-        return ComparisonReport(False, None, witness, interpretation.ident)
-    return ComparisonReport(True, ratio, None, interpretation.ident)
+                pass
+        if ratio is None or a != ratio * b:
+            return ComparisonReport(False, None, (lab, a, b), interpretation.ident, oracle)
+    return ComparisonReport(True, ratio, None, interpretation.ident, oracle)

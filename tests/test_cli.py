@@ -1,4 +1,5 @@
 import json
+import os
 import re
 import subprocess
 import sys
@@ -6,6 +7,8 @@ from pathlib import Path
 
 import pytest
 
+import qsl2
+from qsl2 import tensorcg
 from qsl2.cli import main
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -15,6 +18,18 @@ MANIFEST = json.loads((GOLDEN / "manifest.json").read_text())
 def run_cli(capsys, argv):
     code = main(argv)
     return code, capsys.readouterr().out
+
+
+def run_module(*args):
+    """``python -m qsl2 args`` on the qsl2 this test imported."""
+    src = str(Path(qsl2.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    return subprocess.run(
+        [sys.executable, "-m", "qsl2", *args],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": path},
+    )
 
 
 @pytest.mark.parametrize("name", sorted(MANIFEST))
@@ -61,11 +76,7 @@ def test_no_floats_anywhere():
 
 def test_module_entry_point_matches_golden():
     expected = (GOLDEN / "decompose_1_1.json").read_text()
-    proc = subprocess.run(
-        [sys.executable, "-m", "qsl2", "decompose", "--m", "1", "--n", "1"],
-        capture_output=True,
-        text=True,
-    )
+    proc = run_module("decompose", "--m", "1", "--n", "1")
     assert proc.returncode == 0
     assert proc.stdout == expected
 
@@ -187,6 +198,71 @@ def test_fault_injection_payload(capsys):
     assert envelope["status"] == "error"
     assert envelope["payload"]["ok"] is False
     assert envelope["payload"]["failures"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["check", "verma", f"--hw={hw}", "--depth", "3"] for hw in range(-4, 5)]
+    + [["check", "rasskazova", "--beta", "0", "--lambda=-3", "--n", "1", "--window", "2"]],
+)
+def test_injected_fault_never_cancels_its_entry(capsys, argv):
+    # +1 would turn a -1 entry into a stored zero (a usage error)
+    code, out = run_cli(capsys, argv + ["--inject-fault"])
+    envelope = json.loads(out)
+    assert code == 1 and envelope["status"] == "error"
+    assert envelope["payload"]["failures"]
+
+
+# -- hwv: one elimination per request ----------------------------------------
+
+HWV_3_3_1 = ["hwv", "--m", "3", "--n", "3", "--p", "1"]
+
+
+@pytest.mark.parametrize("flags", [[], ["--quantum"]])
+def test_hwv_request_runs_one_elimination(capsys, monkeypatch, flags):
+    calls = []
+    kernel = tensorcg._kernel_fraction_free
+    monkeypatch.setattr(
+        tensorcg, "_kernel_fraction_free", lambda *args: calls.append(args) or kernel(*args)
+    )
+    code, _ = run_cli(capsys, HWV_3_3_1 + flags)
+    assert code == 0 and len(calls) == 1
+
+
+@pytest.mark.parametrize("flags", [[], ["--quantum"]])
+@pytest.mark.parametrize(
+    "kernel, error",
+    [
+        (lambda rows, ncols, one: [], "nullspace at weight 4 is 0-dimensional, expected 1"),
+        (lambda rows, ncols, one: [[one] * ncols], "nullspace certificate failed at weight 4 of "),
+    ],
+    ids=["empty", "not-annihilated"],
+)
+def test_hwv_oracle_failure_is_internal_failure(capsys, monkeypatch, flags, kernel, error):
+    monkeypatch.setattr(tensorcg, "_kernel_fraction_free", kernel)
+    code, out = run_cli(capsys, HWV_3_3_1 + flags)
+    assert code == 1
+    envelope = json.loads(out)
+    assert envelope.pop("error").startswith(error)
+    assert envelope == {"version": qsl2.__version__, "command": HWV_3_3_1 + flags, "status": "error"}
+
+
+# -- help is argparse's, outside the envelope contract ---------------------------
+
+
+@pytest.mark.parametrize("argv", [["-h"], ["hwv", "-h"], ["check", "--help"]])
+def test_help_prints_usage_and_exits_zero(argv):
+    proc = run_module(*argv)
+    assert proc.returncode == 0 and proc.stderr == ""
+    assert proc.stdout.startswith("usage: qsl2")
+    assert '"status"' not in proc.stdout
+
+
+def test_help_in_process_raises_system_exit_zero(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["-h"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: qsl2 [-h]")
 
 
 def test_describe_includes_module_descriptor(capsys):

@@ -193,6 +193,24 @@ def test_div_exact_zero_numerator():
     assert LaurentPoly().div_exact(v + 1) == LaurentPoly()
 
 
+def test_true_division_is_exact_division():
+    assert (v**2 - v**-2) / (v - v**-1) == v + v**-1
+    assert (v * 3) / 3 == v and isinstance(v / 2, LaurentPoly)
+    with pytest.raises(ExactDivisionError):
+        (v + 1) / (v - 1)
+    with pytest.raises(ZeroDivisionError):
+        v / LaurentPoly()
+    with pytest.raises(ZeroDivisionError):
+        v / 0
+
+
+def test_true_division_goes_through_div_exact(monkeypatch):
+    calls = []
+    div_exact = LaurentPoly.div_exact
+    monkeypatch.setattr(LaurentPoly, "div_exact", lambda a, b: calls.append(b) or div_exact(a, b))
+    assert (v**2) / v == v and calls == [v]
+
+
 # -- gcd ------------------------------------------------------------------------
 
 
@@ -236,6 +254,12 @@ def test_ring_laws(a, b, c):
 def test_product_divides_back(a, b):
     if b:
         assert (a * b).div_exact(b) == a
+
+
+@given(polys, polys)
+def test_true_division_undoes_product(a, b):
+    if b:
+        assert (a * b) / b == a
 
 
 @given(polys)

@@ -18,14 +18,17 @@ from qsl2.modrep import (
     verma_classical,
 )
 from qsl2.qarith import LaurentPoly, q_int, specialize_one, v
+from qsl2 import tensorcg
 from qsl2.tensorcg import (
     ComparisonReport,
     Decomposition,
     DecompositionError,
     Interpretation,
+    NullspaceError,
     _kernel_fraction_free,
     cg_decompose,
     decompose_by_character,
+    highest_weight_vector,
     highest_weight_vectors,
     phi_vector,
     phi_vs_oracle,
@@ -240,6 +243,55 @@ def test_hwv_on_truncated_verma_finds_submodule_generator():
     assert found[-4].entries == {Label.verma(3): 1}
 
 
+def test_hwv_of_one_weight_is_the_full_result_filtered():
+    modules = [
+        tensor(ctor(m), ctor(n))
+        for ctor in (finite_dim_classical, finite_dim_quantum)
+        for m in range(6)
+        for n in range(6)
+    ]
+    modules += [
+        verma_classical(2, 5),
+        verma_classical(Fraction(-7, 3), 6),
+        tensor(rasskazova(RasskazovaParams(0, 0, 1, 2)), rasskazova(RasskazovaParams(1, 2, 2, 2))),
+    ]
+    multi = 0
+    for module in modules:
+        full = highest_weight_vectors(module)
+        for wt in weight_spaces(module):
+            one_weight = highest_weight_vectors(module, wt)
+            assert one_weight == [(w, vec) for w, vec in full if w == wt], (module.name, wt)
+            multi += len(one_weight) > 1
+    assert multi  # some kernel has more than one vector
+
+
+def test_hwv_of_an_absent_weight_is_empty():
+    t = tensor(finite_dim_quantum(2), finite_dim_quantum(3))
+    for wt in (7, 4, Fraction(1, 2)):
+        assert highest_weight_vectors(t, wt) == []
+    assert highest_weight_vectors(verma_classical(2, 5), 3) == []
+
+
+def test_highest_weight_vector_needs_a_one_dimensional_kernel():
+    t = tensor(finite_dim_classical(2), finite_dim_classical(3))
+    assert highest_weight_vector(t, 3) == highest_weight_vectors(t, 3)[0][1]
+    with pytest.raises(NullspaceError, match="weight 4 is 0-dimensional"):
+        highest_weight_vector(t, 4)
+    multi = tensor(rasskazova(RasskazovaParams(0, 0, 1, 2)), rasskazova(RasskazovaParams(1, 2, 2, 2)))
+    wt = next(w for w in weight_spaces(multi) if len(highest_weight_vectors(multi, w)) > 1)
+    with pytest.raises(NullspaceError, match="expected 1"):
+        highest_weight_vector(multi, wt)
+
+
+def test_nullspace_certificate_failure_raises(monkeypatch):
+    monkeypatch.setattr(tensorcg, "_kernel_fraction_free", lambda rows, ncols, one: [[one] * ncols])
+    t = tensor(finite_dim_classical(1), finite_dim_classical(1))
+    with pytest.raises(NullspaceError, match="certificate failed at weight 0"):
+        highest_weight_vectors(t, 0)
+    with pytest.raises(NullspaceError):
+        phi_vs_oracle(1, 1, 1)
+
+
 def test_hwv_specializes_to_classical():
     for m in range(4):
         for n in range(4):
@@ -395,3 +447,10 @@ def test_phi_vs_oracle_runs_and_oracle_is_killed():
     t = tensor(finite_dim_quantum(2), finite_dim_quantum(1))
     (oracle,) = [vec for wt, vec in highest_weight_vectors(t) if wt == 1]
     assert apply(t, "E", oracle).is_zero()
+
+
+def test_phi_vs_oracle_carries_its_oracle():
+    for m, n, p in ((1, 1, 1), (2, 2, 0), (3, 2, 2)):
+        t = tensor(finite_dim_quantum(m), finite_dim_quantum(n))
+        target = m + n - 2 * p
+        assert highest_weight_vectors(t, target) == [(target, phi_vs_oracle(m, n, p).oracle)]
