@@ -1,13 +1,18 @@
 """Command-line surface for batch computation.
 
-Subcommands: decompose, hwv, check, qtable.  Every invocation writes
-exactly one output envelope, except -h/--help: that prints argparse's
-help, no envelope, and exits 0 (main raises SystemExit(0)).  The json
-format (default) is canonical — sorted keys, compact separators — so
-identical invocations are byte-identical.  csv renders the flat tables;
-pretty is for humans and carries no stability guarantee.  Errors always
-emit a json error envelope.  Exit status: 0 success, 1 internal check
-failure (relation failures, cross-check mismatch), 2 usage error.
+Subcommands: decompose, hwv, check, qtable.  check has one sub-parser
+per module kind (findim, verma, rasskazova); each declares only its own
+flags, so another kind's flag is a usage error, and usage-error text is
+argparse's.  The parser is built once per process, on first use.
+
+Every invocation writes exactly one output envelope, except -h/--help:
+that prints argparse's help, no envelope, and exits 0 (main raises
+SystemExit(0)).  The json format (default) is canonical — sorted keys,
+compact separators — so identical invocations are byte-identical.  csv
+renders the flat tables; pretty is for humans and carries no stability
+guarantee.  Errors always emit a json error envelope.  Exit status: 0
+success, 1 internal check failure (relation failures, cross-check
+mismatch), 2 usage error.
 
 All inputs are flags; rationals are written "a/b".  No configuration
 files, no environment variables, no floating point.
@@ -16,6 +21,7 @@ files, no environment variables, no floating point.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import re
 import sys
@@ -99,6 +105,7 @@ def _rational(text: str) -> Fraction:
         raise argparse.ArgumentTypeError(f"not a rational 'a/b': {text!r}")
 
 
+@functools.cache  # a constant: built on first use, not at import
 def build_parser() -> _Parser:
     parser = _Parser(prog="qsl2", description=__doc__)
     sub = parser.add_subparsers(dest="cmd", required=True, parser_class=_Parser)
@@ -120,25 +127,30 @@ def build_parser() -> _Parser:
     add_format(p)
 
     p = sub.add_parser("check", help="verify the defining relations on a module")
-    p.add_argument("kind", choices=("findim", "verma", "rasskazova"))
-    p.add_argument("--n", type=_nonneg, help="findim weight / rasskazova layer count")
-    p.add_argument("--quantum", action="store_true", help="findim only")
-    p.add_argument("--hw", type=_rational, help="verma highest weight, rational a/b")
-    p.add_argument("--depth", type=_positive, help="verma truncation depth")
-    p.add_argument("--beta", type=_rational)
-    p.add_argument("--lambda", dest="lam", type=_rational)
-    p.add_argument("--window", type=_positive, help="rasskazova window J")
-    p.add_argument(
-        "--inject-fault",
-        action="store_true",
-        help="perturb one matrix entry first (diagnostic; must fail)",
-    )
-    p.add_argument(
-        "--describe",
-        action="store_true",
-        help="include the full module descriptor in the payload",
-    )
-    add_format(p)
+    kinds = p.add_subparsers(dest="kind", required=True, parser_class=_Parser)
+    findim = kinds.add_parser("findim", help="F_n, classical or quantum")
+    findim.add_argument("--n", type=_nonneg, required=True, help="highest weight")
+    findim.add_argument("--quantum", action="store_true")
+    verma = kinds.add_parser("verma", help="classical Verma module M(hw), truncated")
+    verma.add_argument("--hw", type=_rational, required=True, help="highest weight, rational a/b")
+    verma.add_argument("--depth", type=_positive, required=True, help="truncation depth")
+    rass = kinds.add_parser("rasskazova", help="Rasskazova's V(beta, lambda, n)")
+    rass.add_argument("--beta", type=_rational, required=True)
+    rass.add_argument("--lambda", dest="lam", type=_rational, required=True)
+    rass.add_argument("--n", type=_positive, required=True, help="layer count")
+    rass.add_argument("--window", type=_positive, required=True, help="window J")
+    for p in (findim, verma, rass):
+        p.add_argument(
+            "--inject-fault",
+            action="store_true",
+            help="perturb one matrix entry first (diagnostic; must fail)",
+        )
+        p.add_argument(
+            "--describe",
+            action="store_true",
+            help="include the full module descriptor in the payload",
+        )
+        add_format(p)
 
     p = sub.add_parser("qtable", help="table of q-integers and q-factorials")
     p.add_argument("--max-n", dest="max_n", type=_nonneg, required=True)
@@ -211,31 +223,11 @@ def cmd_hwv(ns) -> CommandResult:
 
 
 def cmd_check(ns) -> CommandResult:
-    if ns.quantum and ns.kind != "findim":
-        raise UsageError(f"--quantum is not available for {ns.kind}")
     if ns.kind == "findim":
-        if ns.n is None:
-            raise UsageError("check findim requires --n")
         module = finite_dim_quantum(ns.n) if ns.quantum else finite_dim_classical(ns.n)
     elif ns.kind == "verma":
-        if ns.hw is None or ns.depth is None:
-            raise UsageError("check verma requires --hw and --depth")
         module = verma_classical(ns.hw, ns.depth)
     else:
-        missing = [
-            flag
-            for flag, val in (
-                ("--beta", ns.beta),
-                ("--lambda", ns.lam),
-                ("--n", ns.n),
-                ("--window", ns.window),
-            )
-            if val is None
-        ]
-        if missing:
-            raise UsageError(f"check rasskazova requires {' '.join(missing)}")
-        if ns.n < 1:
-            raise UsageError("check rasskazova requires --n >= 1")
         module = rasskazova(RasskazovaParams(ns.beta, ns.lam, ns.n, ns.window))
 
     if ns.inject_fault:

@@ -110,12 +110,12 @@ class WeightModule:
         self.flavor = flavor
         self.name = name
         self.basis = tuple(basis)
-        if len(set(self.basis)) != len(self.basis):
+        self._pos = {lab: i for i, lab in enumerate(self.basis)}
+        if len(self._pos) != len(self.basis):
             raise ValueError("basis labels must be pairwise distinct")
         self.weights = dict(weights)
         self.action = {g: {c: dict(col) for c, col in mat.items()} for g, mat in action.items()}
         self.boundary = frozenset(boundary)
-        self._pos = {lab: i for i, lab in enumerate(self.basis)}
         self._validate()
 
     @property

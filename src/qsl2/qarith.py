@@ -179,7 +179,7 @@ class LaurentPoly:
         when no quotient exists in the Laurent ring.
         """
         other = self._coerce(other)
-        if other is None or not isinstance(other, LaurentPoly):
+        if other is None:
             raise TypeError("div_exact expects a Laurent polynomial")
         if not other:
             raise ZeroDivisionError("Laurent division by zero")
@@ -275,11 +275,10 @@ def specialize_one(p: LaurentPoly) -> Fraction:
 
 
 def _poly_divmod(num: list[Fraction], den: list[Fraction]):
-    """Long division of dense coefficient lists over Q (ascending order)."""
+    """Long division of dense coefficient lists over Q (ascending order);
+    the last entry of den is nonzero."""
     num = list(num)
     dd = len(den) - 1
-    while dd > 0 and not den[dd]:
-        dd -= 1
     lead = den[dd]
     qd = len(num) - 1 - dd
     if qd < 0:

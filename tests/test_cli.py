@@ -20,16 +20,21 @@ def run_cli(capsys, argv):
     return code, capsys.readouterr().out
 
 
-def run_module(*args):
-    """``python -m qsl2 args`` on the qsl2 this test imported."""
+def run_python(*args):
+    """``python args`` with the qsl2 this test imported on the path."""
     src = str(Path(qsl2.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
     return subprocess.run(
-        [sys.executable, "-m", "qsl2", *args],
+        [sys.executable, *args],
         capture_output=True,
         text=True,
         env={**os.environ, "PYTHONPATH": path},
     )
+
+
+def run_module(*args):
+    """``python -m qsl2 args`` on the qsl2 this test imported."""
+    return run_python("-m", "qsl2", *args)
 
 
 @pytest.mark.parametrize("name", sorted(MANIFEST))
@@ -102,6 +107,13 @@ def test_csv_qtable(capsys):
     assert out == "n,qint,qfact\n0,0,1*v^0\n1,1*v^0,1*v^0\n2,1*v^-1+1*v^1,1*v^-1+1*v^1\n"
 
 
+def test_format_does_not_leak_between_calls(capsys):
+    code, out = run_cli(capsys, ["qtable", "--max-n", "2", "--format", "csv"])
+    assert code == 0 and out.startswith("n,qint,qfact\n")
+    code, out = run_cli(capsys, ["qtable", "--max-n", "2"])
+    assert code == 0 and out == (GOLDEN / "qtable_2.json").read_text()
+
+
 def test_csv_check(capsys):
     code, out = run_cli(capsys, ["check", "findim", "--n", "3", "--format", "csv"])
     assert code == 0
@@ -138,26 +150,37 @@ def test_pretty_smoke(capsys):
 # -- usage errors -------------------------------------------------------------
 
 
-@pytest.mark.parametrize(
-    "argv",
-    [
-        ["check", "findim"],
-        ["check", "verma", "--hw", "1"],
-        ["check", "rasskazova", "--beta", "0"],
-        ["check", "verma", "--hw", "1", "--depth", "3", "--quantum"],
-        ["check", "rasskazova", "--beta", "0", "--lambda", "0", "--n", "0", "--window", "2"],
-        ["decompose", "--m", "-1", "--n", "2"],
-        ["decompose", "--m", "1"],
-        ["hwv", "--m", "1", "--n", "1", "--p", "1", "--format", "xml"],
-        ["nonsense"],
-    ],
-)
+# argv -> a fragment the error must contain (the flag or token at fault)
+USAGE_ERRORS = {
+    ("check", "findim"): "--n",
+    ("check", "verma", "--hw", "1"): "--depth",
+    ("check", "rasskazova", "--beta", "0"): "--lambda, --n, --window",
+    ("check", "verma", "--hw", "1", "--depth", "3", "--quantum"): "--quantum",
+    ("check", "rasskazova", "--beta", "0", "--lambda", "0", "--n", "0", "--window", "2"): "--n",
+    ("decompose", "--m", "-1", "--n", "2"): "--m",
+    ("decompose", "--m", "1"): "--n",
+    ("hwv", "--m", "1", "--n", "1", "--p", "1", "--format", "xml"): "--format",
+    ("nonsense",): "nonsense",
+    # each check kind takes only its own flags
+    ("check", "findim", "--n", "2", "--hw", "1/2"): "--hw",
+    ("check", "verma", "--hw", "1/2", "--depth", "2", "--n", "7"): "--n",
+    ("check", "rasskazova", "--beta", "0", "--lambda", "0", "--n", "1", "--window", "2",
+     "--quantum"): "--quantum",
+    ("check", "rasskazova", "--beta", "0", "--lambda", "0", "--n", "1", "--window", "2",
+     "--depth", "3"): "--depth",
+    ("decompose", "--m", "x", "--n", "1"): "--m: not an integer",
+    ("check", "findim", "--n", "0", "--inject-fault"): "F(n=0) has no raising entries to perturb",
+}
+
+
+@pytest.mark.parametrize("argv", [list(argv) for argv in USAGE_ERRORS])
 def test_usage_errors(capsys, argv):
     code, out = run_cli(capsys, argv)
     assert code == 2
     envelope = json.loads(out)
     assert envelope["status"] == "error"
     assert envelope["command"] == argv
+    assert USAGE_ERRORS[tuple(argv)] in envelope["error"]
 
 
 @pytest.mark.parametrize(
@@ -256,6 +279,29 @@ def test_help_prints_usage_and_exits_zero(argv):
     assert proc.returncode == 0 and proc.stderr == ""
     assert proc.stdout.startswith("usage: qsl2")
     assert '"status"' not in proc.stdout
+
+
+def test_parser_is_built_once_and_not_at_import():
+    probe = (
+        "from qsl2 import cli\n"
+        "built = [cli.build_parser.cache_info().misses]\n"
+        "for argv in (['qtable', '--max-n', '0'], ['nonsense'], ['check', 'findim', '--n', '1']):\n"
+        "    cli.main(argv)\n"
+        "    built.append(cli.build_parser.cache_info().misses)\n"
+        "print(built)\n"
+    )
+    proc = run_python("-c", probe)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[0, 1, 1, 1]"
+
+
+def test_check_kind_help_lists_only_its_own_flags(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["check", "verma", "-h"])
+    assert exc.value.code == 0
+    out = capsys.readouterr().out
+    assert out.startswith("usage: qsl2 check verma")
+    assert "--depth" in out and "--window" not in out
 
 
 def test_help_in_process_raises_system_exit_zero(capsys):

@@ -301,6 +301,40 @@ def test_weight_grading_enforced():
         WeightModule(CLASSICAL, "bad", basis, weights, bad)
 
 
+F1_ACTION = {"e": {w(1): {w(0): Fraction(1)}}, "f": {w(0): {w(1): Fraction(1)}}}
+
+
+def hand_built_f1(flavor=CLASSICAL, basis=(w(0), w(1)), action=F1_ACTION):
+    return WeightModule(flavor, "F1", basis, {w(0): 1, w(1): -1}, action)
+
+
+def test_hand_built_module_passes_validation():
+    m = hand_built_f1()
+    assert m.dim == 2 and check_relations(m).ok
+
+
+@pytest.mark.parametrize(
+    "overrides, message",
+    [
+        (dict(flavor="classical"), "unknown flavor 'classical'"),
+        (dict(basis=[w(0), w(1), w(0)]), "basis labels must be pairwise distinct"),
+        (dict(action={"e": {w(2): {w(0): Fraction(1)}}, "f": {}}), "F1: unknown column label w_2"),
+        (dict(action={"e": {w(1): {w(2): Fraction(1)}}, "f": {}}), "F1: unknown row label w_2"),
+        (dict(action={"e": {w(1): {w(0): Fraction(0)}}, "f": {}}), "F1: stored zero at (w_0, w_1) of e"),
+    ],
+    ids=["unknown-flavor", "duplicate-labels", "unknown-column", "unknown-row", "stored-zero"],
+)
+def test_constructor_rejects(overrides, message):
+    with pytest.raises(ValueError) as exc:
+        hand_built_f1(**overrides)
+    assert str(exc.value) == message
+
+
+def test_vector_rejects_foreign_label():
+    with pytest.raises(ValueError, match="label w_2 does not belong to F1"):
+        Vector(hand_built_f1(), {w(2): Fraction(1)})
+
+
 @pytest.mark.parametrize("flavor, diag", [(CLASSICAL, "h"), (QUANTUM, "K"), (QUANTUM, "Kinv")])
 def test_diagonal_generators_are_not_stored(flavor, diag):
     lab = Label.findim(0)

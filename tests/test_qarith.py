@@ -42,6 +42,17 @@ def test_add_term_cancellation():
     assert (v + v**-1) + (v - v**-1) == 2 * v
 
 
+def test_scalar_minus_poly():
+    assert 1 - v == lp(e0=1, e1=-1)
+    assert Fraction(1, 2) - v == -(v - Fraction(1, 2))
+
+
+def test_constants_hash_like_their_number():
+    assert {LaurentPoly(3): 1}[3] == 1
+    assert {Fraction(1, 2): 1}[LaurentPoly(Fraction(1, 2))] == 1
+    assert hash(LaurentPoly()) == hash(0)
+
+
 def test_mul_difference_of_squares():
     assert (v - v**-1) * (v + v**-1) == v**2 - v**-2
 

@@ -435,6 +435,15 @@ def test_phi_vs_oracle_1_1_1_witness():
     assert report.witness == (pair(1, 0), v, LaurentPoly(-1))
 
 
+def test_phi_vs_oracle_inexact_first_ratio_is_a_mismatch():
+    # under the (p-k, k) reading the first shared entries give v / (v^2 + 1),
+    # which is not a Laurent polynomial, so no ratio exists
+    report = phi_vs_oracle(2, 1, 1, Interpretation("p-k,k", lambda m, n, p, k: (p - k, k)))
+    assert not report.proportional and report.scalar is None
+    assert report.witness == (pair(0, 1), v, v**2 + 1)
+    assert report.interpretation == "p-k,k"
+
+
 def test_phi_vs_oracle_runs_and_oracle_is_killed():
     t = None
     for m in range(4):
