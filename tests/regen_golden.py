@@ -57,6 +57,38 @@ CASES = {
         ["hwv", "--m", "2", "--n", "2", "--p", "1", "--quantum", "--format", "csv"],
         0,
     ),
+    "decompose_2_2_quantum_pretty": (
+        ["decompose", "--m", "2", "--n", "2", "--quantum", "--format", "pretty"],
+        0,
+    ),
+    "hwv_1_1_1_pretty": (["hwv", "--m", "1", "--n", "1", "--p", "1", "--format", "pretty"], 0),
+    "hwv_2_2_0_quantum_pretty": (
+        ["hwv", "--m", "2", "--n", "2", "--p", "0", "--quantum", "--format", "pretty"],
+        0,
+    ),
+    "hwv_2_2_1_quantum_pretty": (
+        ["hwv", "--m", "2", "--n", "2", "--p", "1", "--quantum", "--format", "pretty"],
+        0,
+    ),
+    "check_verma_5_2_3_pretty": (
+        ["check", "verma", "--hw", "5/2", "--depth", "3", "--format", "pretty"],
+        0,
+    ),
+    "check_verma_5_2_3_csv": (
+        ["check", "verma", "--hw", "5/2", "--depth", "3", "--format", "csv"],
+        0,
+    ),
+    "check_rasskazova_0_1_2_2_pretty": (
+        ["check", "rasskazova", "--beta", "0", "--lambda", "1", "--n", "2", "--window", "2",
+         "--format", "pretty"],
+        0,
+    ),
+    "check_rasskazova_0_1_2_2_csv": (
+        ["check", "rasskazova", "--beta", "0", "--lambda", "1", "--n", "2", "--window", "2",
+         "--format", "csv"],
+        0,
+    ),
+    "qtable_3_pretty": (["qtable", "--max-n", "3", "--format", "pretty"], 0),
 }
 
 
