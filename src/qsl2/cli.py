@@ -10,9 +10,11 @@ that prints argparse's help, no envelope, and exits 0 (main raises
 SystemExit(0)).  The json format (default) is canonical — sorted keys,
 compact separators — so identical invocations are byte-identical.  csv
 renders the flat tables; pretty is for humans and carries no stability
-guarantee.  Errors always emit a json error envelope.  Exit status: 0
-success, 1 internal check failure (relation failures, cross-check
-mismatch), 2 usage error.
+guarantee.  Each command builds only the asked format: it returns the
+csv or pretty text, or the json envelope's payload (and interpretation)
+for main to wrap.  Errors always emit a json error envelope, whatever
+--format says.  Exit status: 0 success, 1 internal check failure
+(relation failures, cross-check mismatch), 2 usage error.
 
 All inputs are flags; rationals are written "a/b".  No configuration
 files, no environment variables, no floating point.
@@ -25,7 +27,6 @@ import functools
 import json
 import re
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 
 from . import __version__
@@ -42,7 +43,6 @@ from .qarith import q_fact, q_int
 from .serialize import (
     comparison_json,
     decomposition_json,
-    label_str,
     laurent_json,
     laurent_token,
     module_descriptor,
@@ -159,12 +159,12 @@ def build_parser() -> _Parser:
     return parser
 
 
-@dataclass
-class CommandResult:
-    payload: object
-    pretty: str
-    csv: str
-    interpretation: str | None = None
+def _lines(lines) -> str:
+    return "".join(f"{line}\n" for line in lines)
+
+
+def _csv(header: str, rows) -> str:
+    return _lines([header, *(",".join(map(str, row)) for row in rows)])
 
 
 def _findim_tensor(ns):
@@ -172,57 +172,58 @@ def _findim_tensor(ns):
     return tensor(findim(ns.m), findim(ns.n))
 
 
-def cmd_decompose(ns) -> CommandResult:
+def cmd_decompose(ns):
     closed = cg_decompose(ns.m, ns.n)
     module = _findim_tensor(ns)
     peeled = decompose_by_character(module)
-    payload = decomposition_json(closed)
     if peeled != closed:
         raise CheckFailure(
             "closed-form decomposition disagrees with character peeling",
-            {"closed_form": payload, "character": decomposition_json(peeled)},
+            {"closed_form": decomposition_json(closed), "character": decomposition_json(peeled)},
         )
-    pretty_lines = [f"F_{ns.m} (x) F_{ns.n}  [{module.flavor.name}]"]
-    pretty_lines += [f"  weight {w}  multiplicity {mult}" for w, mult in closed.pairs()]
-    pretty_lines.append(f"  total dimension {closed.total_dim}")
-    csv = "weight,multiplicity\n" + "".join(f"{w},{m}\n" for w, m in closed.pairs())
-    return CommandResult(payload, "\n".join(pretty_lines) + "\n", csv)
+    if ns.format == "csv":
+        return _csv("weight,multiplicity", closed.pairs())
+    if ns.format == "pretty":
+        return _lines([
+            f"F_{ns.m} (x) F_{ns.n}  [{module.flavor.name}]",
+            *(f"  weight {w}  multiplicity {mult}" for w, mult in closed.pairs()),
+            f"  total dimension {closed.total_dim}",
+        ])
+    return {"payload": decomposition_json(closed)}
 
 
-def cmd_hwv(ns) -> CommandResult:
+def cmd_hwv(ns):
     if ns.p > min(ns.m, ns.n):
         raise UsageError(f"--p must be <= min(m, n) = {min(ns.m, ns.n)}, got {ns.p}")
     target = ns.m + ns.n - 2 * ns.p
-    report = None
     try:
-        if ns.quantum:
-            report = phi_vs_oracle(ns.m, ns.n, ns.p)
-            vec = report.oracle
-        else:
-            vec = highest_weight_vector(_findim_tensor(ns), target)
+        report = phi_vs_oracle(ns.m, ns.n, ns.p) if ns.quantum else None
+        vec = report.oracle if report else highest_weight_vector(_findim_tensor(ns), target)
     except NullspaceError as exc:
         raise CheckFailure(str(exc))
-    payload = {"weight": target, "flavor": vec.module.flavor.name, "vector": vector_json(vec)}
-    lines = [f"highest-weight vector at weight {target} in {vec.module.name}"]
-    lines += [f"  {label_str(lab)}: {scalar_token(c)}" for lab, c in vec.items_in_order()]
-    if report is not None:
-        payload["phi"] = comparison_json(report)
-        if report.proportional:
+    if ns.format == "csv":
+        rows = ((lab, scalar_token(c)) for lab, c in vec.items_in_order())
+        return _csv("label,coefficient", rows)
+    if ns.format == "pretty":
+        lines = [f"highest-weight vector at weight {target} in {vec.module.name}"]
+        lines += [f"  {lab}: {scalar_token(c)}" for lab, c in vec.items_in_order()]
+        if report is not None and report.proportional:
             lines.append(f"  formula: proportional, scalar {laurent_token(report.scalar)}")
-        else:
+        elif report is not None:
             lab, formula_c, oracle_c = report.witness
             lines.append(
-                f"  formula: mismatch at {label_str(lab)} "
+                f"  formula: mismatch at {lab} "
                 f"(formula {scalar_token(formula_c)}, oracle {scalar_token(oracle_c)})"
             )
-    csv = "label,coefficient\n" + "".join(
-        f"{label_str(lab)},{scalar_token(c)}\n" for lab, c in vec.items_in_order()
-    )
-    interpretation = report.interpretation if report else None
-    return CommandResult(payload, "\n".join(lines) + "\n", csv, interpretation)
+        return _lines(lines)
+    payload = {"weight": target, "flavor": vec.module.flavor.name, "vector": vector_json(vec)}
+    if report is None:
+        return {"payload": payload}
+    payload["phi"] = comparison_json(report)
+    return {"payload": payload, "interpretation": report.interpretation}
 
 
-def cmd_check(ns) -> CommandResult:
+def cmd_check(ns):
     if ns.kind == "findim":
         module = finite_dim_quantum(ns.n) if ns.quantum else finite_dim_classical(ns.n)
     elif ns.kind == "verma":
@@ -237,29 +238,28 @@ def cmd_check(ns) -> CommandResult:
             raise UsageError(str(exc))
 
     report = check_relations(module)
-    payload = relation_report_json(report)
-    if ns.describe:
-        payload["descriptor"] = module_descriptor(module)
-    if not report.ok:
-        raise CheckFailure(
-            f"relation check failed: {len(report.failures)} failure(s)", payload
+    if not report.ok or ns.format == "json":  # a failure is always a json envelope
+        payload = relation_report_json(report)
+        if ns.describe:
+            payload["descriptor"] = module_descriptor(module)
+        if report.ok:
+            return {"payload": payload}
+        raise CheckFailure(f"relation check failed: {len(report.failures)} failure(s)", payload)
+
+    checked, failures, excluded = len(report.checked), len(report.failures), len(report.excluded)
+    if ns.format == "csv":
+        return _csv(
+            "module,flavor,checked,failures,excluded,ok",
+            [(report.module, report.flavor, checked, failures, excluded, "true")],
         )
-
-    lines = [
+    return _lines([
         f"relation check: {report.module} [{report.flavor}]",
-        f"  checked {len(report.checked)} basis vectors, "
-        f"{len(report.failures)} failures, {len(report.excluded)} excluded",
+        f"  checked {checked} basis vectors, {failures} failures, {excluded} excluded",
         "  PASS",
-    ]
-    csv = (
-        "module,flavor,checked,failures,excluded,ok\n"
-        f"{report.module},{report.flavor},{len(report.checked)},"
-        f"{len(report.failures)},{len(report.excluded)},{str(report.ok).lower()}\n"
-    )
-    return CommandResult(payload, "\n".join(lines) + "\n", csv)
+    ])
 
 
-def cmd_qtable(ns) -> CommandResult:
+def cmd_qtable(ns):
     table = []  # (k, [k], [k]!) with [k]! = [k-1]! [k]
     fact = q_fact(0)
     for k in range(ns.max_n + 1):
@@ -267,12 +267,13 @@ def cmd_qtable(ns) -> CommandResult:
         if k > 1:
             fact = fact * qk
         table.append((k, qk, fact))
+    if ns.format == "csv":
+        rows = ((k, laurent_token(qk), laurent_token(f)) for k, qk, f in table)
+        return _csv("n,qint,qfact", rows)
+    if ns.format == "pretty":
+        return _lines(f"[{k}] = {qk}    [{k}]! = {f}" for k, qk, f in table)
     rows = [{"n": k, "qint": laurent_json(qk), "qfact": laurent_json(f)} for k, qk, f in table]
-    lines = [f"[{k}] = {qk}    [{k}]! = {f}" for k, qk, f in table]
-    csv = "n,qint,qfact\n" + "".join(
-        f"{k},{laurent_token(qk)},{laurent_token(f)}\n" for k, qk, f in table
-    )
-    return CommandResult(rows, "\n".join(lines) + "\n", csv)
+    return {"payload": rows}
 
 
 COMMANDS = {
@@ -289,31 +290,19 @@ def _dump(envelope: dict) -> str:
 
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    envelope: dict = {"version": __version__, "command": argv}
     try:
         ns = build_parser().parse_args(argv)
-        result = COMMANDS[ns.cmd](ns)
+        result, code = COMMANDS[ns.cmd](ns), 0
     except UsageError as exc:
-        envelope.update(status="error", error=str(exc))
-        sys.stdout.write(_dump(envelope))
-        return 2
+        result, code = {"status": "error", "error": str(exc)}, 2
     except CheckFailure as exc:
-        envelope.update(status="error", error=str(exc))
+        result, code = {"status": "error", "error": str(exc)}, 1
         if exc.payload is not None:
-            envelope["payload"] = exc.payload
-        sys.stdout.write(_dump(envelope))
-        return 1
-
-    envelope.update(status="ok", payload=result.payload)
-    if result.interpretation is not None:
-        envelope["interpretation"] = result.interpretation
-    if ns.format == "json":
-        sys.stdout.write(_dump(envelope))
-    elif ns.format == "csv":
-        sys.stdout.write(result.csv)
-    else:
-        sys.stdout.write(result.pretty)
-    return 0
+            result["payload"] = exc.payload
+    if isinstance(result, dict):  # a json envelope; an error's status replaces "ok"
+        result = _dump({"version": __version__, "command": argv, "status": "ok", **result})
+    sys.stdout.write(result)
+    return code
 
 
 def run() -> None:

@@ -22,18 +22,18 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from .qarith import LaurentPoly, lp_gcd, primitive, q_int
 
 
-@dataclass(frozen=True)
-class Label:
+class Label(NamedTuple):
     """Basis label; ``kind`` is one of findim/verma/rasskazova/tensor.
 
     findim and verma labels carry a single index k (k = 0 is the highest
     weight vector); rasskazova labels carry (i, j); tensor labels carry
-    the pair of constituent labels.
+    the pair of constituent labels.  A tuple, so labels hash and compare
+    in C: they are the keys of every sparse column and vector.
     """
 
     kind: str

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .modrep import Label, RelationReport, Vector, WeightModule
+from .modrep import RelationReport, Vector, WeightModule
 from .qarith import LaurentPoly
 from .tensorcg import ComparisonReport, Decomposition
 
@@ -31,17 +31,13 @@ def scalar_json(x):
     return rational_json(x)
 
 
-def rational_token(x: Fraction) -> str:
-    return str(rational_json(x))
-
-
 def laurent_token(p: LaurentPoly) -> str:
     """Comma-free compact form, ascending exponents: 1*v^-1+2*v^3."""
     if not p:
         return "0"
     parts = []
     for e, c in p.terms():
-        piece = f"{rational_token(abs(c))}*v^{e}"
+        piece = f"{abs(c)}*v^{e}"
         parts.append(("-" if c < 0 else "+") + piece)
     out = "".join(parts)
     return out[1:] if out.startswith("+") else out
@@ -50,15 +46,11 @@ def laurent_token(p: LaurentPoly) -> str:
 def scalar_token(x) -> str:
     if isinstance(x, LaurentPoly):
         return laurent_token(x)
-    return rational_token(x)
-
-
-def label_str(lab: Label) -> str:
-    return str(lab)
+    return str(x)
 
 
 def vector_json(x: Vector) -> list:
-    return [[label_str(lab), scalar_json(c)] for lab, c in x.items_in_order()]
+    return [[str(lab), scalar_json(c)] for lab, c in x.items_in_order()]
 
 
 def decomposition_json(d: Decomposition) -> list:
@@ -74,12 +66,12 @@ def relation_report_json(r: RelationReport) -> dict:
         "failures": [
             {
                 "relation": fl.relation,
-                "label": label_str(fl.label),
-                "defect": [[label_str(lab), scalar_json(c)] for lab, c in fl.defect],
+                "label": str(fl.label),
+                "defect": [[str(lab), scalar_json(c)] for lab, c in fl.defect],
             }
             for fl in r.failures
         ],
-        "excluded": [label_str(lab) for lab in r.excluded],
+        "excluded": [str(lab) for lab in r.excluded],
         "ok": r.ok,
     }
 
@@ -91,7 +83,7 @@ def comparison_json(r: ComparisonReport) -> dict:
     else:
         lab, phi_c, oracle_c = r.witness
         out["witness"] = {
-            "label": label_str(lab),
+            "label": str(lab),
             "formula": scalar_json(phi_c),
             "oracle": scalar_json(oracle_c),
         }
@@ -107,13 +99,13 @@ def module_descriptor(m: WeightModule) -> dict:
         for col in m.basis:
             entries = m.column(g, col)
             for row in sorted(entries, key=m.position):
-                triplets.append([label_str(row), label_str(col), scalar_json(entries[row])])
+                triplets.append([str(row), str(col), scalar_json(entries[row])])
         action[g] = triplets
     return {
         "flavor": m.flavor.name,
         "name": m.name,
-        "basis": [label_str(lab) for lab in m.basis],
-        "weights": [[label_str(lab), rational_json(m.weights[lab])] for lab in m.basis],
+        "basis": [str(lab) for lab in m.basis],
+        "weights": [[str(lab), rational_json(m.weights[lab])] for lab in m.basis],
         "action": action,
-        "boundary": [label_str(lab) for lab in m.basis if lab in m.boundary],
+        "boundary": [str(lab) for lab in m.basis if lab in m.boundary],
     }

@@ -156,14 +156,19 @@ def highest_weight_vectors(m: WeightModule, weight=None) -> list[tuple[object, V
     """Exact basis of raising-operator kernels, one weight space at a time;
     only the space of ``weight`` when it is given (none if m lacks it).
 
-    For each weight space, the nullspace of e (resp. E) restricted to it
-    is computed by fraction-free elimination and certified by applying
-    the raising operator to every returned vector (the product must be
-    exactly zero).  Classical vectors are scaled so the first nonzero
-    coordinate in ambient order is 1; quantum vectors are scaled to have
-    no common Laurent factor, coprime integer coefficients, and positive
-    leading coefficient in the first nonzero entry.  Output is ordered
-    by descending weight.
+    The contract, per weight space: its vectors are the reduced-row-echelon
+    basis of the kernel of e (resp. E) restricted to that space (columns:
+    the space's basis in ambient order), one vector per free column in
+    column order, each with 1 at its own free column and 0 at the other
+    free columns, then scaled by
+    ``m.flavor.normalize`` (classical: first nonzero coordinate in
+    ambient order is 1; quantum: no common Laurent factor, coprime
+    integer coefficients, positive leading coefficient in the first
+    nonzero entry).  Normalisation removes every scalar factor, so any
+    exact method yielding these vectors up to ring scalars meets it;
+    here it is fraction-free elimination, certified by applying the
+    raising operator to every returned vector (the product must be
+    exactly zero).  Output is ordered by descending weight.
     """
     raising = m.flavor.raising
     zero, one = m.flavor.zero, m.flavor.one

@@ -147,6 +147,55 @@ def test_pretty_smoke(capsys):
     assert "[3]! = v^3 + 2v + 2v^-1 + v^-3" in out
 
 
+# -- each request renders only its own format ----------------------------------
+
+RENDERERS = ("laurent_token", "laurent_json", "vector_json", "comparison_json")
+
+
+@pytest.fixture
+def renderer_calls(monkeypatch):
+    """Calls per renderer, wherever cli or serialize looks it up."""
+    from qsl2 import cli, serialize
+
+    calls = dict.fromkeys(RENDERERS, 0)
+    for name in RENDERERS:
+        def counted(*args, _name=name, _render=getattr(serialize, name)):
+            calls[_name] += 1
+            return _render(*args)
+
+        for module in (cli, serialize):
+            monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def test_qtable_json_renders_no_tokens(capsys, renderer_calls):
+    code, _ = run_cli(capsys, ["qtable", "--max-n", "4"])
+    assert code == 0
+    assert renderer_calls["laurent_token"] == 0 and renderer_calls["laurent_json"] == 10
+
+
+def test_qtable_csv_renders_no_json(capsys, renderer_calls):
+    code, _ = run_cli(capsys, ["qtable", "--max-n", "4", "--format", "csv"])
+    assert code == 0
+    assert renderer_calls == {**dict.fromkeys(RENDERERS, 0), "laurent_token": 10}
+
+
+def test_hwv_csv_renders_no_json(capsys, renderer_calls):
+    code, out = run_cli(capsys, MANIFEST["hwv_2_2_1_quantum_csv"]["argv"])
+    assert code == 0 and out == (GOLDEN / "hwv_2_2_1_quantum_csv.json").read_text()
+    assert renderer_calls["vector_json"] == renderer_calls["comparison_json"] == 0
+
+
+@pytest.mark.parametrize("flags", [["--format", "csv"], ["--describe", "--format", "pretty"]])
+def test_failed_check_is_a_json_envelope_in_any_format(capsys, flags):
+    code, out = run_cli(capsys, ["check", "findim", "--n", "3", "--inject-fault"] + flags)
+    assert code == 1
+    envelope = json.loads(out)
+    assert envelope["status"] == "error" and envelope["error"].startswith("relation check failed")
+    assert envelope["payload"]["ok"] is False and envelope["payload"]["failures"]
+    assert ("descriptor" in envelope["payload"]) == ("--describe" in flags)
+
+
 # -- usage errors -------------------------------------------------------------
 
 

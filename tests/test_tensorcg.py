@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qsl2.modrep import (
+    CLASSICAL,
     QUANTUM,
     Label,
     RasskazovaParams,
@@ -158,6 +159,49 @@ def test_kernel_annihilates(matrix_and_ncols):
     for x in kernel:
         for row in rows:
             assert sum(a * b for a, b in zip(row, x)) == 0
+
+
+def rref_kernel(rows, ncols):
+    """Reduced-row-echelon kernel basis over Fraction, written independently."""
+    m = [[Fraction(a) for a in row] for row in rows]
+    pivots = []
+    for c in range(ncols):
+        r = len(pivots)
+        piv = next((i for i in range(r, len(m)) if m[i][c]), None)
+        if piv is None:
+            continue
+        m[r], m[piv] = m[piv], m[r]
+        m[r] = [a / m[r][c] for a in m[r]]
+        for i in range(len(m)):
+            if i != r:
+                m[i] = [a - m[i][c] * b for a, b in zip(m[i], m[r])]
+        pivots.append(c)
+    basis = []
+    for f in (c for c in range(ncols) if c not in pivots):
+        x = [Fraction(0)] * ncols
+        x[f] = Fraction(1)
+        for i, c in enumerate(pivots):
+            x[c] = -m[i][f]
+        basis.append(x)
+    return basis, len(pivots)
+
+
+@given(
+    st.integers(1, 6).flatmap(
+        lambda ncols: st.tuples(
+            st.lists(st.lists(st.integers(-3, 3), min_size=ncols, max_size=ncols), max_size=5),
+            st.just(ncols),
+        )
+    )
+)
+@settings(max_examples=200)
+def test_kernel_is_the_normalized_rref_kernel_basis(matrix_and_ncols):
+    # the contract of highest_weight_vectors, on any small integer matrix
+    rows, ncols = matrix_and_ncols
+    kernel = _kernel_fraction_free([[Fraction(a) for a in row] for row in rows], ncols, Fraction(1))
+    expected, rank = rref_kernel(rows, ncols)
+    assert len(kernel) == len(expected) == ncols - rank
+    assert [CLASSICAL.normalize(x) for x in kernel] == [CLASSICAL.normalize(x) for x in expected]
 
 
 def test_kernel_known_case():
