@@ -13,8 +13,12 @@ renders the flat tables; pretty is for humans and carries no stability
 guarantee.  Each command builds only the asked format: it returns the
 csv or pretty text, or the json envelope's payload (and interpretation)
 for main to wrap.  Errors always emit a json error envelope, whatever
---format says.  Exit status: 0 success, 1 internal check failure
-(relation failures, cross-check mismatch), 2 usage error.
+--format says.  check --describe embeds the module descriptor in the
+json payload, so it needs --format json: with csv or pretty it is a
+usage error.  Exit status: 0 success, 1 internal check failure
+(relation failures, cross-check mismatch, or any other exception the
+engine raises, reported as "<Type>: <message>" with its traceback on
+stderr), 2 usage error.
 
 All inputs are flags; rationals are written "a/b".  No configuration
 files, no environment variables, no floating point.
@@ -148,7 +152,7 @@ def build_parser() -> _Parser:
         p.add_argument(
             "--describe",
             action="store_true",
-            help="include the full module descriptor in the payload",
+            help="include the full module descriptor in the json payload",
         )
         add_format(p)
 
@@ -224,6 +228,8 @@ def cmd_hwv(ns):
 
 
 def cmd_check(ns):
+    if ns.describe and ns.format != "json":
+        raise UsageError(f"--describe needs --format json, got --format {ns.format}")
     if ns.kind == "findim":
         module = finite_dim_quantum(ns.n) if ns.quantum else finite_dim_classical(ns.n)
     elif ns.kind == "verma":
@@ -299,6 +305,11 @@ def main(argv: list[str] | None = None) -> int:
         result, code = {"status": "error", "error": str(exc)}, 1
         if exc.payload is not None:
             result["payload"] = exc.payload
+    except Exception as exc:  # an engine fault still ends in one envelope
+        import traceback  # here, not at the top: its import adds to every start-up
+
+        traceback.print_exc()
+        result, code = {"status": "error", "error": f"{type(exc).__name__}: {exc}"}, 1
     if isinstance(result, dict):  # a json envelope; an error's status replaces "ok"
         result = _dump({"version": __version__, "command": argv, "status": "ok", **result})
     sys.stdout.write(result)

@@ -241,7 +241,7 @@ def finite_dim_classical(n: int) -> WeightModule:
     if n < 0:
         raise ValueError(f"finite-dimensional module needs n >= 0, got {n}")
     basis = [Label.findim(k) for k in range(n + 1)]
-    weights = {lab: Fraction(n - 2 * k) for k, lab in enumerate(basis)}
+    weights = {lab: n - 2 * k for k, lab in enumerate(basis)}
     e = {basis[k]: {basis[k - 1]: Fraction(n - k + 1)} for k in range(1, n + 1)}
     f = {basis[k]: {basis[k + 1]: Fraction(k + 1)} for k in range(n)}
     return WeightModule(CLASSICAL, f"F(n={n})", basis, weights, {"e": e, "f": f})

@@ -6,8 +6,10 @@ quantum parameter v with exact rational coefficients, balanced q-integers
 There is no floating point and no rounding anywhere; every operation is
 exact and every value is immutable.
 
-The rational scalar type is the standard-library ``fractions.Fraction``
-(arbitrary precision, always in lowest terms, positive denominator).
+A coefficient is stored in canonical form: a Python ``int`` when it is
+integral, a standard-library ``fractions.Fraction`` (arbitrary
+precision, lowest terms, positive denominator) only when it is not.
+Integer data, such as every q-integer, never builds a Fraction.
 """
 
 from __future__ import annotations
@@ -21,25 +23,34 @@ class ExactDivisionError(ArithmeticError):
     """No exact quotient exists in the Laurent ring."""
 
 
-def _as_fraction(x) -> Fraction:
-    if isinstance(x, Fraction):
+def _as_coeff(x) -> int | Fraction:
+    """x in canonical form: int when integral, Fraction otherwise."""
+    if type(x) is int:
         return x
+    if isinstance(x, Fraction):
+        return x.numerator if x.denominator == 1 else x
     if isinstance(x, int):
-        return Fraction(x)
+        return int(x)
     raise TypeError(f"cannot use {type(x).__name__} as an exact coefficient")
 
 
 class LaurentPoly:
     """Laurent polynomial in v over the rationals.
 
-    Canonical form: zero coefficients are never stored, and the zero
-    polynomial is the empty coefficient map, so ``==`` is structural.
-    Instances are immutable and hashable.  Plain ints and Fractions
-    mix freely in arithmetic and compare equal to constant polynomials.
+    Canonical form: zero coefficients are never stored, the zero
+    polynomial is the empty coefficient map, and a coefficient is an
+    ``int`` when it is integral and a ``Fraction`` only when it is not,
+    so ``==`` is structural.  Instances are immutable and hashable.
+    Plain ints and Fractions mix freely in arithmetic and compare equal
+    to constant polynomials.
 
     >>> v = LaurentPoly.gen()
     >>> (v + v**-1) * (v - v**-1) == v**2 - v**-2
     True
+    >>> LaurentPoly({0: Fraction(4, 2), 1: Fraction(1, 2)})
+    LaurentPoly({0: 2, 1: Fraction(1, 2)})
+    >>> (2 * v) ** -1
+    LaurentPoly({-1: Fraction(1, 2)})
     """
 
     __slots__ = ("_coeffs",)
@@ -47,9 +58,9 @@ class LaurentPoly:
     def __init__(self, coeffs: Mapping[int, int | Fraction] | int | Fraction = 0):
         if isinstance(coeffs, (int, Fraction)):
             coeffs = {0: coeffs}
-        clean: dict[int, Fraction] = {}
+        clean: dict[int, int | Fraction] = {}
         for exp, c in coeffs.items():
-            c = _as_fraction(c)
+            c = _as_coeff(c)
             if c:
                 clean[int(exp)] = c
         object.__setattr__(self, "_coeffs", clean)
@@ -64,7 +75,7 @@ class LaurentPoly:
     def __setattr__(self, name, value):
         raise AttributeError("LaurentPoly is immutable")
 
-    def terms(self) -> Iterator[tuple[int, Fraction]]:
+    def terms(self) -> Iterator[tuple[int, int | Fraction]]:
         """(exponent, coefficient) pairs, ascending by exponent."""
         return iter(sorted(self._coeffs.items()))
 
@@ -84,7 +95,7 @@ class LaurentPoly:
         return max(self._coeffs)
 
     @property
-    def leading_coeff(self) -> Fraction:
+    def leading_coeff(self) -> int | Fraction:
         """Coefficient of the highest power of v."""
         return self._coeffs[self.max_exp]
 
@@ -131,7 +142,7 @@ class LaurentPoly:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        out: dict[int, Fraction] = {}
+        out: dict[int, int | Fraction] = {}
         for e1, c1 in self._coeffs.items():
             for e2, c2 in other._coeffs.items():
                 out[e1 + e2] = out.get(e1 + e2, 0) + c1 * c2
@@ -144,7 +155,8 @@ class LaurentPoly:
             return NotImplemented
         if len(self._coeffs) == 1:
             ((e, c),) = self._coeffs.items()
-            return LaurentPoly({e * n: c**n})
+            # an int to a negative power would be a float
+            return LaurentPoly({e * n: Fraction(c) ** n if n < 0 else c**n})
         if n < 0:
             raise ValueError("negative power of a non-unit Laurent polynomial")
         out = LaurentPoly({0: 1})
@@ -197,9 +209,9 @@ class LaurentPoly:
         # exact; calls div_exact by name, not as an alias, so wrappers of it see "/"
         return self.div_exact(other)
 
-    def _dense(self, low: int) -> list[Fraction]:
+    def _dense(self, low: int) -> list[int | Fraction]:
         """Coefficients of v^low .. v^max as a dense list."""
-        out = [Fraction(0)] * (self.max_exp - low + 1)
+        out = [0] * (self.max_exp - low + 1)
         for e, c in self._coeffs.items():
             out[e - low] = c
         return out
@@ -274,18 +286,23 @@ def specialize_one(p: LaurentPoly) -> Fraction:
 # -- gcd machinery for normalizing vectors of Laurent polynomials ----------
 
 
-def _poly_divmod(num: list[Fraction], den: list[Fraction]):
+def _poly_divmod(num: list, den: list):
     """Long division of dense coefficient lists over Q (ascending order);
-    the last entry of den is nonzero."""
+    the last entry of den is nonzero.  Quotient entries are ints where
+    int entries divide exactly, Fractions otherwise."""
     num = list(num)
     dd = len(den) - 1
     lead = den[dd]
     qd = len(num) - 1 - dd
     if qd < 0:
-        return [Fraction(0)], num
-    quot = [Fraction(0)] * (qd + 1)
+        return [0], num
+    quot = [0] * (qd + 1)
     for i in range(qd, -1, -1):
-        c = num[i + dd] / lead
+        a = num[i + dd]
+        if type(a) is type(lead) is int:  # int / int would be a float
+            c = Fraction(a, lead) if a % lead else a // lead
+        else:
+            c = a / lead
         quot[i] = c
         if c:
             for j in range(dd + 1):

@@ -13,7 +13,6 @@ oracle and the outcome reported as data.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Callable
 
 from .modrep import Label, Vector, WeightModule, apply, finite_dim_quantum
@@ -64,16 +63,17 @@ def tensor(a: WeightModule, b: WeightModule) -> WeightModule:
     basis = [Label.tensor(la, lb) for la in a.basis for lb in b.basis]
     weights = {lab: a.weights[lab.index[0]] + b.weights[lab.index[1]] for lab in basis}
 
-    def twist(gen, w):
-        # eigenvalue of a twist on a factor of weight w; None when it is 1
-        t = fl.diagonal[gen](w) if gen else fl.one
-        return None if t == fl.one else t
+    def twists(m, gen):
+        # eigenvalue of a twist on each basis vector of m; None where it is 1
+        eigen = {lab: fl.diagonal[gen](m.weights[lab]) if gen else fl.one for lab in m.basis}
+        return {lab: None if t == fl.one else t for lab, t in eigen.items()}
 
+    twist = {g: (twists(b, right), twists(a, left)) for g, (right, left) in fl.coproduct.items()}
     action: dict = {g: {} for g in fl.coproduct}
     for lab in basis:
         la, lb = lab.index
-        for g, (right, left) in fl.coproduct.items():
-            rt, lt = twist(right, b.weights[lb]), twist(left, a.weights[la])
+        for g, (rts, lts) in twist.items():
+            rt, lt = rts[lb], lts[la]
             col = {}
             for ra, c in a.column(g, la).items():
                 col[Label.tensor(ra, lb)] = c if rt is None else c * rt
@@ -131,8 +131,12 @@ def _kernel_fraction_free(rows: list[list], ncols: int, one):
                 continue
             f = m[i][c]
             # every non-pivot row gets the one-step update, even when f
-            # is zero: the uniform rescaling keeps later divisions exact
-            m[i] = [(p * m[i][j] - f * m[r][j]) / prev for j in range(ncols)]
+            # is zero: the uniform rescaling keeps later divisions exact.
+            # Where both entries are zero the update is zero, so it is skipped.
+            if f:
+                m[i] = [(p * x - f * y) / prev if x or y else x for x, y in zip(m[i], m[r])]
+            else:
+                m[i] = [p * x / prev if x else x for x in m[i]]
         pivots.append((r, c))
         prev = p
         r += 1
@@ -222,10 +226,9 @@ def decompose_by_character(mod: WeightModule) -> Decomposition:
     counts: dict[int, int] = {}
     for lab in mod.basis:
         w = mod.weights[lab]
-        if isinstance(w, Fraction):
-            if w.denominator != 1:
-                raise DecompositionError(f"non-integral weight {w} in {mod.name}")
-            w = int(w)
+        if w.denominator != 1:  # weights are ints or Fractions
+            raise DecompositionError(f"non-integral weight {w} in {mod.name}")
+        w = int(w)
         counts[w] = counts.get(w, 0) + 1
 
     summands: dict[int, int] = {}

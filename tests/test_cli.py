@@ -10,6 +10,7 @@ import pytest
 import qsl2
 from qsl2 import tensorcg
 from qsl2.cli import main
+from qsl2.qarith import ExactDivisionError
 
 GOLDEN = Path(__file__).parent / "golden"
 MANIFEST = json.loads((GOLDEN / "manifest.json").read_text())
@@ -186,7 +187,7 @@ def test_hwv_csv_renders_no_json(capsys, renderer_calls):
     assert renderer_calls["vector_json"] == renderer_calls["comparison_json"] == 0
 
 
-@pytest.mark.parametrize("flags", [["--format", "csv"], ["--describe", "--format", "pretty"]])
+@pytest.mark.parametrize("flags", [["--format", "csv"], ["--format", "pretty"], ["--describe"]])
 def test_failed_check_is_a_json_envelope_in_any_format(capsys, flags):
     code, out = run_cli(capsys, ["check", "findim", "--n", "3", "--inject-fault"] + flags)
     assert code == 1
@@ -219,6 +220,12 @@ USAGE_ERRORS = {
      "--depth", "3"): "--depth",
     ("decompose", "--m", "x", "--n", "1"): "--m: not an integer",
     ("check", "findim", "--n", "0", "--inject-fault"): "F(n=0) has no raising entries to perturb",
+    # the descriptor is part of the json payload only, whether the check passes or fails
+    ("check", "findim", "--n", "2", "--describe", "--format", "csv"): "--describe needs --format json",
+    ("check", "verma", "--hw", "5/2", "--depth", "3", "--describe", "--format", "pretty"):
+        "--describe needs --format json, got --format pretty",
+    ("check", "findim", "--n", "3", "--inject-fault", "--describe", "--format", "pretty"):
+        "--describe needs --format json",
 }
 
 
@@ -261,6 +268,28 @@ def test_decompose_cross_check_mismatch_is_internal_failure(capsys, monkeypatch)
     assert "disagrees" in envelope["error"]
     assert envelope["payload"]["closed_form"] == [[2, 1], [0, 1]]
     assert envelope["payload"]["character"] == [[0, 1]]
+
+
+@pytest.mark.parametrize("fault", [ExactDivisionError("v - 1 does not divide v + 1"), ValueError("bad module")])
+@pytest.mark.parametrize("flags", [[], ["--format", "csv"]])
+def test_engine_exception_is_internal_failure(capsys, monkeypatch, fault, flags):
+    from qsl2 import cli
+
+    def tensor(a, b):
+        raise fault
+
+    monkeypatch.setattr(cli, "tensor", tensor)
+    argv = ["decompose", "--m", "1", "--n", "1"] + flags
+    code = main(argv)
+    out, err = capsys.readouterr()
+    assert code == 1
+    assert json.loads(out) == {
+        "version": qsl2.__version__,
+        "command": argv,
+        "status": "error",
+        "error": f"{type(fault).__name__}: {fault}",
+    }
+    assert err.startswith("Traceback") and f"{type(fault).__name__}: {fault}" in err
 
 
 def test_fault_injection_payload(capsys):

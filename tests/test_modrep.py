@@ -135,6 +135,15 @@ def test_verma_e_coefficients():
     assert apply(m, "e", basis_vec(m, wv(2))).entries == {wv(1): 2}
 
 
+def test_weights_are_int_unless_rational():
+    assert all(type(wt) is int for wt in finite_dim_classical(5).weights.values())
+    assert all(type(wt) is int for wt in finite_dim_quantum(5).weights.values())
+    m = verma_classical(Fraction(-7, 3), 4)
+    assert [m.weights[wv(k)] for k in range(5)] == [Fraction(-7 - 6 * k, 3) for k in range(5)]
+    assert all(type(wt) is Fraction for wt in m.weights.values())
+    assert check_relations(m).ok
+
+
 def test_verma_boundary_marked():
     m = verma_classical(Fraction(5, 2), 8)
     assert m.boundary == {wv(8)}

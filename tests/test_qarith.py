@@ -6,6 +6,7 @@ from hypothesis import given, strategies as st
 from qsl2.qarith import (
     ExactDivisionError,
     LaurentPoly,
+    _poly_divmod,
     lp_gcd,
     q_binom,
     q_fact,
@@ -24,6 +25,48 @@ def lp(**kw):
         e = int(key[1:].replace("m", "-"))
         coeffs[e] = c
     return LaurentPoly(coeffs)
+
+
+def canonical(p):
+    """Every coefficient an int when integral and a Fraction only when not."""
+    return all(
+        type(c) is (int if c.denominator == 1 else Fraction) for _, c in p.terms()
+    )
+
+
+# -- canonical coefficients: int when integral -------------------------------
+
+
+def test_integer_data_stays_int():
+    assert all(type(c) is int for _, c in q_fact(12).terms())
+    assert all(type(c) is int for _, c in q_binom(9, 4).terms())
+
+
+def test_integral_fraction_is_stored_as_int():
+    (c,) = (c for _, c in LaurentPoly({0: Fraction(4, 2)}).terms())
+    assert c == 2 and type(c) is int
+
+
+def test_negative_power_of_a_monomial_is_a_fraction():
+    inverse = LaurentPoly({1: 2}) ** -1
+    assert inverse == LaurentPoly({-1: Fraction(1, 2)})
+    assert [type(c) for _, c in inverse.terms()] == [Fraction]
+    assert [type(c) for _, c in (v**-3).terms()] == [int]
+
+
+def test_poly_divmod_over_the_integers():
+    # 2 + 4x = (1 + 2x) * 2, in ints
+    quot, rem = _poly_divmod([2, 4], [1, 2])
+    assert quot == [2] and type(quot[0]) is int and not any(rem)
+    # 1 + x^2 = 2x * (x/2) + 1: a quotient only over Q
+    quot, rem = _poly_divmod([1, 0, 1], [0, 2])
+    assert quot == [0, Fraction(1, 2)] and type(quot[1]) is Fraction
+    assert rem == [1, 0, 0]
+
+
+def test_exact_quotient_of_integer_polynomials_is_integral():
+    q = (2 * v + 4).div_exact(v + 2)
+    assert q == 2 and canonical(q) and type(q.leading_coeff) is int
 
 
 # -- addition / multiplication ---------------------------------------------
@@ -271,6 +314,14 @@ def test_product_divides_back(a, b):
 def test_true_division_undoes_product(a, b):
     if b:
         assert (a * b) / b == a
+
+
+@given(polys, polys)
+def test_ring_results_are_canonical(a, b):
+    for p in (a, b, a + b, a - b, a * b, a.bar(), -a):
+        assert canonical(p)
+    if b:
+        assert canonical((a * b) / b)
 
 
 @given(polys)

@@ -204,6 +204,78 @@ def test_kernel_is_the_normalized_rref_kernel_basis(matrix_and_ncols):
     assert [CLASSICAL.normalize(x) for x in kernel] == [CLASSICAL.normalize(x) for x in expected]
 
 
+def dense_kernel_reference(rows, ncols, one):
+    """_kernel_fraction_free with the dense one-step update, which
+    computes every entry of every non-pivot row, zeros included."""
+    m = [list(r) for r in rows]
+    pivots = []
+    prev = one
+    r = 0
+    for c in range(ncols):
+        piv = next((i for i in range(r, len(m)) if m[i][c]), None)
+        if piv is None:
+            continue
+        m[piv], m[r] = m[r], m[piv]
+        p = m[r][c]
+        for i in range(len(m)):
+            if i != r:
+                f = m[i][c]
+                m[i] = [(p * m[i][j] - f * m[r][j]) / prev for j in range(ncols)]
+        pivots.append((r, c))
+        prev = p
+        r += 1
+    pivot_cols = {c for _, c in pivots}
+    kernel = []
+    for f in (c for c in range(ncols) if c not in pivot_cols):
+        x = [one - one] * ncols
+        x[f] = prev
+        for i, c in pivots:
+            if m[i][f]:
+                x[c] = -m[i][f]
+        kernel.append(x)
+    return kernel
+
+
+def raising_rows(m, weight):
+    """The matrix of the raising operator from one weight space to the next."""
+    spaces = weight_spaces(m)
+    source, target = spaces[weight], spaces.get(weight + 2, [])
+    rows = [[m.flavor.zero] * len(source) for _ in target]
+    for j, lab in enumerate(source):
+        for row_lab, c in m.column(m.flavor.raising, lab).items():
+            rows[target.index(row_lab)][j] = c
+    return rows, len(source)
+
+
+@pytest.mark.parametrize("findim", [finite_dim_classical, finite_dim_quantum])
+def test_zero_skipping_kernel_equals_the_dense_update(findim):
+    # equal vectors, not merely proportional ones: the skipped work is exactly zero
+    for a in range(6):
+        for b in range(6):
+            module = tensor(findim(a), findim(b))
+            one = module.flavor.one
+            for weight in weight_spaces(module):
+                rows, ncols = raising_rows(module, weight)
+                assert _kernel_fraction_free(rows, ncols, one) == dense_kernel_reference(rows, ncols, one)
+
+
+@given(st.data())
+@settings(max_examples=200)
+def test_zero_skipping_kernel_equals_the_dense_update_on_sparse_matrices(data):
+    nrows, ncols = data.draw(st.integers(1, 5)), data.draw(st.integers(1, 6))
+    cells = nrows * ncols
+    nonzero = data.draw(st.sets(st.integers(0, cells - 1), max_size=cells // 2))
+    values = data.draw(st.lists(st.integers(-4, 4).filter(bool), min_size=cells, max_size=cells))
+    shifts = data.draw(st.lists(st.integers(-2, 2), min_size=cells, max_size=cells))
+    entry = [values[k] if k in nonzero else 0 for k in range(cells)]
+    for one, scalar in (
+        (Fraction(1), lambda k: Fraction(entry[k])),
+        (LaurentPoly(1), lambda k: LaurentPoly({shifts[k]: entry[k]})),
+    ):
+        rows = [[scalar(i * ncols + j) for j in range(ncols)] for i in range(nrows)]
+        assert _kernel_fraction_free(rows, ncols, one) == dense_kernel_reference(rows, ncols, one)
+
+
 def test_kernel_known_case():
     # [[1, 1]] has kernel spanned by (-1, 1)
     (x,) = _kernel_fraction_free([[Fraction(1), Fraction(1)]], 2, Fraction(1))
@@ -263,6 +335,13 @@ def test_hwv_annihilated_and_eigen():
                 assert apply(t, diag, vec) == vec.scaled(Fraction(wt))
             else:
                 assert apply(t, diag, vec) == vec.scaled(LaurentPoly({wt: 1}))
+
+
+def test_quantum_hwv_coefficients_are_ints():
+    t = tensor(finite_dim_quantum(4), finite_dim_quantum(3))
+    coeffs = [c for _, vec in highest_weight_vectors(t) for c in vec.entries.values()]
+    assert len(coeffs) == 1 + 2 + 3 + 4  # one vector per summand F_7, F_5, F_3, F_1
+    assert all(type(x) is int for c in coeffs for _, x in c.terms())
 
 
 def test_hwv_descending_weight_order():
