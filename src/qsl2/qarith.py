@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
+from operator import index
 from typing import Iterator, Mapping
 
 
@@ -62,7 +63,7 @@ class LaurentPoly:
         for exp, c in coeffs.items():
             c = _as_coeff(c)
             if c:
-                clean[int(exp)] = c
+                clean[index(exp)] = c
         object.__setattr__(self, "_coeffs", clean)
 
     @classmethod

@@ -1,12 +1,16 @@
+import dataclasses
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qsl2.modrep import (
     CLASSICAL,
     QUANTUM,
     Label,
     RasskazovaParams,
+    RelationFailure,
+    RelationReport,
     Vector,
     WeightModule,
     apply,
@@ -18,6 +22,7 @@ from qsl2.modrep import (
     verma_classical,
 )
 from qsl2.qarith import LaurentPoly, q_int, specialize_one, v
+from qsl2.tensorcg import tensor
 
 w = Label.findim
 wv = Label.verma
@@ -26,6 +31,17 @@ wr = Label.rasskazova
 
 def basis_vec(m, lab):
     return Vector.basis_vector(m, lab)
+
+
+# D(E) = E (x) 1 + K (x) E, D(F) = F (x) Kinv + 1 (x) F (Kassel 1995,
+# Jantzen 1996): QUANTUM's coproduct with the twists on the other factor
+KASSEL = dataclasses.replace(QUANTUM, coproduct={"E": (None, "K"), "F": ("Kinv", None)})
+
+
+def findim(flavor, n):
+    """F_n of a flavour; KASSEL shares QUANTUM's modules."""
+    m = finite_dim_classical(n) if flavor is CLASSICAL else finite_dim_quantum(n)
+    return WeightModule(flavor, m.name, m.basis, m.weights, m.action)
 
 
 # -- finite-dimensional classical ------------------------------------------
@@ -265,6 +281,44 @@ def test_relations_detect_corruption():
         assert fl.defect
 
 
+def with_entry(m, gen, col, row, c):
+    """Copy of m with entry (row, col) of gen set to c."""
+    mat = m.action[gen]
+    action = {**m.action, gen: {**mat, col: {**mat[col], row: c}}}
+    return WeightModule(m.flavor, m.name + "+fault", m.basis, m.weights, action, boundary=m.boundary)
+
+
+def single_entry_perturbations(m):
+    """Each raising or lowering entry c changed to c+1 (c-1 where c+1 is 0) and to 2c."""
+    one = m.flavor.one
+    for gen in (m.flavor.raising, m.flavor.lowering):
+        for col, entries in m.action[gen].items():
+            for row, c in entries.items():
+                for new in (c + one or c - one, c + c):
+                    yield (gen, str(col), str(row), str(new)), with_entry(m, gen, col, row, new)
+
+
+COPRODUCTS = {"classical": CLASSICAL, "quantum": QUANTUM, "kassel": KASSEL}
+FLAVORS = pytest.mark.parametrize("flavor", COPRODUCTS.values(), ids=list(COPRODUCTS))
+
+
+# Verma and Rasskazova modules are left out: next to a zero entry, changing
+# one entry can rescale a submodule and leave a valid module (doubling f.w_2
+# in the Verma module of highest weight 2, where e.w_3 = 0).
+@FLAVORS
+@pytest.mark.parametrize("n", range(1, 7))
+def test_every_single_entry_perturbation_of_findim_is_caught(flavor, n):
+    for where, bad in single_entry_perturbations(findim(flavor, n)):
+        assert not check_relations(bad).ok, where
+
+
+@FLAVORS
+@pytest.mark.parametrize("a, b", [(a, b) for a in range(4) for b in range(4) if a + b])
+def test_every_single_entry_perturbation_of_a_tensor_is_caught(flavor, a, b):
+    for where, bad in single_entry_perturbations(tensor(findim(flavor, a), findim(flavor, b))):
+        assert not check_relations(bad).ok, where
+
+
 def test_corrupt_needs_raising_entries():
     with pytest.raises(ValueError):
         corrupt_one_entry(finite_dim_classical(0))
@@ -301,20 +355,26 @@ def test_apply_flavor_mismatch():
 # -- structural validation -------------------------------------------------------
 
 
-def test_weight_grading_enforced():
+@pytest.mark.parametrize("flavor", [CLASSICAL, QUANTUM], ids=["classical", "quantum"])
+def test_weight_grading_enforced(flavor):
     basis = [Label.findim(0), Label.findim(1)]
-    weights = {basis[0]: Fraction(1), basis[1]: Fraction(-1)}
-    # e mapping w_0 -> w_1 lowers the weight: must be rejected
-    bad = {"e": {basis[0]: {basis[1]: Fraction(1)}}, "f": {}}
-    with pytest.raises(ValueError):
-        WeightModule(CLASSICAL, "bad", basis, weights, bad)
+    weights = {basis[0]: 1, basis[1]: -1}
+    # the raising generator mapping w_0 -> w_1 lowers the weight: must be rejected
+    bad = {flavor.raising: {basis[0]: {basis[1]: flavor.one}}, flavor.lowering: {}}
+    with pytest.raises(ValueError, match="breaks the weight grading"):
+        WeightModule(flavor, "bad", basis, weights, bad)
+    # so does a lowering entry that keeps it
+    bad = {flavor.raising: {}, flavor.lowering: {basis[0]: {basis[0]: flavor.one}}}
+    with pytest.raises(ValueError, match="breaks the weight grading"):
+        WeightModule(flavor, "bad", basis, weights, bad)
 
 
 F1_ACTION = {"e": {w(1): {w(0): Fraction(1)}}, "f": {w(0): {w(1): Fraction(1)}}}
+F1_QUANTUM = {"E": {w(1): {w(0): LaurentPoly(1)}}, "F": {w(0): {w(1): LaurentPoly(1)}}}
 
 
-def hand_built_f1(flavor=CLASSICAL, basis=(w(0), w(1)), action=F1_ACTION):
-    return WeightModule(flavor, "F1", basis, {w(0): 1, w(1): -1}, action)
+def hand_built_f1(flavor=CLASSICAL, basis=(w(0), w(1)), action=F1_ACTION, weights=None):
+    return WeightModule(flavor, "F1", basis, weights or {w(0): 1, w(1): -1}, action)
 
 
 def test_hand_built_module_passes_validation():
@@ -330,8 +390,16 @@ def test_hand_built_module_passes_validation():
         (dict(action={"e": {w(2): {w(0): Fraction(1)}}, "f": {}}), "F1: unknown column label w_2"),
         (dict(action={"e": {w(1): {w(2): Fraction(1)}}, "f": {}}), "F1: unknown row label w_2"),
         (dict(action={"e": {w(1): {w(0): Fraction(0)}}, "f": {}}), "F1: stored zero at (w_0, w_1) of e"),
+        (
+            dict(flavor=QUANTUM, action=F1_QUANTUM, weights={w(0): Fraction(1, 2), w(1): Fraction(-3, 2)}),
+            "F1: weight 1/2 of w_0 is not an integer",
+        ),
+        (dict(flavor=KASSEL, action=F1_QUANTUM, weights={w(0): 1.0, w(1): -1}), "F1: weight 1.0 of w_0 is not an integer"),
     ],
-    ids=["unknown-flavor", "duplicate-labels", "unknown-column", "unknown-row", "stored-zero"],
+    ids=[
+        "unknown-flavor", "duplicate-labels", "unknown-column", "unknown-row", "stored-zero",
+        "quantum-rational-weight", "quantum-float-weight",
+    ],
 )
 def test_constructor_rejects(overrides, message):
     with pytest.raises(ValueError) as exc:
@@ -358,3 +426,108 @@ def test_vector_strips_zeros():
     x = Vector(m, {w(0): Fraction(0), w(1): Fraction(2)})
     assert x.entries == {w(1): 2}
     assert (x - x).is_zero()
+
+
+# -- the reference relation evaluator ------------------------------------------
+# Every defining relation evaluated on every basis vector through words of
+# generators, relying on no weight grading.  check_relations must agree with
+# it, failures and defects included, on every module.
+
+REFERENCE_DEFECTS = {
+    "[h,e]=2e": lambda x, w: x("h", "e") - x("e", "h") - x("e").scaled(Fraction(2)),
+    "[h,f]=-2f": lambda x, w: x("h", "f") - x("f", "h") + x("f").scaled(Fraction(2)),
+    "[e,f]=h": lambda x, w: x("e", "f") - x("f", "e") - x("h"),
+    "K Kinv=1": lambda x, w: x("K", "Kinv") - x(),
+    "K E Kinv=v^2 E": lambda x, w: x("K", "E", "Kinv") - x("E").scaled(LaurentPoly({2: 1})),
+    "K F Kinv=v^-2 F": lambda x, w: x("K", "F", "Kinv") - x("F").scaled(LaurentPoly({-2: 1})),
+    "[E,F]=[h]_v": lambda x, w: x("E", "F") - x("F", "E") - x().scaled(q_int(w)),
+}
+
+
+def reference_check_relations(m: WeightModule) -> RelationReport:
+    checked = []
+    failures = []
+    images: dict = {}
+
+    def image(*word):
+        # each suffix of a word is applied once per basis vector
+        if word not in images:
+            images[word] = apply(m, word[0], image(*word[1:]))
+        return images[word]
+
+    for lab in m.basis:
+        if lab in m.boundary:
+            continue
+        checked.append(lab)
+        images = {(): Vector.basis_vector(m, lab)}
+        for relname in m.flavor.relations:
+            d = REFERENCE_DEFECTS[relname](image, m.weights[lab])
+            if not d.is_zero():
+                failures.append(RelationFailure(relname, lab, tuple(d.items_in_order())))
+
+    return RelationReport(
+        module=m.name,
+        flavor=m.flavor.name,
+        relations=m.flavor.relations,
+        checked=tuple(checked),
+        failures=tuple(failures),
+        excluded=tuple(lab for lab in m.basis if lab in m.boundary),
+    )
+
+
+REFERENCE_MODULES = {
+    **{f"findim-{fl.name}-{n}": (lambda fl=fl, n=n: findim(fl, n)) for fl in (CLASSICAL, QUANTUM) for n in range(7)},
+    **{f"verma-{hw}": (lambda hw=hw: verma_classical(hw, 5)) for hw in (0, 2, Fraction(5, 2), Fraction(-7, 3))},
+    **{
+        f"rasskazova-{p.beta}-{p.lam}-{p.n}": (lambda p=p: rasskazova(p))
+        for p in (
+            RasskazovaParams(0, 0, 1, 3),
+            RasskazovaParams(1, 2, 2, 3),
+            RasskazovaParams(Fraction(-3), Fraction(5, 2), 3, 2),
+        )
+    },
+    **{
+        f"tensor-{name}-{a}-{b}": (lambda fl=fl, a=a, b=b: tensor(findim(fl, a), findim(fl, b)))
+        for name, fl in COPRODUCTS.items()
+        for a in range(4)
+        for b in range(4)
+    },
+}
+
+
+@pytest.mark.parametrize("name", sorted(REFERENCE_MODULES))
+def test_checker_matches_the_reference_evaluator(name):
+    m = REFERENCE_MODULES[name]()
+    assert check_relations(m) == reference_check_relations(m)
+    for where, bad in single_entry_perturbations(m):
+        assert check_relations(bad) == reference_check_relations(bad), where
+
+
+@st.composite
+def graded_classical_modules(draw):
+    """Random graded classical module: layers k = 0, 1, .. of weight hw - 2k,
+    rational e entries from layer k+1 to k and f entries from k to k+1, and
+    a random boundary."""
+    hw = draw(st.one_of(st.integers(-4, 4), st.fractions(-4, 4, max_denominator=3)))
+    sizes = draw(st.lists(st.integers(1, 3), min_size=1, max_size=4))
+    basis = [Label.rasskazova(k, i) for k, size in enumerate(sizes) for i in range(size)]
+    weights = {lab: hw - 2 * lab.index[0] for lab in basis}
+    scalars = st.fractions(-3, 3, max_denominator=3)
+    e: dict = {}
+    f: dict = {}
+    for lo in basis:
+        for hi in basis:
+            if hi.index[0] + 1 == lo.index[0]:
+                c, d = draw(scalars), draw(scalars)
+                if c:
+                    e.setdefault(lo, {})[hi] = c
+                if d:
+                    f.setdefault(hi, {})[lo] = d
+    boundary = draw(st.sets(st.sampled_from(basis)))
+    return WeightModule(CLASSICAL, "random", basis, weights, {"e": e, "f": f}, boundary)
+
+
+@settings(max_examples=100, deadline=None)
+@given(graded_classical_modules())
+def test_checker_matches_the_reference_on_random_modules(m):
+    assert check_relations(m) == reference_check_relations(m)

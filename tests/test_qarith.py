@@ -47,6 +47,17 @@ def test_integral_fraction_is_stored_as_int():
     assert c == 2 and type(c) is int
 
 
+@pytest.mark.parametrize("exp", [Fraction(1, 2), 0.5, Fraction(2), 2.0, "2"])
+def test_non_integral_exponent_is_rejected(exp):
+    # truncating the exponent would make v^(1/2) equal 1
+    with pytest.raises(TypeError):
+        LaurentPoly({exp: 1})
+
+
+def test_integer_exponents_are_accepted():
+    assert LaurentPoly({-3: 1, True: 2}) == v**-3 + 2 * v
+
+
 def test_negative_power_of_a_monomial_is_a_fraction():
     inverse = LaurentPoly({1: 2}) ** -1
     assert inverse == LaurentPoly({-1: Fraction(1, 2)})
