@@ -150,12 +150,13 @@ class WeightModule:
             for col, entries in self.action[g].items():
                 if col not in self._pos:
                     raise ValueError(f"{self.name}: unknown column label {col}")
+                target = self.weights[col] + shift
                 for row, c in entries.items():
                     if row not in self._pos:
                         raise ValueError(f"{self.name}: unknown row label {row}")
                     if not c:
                         raise ValueError(f"{self.name}: stored zero at ({row}, {col}) of {g}")
-                    if self.weights[row] != self.weights[col] + shift:
+                    if self.weights[row] != target:
                         raise ValueError(
                             f"{self.name}: {g} entry ({row}, {col}) breaks the "
                             f"weight grading"
@@ -394,29 +395,32 @@ def check_relations(m: WeightModule) -> RelationReport:
 
     On x of weight w with e.x = sum c_y y, [h,e]-2e leaves sum (wt(y)-w-2)
     c_y y and K E Kinv-v^2 E leaves sum (v^(wt(y)-w)-v^2) c_y y, zero as m
-    is graded; so only [raising, lowering] = commutator(w) is evaluated.
-    Failures are reported as data (relation name, basis vector, exact
-    defect), never raised.
+    is graded; so only [raising, lowering] = commutator(w) is evaluated,
+    read from the stored columns.  Failures are reported as data
+    (relation name, basis vector, exact defect), never raised.
     """
     fl = m.flavor
-    checked = []
+    up, down = m.action[fl.raising], m.action[fl.lowering]
+    checked = tuple(lab for lab in m.basis if lab not in m.boundary)
     failures = []
-    for lab in m.basis:
-        if lab in m.boundary:
-            continue
-        checked.append(lab)
-        x = Vector.basis_vector(m, lab)
-        ef = apply(m, fl.raising, apply(m, fl.lowering, x))
-        fe = apply(m, fl.lowering, apply(m, fl.raising, x))
-        d = ef - fe - x.scaled(fl.commutator(m.weights[lab]))
-        if not d.is_zero():
-            failures.append(RelationFailure(fl.relations[-1], lab, tuple(d.items_in_order())))
+    for lab in checked:
+        d = {lab: -fl.commutator(m.weights[lab])}
+        for mid, a in down.get(lab, {}).items():  # + raising(lowering(x))
+            for row, b in up.get(mid, {}).items():
+                d[row] = d[row] + b * a if row in d else b * a
+        for mid, a in up.get(lab, {}).items():  # - lowering(raising(x))
+            for row, b in down.get(mid, {}).items():
+                d[row] = d[row] - b * a if row in d else -(b * a)
+        defect = [(row, c) for row, c in d.items() if c]
+        if defect:
+            defect.sort(key=lambda kv: m.position(kv[0]))
+            failures.append(RelationFailure(fl.relations[-1], lab, tuple(defect)))
 
     return RelationReport(
         module=m.name,
         flavor=fl.name,
         relations=fl.relations,
-        checked=tuple(checked),
+        checked=checked,
         failures=tuple(failures),
         excluded=tuple(lab for lab in m.basis if lab in m.boundary),
     )

@@ -210,6 +210,10 @@ class LaurentPoly:
         # exact; calls div_exact by name, not as an alias, so wrappers of it see "/"
         return self.div_exact(other)
 
+    def __rtruediv__(self, other):  # an int or Fraction over a Laurent polynomial
+        other = self._coerce(other)
+        return NotImplemented if other is None else other.div_exact(self)
+
     def _dense(self, low: int) -> list[int | Fraction]:
         """Coefficients of v^low .. v^max as a dense list."""
         out = [0] * (self.max_exp - low + 1)

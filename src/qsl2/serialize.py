@@ -9,15 +9,13 @@ tool; the token forms are comma-free so CSV rows need no quoting.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from .modrep import RelationReport, Vector, WeightModule
 from .qarith import LaurentPoly
 from .tensorcg import ComparisonReport, Decomposition
 
 
-def rational_json(x: Fraction):
-    x = Fraction(x)
+def rational_json(x):
+    """An int or a Fraction; a float has no numerator and raises AttributeError."""
     return x.numerator if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
 
 

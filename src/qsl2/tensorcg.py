@@ -108,7 +108,7 @@ def _kernel_fraction_free(rows: list[list], ncols: int, one):
     leave it.  Pivoting scans columns left to right and rows top down;
     no reordering beyond the forced swaps, so results are deterministic.
     Returns kernel vectors (one per free column, in column order) with
-    entries in the ring.
+    entries in the ring, also where the input holds plain ints.
     """
     m = [list(r) for r in rows]
     nrows = len(m)
@@ -152,7 +152,7 @@ def _kernel_fraction_free(rows: list[list], ncols: int, one):
         for i, c in pivots:
             if m[i][f]:
                 x[c] = -m[i][f]
-        kernel.append(x)
+        kernel.append([c if type(c) is type(one) else c * one for c in x])
     return kernel
 
 

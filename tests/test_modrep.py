@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from qsl2 import modrep
 from qsl2.modrep import (
     CLASSICAL,
     QUANTUM,
@@ -501,6 +502,29 @@ def test_checker_matches_the_reference_evaluator(name):
     assert check_relations(m) == reference_check_relations(m)
     for where, bad in single_entry_perturbations(m):
         assert check_relations(bad) == reference_check_relations(bad), where
+
+
+NO_VECTOR_MODULES = {
+    "findim-classical-4": lambda: finite_dim_classical(4),
+    "findim-quantum-4": lambda: finite_dim_quantum(4),
+    "verma--7/3": lambda: verma_classical(Fraction(-7, 3), 6),
+    "rasskazova-1-2-2": lambda: rasskazova(RasskazovaParams(1, 2, 2, 3)),
+    "tensor-quantum-2-2": lambda: tensor(finite_dim_quantum(2), finite_dim_quantum(2)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(NO_VECTOR_MODULES))
+def test_checker_builds_no_vector_and_calls_no_apply(name, monkeypatch):
+    m = NO_VECTOR_MODULES[name]()
+    modules = [m, corrupt_one_entry(m)]
+    expected = [reference_check_relations(x) for x in modules]
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("check_relations built a Vector or called apply")
+
+    monkeypatch.setattr(modrep, "Vector", forbidden)
+    monkeypatch.setattr(modrep, "apply", forbidden)
+    assert [check_relations(x) for x in modules] == expected
 
 
 @st.composite

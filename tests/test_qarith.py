@@ -269,6 +269,14 @@ def test_true_division_is_exact_division():
         v / 0
 
 
+def test_a_number_over_a_laurent_polynomial_is_exact_division():
+    assert 2 / v == LaurentPoly({-1: 2})
+    assert Fraction(1, 2) / LaurentPoly(3) == LaurentPoly(Fraction(1, 6))
+    assert 0 / (v + 1) == LaurentPoly()
+    with pytest.raises(ExactDivisionError):
+        1 / (v + 1)
+
+
 def test_true_division_goes_through_div_exact(monkeypatch):
     calls = []
     div_exact = LaurentPoly.div_exact

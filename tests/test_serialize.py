@@ -1,5 +1,7 @@
 from fractions import Fraction
 
+import pytest
+
 from qsl2.modrep import Label, Vector, finite_dim_classical, finite_dim_quantum
 from qsl2.qarith import LaurentPoly, q_fact, v
 from qsl2.serialize import (
@@ -18,6 +20,13 @@ def test_rational_json_forms():
     assert rational_json(Fraction(3)) == 3
     assert rational_json(Fraction(5, 2)) == "5/2"
     assert rational_json(Fraction(-1, 3)) == "-1/3"
+
+
+def test_rational_json_takes_ints_and_fractions_as_they_are():
+    assert rational_json(7) == 7 and rational_json(-2) == -2
+    assert rational_json(Fraction(-5, 2)) == "-5/2"
+    with pytest.raises(AttributeError):
+        rational_json(0.5)  # not silently "1/2"
 
 
 def test_laurent_json_ascending_triples():

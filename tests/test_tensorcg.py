@@ -276,6 +276,41 @@ def test_zero_skipping_kernel_equals_the_dense_update_on_sparse_matrices(data):
         assert _kernel_fraction_free(rows, ncols, one) == dense_kernel_reference(rows, ncols, one)
 
 
+def with_int_entries(m):
+    """m with its integral entries (every classical F_n entry, the quantum
+    [1]s) stored as plain ints."""
+
+    def as_int(c):
+        return c.numerator if isinstance(c, Fraction) else 1 if c == 1 else c
+
+    action = {
+        g: {col: {row: as_int(c) for row, c in entries.items()} for col, entries in mat.items()}
+        for g, mat in m.action.items()
+    }
+    return WeightModule(m.flavor, m.name, m.basis, m.weights, action)
+
+
+@pytest.mark.parametrize("findim, n", [(finite_dim_classical, 2), (finite_dim_quantum, 1)])
+def test_hwv_of_a_module_with_int_entries_stays_in_the_ring(findim, n):
+    built = findim(n)
+    ints = with_int_entries(built)
+    assert any(type(c) is int for mat in ints.action.values() for col in mat.values() for c in col.values())
+    found = highest_weight_vectors(tensor(ints, ints))
+    assert found == highest_weight_vectors(tensor(built, built))
+    ring = type(built.flavor.one)  # 1.0 == Fraction(1), so equality alone would pass a float
+    assert all(type(c) is ring for _, x in found for c in x.entries.values())
+
+
+@pytest.mark.parametrize("one", [Fraction(1), LaurentPoly(1)], ids=["fraction", "laurent"])
+def test_kernel_of_int_rows_has_ring_entries(one):
+    for rows in ([[2, 2]], [[1], [1]], [[2, 2, 0], [1, 1, 3]], [[1, 2, 3], [4, 5, 6]]):
+        kernel = _kernel_fraction_free(rows, len(rows[0]), one)
+        assert all(type(c) is type(one) for x in kernel for c in x)
+        for x in kernel:
+            for row in rows:
+                assert not sum((a * b for a, b in zip(row, x)), one - one)
+
+
 def test_kernel_known_case():
     # [[1, 1]] has kernel spanned by (-1, 1)
     (x,) = _kernel_fraction_free([[Fraction(1), Fraction(1)]], 2, Fraction(1))
@@ -433,6 +468,30 @@ def test_hwv_specializes_to_classical():
                 )
                 renorm = {lab: c / lead for lab, c in spec.items() if c}
                 assert renorm == classical[wt].entries, (m, n, wt)
+
+
+def test_hwv_spans_the_sympy_nullspace():
+    # differential: an independent exact solver, compared as RREF bases of the span
+    sympy = pytest.importorskip("sympy")
+
+    def matrix(rows, ncols):
+        return sympy.Matrix(len(rows), ncols, [sympy.Rational(c.numerator, c.denominator) for r in rows for c in r])
+
+    def rref_basis(vectors, ncols):
+        return matrix(vectors, ncols).rref()[0] if vectors else None
+
+    for a in range(5):
+        for b in range(5):
+            module = tensor(finite_dim_classical(a), finite_dim_classical(b))
+            for weight, source in weight_spaces(module).items():
+                rows, ncols = raising_rows(module, weight)
+                theirs = []
+                for x in matrix(rows, ncols).nullspace():
+                    lead = next(c for c in x if c)
+                    theirs.append([c / lead for c in x])
+                ours = [[x.entries.get(lab, Fraction(0)) for lab in source] for _, x in highest_weight_vectors(module, weight)]
+                assert len(ours) == len(theirs), (a, b, weight)
+                assert rref_basis(ours, ncols) == rref_basis(theirs, ncols), (a, b, weight)
 
 
 # -- decompositions ----------------------------------------------------------------
