@@ -9,8 +9,11 @@ that one, the commutator of raising and lowering, on each basis vector.
 
 A module is a finite ordered basis with weight labels and sparse
 raising and lowering matrices over an exact scalar ring: Fraction for
-classical modules, LaurentPoly for quantum ones.  Modules are immutable
-after construction and every operation here is pure.
+classical modules, LaurentPoly for quantum ones.  A rational module is
+built, graded and checked on int numerators over one common
+denominator; a Fraction is made only where a scalar is stored or
+reported.  Modules are immutable after construction and every
+operation here is pure.
 
 Every module carries a ``Flavor``, CLASSICAL or QUANTUM: the one value
 that tells the two apart.  It names the generators, holds the scalar
@@ -25,6 +28,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Callable, NamedTuple
 
 from .qarith import LaurentPoly, lp_gcd, primitive, q_int
@@ -141,26 +145,34 @@ class WeightModule:
         fl = self.flavor
         if set(self.action) != {fl.raising, fl.lowering}:
             raise ValueError(f"{self.name}: stores {sorted(self.action)}, not {fl.raising} and {fl.lowering}")
-        if isinstance(fl.one, LaurentPoly):  # v^w must be a ring element
-            for lab, wt in self.weights.items():
-                if not isinstance(wt, int):
-                    raise ValueError(f"{self.name}: weight {wt} of {lab} is not an integer")
+        # v^w must be a ring element; over Q a weight is any rational
+        allowed, kind = ({int}, "an integer") if isinstance(fl.one, LaurentPoly) else ({int, Fraction}, "rational")
+        weights, rational = self.weights, isinstance(fl.one, Fraction)
+        if weights.keys() != self._pos.keys():  # so a lookup in weights finds a label and its weight
+            raise ValueError(f"{self.name}: the weights must label exactly the basis")
+        types = set(map(type, weights.values()))
+        if not types <= allowed:
+            lab, wt = next((lab, wt) for lab, wt in weights.items() if type(wt) not in allowed)
+            raise ValueError(f"{self.name}: weight {wt} of {lab} is not {kind}")
+        # the grading compared on integers: each weight times their common denominator
+        den = lcm(*{wt.denominator for wt in weights.values()}) if Fraction in types else 1
+        if den != 1:
+            weights = {lab: wt.numerator * (den // wt.denominator) for lab, wt in weights.items()}
         # raising and lowering entries connect weights that differ by +-2
-        for g, shift in ((fl.raising, 2), (fl.lowering, -2)):
+        for g, shift in ((fl.raising, 2 * den), (fl.lowering, -2 * den)):
             for col, entries in self.action[g].items():
-                if col not in self._pos:
+                if (target := weights.get(col)) is None:
                     raise ValueError(f"{self.name}: unknown column label {col}")
-                target = self.weights[col] + shift
+                target += shift
                 for row, c in entries.items():
-                    if row not in self._pos:
+                    if (wt := weights.get(row)) is None:
                         raise ValueError(f"{self.name}: unknown row label {row}")
+                    if rational and type(c) is not Fraction and type(c) is not int:
+                        raise ValueError(f"{self.name}: {g} entry {c} at ({row}, {col}) is not rational")
                     if not c:
                         raise ValueError(f"{self.name}: stored zero at ({row}, {col}) of {g}")
-                    if self.weights[row] != target:
-                        raise ValueError(
-                            f"{self.name}: {g} entry ({row}, {col}) breaks the "
-                            f"weight grading"
-                        )
+                    if wt != target:
+                        raise ValueError(f"{self.name}: {g} entry ({row}, {col}) breaks the weight grading")
 
     def __repr__(self):
         return f"<WeightModule {self.name} dim={self.dim} {self.flavor.name}>"
@@ -279,14 +291,12 @@ def verma_classical(hw, depth: int) -> WeightModule:
     if depth < 1:
         raise ValueError(f"Verma truncation depth must be >= 1, got {depth}")
     hw = Fraction(hw)
+    p, q = hw.numerator, hw.denominator  # every scalar below over q, built once
     basis = [Label.verma(k) for k in range(depth + 1)]
-    weights = {lab: hw - 2 * k for k, lab in enumerate(basis)}
-    e = {}
-    for k in range(1, depth + 1):
-        c = k * (hw - k + 1)
-        if c:
-            e[basis[k]] = {basis[k - 1]: c}
-    f = {basis[k]: {basis[k + 1]: Fraction(1)} for k in range(depth)}
+    weights = {lab: Fraction(p - 2 * k * q, q) for k, lab in enumerate(basis)}
+    e = {basis[k]: {basis[k - 1]: Fraction(k * (p - (k - 1) * q), q)}
+         for k in range(1, depth + 1) if p != (k - 1) * q}  # no zero stored where hw = k-1
+    f = {basis[k]: {basis[k + 1]: CLASSICAL.one} for k in range(depth)}
     name = f"M(hw={hw};depth={depth})"
     return WeightModule(CLASSICAL, name, basis, weights, {"e": e, "f": f}, boundary=[basis[depth]])
 
@@ -321,9 +331,11 @@ def rasskazova(p: RasskazovaParams) -> WeightModule:
     truncation boundary.
     """
     beta, lam, n, J = p.beta, p.lam, p.n, p.window
+    D = lcm(beta.denominator, lam.denominator)  # every scalar below over D, from numerators B and L
+    B, L = int(beta * D), int(lam * D)
     basis = [Label.rasskazova(i, j) for i in range(1, n + 1) for j in range(-J, J + 1)]
-    weights = {lab: 2 * lab.index[1] + beta for lab in basis}
-    one = Fraction(1)
+    weights = dict(zip(basis, [Fraction(2 * j * D + B, D) for j in range(-J, J + 1)] * n))
+    one, minus_one = Fraction(1), Fraction(-1)
 
     e: dict = {}
     f: dict = {}
@@ -334,9 +346,9 @@ def rasskazova(p: RasskazovaParams) -> WeightModule:
             if j >= 0:
                 col[Label.rasskazova(i, j + 1)] = one
             else:
-                c = lam + j * beta + j * (j + 1)
+                c = L + j * B + j * (j + 1) * D
                 if c:
-                    col[Label.rasskazova(i, j + 1)] = c
+                    col[Label.rasskazova(i, j + 1)] = Fraction(c, D)
                 if i > 1:
                     col[Label.rasskazova(i - 1, j + 1)] = one
             if col:
@@ -344,13 +356,13 @@ def rasskazova(p: RasskazovaParams) -> WeightModule:
         if j - 1 >= -J:
             col = {}
             if j > 0:
-                c = -(lam + (j - 1) * beta + j * (j - 1))
+                c = L + (j - 1) * B + j * (j - 1) * D
                 if c:
-                    col[Label.rasskazova(i, j - 1)] = c
+                    col[Label.rasskazova(i, j - 1)] = Fraction(-c, D)
                 if i > 1:
-                    col[Label.rasskazova(i - 1, j - 1)] = -one
+                    col[Label.rasskazova(i - 1, j - 1)] = minus_one
             else:
-                col[Label.rasskazova(i, j - 1)] = -one
+                col[Label.rasskazova(i, j - 1)] = minus_one
             if col:
                 f[lab] = col
     boundary = [lab for lab in basis if abs(lab.index[1]) == J]
@@ -396,22 +408,31 @@ def check_relations(m: WeightModule) -> RelationReport:
     On x of weight w with e.x = sum c_y y, [h,e]-2e leaves sum (wt(y)-w-2)
     c_y y and K E Kinv-v^2 E leaves sum (v^(wt(y)-w)-v^2) c_y y, zero as m
     is graded; so only [raising, lowering] = commutator(w) is evaluated,
-    read from the stored columns.  Failures are reported as data
-    (relation name, basis vector, exact defect), never raised.
+    read from the stored columns.  Over Q it runs on ints, each scalar
+    times the common denominator D, and a nonzero defect is divided by D^2.
+    Failures are reported as data (relation name, basis vector, exact
+    defect), never raised.
     """
     fl = m.flavor
     up, down = m.action[fl.raising], m.action[fl.lowering]
     checked = tuple(lab for lab in m.basis if lab not in m.boundary)
+    target = {lab: fl.commutator(m.weights[lab]) for lab in checked}
+    D = None
+    if isinstance(fl.one, Fraction):  # on integers: each scalar times D, the products times D^2
+        D = lcm(*{c.denominator for x in (target, *up.values(), *down.values()) for c in x.values()})
+        up, down = ({col: {row: c.numerator * (D // c.denominator) for row, c in entries.items()}
+                     for col, entries in mat.items()} for mat in (up, down))
+        target = {lab: c.numerator * (D * D // c.denominator) for lab, c in target.items()}
     failures = []
     for lab in checked:
-        d = {lab: -fl.commutator(m.weights[lab])}
+        d = {lab: -target[lab]}
         for mid, a in down.get(lab, {}).items():  # + raising(lowering(x))
             for row, b in up.get(mid, {}).items():
                 d[row] = d[row] + b * a if row in d else b * a
         for mid, a in up.get(lab, {}).items():  # - lowering(raising(x))
             for row, b in down.get(mid, {}).items():
                 d[row] = d[row] - b * a if row in d else -(b * a)
-        defect = [(row, c) for row, c in d.items() if c]
+        defect = [(row, c if D is None else Fraction(c, D * D)) for row, c in d.items() if c]
         if defect:
             defect.sort(key=lambda kv: m.position(kv[0]))
             failures.append(RelationFailure(fl.relations[-1], lab, tuple(defect)))

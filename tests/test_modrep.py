@@ -1,5 +1,6 @@
 import dataclasses
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -396,16 +397,30 @@ def test_hand_built_module_passes_validation():
             "F1: weight 1/2 of w_0 is not an integer",
         ),
         (dict(flavor=KASSEL, action=F1_QUANTUM, weights={w(0): 1.0, w(1): -1}), "F1: weight 1.0 of w_0 is not an integer"),
+        (dict(weights={w(0): 0.5, w(1): -1.5}), "F1: weight 0.5 of w_0 is not rational"),
+        (dict(action={"e": {w(1): {w(0): 0.5}}, "f": {}}), "F1: e entry 0.5 at (w_0, w_1) is not rational"),
+        (dict(weights={w(0): 1}), "F1: the weights must label exactly the basis"),
+        (dict(weights={w(0): 1, w(1): -1, w(2): -3}), "F1: the weights must label exactly the basis"),
     ],
     ids=[
         "unknown-flavor", "duplicate-labels", "unknown-column", "unknown-row", "stored-zero",
-        "quantum-rational-weight", "quantum-float-weight",
+        "quantum-rational-weight", "quantum-float-weight", "classical-float-weight", "classical-float-entry",
+        "missing-weight", "extra-weight",
     ],
 )
 def test_constructor_rejects(overrides, message):
     with pytest.raises(ValueError) as exc:
         hand_built_f1(**overrides)
     assert str(exc.value) == message
+
+
+def test_grading_is_compared_over_the_common_denominator():
+    # a column at weight 1/2 reaches weight 5/2 under e, never 5/3
+    basis = [w(0), w(1)]
+    action = {"e": {w(1): {w(0): 1}}, "f": {}}
+    with pytest.raises(ValueError, match="breaks the weight grading"):
+        WeightModule(CLASSICAL, "bad", basis, {w(0): Fraction(5, 3), w(1): Fraction(1, 2)}, action)
+    WeightModule(CLASSICAL, "ok", basis, {w(0): Fraction(5, 2), w(1): Fraction(1, 2)}, action)
 
 
 def test_vector_rejects_foreign_label():
@@ -555,3 +570,115 @@ def graded_classical_modules(draw):
 @given(graded_classical_modules())
 def test_checker_matches_the_reference_on_random_modules(m):
     assert check_relations(m) == reference_check_relations(m)
+
+
+# -- the constructors on integer numerators -------------------------------------
+# verma_classical and rasskazova build every scalar from numerators over one
+# common denominator; these tests hold them to their docstring formulas,
+# evaluated with Fraction arithmetic.
+
+RATIONALS = st.one_of(st.integers(-12, 40), st.builds(Fraction, st.integers(-60, 60), st.integers(1, 12)))
+
+
+def assert_all_fractions_and_nonzero(m):
+    assert all(type(wt) is Fraction for wt in m.weights.values())
+    for mat in m.action.values():
+        for col in mat.values():
+            assert col and all(type(c) is Fraction and c for c in col.values())
+
+
+@settings(max_examples=100, deadline=None)
+@given(hw=RATIONALS, depth=st.integers(1, 40))
+def test_verma_equals_its_docstring_formula(hw, depth):
+    m = verma_classical(hw, depth)
+    hw = Fraction(hw)
+    assert m.weights == {wv(k): hw - 2 * k for k in range(depth + 1)}
+    e = {wv(k): {wv(k - 1): k * (hw - k + 1)} for k in range(1, depth + 1) if k * (hw - k + 1)}
+    f = {wv(k): {wv(k + 1): Fraction(1)} for k in range(depth)}
+    assert m.action == {"e": e, "f": f}
+    assert_all_fractions_and_nonzero(m)
+
+
+@st.composite
+def rasskazova_params(draw):
+    """beta and lambda with denominators 1-12; lambda sometimes chosen to
+    zero the e coefficient at some j < 0 or the f coefficient at some j > 0."""
+    n, window = draw(st.integers(1, 3)), draw(st.integers(1, 6))
+    beta = Fraction(draw(RATIONALS))
+    j = draw(st.integers(1, window))
+    lam = draw(st.one_of(
+        RATIONALS,
+        st.just(j * beta + j * (-j + 1)),  # lam - j*beta + (-j)(-j+1) = 0
+        st.just(-(j - 1) * beta - j * (j - 1)),
+    ))
+    return RasskazovaParams(beta, lam, n, window)
+
+
+@settings(max_examples=100, deadline=None)
+@given(rasskazova_params())
+def test_rasskazova_equals_its_docstring_formula(p):
+    m = rasskazova(p)
+    beta, lam, J = p.beta, p.lam, p.window
+    e: dict = {}
+    f: dict = {}
+    for i in range(1, p.n + 1):
+        for j in range(-J, J + 1):
+            assert m.weights[wr(i, j)] == 2 * j + beta
+            up = {}
+            if j + 1 <= J:
+                if j >= 0:
+                    up[wr(i, j + 1)] = 1
+                else:
+                    up[wr(i, j + 1)] = lam + j * beta + j * (j + 1)
+                    up[wr(i - 1, j + 1)] = 1
+            down = {}
+            if j - 1 >= -J:
+                if j > 0:
+                    down[wr(i, j - 1)] = -(lam + (j - 1) * beta + j * (j - 1))
+                    down[wr(i - 1, j - 1)] = -1
+                else:
+                    down[wr(i, j - 1)] = -1
+            # w^0_j = 0, and a zero coefficient is not stored
+            for mat, col in ((e, up), (f, down)):
+                col = {lab: c for lab, c in col.items() if c and lab.index[0] >= 1}
+                if col:
+                    mat[wr(i, j)] = col
+    assert len(m.weights) == p.n * (2 * J + 1)
+    assert m.action == {"e": e, "f": f}
+    assert_all_fractions_and_nonzero(m)
+
+
+@st.composite
+def wide_denominator_modules(draw):
+    """Random graded classical module as in graded_classical_modules, with
+    weight and entry denominators up to 13 (a common denominator up to
+    lcm(1..13) = 360360) and plain int entries mixed in."""
+    hw = draw(st.one_of(st.integers(-4, 4), st.fractions(-4, 4, max_denominator=13)))
+    sizes = draw(st.lists(st.integers(1, 3), min_size=1, max_size=4))
+    basis = [Label.rasskazova(k, i) for k, size in enumerate(sizes) for i in range(size)]
+    weights = {lab: hw - 2 * lab.index[0] for lab in basis}
+    scalars = st.one_of(st.integers(-3, 3), st.fractions(-3, 3, max_denominator=13))
+    e: dict = {}
+    f: dict = {}
+    for lo in basis:
+        for hi in basis:
+            if hi.index[0] + 1 == lo.index[0]:
+                c, d = draw(scalars), draw(scalars)
+                if c:
+                    e.setdefault(lo, {})[hi] = c
+                if d:
+                    f.setdefault(hi, {})[lo] = d
+    boundary = draw(st.sets(st.sampled_from(basis)))
+    return WeightModule(CLASSICAL, "random", basis, weights, {"e": e, "f": f}, boundary)
+
+
+@settings(max_examples=100, deadline=None)
+@given(wide_denominator_modules())
+def test_integer_checker_matches_the_reference_on_wide_denominators(m):
+    modules = [m, corrupt_one_entry(m)] if any(m.action["e"].values()) else [m]
+    for x in modules:
+        report = check_relations(x)
+        assert report == reference_check_relations(x)
+        for failure in report.failures:
+            for _, c in failure.defect:
+                assert type(c) is Fraction and gcd(c.numerator, c.denominator) == 1
