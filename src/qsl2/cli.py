@@ -171,15 +171,10 @@ def _csv(header: str, rows) -> str:
     return _lines([header, *(",".join(map(str, row)) for row in rows)])
 
 
-def _findim_tensor(ns):
-    findim = finite_dim_quantum if ns.quantum else finite_dim_classical
-    return tensor(findim(ns.m), findim(ns.n))
-
-
 def cmd_decompose(ns):
     closed = cg_decompose(ns.m, ns.n)
-    module = _findim_tensor(ns)
-    peeled = decompose_by_character(module)
+    a, b = map(finite_dim_quantum if ns.quantum else finite_dim_classical, (ns.m, ns.n))
+    peeled = decompose_by_character(a, b)  # from the factors' characters: no tensor module
     if peeled != closed:
         raise CheckFailure(
             "closed-form decomposition disagrees with character peeling",
@@ -189,7 +184,7 @@ def cmd_decompose(ns):
         return _csv("weight,multiplicity", closed.pairs())
     if ns.format == "pretty":
         return _lines([
-            f"F_{ns.m} (x) F_{ns.n}  [{module.flavor.name}]",
+            f"F_{ns.m} (x) F_{ns.n}  [{a.flavor.name}]",
             *(f"  weight {w}  multiplicity {mult}" for w, mult in closed.pairs()),
             f"  total dimension {closed.total_dim}",
         ])
@@ -202,7 +197,8 @@ def cmd_hwv(ns):
     target = ns.m + ns.n - 2 * ns.p
     try:
         report = phi_vs_oracle(ns.m, ns.n, ns.p) if ns.quantum else None
-        vec = report.oracle if report else highest_weight_vector(_findim_tensor(ns), target)
+        vec = report.oracle if report else highest_weight_vector(
+            tensor(finite_dim_classical(ns.m), finite_dim_classical(ns.n)), target)
     except NullspaceError as exc:
         raise CheckFailure(str(exc))
     if ns.format == "csv":

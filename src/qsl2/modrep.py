@@ -335,6 +335,7 @@ def rasskazova(p: RasskazovaParams) -> WeightModule:
     B, L = int(beta * D), int(lam * D)
     basis = [Label.rasskazova(i, j) for i in range(1, n + 1) for j in range(-J, J + 1)]
     weights = dict(zip(basis, [Fraction(2 * j * D + B, D) for j in range(-J, J + 1)] * n))
+    at = {lab.index: lab for lab in basis}  # every entry keyed by the label object in basis
     one, minus_one = Fraction(1), Fraction(-1)
 
     e: dict = {}
@@ -344,13 +345,13 @@ def rasskazova(p: RasskazovaParams) -> WeightModule:
         if j + 1 <= J:
             col: dict = {}
             if j >= 0:
-                col[Label.rasskazova(i, j + 1)] = one
+                col[at[i, j + 1]] = one
             else:
                 c = L + j * B + j * (j + 1) * D
                 if c:
-                    col[Label.rasskazova(i, j + 1)] = Fraction(c, D)
+                    col[at[i, j + 1]] = Fraction(c, D)
                 if i > 1:
-                    col[Label.rasskazova(i - 1, j + 1)] = one
+                    col[at[i - 1, j + 1]] = one
             if col:
                 e[lab] = col
         if j - 1 >= -J:
@@ -358,11 +359,11 @@ def rasskazova(p: RasskazovaParams) -> WeightModule:
             if j > 0:
                 c = L + (j - 1) * B + j * (j - 1) * D
                 if c:
-                    col[Label.rasskazova(i, j - 1)] = Fraction(-c, D)
+                    col[at[i, j - 1]] = Fraction(-c, D)
                 if i > 1:
-                    col[Label.rasskazova(i - 1, j - 1)] = minus_one
+                    col[at[i - 1, j - 1]] = minus_one
             else:
-                col[Label.rasskazova(i, j - 1)] = minus_one
+                col[at[i, j - 1]] = minus_one
             if col:
                 f[lab] = col
     boundary = [lab for lab in basis if abs(lab.index[1]) == J]

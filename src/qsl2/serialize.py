@@ -91,19 +91,20 @@ def comparison_json(r: ComparisonReport) -> dict:
 def module_descriptor(m: WeightModule) -> dict:
     """Full sparse description: flavor, basis, weights, and each
     generator as (row label, column label, scalar) triplets."""
+    name = {lab: str(lab) for lab in m.basis}  # each label rendered once
     action = {}
     for g in m.flavor.generators:
         triplets = []
         for col in m.basis:
             entries = m.column(g, col)
             for row in sorted(entries, key=m.position):
-                triplets.append([str(row), str(col), scalar_json(entries[row])])
+                triplets.append([name[row], name[col], scalar_json(entries[row])])
         action[g] = triplets
     return {
         "flavor": m.flavor.name,
         "name": m.name,
-        "basis": [str(lab) for lab in m.basis],
-        "weights": [[str(lab), rational_json(m.weights[lab])] for lab in m.basis],
+        "basis": list(name.values()),
+        "weights": [[name[lab], rational_json(m.weights[lab])] for lab in m.basis],
         "action": action,
-        "boundary": [str(lab) for lab in m.basis if lab in m.boundary],
+        "boundary": [name[lab] for lab in m.basis if lab in m.boundary],
     }

@@ -2,9 +2,10 @@
 vector extraction for classical and quantum sl(2).
 
 The decomposition F_m (x) F_n = F_{m+n} (+) ... (+) F_{|m-n|} is produced
-three independent ways: the closed form, character peeling on the actual
-tensor module, and exact raising-operator nullspaces computed by
-fraction-free (Bareiss/Gauss-Jordan) elimination over the scalar ring.
+three independent ways: the closed form, character peeling on the product
+of the factors' characters, and exact raising-operator nullspaces
+computed by fraction-free (Bareiss/Gauss-Jordan) elimination over the
+scalar ring of the tensor module.
 The explicit highest-weight transfer formula, evaluated verbatim with
 exact q-factorial coefficients, is adjudicated against the nullspace
 oracle and the outcome reported as data.
@@ -215,38 +216,39 @@ def cg_decompose(m: int, n: int) -> Decomposition:
     return Decomposition({w: 1 for w in range(m + n, abs(m - n) - 1, -2)})
 
 
-def decompose_by_character(mod: WeightModule) -> Decomposition:
-    """Decomposition read off the weight multiplicities by greedy peeling.
+def decompose_by_character(mod: WeightModule, *others: WeightModule) -> Decomposition:
+    """Decomposition of mod (x) others... by greedy peeling of its character.
 
-    Repeatedly removes the character of the summand with the largest
-    remaining weight.  Raises DecompositionError when the weights are
-    not the character of a finite-dimensional module (non-integral
-    weight, negative top weight, or a residue that cannot be peeled).
+    A character is multiplicative: the product's {weight: multiplicity}
+    counts are the convolution of the factors', so no tensor module is
+    built.  Each step removes the character of the summand with the
+    largest remaining weight.  Raises DecompositionError, naming the
+    product as tensor() would, on a non-integral weight, a negative top
+    weight or a residue that cannot be peeled.
     """
+    product, name = {0: 1}, None  # the trivial module's character
+    for factor in (mod, *others):
+        weights = [factor.weights[lab] for lab in factor.basis]  # basis order: errors match tensor()'s
+        acc: dict = {}
+        for wa, ca in product.items():
+            for wb in weights:
+                acc[wa + wb] = acc.get(wa + wb, 0) + ca
+        product, name = acc, factor.name if name is None else f"T({name};{factor.name})"
     counts: dict[int, int] = {}
-    for lab in mod.basis:
-        w = mod.weights[lab]
+    for w, c in product.items():
         if w.denominator != 1:  # weights are ints or Fractions
-            raise DecompositionError(f"non-integral weight {w} in {mod.name}")
-        w = int(w)
-        counts[w] = counts.get(w, 0) + 1
+            raise DecompositionError(f"non-integral weight {w} in {name}")
+        counts[int(w)] = c
 
     summands: dict[int, int] = {}
-    while True:
-        live = [w for w, c in counts.items() if c]
-        if not live:
-            break
+    while live := [w for w, c in counts.items() if c]:
         top = max(live)
         if top < 0:
-            raise DecompositionError(
-                f"{mod.name}: leftover weight {top} < 0 cannot head a summand"
-            )
+            raise DecompositionError(f"{name}: leftover weight {top} < 0 cannot head a summand")
         for u in range(top, -top - 1, -2):
             if counts.get(u, 0) < 1:
                 raise DecompositionError(
-                    f"{mod.name}: peeling weight {top} needs weight {u} "
-                    f"but its multiplicity is exhausted"
-                )
+                    f"{name}: peeling weight {top} needs weight {u} but its multiplicity is exhausted")
             counts[u] -= 1
         summands[top] = summands.get(top, 0) + 1
     return Decomposition(summands)

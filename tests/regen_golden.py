@@ -89,6 +89,11 @@ CASES = {
         0,
     ),
     "qtable_3_pretty": (["qtable", "--max-n", "3", "--format", "pretty"], 0),
+    "decompose_3_1_pretty": (["decompose", "--m", "3", "--n", "1", "--format", "pretty"], 0),
+    "decompose_20_20_quantum_csv": (
+        ["decompose", "--m", "20", "--n", "20", "--quantum", "--format", "csv"],
+        0,
+    ),
 }
 
 

@@ -260,7 +260,7 @@ def test_decompose_cross_check_mismatch_is_internal_failure(capsys, monkeypatch)
     from qsl2 import cli
     from qsl2.tensorcg import Decomposition
 
-    monkeypatch.setattr(cli, "decompose_by_character", lambda module: Decomposition({0: 1}))
+    monkeypatch.setattr(cli, "decompose_by_character", lambda *mods: Decomposition({0: 1}))
     code, out = run_cli(capsys, ["decompose", "--m", "1", "--n", "1"])
     assert code == 1
     envelope = json.loads(out)
@@ -270,15 +270,37 @@ def test_decompose_cross_check_mismatch_is_internal_failure(capsys, monkeypatch)
     assert envelope["payload"]["character"] == [[0, 1]]
 
 
+def test_decompose_builds_no_tensor_module(capsys, monkeypatch):
+    from qsl2 import cli
+
+    def tensor(a, b):
+        raise AssertionError("decompose built a tensor module")
+
+    monkeypatch.setattr(cli, "tensor", tensor)
+    monkeypatch.setattr(tensorcg, "tensor", tensor)
+    for m in range(7):
+        for n in range(7):
+            pairs = tensorcg.cg_decompose(m, n).pairs()
+            for quantum in ([], ["--quantum"]):
+                argv = ["decompose", "--m", str(m), "--n", str(n), *quantum]
+                code, out = run_cli(capsys, argv)
+                assert code == 0 and json.loads(out)["payload"] == [list(p) for p in pairs]
+                code, out = run_cli(capsys, argv + ["--format", "csv"])
+                assert code == 0 and out.splitlines()[1:] == [f"{w},{k}" for w, k in pairs]
+                code, out = run_cli(capsys, argv + ["--format", "pretty"])
+                shown = re.findall(r"weight (-?\d+)  multiplicity (\d+)", out)
+                assert code == 0 and [(int(w), int(k)) for w, k in shown] == pairs
+
+
 @pytest.mark.parametrize("fault", [ExactDivisionError("v - 1 does not divide v + 1"), ValueError("bad module")])
 @pytest.mark.parametrize("flags", [[], ["--format", "csv"]])
 def test_engine_exception_is_internal_failure(capsys, monkeypatch, fault, flags):
     from qsl2 import cli
 
-    def tensor(a, b):
+    def decompose_by_character(*mods):
         raise fault
 
-    monkeypatch.setattr(cli, "tensor", tensor)
+    monkeypatch.setattr(cli, "decompose_by_character", decompose_by_character)
     argv = ["decompose", "--m", "1", "--n", "1"] + flags
     code = main(argv)
     out, err = capsys.readouterr()

@@ -228,6 +228,21 @@ def test_rasskazova_filtration_never_raises_i():
                     assert row.index[0] <= col.index[0]
 
 
+@pytest.mark.parametrize(
+    "module",
+    [finite_dim_classical(4), finite_dim_quantum(4), verma_classical(Fraction(5, 2), 6),
+     rasskazova(RasskazovaParams(Fraction(1, 2), Fraction(-3, 5), 3, 3))],
+    ids=repr,
+)
+def test_stored_entries_are_keyed_by_the_basis_labels(module):
+    # no constructor builds a second, equal Label for an entry
+    for mat in module.action.values():
+        for col, entries in mat.items():
+            assert col is module.basis[module.position(col)]
+            for row in entries:
+                assert row is module.basis[module.position(row)]
+
+
 # -- relation checking ---------------------------------------------------------
 
 

@@ -555,6 +555,33 @@ def test_agreement_of_all_three_routes():
                     (int(wt) for wt, _ in highest_weight_vectors(t)), reverse=True
                 )
                 assert weights == sorted(expected.summands, reverse=True)
+    # the factors' characters give what the tensor module's weights give
+    for findim in (finite_dim_classical, finite_dim_quantum):
+        for m in range(9):
+            for n in range(9):
+                a, b = findim(m), findim(n)
+                assert decompose_by_character(a, b) == decompose_by_character(tensor(a, b))
+
+
+def test_decompose_by_character_names_the_product_as_tensor_does():
+    # a factor with a non-integral weight: the product's weights are too
+    verma, f2 = verma_classical(Fraction(5, 2), 4), finite_dim_classical(2)
+    for factors in ((verma, f2), (f2, verma)):
+        with pytest.raises(DecompositionError) as by_factors:
+            decompose_by_character(*factors)
+        with pytest.raises(DecompositionError) as by_tensor:
+            decompose_by_character(tensor(*factors))
+        assert "non-integral weight" in str(by_factors.value)
+        assert str(by_factors.value) == str(by_tensor.value)
+    # half-integral factors with integral sums peel, or fail, like their tensor
+    half = verma_classical(Fraction(1, 2), 3)
+    with pytest.raises(DecompositionError) as by_factors:
+        decompose_by_character(verma, half)
+    with pytest.raises(DecompositionError) as by_tensor:
+        decompose_by_character(tensor(verma, half))
+    assert str(by_factors.value) == str(by_tensor.value)
+    three = [finite_dim_classical(k) for k in (1, 2, 3)]
+    assert decompose_by_character(*three) == decompose_by_character(tensor(tensor(*three[:2]), three[2]))
 
 
 def test_decomposition_validates_multiplicity():
