@@ -9,19 +9,19 @@ that one, the commutator of raising and lowering, on each basis vector.
 
 A module is a finite ordered basis with weight labels and sparse
 raising and lowering matrices over an exact scalar ring: Fraction for
-classical modules, LaurentPoly for quantum ones.  A rational module is
-built, graded and checked on int numerators over one common
-denominator; a Fraction is made only where a scalar is stored or
-reported.  Modules are immutable after construction and every
-operation here is pure.
+classical modules, LaurentPoly for quantum ones; a known integer is
+stored as an int in either.  A rational module is built, graded and
+checked on int numerators over one common denominator; a Fraction is
+made only where a scalar is a quotient or is reported.  Modules are
+immutable after construction and every operation here is pure.
 
 Every module carries a ``Flavor``, CLASSICAL or QUANTUM: the one value
-that tells the two apart.  It names the generators, holds the scalar
-ring's zero and one, gives the eigenvalues by which the diagonal
-generators (h, or K and Kinv) act on each weight, so that their
-matrices are never stored, and holds the coproduct as data, the
-defining relations by name, the commutator's value on each weight and
-the canonical scaling of kernel vectors.
+that tells the two apart.  It names the generators and the scalar
+ring, whose zero is ``ring()`` and one ``ring(1)``, gives the
+eigenvalues by which the diagonal generators (h, or K and Kinv) act on
+each weight, so that their matrices are never stored, and holds the
+coproduct as data, the defining relations by name, the commutator's
+value on each weight and the canonical scaling of kernel vectors.
 """
 
 from __future__ import annotations
@@ -76,6 +76,8 @@ class Label(NamedTuple):
 class Flavor:
     """Classical sl(2) or U_v(sl2), as data.
 
+    ``ring`` is the scalar ring, Fraction or LaurentPoly: ``ring()`` is its
+    zero, ``ring(1)`` its one; a stored scalar may also be an int or a Fraction.
     ``diagonal[g](w)`` is the eigenvalue of g on weight w.
     ``coproduct[g] = (right, left)`` means D(g) = g (x) right + left (x) g,
     each twist a diagonal generator or None for 1.  ``relations`` names
@@ -87,8 +89,7 @@ class Flavor:
     name: str
     raising: str
     lowering: str
-    zero: object
-    one: object
+    ring: type
     diagonal: dict
     coproduct: dict
     relations: tuple
@@ -145,9 +146,11 @@ class WeightModule:
         fl = self.flavor
         if set(self.action) != {fl.raising, fl.lowering}:
             raise ValueError(f"{self.name}: stores {sorted(self.action)}, not {fl.raising} and {fl.lowering}")
-        # v^w must be a ring element; over Q a weight is any rational
-        allowed, kind = ({int}, "an integer") if isinstance(fl.one, LaurentPoly) else ({int, Fraction}, "rational")
-        weights, rational = self.weights, isinstance(fl.one, Fraction)
+        # v^w must be a ring element, so over Q a weight is any rational; an entry is int, Fraction or ring
+        quantum = fl.ring is LaurentPoly
+        allowed, kind = ({int}, "an integer") if quantum else ({int, Fraction}, "rational")
+        scalars, ring = {int, Fraction, fl.ring}, "in Q[v, v^-1]" if quantum else "rational"
+        weights = self.weights
         if weights.keys() != self._pos.keys():  # so a lookup in weights finds a label and its weight
             raise ValueError(f"{self.name}: the weights must label exactly the basis")
         types = set(map(type, weights.values()))
@@ -167,8 +170,8 @@ class WeightModule:
                 for row, c in entries.items():
                     if (wt := weights.get(row)) is None:
                         raise ValueError(f"{self.name}: unknown row label {row}")
-                    if rational and type(c) is not Fraction and type(c) is not int:
-                        raise ValueError(f"{self.name}: {g} entry {c} at ({row}, {col}) is not rational")
+                    if type(c) not in scalars:
+                        raise ValueError(f"{self.name}: {g} entry {c} at ({row}, {col}) is not {ring}")
                     if not c:
                         raise ValueError(f"{self.name}: stored zero at ({row}, {col}) of {g}")
                     if wt != target:
@@ -197,7 +200,7 @@ class Vector:
 
     @classmethod
     def basis_vector(cls, module: WeightModule, label: Label) -> "Vector":
-        return cls(module, {label: module.flavor.one})
+        return cls(module, {label: module.flavor.ring(1)})
 
     def is_zero(self) -> bool:
         return not self.entries
@@ -263,8 +266,8 @@ def finite_dim_classical(n: int) -> WeightModule:
         raise ValueError(f"finite-dimensional module needs n >= 0, got {n}")
     basis = [Label.findim(k) for k in range(n + 1)]
     weights = {lab: n - 2 * k for k, lab in enumerate(basis)}
-    e = {basis[k]: {basis[k - 1]: Fraction(n - k + 1)} for k in range(1, n + 1)}
-    f = {basis[k]: {basis[k + 1]: Fraction(k + 1)} for k in range(n)}
+    e = {basis[k]: {basis[k - 1]: n - k + 1} for k in range(1, n + 1)}
+    f = {basis[k]: {basis[k + 1]: k + 1} for k in range(n)}
     return WeightModule(CLASSICAL, f"F(n={n})", basis, weights, {"e": e, "f": f})
 
 
@@ -296,7 +299,7 @@ def verma_classical(hw, depth: int) -> WeightModule:
     weights = {lab: Fraction(p - 2 * k * q, q) for k, lab in enumerate(basis)}
     e = {basis[k]: {basis[k - 1]: Fraction(k * (p - (k - 1) * q), q)}
          for k in range(1, depth + 1) if p != (k - 1) * q}  # no zero stored where hw = k-1
-    f = {basis[k]: {basis[k + 1]: CLASSICAL.one} for k in range(depth)}
+    f = {basis[k]: {basis[k + 1]: 1} for k in range(depth)}
     name = f"M(hw={hw};depth={depth})"
     return WeightModule(CLASSICAL, name, basis, weights, {"e": e, "f": f}, boundary=[basis[depth]])
 
@@ -336,7 +339,6 @@ def rasskazova(p: RasskazovaParams) -> WeightModule:
     basis = [Label.rasskazova(i, j) for i in range(1, n + 1) for j in range(-J, J + 1)]
     weights = dict(zip(basis, [Fraction(2 * j * D + B, D) for j in range(-J, J + 1)] * n))
     at = {lab.index: lab for lab in basis}  # every entry keyed by the label object in basis
-    one, minus_one = Fraction(1), Fraction(-1)
 
     e: dict = {}
     f: dict = {}
@@ -345,13 +347,13 @@ def rasskazova(p: RasskazovaParams) -> WeightModule:
         if j + 1 <= J:
             col: dict = {}
             if j >= 0:
-                col[at[i, j + 1]] = one
+                col[at[i, j + 1]] = 1
             else:
                 c = L + j * B + j * (j + 1) * D
                 if c:
                     col[at[i, j + 1]] = Fraction(c, D)
                 if i > 1:
-                    col[at[i - 1, j + 1]] = one
+                    col[at[i - 1, j + 1]] = 1
             if col:
                 e[lab] = col
         if j - 1 >= -J:
@@ -361,9 +363,9 @@ def rasskazova(p: RasskazovaParams) -> WeightModule:
                 if c:
                     col[at[i, j - 1]] = Fraction(-c, D)
                 if i > 1:
-                    col[at[i - 1, j - 1]] = minus_one
+                    col[at[i - 1, j - 1]] = -1
             else:
-                col[at[i, j - 1]] = minus_one
+                col[at[i, j - 1]] = -1
             if col:
                 f[lab] = col
     boundary = [lab for lab in basis if abs(lab.index[1]) == J]
@@ -419,7 +421,7 @@ def check_relations(m: WeightModule) -> RelationReport:
     checked = tuple(lab for lab in m.basis if lab not in m.boundary)
     target = {lab: fl.commutator(m.weights[lab]) for lab in checked}
     D = None
-    if isinstance(fl.one, Fraction):  # on integers: each scalar times D, the products times D^2
+    if fl.ring is Fraction:  # on integers: each scalar times D, the products times D^2
         D = lcm(*{c.denominator for x in (target, *up.values(), *down.values()) for c in x.values()})
         up, down = ({col: {row: c.numerator * (D // c.denominator) for row, c in entries.items()}
                      for col, entries in mat.items()} for mat in (up, down))
@@ -460,7 +462,7 @@ def corrupt_one_entry(m: WeightModule) -> WeightModule:
     for col in m.basis:
         if mat.get(col):
             row = min(mat[col], key=m.position)
-            c = mat[col][row] + m.flavor.one or mat[col][row] - m.flavor.one
+            c = mat[col][row] + 1 or mat[col][row] - 1
             action = {**m.action, raising: {**mat, col: {**mat[col], row: c}}}
             return WeightModule(
                 m.flavor, m.name + "+fault", m.basis, m.weights, action, boundary=m.boundary
@@ -491,8 +493,7 @@ CLASSICAL = Flavor(
     name="classical",
     raising="e",
     lowering="f",
-    zero=Fraction(0),
-    one=Fraction(1),
+    ring=Fraction,
     diagonal={"h": lambda w: w},
     coproduct={"e": (None, None), "f": (None, None)},  # x (x) 1 + 1 (x) x
     relations=("[h,e]=2e", "[h,f]=-2f", "[e,f]=h"),
@@ -504,8 +505,7 @@ QUANTUM = Flavor(
     name="quantum",
     raising="E",
     lowering="F",
-    zero=LaurentPoly(),
-    one=LaurentPoly({0: 1}),
+    ring=LaurentPoly,
     diagonal={"K": lambda w: LaurentPoly({w: 1}), "Kinv": lambda w: LaurentPoly({-w: 1})},
     # D(E) = E (x) K + 1 (x) E, D(F) = F (x) 1 + Kinv (x) F, D(K) = K (x) K
     coproduct={"E": ("K", None), "F": (None, "Kinv")},

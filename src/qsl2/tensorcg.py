@@ -60,14 +60,14 @@ def tensor(a: WeightModule, b: WeightModule) -> WeightModule:
     """
     if a.flavor is not b.flavor:
         raise ValueError(f"cannot tensor a {a.flavor.name} and a {b.flavor.name} module")
-    fl = a.flavor
+    fl, one = a.flavor, a.flavor.ring(1)
     basis = [Label.tensor(la, lb) for la in a.basis for lb in b.basis]
     weights = {lab: a.weights[lab.index[0]] + b.weights[lab.index[1]] for lab in basis}
 
     def twists(m, gen):
         # eigenvalue of a twist on each basis vector of m; None where it is 1
-        eigen = {lab: fl.diagonal[gen](m.weights[lab]) if gen else fl.one for lab in m.basis}
-        return {lab: None if t == fl.one else t for lab, t in eigen.items()}
+        eigen = {lab: fl.diagonal[gen](m.weights[lab]) if gen else one for lab in m.basis}
+        return {lab: None if t == one else t for lab, t in eigen.items()}
 
     twist = {g: (twists(b, right), twists(a, left)) for g, (right, left) in fl.coproduct.items()}
     action: dict = {g: {} for g in fl.coproduct}
@@ -101,20 +101,21 @@ def weight_spaces(m: WeightModule) -> dict:
 # -- exact nullspace by fraction-free elimination ------------------------------
 
 
-def _kernel_fraction_free(rows: list[list], ncols: int, one):
-    """Right kernel of a matrix over an exact integral domain.
+def _kernel_fraction_free(rows: list[list], ncols: int, ring: type):
+    """Right kernel of a matrix over the exact integral domain ``ring``
+    (Fraction or LaurentPoly), whose entries may also be plain ints.
 
     One-step fraction-free Gauss-Jordan elimination: every division is
     by the previous pivot and is exact in the ring, so entries never
     leave it.  Pivoting scans columns left to right and rows top down;
     no reordering beyond the forced swaps, so results are deterministic.
-    Returns kernel vectors (one per free column, in column order) with
-    entries in the ring, also where the input holds plain ints.
+    Returns kernel vectors (one per free column, in column order) whose
+    entries are all of type ``ring``: ``ring(c)`` lifts a leftover int.
     """
     m = [list(r) for r in rows]
     nrows = len(m)
     pivots: list[tuple[int, int]] = []  # (row, col)
-    prev = one
+    prev = ring(1)
     r = 0
     for c in range(ncols):
         piv = None
@@ -143,17 +144,16 @@ def _kernel_fraction_free(rows: list[list], ncols: int, one):
         r += 1
 
     pivot_cols = {c for _, c in pivots}
-    zero = one - one
     kernel = []
     for f in range(ncols):
         if f in pivot_cols:
             continue
-        x = [zero] * ncols
+        x = [ring()] * ncols
         x[f] = prev
         for i, c in pivots:
             if m[i][f]:
                 x[c] = -m[i][f]
-        kernel.append([c if type(c) is type(one) else c * one for c in x])
+        kernel.append([c if type(c) is ring else ring(c) for c in x])
     return kernel
 
 
@@ -175,8 +175,7 @@ def highest_weight_vectors(m: WeightModule, weight=None) -> list[tuple[object, V
     raising operator to every returned vector (the product must be
     exactly zero).  Output is ordered by descending weight.
     """
-    raising = m.flavor.raising
-    zero, one = m.flavor.zero, m.flavor.one
+    raising, ring = m.flavor.raising, m.flavor.ring
     spaces = weight_spaces(m)
     asked = sorted(spaces, reverse=True) if weight is None else [w for w in spaces if w == weight]
     out = []
@@ -184,11 +183,11 @@ def highest_weight_vectors(m: WeightModule, weight=None) -> list[tuple[object, V
         source = spaces[w]
         target = spaces.get(w + 2, [])
         tpos = {lab: i for i, lab in enumerate(target)}
-        rows = [[zero] * len(source) for _ in target]
+        rows = [[ring()] * len(source) for _ in target]
         for j, src in enumerate(source):
             for row_lab, c in m.column(raising, src).items():
                 rows[tpos[row_lab]][j] = c
-        for coords in _kernel_fraction_free(rows, len(source), one):
+        for coords in _kernel_fraction_free(rows, len(source), ring):
             vec = Vector(m, dict(zip(source, coords)))
             if not apply(m, raising, vec).is_zero():
                 raise NullspaceError(f"nullspace certificate failed at weight {w} of {m.name}")
@@ -358,7 +357,7 @@ def phi_vs_oracle(
     module = phi.module
     oracle = highest_weight_vector(module, m + n - 2 * p)
 
-    zero = module.flavor.zero
+    zero = module.flavor.ring()
     ratio = None
     for lab in module.basis:
         a, b = phi.entries.get(lab, zero), oracle.entries.get(lab, zero)

@@ -94,6 +94,8 @@ CASES = {
         ["decompose", "--m", "20", "--n", "20", "--quantum", "--format", "csv"],
         0,
     ),
+    "check_findim_3_describe": (["check", "findim", "--n", "3", "--describe"], 0),
+    "hwv_3_2_2_csv": (["hwv", "--m", "3", "--n", "2", "--p", "2", "--format", "csv"], 0),
 }
 
 

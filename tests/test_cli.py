@@ -356,8 +356,8 @@ def test_hwv_request_runs_one_elimination(capsys, monkeypatch, flags):
 @pytest.mark.parametrize(
     "kernel, error",
     [
-        (lambda rows, ncols, one: [], "nullspace at weight 4 is 0-dimensional, expected 1"),
-        (lambda rows, ncols, one: [[one] * ncols], "nullspace certificate failed at weight 4 of "),
+        (lambda rows, ncols, ring: [], "nullspace at weight 4 is 0-dimensional, expected 1"),
+        (lambda rows, ncols, ring: [[ring(1)] * ncols], "nullspace certificate failed at weight 4 of "),
     ],
     ids=["empty", "not-annihilated"],
 )

@@ -24,6 +24,7 @@ from qsl2.modrep import (
     verma_classical,
 )
 from qsl2.qarith import LaurentPoly, q_int, specialize_one, v
+from qsl2.serialize import module_descriptor, scalar_json
 from qsl2.tensorcg import tensor
 
 w = Label.findim
@@ -307,11 +308,10 @@ def with_entry(m, gen, col, row, c):
 
 def single_entry_perturbations(m):
     """Each raising or lowering entry c changed to c+1 (c-1 where c+1 is 0) and to 2c."""
-    one = m.flavor.one
     for gen in (m.flavor.raising, m.flavor.lowering):
         for col, entries in m.action[gen].items():
             for row, c in entries.items():
-                for new in (c + one or c - one, c + c):
+                for new in (c + 1 or c - 1, c + c):
                     yield (gen, str(col), str(row), str(new)), with_entry(m, gen, col, row, new)
 
 
@@ -377,11 +377,11 @@ def test_weight_grading_enforced(flavor):
     basis = [Label.findim(0), Label.findim(1)]
     weights = {basis[0]: 1, basis[1]: -1}
     # the raising generator mapping w_0 -> w_1 lowers the weight: must be rejected
-    bad = {flavor.raising: {basis[0]: {basis[1]: flavor.one}}, flavor.lowering: {}}
+    bad = {flavor.raising: {basis[0]: {basis[1]: flavor.ring(1)}}, flavor.lowering: {}}
     with pytest.raises(ValueError, match="breaks the weight grading"):
         WeightModule(flavor, "bad", basis, weights, bad)
     # so does a lowering entry that keeps it
-    bad = {flavor.raising: {}, flavor.lowering: {basis[0]: {basis[0]: flavor.one}}}
+    bad = {flavor.raising: {}, flavor.lowering: {basis[0]: {basis[0]: flavor.ring(1)}}}
     with pytest.raises(ValueError, match="breaks the weight grading"):
         WeightModule(flavor, "bad", basis, weights, bad)
 
@@ -414,12 +414,23 @@ def test_hand_built_module_passes_validation():
         (dict(flavor=KASSEL, action=F1_QUANTUM, weights={w(0): 1.0, w(1): -1}), "F1: weight 1.0 of w_0 is not an integer"),
         (dict(weights={w(0): 0.5, w(1): -1.5}), "F1: weight 0.5 of w_0 is not rational"),
         (dict(action={"e": {w(1): {w(0): 0.5}}, "f": {}}), "F1: e entry 0.5 at (w_0, w_1) is not rational"),
+        (dict(action={"e": {w(1): {w(0): "1"}}, "f": {}}), "F1: e entry 1 at (w_0, w_1) is not rational"),
+        (dict(action={"e": {w(1): {w(0): v}}, "f": {}}), "F1: e entry v at (w_0, w_1) is not rational"),
+        (
+            dict(flavor=QUANTUM, action={**F1_QUANTUM, "E": {w(1): {w(0): 0.5}}}),
+            "F1: E entry 0.5 at (w_0, w_1) is not in Q[v, v^-1]",
+        ),
+        (
+            dict(flavor=QUANTUM, action={**F1_QUANTUM, "E": {w(1): {w(0): "1"}}}),
+            "F1: E entry 1 at (w_0, w_1) is not in Q[v, v^-1]",
+        ),
         (dict(weights={w(0): 1}), "F1: the weights must label exactly the basis"),
         (dict(weights={w(0): 1, w(1): -1, w(2): -3}), "F1: the weights must label exactly the basis"),
     ],
     ids=[
         "unknown-flavor", "duplicate-labels", "unknown-column", "unknown-row", "stored-zero",
         "quantum-rational-weight", "quantum-float-weight", "classical-float-weight", "classical-float-entry",
+        "classical-str-entry", "classical-laurent-entry", "quantum-float-entry", "quantum-str-entry",
         "missing-weight", "extra-weight",
     ],
 )
@@ -427,6 +438,41 @@ def test_constructor_rejects(overrides, message):
     with pytest.raises(ValueError) as exc:
         hand_built_f1(**overrides)
     assert str(exc.value) == message
+
+
+@pytest.mark.parametrize("c", [1, Fraction(1, 2), v + 1], ids=["int", "fraction", "laurent"])
+def test_quantum_entry_may_be_int_fraction_or_laurent(c):
+    m = hand_built_f1(QUANTUM, action={**F1_QUANTUM, "E": {w(1): {w(0): c}}})
+    assert check_relations(m).ok == (c == 1)  # [E,F] w_0 = c w_0, and [1]_v = 1
+    assert module_descriptor(m)["action"]["E"] == [["w_0", "w_1", scalar_json(c)]]
+
+
+# -- the scalar rule: Flavor.ring names the ring; a known integer is stored as an int
+
+
+def test_flavor_ring_names_the_scalar_ring():
+    assert CLASSICAL.ring is Fraction and QUANTUM.ring is LaurentPoly
+    for flavor in (CLASSICAL, QUANTUM):
+        assert not flavor.ring() and flavor.ring(1) == 1
+
+
+def stored(m, gen=None):
+    """Every stored entry of m, or of its generator gen."""
+    return [c for g in ([gen] if gen else m.action) for col in m.action[g].values() for c in col.values()]
+
+
+def test_known_integers_are_stored_as_int():
+    for n in range(9):
+        assert all(type(c) is int for c in stored(finite_dim_classical(n)))
+    verma = verma_classical(Fraction(1, 2), 6)
+    assert all(type(c) is int and c == 1 for c in stored(verma, "f"))
+    # e.w_k = k(1/2-k+1) w_{k-1}: a quotient, a Fraction where it is not integral
+    assert all(type(c) is Fraction for c in stored(verma, "e") if c.denominator != 1)
+    assert {type(c) for c in stored(verma, "e")} <= {int, Fraction}
+    # beta = 1/2, lambda = 1/3: no formula entry is integral, so the ints are the literal +-1s
+    entries = stored(rasskazova(RasskazovaParams(Fraction(1, 2), Fraction(1, 3), 2, 3)))
+    assert {c for c in entries if type(c) is int} == {1, -1}
+    assert all(type(c) is Fraction and c.denominator != 1 for c in entries if type(c) is not int)
 
 
 def test_grading_is_compared_over_the_common_denominator():
@@ -449,7 +495,7 @@ def test_diagonal_generators_are_not_stored(flavor, diag):
     action = {flavor.raising: {}, flavor.lowering: {}}
     WeightModule(flavor, "ok", [lab], {lab: 0}, action)
     with pytest.raises(ValueError):
-        WeightModule(flavor, "bad", [lab], {lab: 0}, {**action, diag: {lab: {lab: flavor.one}}})
+        WeightModule(flavor, "bad", [lab], {lab: 0}, {**action, diag: {lab: {lab: flavor.ring(1)}}})
 
 
 def test_vector_strips_zeros():
@@ -595,11 +641,14 @@ def test_checker_matches_the_reference_on_random_modules(m):
 RATIONALS = st.one_of(st.integers(-12, 40), st.builds(Fraction, st.integers(-60, 60), st.integers(1, 12)))
 
 
-def assert_all_fractions_and_nonzero(m):
+def assert_scalar_types_and_nonzero(m, action):
+    """Fraction weights; each entry nonzero and of its formula's type: an int
+    where the docstring writes a literal integer, a Fraction where it writes
+    an expression in hw, beta or lambda."""
     assert all(type(wt) is Fraction for wt in m.weights.values())
-    for mat in m.action.values():
-        for col in mat.values():
-            assert col and all(type(c) is Fraction and c for c in col.values())
+    for g, mat in m.action.items():
+        for col, entries in mat.items():
+            assert entries and all(c and type(c) is type(action[g][col][row]) for row, c in entries.items())
 
 
 @settings(max_examples=100, deadline=None)
@@ -609,9 +658,9 @@ def test_verma_equals_its_docstring_formula(hw, depth):
     hw = Fraction(hw)
     assert m.weights == {wv(k): hw - 2 * k for k in range(depth + 1)}
     e = {wv(k): {wv(k - 1): k * (hw - k + 1)} for k in range(1, depth + 1) if k * (hw - k + 1)}
-    f = {wv(k): {wv(k + 1): Fraction(1)} for k in range(depth)}
+    f = {wv(k): {wv(k + 1): 1} for k in range(depth)}
     assert m.action == {"e": e, "f": f}
-    assert_all_fractions_and_nonzero(m)
+    assert_scalar_types_and_nonzero(m, {"e": e, "f": f})
 
 
 @st.composite
@@ -660,7 +709,7 @@ def test_rasskazova_equals_its_docstring_formula(p):
                     mat[wr(i, j)] = col
     assert len(m.weights) == p.n * (2 * J + 1)
     assert m.action == {"e": e, "f": f}
-    assert_all_fractions_and_nonzero(m)
+    assert_scalar_types_and_nonzero(m, {"e": e, "f": f})
 
 
 @st.composite

@@ -155,7 +155,7 @@ def frac_matrices(max_dim=4):
 @settings(max_examples=60)
 def test_kernel_annihilates(matrix_and_ncols):
     rows, ncols = matrix_and_ncols
-    kernel = _kernel_fraction_free(rows, ncols, Fraction(1))
+    kernel = _kernel_fraction_free(rows, ncols, Fraction)
     for x in kernel:
         for row in rows:
             assert sum(a * b for a, b in zip(row, x)) == 0
@@ -198,18 +198,18 @@ def rref_kernel(rows, ncols):
 def test_kernel_is_the_normalized_rref_kernel_basis(matrix_and_ncols):
     # the contract of highest_weight_vectors, on any small integer matrix
     rows, ncols = matrix_and_ncols
-    kernel = _kernel_fraction_free([[Fraction(a) for a in row] for row in rows], ncols, Fraction(1))
+    kernel = _kernel_fraction_free([[Fraction(a) for a in row] for row in rows], ncols, Fraction)
     expected, rank = rref_kernel(rows, ncols)
     assert len(kernel) == len(expected) == ncols - rank
     assert [CLASSICAL.normalize(x) for x in kernel] == [CLASSICAL.normalize(x) for x in expected]
 
 
-def dense_kernel_reference(rows, ncols, one):
+def dense_kernel_reference(rows, ncols, ring):
     """_kernel_fraction_free with the dense one-step update, which
     computes every entry of every non-pivot row, zeros included."""
     m = [list(r) for r in rows]
     pivots = []
-    prev = one
+    prev = ring(1)
     r = 0
     for c in range(ncols):
         piv = next((i for i in range(r, len(m)) if m[i][c]), None)
@@ -227,7 +227,7 @@ def dense_kernel_reference(rows, ncols, one):
     pivot_cols = {c for _, c in pivots}
     kernel = []
     for f in (c for c in range(ncols) if c not in pivot_cols):
-        x = [one - one] * ncols
+        x = [ring()] * ncols
         x[f] = prev
         for i, c in pivots:
             if m[i][f]:
@@ -240,7 +240,7 @@ def raising_rows(m, weight):
     """The matrix of the raising operator from one weight space to the next."""
     spaces = weight_spaces(m)
     source, target = spaces[weight], spaces.get(weight + 2, [])
-    rows = [[m.flavor.zero] * len(source) for _ in target]
+    rows = [[m.flavor.ring()] * len(source) for _ in target]
     for j, lab in enumerate(source):
         for row_lab, c in m.column(m.flavor.raising, lab).items():
             rows[target.index(row_lab)][j] = c
@@ -253,10 +253,10 @@ def test_zero_skipping_kernel_equals_the_dense_update(findim):
     for a in range(6):
         for b in range(6):
             module = tensor(findim(a), findim(b))
-            one = module.flavor.one
+            ring = module.flavor.ring
             for weight in weight_spaces(module):
                 rows, ncols = raising_rows(module, weight)
-                assert _kernel_fraction_free(rows, ncols, one) == dense_kernel_reference(rows, ncols, one)
+                assert _kernel_fraction_free(rows, ncols, ring) == dense_kernel_reference(rows, ncols, ring)
 
 
 @given(st.data())
@@ -268,12 +268,12 @@ def test_zero_skipping_kernel_equals_the_dense_update_on_sparse_matrices(data):
     values = data.draw(st.lists(st.integers(-4, 4).filter(bool), min_size=cells, max_size=cells))
     shifts = data.draw(st.lists(st.integers(-2, 2), min_size=cells, max_size=cells))
     entry = [values[k] if k in nonzero else 0 for k in range(cells)]
-    for one, scalar in (
-        (Fraction(1), lambda k: Fraction(entry[k])),
-        (LaurentPoly(1), lambda k: LaurentPoly({shifts[k]: entry[k]})),
+    for ring, scalar in (
+        (Fraction, lambda k: Fraction(entry[k])),
+        (LaurentPoly, lambda k: LaurentPoly({shifts[k]: entry[k]})),
     ):
         rows = [[scalar(i * ncols + j) for j in range(ncols)] for i in range(nrows)]
-        assert _kernel_fraction_free(rows, ncols, one) == dense_kernel_reference(rows, ncols, one)
+        assert _kernel_fraction_free(rows, ncols, ring) == dense_kernel_reference(rows, ncols, ring)
 
 
 def with_int_entries(m):
@@ -297,30 +297,37 @@ def test_hwv_of_a_module_with_int_entries_stays_in_the_ring(findim, n):
     assert any(type(c) is int for mat in ints.action.values() for col in mat.values() for c in col.values())
     found = highest_weight_vectors(tensor(ints, ints))
     assert found == highest_weight_vectors(tensor(built, built))
-    ring = type(built.flavor.one)  # 1.0 == Fraction(1), so equality alone would pass a float
+    ring = built.flavor.ring  # 1.0 == Fraction(1), so equality alone would pass a float
     assert all(type(c) is ring for _, x in found for c in x.entries.values())
 
 
-@pytest.mark.parametrize("one", [Fraction(1), LaurentPoly(1)], ids=["fraction", "laurent"])
-def test_kernel_of_int_rows_has_ring_entries(one):
+def test_classical_hwv_coordinates_are_fractions():
+    # the output contract: int entries of classical F_n never reach a coordinate
+    for a in range(5):
+        for b in range(5):
+            found = highest_weight_vectors(tensor(finite_dim_classical(a), finite_dim_classical(b)))
+            assert found and all(type(c) is Fraction for _, x in found for c in x.entries.values())
+
+
+@pytest.mark.parametrize("ring", [Fraction, LaurentPoly], ids=["fraction", "laurent"])
+def test_kernel_of_int_rows_has_ring_entries(ring):
     for rows in ([[2, 2]], [[1], [1]], [[2, 2, 0], [1, 1, 3]], [[1, 2, 3], [4, 5, 6]]):
-        kernel = _kernel_fraction_free(rows, len(rows[0]), one)
-        assert all(type(c) is type(one) for x in kernel for c in x)
+        kernel = _kernel_fraction_free(rows, len(rows[0]), ring)
+        assert all(type(c) is ring for x in kernel for c in x)
         for x in kernel:
             for row in rows:
-                assert not sum((a * b for a, b in zip(row, x)), one - one)
+                assert not sum((a * b for a, b in zip(row, x)), ring())
 
 
 def test_kernel_known_case():
     # [[1, 1]] has kernel spanned by (-1, 1)
-    (x,) = _kernel_fraction_free([[Fraction(1), Fraction(1)]], 2, Fraction(1))
+    (x,) = _kernel_fraction_free([[Fraction(1), Fraction(1)]], 2, Fraction)
     assert x[0] * 1 + x[1] * 1 == 0 and any(x)
 
 
 def test_kernel_laurent_entries():
-    one = LaurentPoly(1)
     rows = [[v - v**-1, v**2 - v**-2, LaurentPoly()], [LaurentPoly(), v, v**3]]
-    kernel = _kernel_fraction_free(rows, 3, one)
+    kernel = _kernel_fraction_free(rows, 3, LaurentPoly)
     assert kernel
     for x in kernel:
         for row in rows:
@@ -346,8 +353,7 @@ def test_hwv_top_is_pair_of_tops():
         t = tensor(ctor(2), ctor(3))
         top = [vec for wt, vec in highest_weight_vectors(t) if wt == 5]
         assert len(top) == 1
-        one = t.flavor.one
-        assert top[0].entries == {pair(0, 0): one}
+        assert top[0].entries == {pair(0, 0): t.flavor.ring(1)}
 
 
 def test_hwv_quantum_f1f1_canonical_form():
@@ -442,7 +448,7 @@ def test_highest_weight_vector_needs_a_one_dimensional_kernel():
 
 
 def test_nullspace_certificate_failure_raises(monkeypatch):
-    monkeypatch.setattr(tensorcg, "_kernel_fraction_free", lambda rows, ncols, one: [[one] * ncols])
+    monkeypatch.setattr(tensorcg, "_kernel_fraction_free", lambda rows, ncols, ring: [[ring(1)] * ncols])
     t = tensor(finite_dim_classical(1), finite_dim_classical(1))
     with pytest.raises(NullspaceError, match="certificate failed at weight 0"):
         highest_weight_vectors(t, 0)
