@@ -451,22 +451,25 @@ def check_relations(m: WeightModule) -> RelationReport:
 
 
 def corrupt_one_entry(m: WeightModule) -> WeightModule:
-    """Copy of m with one raising-operator matrix entry perturbed by +1
-    (by -1 where +1 would cancel it).
+    """Copy of m with one raising-operator entry perturbed by +1 (by -1
+    where +1 would cancel it): the first, columns in basis order and rows
+    by position, that a checked relation reads.  Its column x is off the
+    boundary and lowering(y) is nonzero for its row y, or x lies in
+    lowering(z) for some z off the boundary.
 
-    Diagnostic helper: the perturbed module must fail check_relations,
-    which exercises the defect reporting and the CLI exit-status path.
+    Diagnostic helper: the copy must fail check_relations (exercising the
+    defect report and the CLI exit status); ValueError if no entry qualifies.
     """
-    raising = m.flavor.raising
-    mat = m.action[raising]
+    fl = m.flavor
+    up, down = m.action[fl.raising], m.action[fl.lowering]
+    read = {x for z, col in down.items() if z not in m.boundary for x in col}  # by raising(lowering(z))
     for col in m.basis:
-        if mat.get(col):
-            row = min(mat[col], key=m.position)
-            c = mat[col][row] + 1 or mat[col][row] - 1
-            action = {**m.action, raising: {**mat, col: {**mat[col], row: c}}}
-            return WeightModule(
-                m.flavor, m.name + "+fault", m.basis, m.weights, action, boundary=m.boundary
-            )
+        entries = up.get(col, {})
+        for row in sorted(entries, key=m.position):
+            if col in read or (col not in m.boundary and down.get(row)):
+                c = entries[row] + 1 or entries[row] - 1
+                action = {**m.action, fl.raising: {**up, col: {**entries, row: c}}}
+                return WeightModule(fl, m.name + "+fault", m.basis, m.weights, action, boundary=m.boundary)
     raise ValueError(f"{m.name} has no raising entries to perturb")
 
 

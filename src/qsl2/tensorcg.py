@@ -56,38 +56,34 @@ def tensor(a: WeightModule, b: WeightModule) -> WeightModule:
 
     Each raising or lowering g acts by D(g) = g (x) right + left (x) g,
     where (right, left) = flavor.coproduct[g]; a twist acts on its
-    factor by its eigenvalue on that factor's weight, None meaning 1.
+    factor by its eigenvalue on that factor's weight.  The columns are
+    read from the factors' stored maps a.action[g] and b.action[g], so
+    the module holds one label per basis vector and every stored key is
+    a basis label.
     """
     if a.flavor is not b.flavor:
         raise ValueError(f"cannot tensor a {a.flavor.name} and a {b.flavor.name} module")
     fl, one = a.flavor, a.flavor.ring(1)
-    basis = [Label.tensor(la, lb) for la in a.basis for lb in b.basis]
-    weights = {lab: a.weights[lab.index[0]] + b.weights[lab.index[1]] for lab in basis}
+    at = {(la, lb): Label.tensor(la, lb) for la in a.basis for lb in b.basis}
+    weights = {lab: a.weights[la] + b.weights[lb] for (la, lb), lab in at.items()}
 
-    def twists(m, gen):
-        # eigenvalue of a twist on each basis vector of m; None where it is 1
-        eigen = {lab: fl.diagonal[gen](m.weights[lab]) if gen else one for lab in m.basis}
-        return {lab: None if t == one else t for lab, t in eigen.items()}
+    def twists(m, gen):  # eigenvalue of a twist on each basis vector of m, kept where it is not 1
+        return {lab: t for lab in m.basis if gen and (t := fl.diagonal[gen](m.weights[lab])) != one}
 
-    twist = {g: (twists(b, right), twists(a, left)) for g, (right, left) in fl.coproduct.items()}
-    action: dict = {g: {} for g in fl.coproduct}
-    for lab in basis:
-        la, lb = lab.index
-        for g, (rts, lts) in twist.items():
-            rt, lt = rts[lb], lts[la]
-            col = {}
-            for ra, c in a.column(g, la).items():
-                col[Label.tensor(ra, lb)] = c if rt is None else c * rt
+    action: dict = {}
+    for g, (right, left) in fl.coproduct.items():
+        ga, gb, rts, lts = a.action[g], b.action[g], twists(b, right), twists(a, left)
+        mat = action[g] = {}
+        for (la, lb), lab in at.items():
+            rt, lt = rts.get(lb), lts.get(la)
+            col = {at[ra, lb]: c if rt is None else c * rt for ra, c in ga.get(la, {}).items()}
             # g shifts weights, so these rows never meet the ones above
-            for rb, c in b.column(g, lb).items():
-                col[Label.tensor(la, rb)] = c if lt is None else lt * c
+            col.update({at[la, rb]: c if lt is None else lt * c for rb, c in gb.get(lb, {}).items()})
             if col:
-                action[g][lab] = col
+                mat[lab] = col
 
-    boundary = [
-        lab for lab in basis if lab.index[0] in a.boundary or lab.index[1] in b.boundary
-    ]
-    return WeightModule(fl, f"T({a.name};{b.name})", basis, weights, action, boundary=boundary)
+    boundary = [lab for (la, lb), lab in at.items() if la in a.boundary or lb in b.boundary]
+    return WeightModule(fl, f"T({a.name};{b.name})", at.values(), weights, action, boundary=boundary)
 
 
 def weight_spaces(m: WeightModule) -> dict:
@@ -176,6 +172,7 @@ def highest_weight_vectors(m: WeightModule, weight=None) -> list[tuple[object, V
     exactly zero).  Output is ordered by descending weight.
     """
     raising, ring = m.flavor.raising, m.flavor.ring
+    up = m.action[raising]
     spaces = weight_spaces(m)
     asked = sorted(spaces, reverse=True) if weight is None else [w for w in spaces if w == weight]
     out = []
@@ -185,7 +182,7 @@ def highest_weight_vectors(m: WeightModule, weight=None) -> list[tuple[object, V
         tpos = {lab: i for i, lab in enumerate(target)}
         rows = [[ring()] * len(source) for _ in target]
         for j, src in enumerate(source):
-            for row_lab, c in m.column(raising, src).items():
+            for row_lab, c in up.get(src, {}).items():
                 rows[tpos[row_lab]][j] = c
         for coords in _kernel_fraction_free(rows, len(source), ring):
             vec = Vector(m, dict(zip(source, coords)))

@@ -96,6 +96,16 @@ CASES = {
     ),
     "check_findim_3_describe": (["check", "findim", "--n", "3", "--describe"], 0),
     "hwv_3_2_2_csv": (["hwv", "--m", "3", "--n", "2", "--p", "2", "--format", "csv"], 0),
+    "check_fault_injection_rasskazova_0_0_2_1": (
+        ["check", "rasskazova", "--beta", "0", "--lambda", "0", "--n", "2", "--window", "1",
+         "--inject-fault"],
+        1,
+    ),
+    "check_fault_injection_unread_0_0_1_1": (
+        ["check", "rasskazova", "--beta", "0", "--lambda", "0", "--n", "1", "--window", "1",
+         "--inject-fault"],
+        2,
+    ),
 }
 
 

@@ -232,7 +232,10 @@ def test_rasskazova_filtration_never_raises_i():
 @pytest.mark.parametrize(
     "module",
     [finite_dim_classical(4), finite_dim_quantum(4), verma_classical(Fraction(5, 2), 6),
-     rasskazova(RasskazovaParams(Fraction(1, 2), Fraction(-3, 5), 3, 3))],
+     rasskazova(RasskazovaParams(Fraction(1, 2), Fraction(-3, 5), 3, 3)),
+     tensor(finite_dim_classical(2), finite_dim_classical(3)),
+     tensor(finite_dim_quantum(2), finite_dim_quantum(3)),
+     tensor(verma_classical(Fraction(5, 2), 3), finite_dim_classical(1))],
     ids=repr,
 )
 def test_stored_entries_are_keyed_by_the_basis_labels(module):
@@ -339,6 +342,29 @@ def test_every_single_entry_perturbation_of_a_tensor_is_caught(flavor, a, b):
 def test_corrupt_needs_raising_entries():
     with pytest.raises(ValueError):
         corrupt_one_entry(finite_dim_classical(0))
+
+
+FAULT_SCALARS = (0, 1, -1, Fraction(1, 2), Fraction(-1, 2), 2, -2, Fraction(1, 3))
+FAULT_MODULES = [
+    *(rasskazova(RasskazovaParams(beta, lam, n, window))
+      for beta in FAULT_SCALARS for lam in FAULT_SCALARS for n in range(1, 4) for window in range(1, 4)),
+    *(verma_classical(hw, depth)
+      for hw in (0, 1, 2, 3, 4, -1, -3, Fraction(1, 2), Fraction(5, 2), Fraction(-7, 3)) for depth in range(1, 6)),
+    *(findim(flavor, n) for flavor in (CLASSICAL, QUANTUM) for n in range(8)),
+]
+
+
+def test_an_injected_fault_always_fails_the_check():
+    refused = []
+    for m in FAULT_MODULES:
+        try:
+            bad = corrupt_one_entry(m)
+        except ValueError:
+            refused.append(m.name)
+            continue
+        assert not check_relations(bad).ok, m.name
+    # no entry at all, or (V(0, 0, 1, 1)) only e.w^1_0 = w^1_1, which no checked [e,f] reads
+    assert refused == ["V(beta=0;lambda=0;n=1;J=1)", "M(hw=0;depth=1)", "F(n=0)", "Fq(n=0)"]
 
 
 # -- apply ---------------------------------------------------------------------
@@ -633,6 +659,55 @@ def test_checker_matches_the_reference_on_random_modules(m):
     assert check_relations(m) == reference_check_relations(m)
 
 
+# -- tensor products against the coproduct, evaluated with apply ----------------
+
+
+def reference_tensor_action(a, b):
+    """D(g)(la (x) lb) = g.la (x) right.lb + left.la (x) g.lb for each raising
+    or lowering g, with (right, left) = coproduct[g], each factor through apply."""
+
+    def act(m, gen, lab):  # a twist of None is 1
+        x = Vector.basis_vector(m, lab)
+        return (x if gen is None else apply(m, gen, x)).entries
+
+    action = {}
+    for g, (right, left) in a.flavor.coproduct.items():
+        mat = action[g] = {}
+        for la in a.basis:
+            for lb in b.basis:
+                col = {}
+                for xa, xb in ((act(a, g, la), act(b, right, lb)), (act(a, left, la), act(b, g, lb))):
+                    for ra, ca in xa.items():
+                        for rb, cb in xb.items():
+                            row = Label.tensor(ra, rb)
+                            col[row] = col[row] + ca * cb if row in col else ca * cb
+                if col := {row: c for row, c in col.items() if c}:
+                    mat[Label.tensor(la, lb)] = col
+    return action
+
+
+@FLAVORS
+@pytest.mark.parametrize("m, n", [(m, n) for m in range(4) for n in range(4)])
+def test_tensor_of_findim_equals_the_reference_coproduct(flavor, m, n):
+    a, b = findim(flavor, m), findim(flavor, n)
+    assert tensor(a, b).action == reference_tensor_action(a, b)
+
+
+def test_tensor_of_a_verma_module_equals_the_reference_coproduct():
+    for a, b in ((verma_classical(Fraction(5, 2), 3), finite_dim_classical(2)),
+                 (finite_dim_classical(1), verma_classical(-3, 4))):
+        assert tensor(a, b).action == reference_tensor_action(a, b)
+
+
+@settings(max_examples=50, deadline=None)
+@given(graded_classical_modules(), graded_classical_modules())
+def test_tensor_of_random_modules_equals_the_reference_coproduct(a, b):
+    t = tensor(a, b)
+    assert t.action == reference_tensor_action(a, b)
+    assert t.boundary == {Label.tensor(la, lb) for la in a.basis for lb in b.basis
+                          if la in a.boundary or lb in b.boundary}
+
+
 # -- the constructors on integer numerators -------------------------------------
 # verma_classical and rasskazova build every scalar from numerators over one
 # common denominator; these tests hold them to their docstring formulas,
@@ -739,7 +814,15 @@ def wide_denominator_modules(draw):
 @settings(max_examples=100, deadline=None)
 @given(wide_denominator_modules())
 def test_integer_checker_matches_the_reference_on_wide_denominators(m):
-    modules = [m, corrupt_one_entry(m)] if any(m.action["e"].values()) else [m]
+    try:
+        modules = [m, corrupt_one_entry(m)]
+    except ValueError:
+        # no checked relation reads an e entry, so changing any one leaves the report as it is
+        modules, report = [m], check_relations(m)
+        for col, entries in m.action["e"].items():
+            for row, c in entries.items():
+                bad = check_relations(with_entry(m, "e", col, row, c + 1 or c - 1))
+                assert dataclasses.replace(bad, module=m.name) == report
     for x in modules:
         report = check_relations(x)
         assert report == reference_check_relations(x)

@@ -119,6 +119,28 @@ def test_tensor_classical_relations():
             assert check_relations(t).ok, (m, n)
 
 
+@pytest.mark.parametrize(
+    "a, b",
+    [(finite_dim_classical(2), finite_dim_classical(3)), (finite_dim_quantum(2), finite_dim_quantum(3)),
+     (verma_classical(Fraction(5, 2), 3), finite_dim_classical(1))],
+    ids=["classical", "quantum", "verma"],
+)
+def test_tensor_makes_one_label_per_basis_vector_and_reads_no_column(a, b, monkeypatch):
+    made = []
+
+    def counted(la, lb):
+        made.append((la, lb))
+        return Label("tensor", (la, lb))
+
+    def forbidden(*args):
+        raise AssertionError("tensor called WeightModule.column")
+
+    monkeypatch.setattr(Label, "tensor", staticmethod(counted))
+    monkeypatch.setattr(WeightModule, "column", forbidden)
+    t = tensor(a, b)
+    assert len(made) == a.dim * b.dim == t.dim
+
+
 # -- weight spaces -------------------------------------------------------------
 
 
@@ -454,6 +476,19 @@ def test_nullspace_certificate_failure_raises(monkeypatch):
         highest_weight_vectors(t, 0)
     with pytest.raises(NullspaceError):
         phi_vs_oracle(1, 1, 1)
+
+
+@pytest.mark.parametrize("findim", [finite_dim_classical, finite_dim_quantum])
+def test_hwv_reads_the_stored_map_and_certifies_with_apply(findim, monkeypatch):
+    t = tensor(findim(2), findim(3))
+    applied, columns = [], []
+    column = WeightModule.column
+    monkeypatch.setattr(tensorcg, "apply", lambda m, g, x: applied.append(g) or apply(m, g, x))
+    monkeypatch.setattr(WeightModule, "column", lambda m, g, lab: columns.append(g) or column(m, g, lab))
+    found = highest_weight_vectors(t)
+    # one certificate per vector; apply reads a column per entry, the matrix none
+    assert applied == [t.flavor.raising] * len(found) == [t.flavor.raising] * 3
+    assert len(columns) == sum(len(x.entries) for _, x in found)
 
 
 def test_hwv_specializes_to_classical():
