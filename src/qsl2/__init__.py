@@ -24,7 +24,6 @@ from .modrep import (
     CLASSICAL,
     QUANTUM,
     Flavor,
-    Label,
     RasskazovaParams,
     RelationFailure,
     RelationReport,
@@ -67,7 +66,6 @@ __all__ = [
     "CLASSICAL",
     "QUANTUM",
     "Flavor",
-    "Label",
     "RasskazovaParams",
     "RelationFailure",
     "RelationReport",

@@ -15,6 +15,10 @@ checked on int numerators over one common denominator; a Fraction is
 made only where a scalar is a quotient or is reported.  Modules are
 immutable after construction and every operation here is pure.
 
+A basis label is the vector's printed name, a str: w_k for F_n and the
+Verma modules, w^i_j for Rasskazova's, and la*lb for a tensor product.
+Any hashable label is allowed; it is printed with str.
+
 Every module carries a ``Flavor``, CLASSICAL or QUANTUM: the one value
 that tells the two apart.  It names the generators and the scalar
 ring, whose zero is ``ring()`` and one ``ring(1)``, gives the
@@ -29,47 +33,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
-from typing import Callable, NamedTuple
+from typing import Callable
 
 from .qarith import LaurentPoly, lp_gcd, primitive, q_int
-
-
-class Label(NamedTuple):
-    """Basis label; ``kind`` is one of findim/verma/rasskazova/tensor.
-
-    findim and verma labels carry a single index k (k = 0 is the highest
-    weight vector); rasskazova labels carry (i, j); tensor labels carry
-    the pair of constituent labels.  A tuple, so labels hash and compare
-    in C: they are the keys of every sparse column and vector.
-    """
-
-    kind: str
-    index: tuple
-
-    @staticmethod
-    def findim(k: int) -> "Label":
-        return Label("findim", (k,))
-
-    @staticmethod
-    def verma(k: int) -> "Label":
-        return Label("verma", (k,))
-
-    @staticmethod
-    def rasskazova(i: int, j: int) -> "Label":
-        return Label("rasskazova", (i, j))
-
-    @staticmethod
-    def tensor(a: "Label", b: "Label") -> "Label":
-        return Label("tensor", (a, b))
-
-    def __str__(self):
-        if self.kind in ("findim", "verma"):
-            return f"w_{self.index[0]}"
-        if self.kind == "rasskazova":
-            i, j = self.index
-            return f"w^{i}_{j}"
-        a, b = self.index
-        return f"{a}*{b}"
 
 
 @dataclass(frozen=True, eq=False)
@@ -108,7 +74,8 @@ class WeightModule:
     ``{row label: scalar}`` of the matrix of g; it holds exactly the
     raising and lowering generators.  ``boundary`` lists basis vectors
     whose image under some generator was clipped by truncating an
-    infinite module; relation checks skip them.
+    infinite module; relation checks skip them.  A label is any hashable,
+    printed with str; the built-in modules use the vector's name, a str.
     """
 
     __slots__ = ("flavor", "name", "basis", "weights", "action", "boundary", "_pos")
@@ -131,10 +98,10 @@ class WeightModule:
     def dim(self) -> int:
         return len(self.basis)
 
-    def position(self, label: Label) -> int:
+    def position(self, label) -> int:
         return self._pos[label]
 
-    def column(self, gen: str, label: Label) -> dict:
+    def column(self, gen: str, label) -> dict:
         """Sparse image of a basis vector under a generator."""
         mat = self.action.get(gen)
         if mat is not None:
@@ -153,6 +120,8 @@ class WeightModule:
         weights = self.weights
         if weights.keys() != self._pos.keys():  # so a lookup in weights finds a label and its weight
             raise ValueError(f"{self.name}: the weights must label exactly the basis")
+        if stray := self.boundary.difference(self._pos):  # else a typo leaves its vector checked
+            raise ValueError(f"{self.name}: boundary label {min(map(str, stray))} is not in the basis")
         types = set(map(type, weights.values()))
         if not types <= allowed:
             lab, wt = next((lab, wt) for lab, wt in weights.items() if type(wt) not in allowed)
@@ -199,7 +168,7 @@ class Vector:
         return cls(module, {})
 
     @classmethod
-    def basis_vector(cls, module: WeightModule, label: Label) -> "Vector":
+    def basis_vector(cls, module: WeightModule, label) -> "Vector":
         return cls(module, {label: module.flavor.ring(1)})
 
     def is_zero(self) -> bool:
@@ -264,7 +233,7 @@ def finite_dim_classical(n: int) -> WeightModule:
     """
     if n < 0:
         raise ValueError(f"finite-dimensional module needs n >= 0, got {n}")
-    basis = [Label.findim(k) for k in range(n + 1)]
+    basis = [f"w_{k}" for k in range(n + 1)]
     weights = {lab: n - 2 * k for k, lab in enumerate(basis)}
     e = {basis[k]: {basis[k - 1]: n - k + 1} for k in range(1, n + 1)}
     f = {basis[k]: {basis[k + 1]: k + 1} for k in range(n)}
@@ -278,7 +247,7 @@ def finite_dim_quantum(n: int) -> WeightModule:
     """
     if n < 0:
         raise ValueError(f"finite-dimensional module needs n >= 0, got {n}")
-    basis = [Label.findim(k) for k in range(n + 1)]
+    basis = [f"w_{k}" for k in range(n + 1)]
     weights = {lab: n - 2 * k for k, lab in enumerate(basis)}
     E = {basis[k]: {basis[k - 1]: q_int(n - k + 1)} for k in range(1, n + 1)}
     F = {basis[k]: {basis[k + 1]: q_int(k + 1)} for k in range(n)}
@@ -295,7 +264,7 @@ def verma_classical(hw, depth: int) -> WeightModule:
         raise ValueError(f"Verma truncation depth must be >= 1, got {depth}")
     hw = Fraction(hw)
     p, q = hw.numerator, hw.denominator  # every scalar below over q, built once
-    basis = [Label.verma(k) for k in range(depth + 1)]
+    basis = [f"w_{k}" for k in range(depth + 1)]
     weights = {lab: Fraction(p - 2 * k * q, q) for k, lab in enumerate(basis)}
     e = {basis[k]: {basis[k - 1]: Fraction(k * (p - (k - 1) * q), q)}
          for k in range(1, depth + 1) if p != (k - 1) * q}  # no zero stored where hw = k-1
@@ -336,14 +305,13 @@ def rasskazova(p: RasskazovaParams) -> WeightModule:
     beta, lam, n, J = p.beta, p.lam, p.n, p.window
     D = lcm(beta.denominator, lam.denominator)  # every scalar below over D, from numerators B and L
     B, L = int(beta * D), int(lam * D)
-    basis = [Label.rasskazova(i, j) for i in range(1, n + 1) for j in range(-J, J + 1)]
+    at = {(i, j): f"w^{i}_{j}" for i in range(1, n + 1) for j in range(-J, J + 1)}  # entries reuse these
+    basis = list(at.values())
     weights = dict(zip(basis, [Fraction(2 * j * D + B, D) for j in range(-J, J + 1)] * n))
-    at = {lab.index: lab for lab in basis}  # every entry keyed by the label object in basis
 
     e: dict = {}
     f: dict = {}
-    for lab in basis:
-        i, j = lab.index
+    for (i, j), lab in at.items():
         if j + 1 <= J:
             col: dict = {}
             if j >= 0:
@@ -368,7 +336,7 @@ def rasskazova(p: RasskazovaParams) -> WeightModule:
                 col[at[i, j - 1]] = -1
             if col:
                 f[lab] = col
-    boundary = [lab for lab in basis if abs(lab.index[1]) == J]
+    boundary = [lab for (i, j), lab in at.items() if abs(j) == J]
     name = f"V(beta={beta};lambda={lam};n={n};J={J})"
     return WeightModule(CLASSICAL, name, basis, weights, {"e": e, "f": f}, boundary=boundary)
 
@@ -379,7 +347,7 @@ def rasskazova(p: RasskazovaParams) -> WeightModule:
 @dataclass(frozen=True)
 class RelationFailure:
     relation: str
-    label: Label
+    label: object
     defect: tuple  # ((label, scalar), ...) in ambient order, never empty
 
 
@@ -395,9 +363,9 @@ class RelationReport:
     module: str
     flavor: str
     relations: tuple[str, ...]
-    checked: tuple[Label, ...]
+    checked: tuple
     failures: tuple[RelationFailure, ...]
-    excluded: tuple[Label, ...]
+    excluded: tuple
 
     @property
     def ok(self) -> bool:

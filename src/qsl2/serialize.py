@@ -5,6 +5,7 @@ rationals become "a/b" strings, Laurent polynomials become lists of
 (exponent, numerator, denominator) triples ascending by exponent.
 These forms are the machine-readable contract of the command-line
 tool; the token forms are comma-free so CSV rows need no quoting.
+A basis label is written as it is: the built-in ones are str names.
 """
 
 from __future__ import annotations
@@ -48,7 +49,7 @@ def scalar_token(x) -> str:
 
 
 def vector_json(x: Vector) -> list:
-    return [[str(lab), scalar_json(c)] for lab, c in x.items_in_order()]
+    return [[lab, scalar_json(c)] for lab, c in x.items_in_order()]
 
 
 def decomposition_json(d: Decomposition) -> list:
@@ -64,12 +65,12 @@ def relation_report_json(r: RelationReport) -> dict:
         "failures": [
             {
                 "relation": fl.relation,
-                "label": str(fl.label),
-                "defect": [[str(lab), scalar_json(c)] for lab, c in fl.defect],
+                "label": fl.label,
+                "defect": [[lab, scalar_json(c)] for lab, c in fl.defect],
             }
             for fl in r.failures
         ],
-        "excluded": [str(lab) for lab in r.excluded],
+        "excluded": list(r.excluded),
         "ok": r.ok,
     }
 
@@ -81,7 +82,7 @@ def comparison_json(r: ComparisonReport) -> dict:
     else:
         lab, phi_c, oracle_c = r.witness
         out["witness"] = {
-            "label": str(lab),
+            "label": lab,
             "formula": scalar_json(phi_c),
             "oracle": scalar_json(oracle_c),
         }
@@ -90,21 +91,23 @@ def comparison_json(r: ComparisonReport) -> dict:
 
 def module_descriptor(m: WeightModule) -> dict:
     """Full sparse description: flavor, basis, weights, and each
-    generator as (row label, column label, scalar) triplets."""
-    name = {lab: str(lab) for lab in m.basis}  # each label rendered once
+    generator as (row label, column label, scalar) triplets; the
+    diagonal ones from their eigenvalues on the weights."""
+    fl = m.flavor
     action = {}
-    for g in m.flavor.generators:
-        triplets = []
-        for col in m.basis:
-            entries = m.column(g, col)
-            for row in sorted(entries, key=m.position):
-                triplets.append([name[row], name[col], scalar_json(entries[row])])
-        action[g] = triplets
+    for g in fl.generators:
+        if g in m.action:
+            mat = m.action[g]
+            action[g] = [[row, col, scalar_json(mat[col][row])]
+                         for col in m.basis if col in mat for row in sorted(mat[col], key=m.position)]
+        else:
+            eigen = fl.diagonal[g]
+            action[g] = [[lab, lab, scalar_json(c)] for lab in m.basis if (c := eigen(m.weights[lab]))]
     return {
-        "flavor": m.flavor.name,
+        "flavor": fl.name,
         "name": m.name,
-        "basis": list(name.values()),
-        "weights": [[name[lab], rational_json(m.weights[lab])] for lab in m.basis],
+        "basis": list(m.basis),
+        "weights": [[lab, rational_json(m.weights[lab])] for lab in m.basis],
         "action": action,
-        "boundary": [name[lab] for lab in m.basis if lab in m.boundary],
+        "boundary": [lab for lab in m.basis if lab in m.boundary],
     }

@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable
 
-from .modrep import Label, Vector, WeightModule, apply, finite_dim_quantum
+from .modrep import Vector, WeightModule, apply, finite_dim_quantum
 from .qarith import ExactDivisionError, LaurentPoly, q_int
 
 
@@ -59,12 +59,13 @@ def tensor(a: WeightModule, b: WeightModule) -> WeightModule:
     factor by its eigenvalue on that factor's weight.  The columns are
     read from the factors' stored maps a.action[g] and b.action[g], so
     the module holds one label per basis vector and every stored key is
-    a basis label.
+    a basis label.  The vector la (x) lb is named f"{la}*{lb}", in basis
+    order a's basis then b's; ValueError if two of these names coincide.
     """
     if a.flavor is not b.flavor:
         raise ValueError(f"cannot tensor a {a.flavor.name} and a {b.flavor.name} module")
     fl, one = a.flavor, a.flavor.ring(1)
-    at = {(la, lb): Label.tensor(la, lb) for la in a.basis for lb in b.basis}
+    at = {(la, lb): f"{la}*{lb}" for la in a.basis for lb in b.basis}
     weights = {lab: a.weights[la] + b.weights[lb] for (la, lb), lab in at.items()}
 
     def twists(m, gen):  # eigenvalue of a twist on each basis vector of m, kept where it is not 1
@@ -312,7 +313,7 @@ def phi_vector(
             coeff = coeff * q_int(i)
         for i in range(m - p + 1, m - k + 1):  # [m-k]!/[m-p]!
             coeff = coeff * q_int(i)
-        lab = Label.tensor(Label.findim(pos_a), Label.findim(pos_b))
+        lab = module.basis[pos_a * (n + 1) + pos_b]  # tensor's name for w_{pos_a} (x) w_{pos_b}
         entries[lab] = entries.get(lab, LaurentPoly()) + coeff
 
     note = f"interpretation={interpretation.ident};cleared-by=[{m}]!/[{m - p}]!"

@@ -74,7 +74,7 @@ def test_criterion_2_relation_verification():
             for n in (1, 2, 3):
                 report = check_relations(rasskazova(RasskazovaParams(beta, lam, n, 10)))
                 assert report.ok, (beta, lam, n)
-                assert {lab.index[1] for lab in report.checked} == set(range(-9, 10))
+                assert {int(lab.rsplit("_", 1)[1]) for lab in report.checked} == set(range(-9, 10))  # j of w^i_j
 
 
 def test_criterion_3_highest_weight_oracle_soundness():

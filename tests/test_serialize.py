@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from qsl2.modrep import Label, Vector, finite_dim_classical, finite_dim_quantum
+from qsl2.modrep import Vector, finite_dim_classical, finite_dim_quantum
 from qsl2.qarith import LaurentPoly, q_fact, v
 from qsl2.serialize import (
     comparison_json,
@@ -50,7 +50,7 @@ def test_scalar_token_dispatch():
 
 def test_vector_json_ambient_order():
     m = finite_dim_classical(2)
-    x = Vector(m, {Label.findim(2): Fraction(1, 2), Label.findim(0): Fraction(-3)})
+    x = Vector(m, {"w_2": Fraction(1, 2), "w_0": Fraction(-3)})
     assert vector_json(x) == [["w_0", -3], ["w_2", "1/2"]]
 
 

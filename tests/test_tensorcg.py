@@ -7,7 +7,6 @@ from hypothesis import given, settings, strategies as st
 from qsl2.modrep import (
     CLASSICAL,
     QUANTUM,
-    Label,
     RasskazovaParams,
     Vector,
     WeightModule,
@@ -37,13 +36,6 @@ from qsl2.tensorcg import (
     weight_spaces,
 )
 
-w = Label.findim
-
-
-def pair(i, j):
-    return Label.tensor(w(i), w(j))
-
-
 # -- tensor construction ------------------------------------------------------
 
 
@@ -52,14 +44,14 @@ def test_tensor_classical_unit_factor():
     t = tensor(a, b)
     for g in ("e", "f", "h"):
         for k in b.basis:
-            got = t.column(g, pair(0, k.index[0]))
-            assert got == {pair(0, r.index[0]): c for r, c in b.column(g, k).items()}
+            got = t.column(g, f"w_0*{k}")
+            assert got == {f"w_0*{r}": c for r, c in b.column(g, k).items()}
 
 
 def test_tensor_classical_coproduct():
     t = tensor(finite_dim_classical(1), finite_dim_classical(1))
-    got = apply(t, "e", Vector.basis_vector(t, pair(1, 1)))
-    assert got.entries == {pair(0, 1): 1, pair(1, 0): 1}
+    got = apply(t, "e", Vector.basis_vector(t, "w_1*w_1"))
+    assert got.entries == {"w_0*w_1": 1, "w_1*w_0": 1}
 
 
 def test_tensor_dimensions():
@@ -76,14 +68,14 @@ def test_tensor_flavor_mismatch():
 
 def test_tensor_quantum_grouplike_K():
     t = tensor(finite_dim_quantum(2), finite_dim_quantum(3))
-    got = apply(t, "K", Vector.basis_vector(t, pair(0, 0)))
-    assert got.entries == {pair(0, 0): v**5}
+    got = apply(t, "K", Vector.basis_vector(t, "w_0*w_0"))
+    assert got.entries == {"w_0*w_0": v**5}
 
 
 def test_tensor_quantum_E_coproduct():
     t = tensor(finite_dim_quantum(1), finite_dim_quantum(1))
-    got = apply(t, "E", Vector.basis_vector(t, pair(1, 1)))
-    assert got.entries == {pair(0, 1): v**-1, pair(1, 0): LaurentPoly(1)}
+    got = apply(t, "E", Vector.basis_vector(t, "w_1*w_1"))
+    assert got.entries == {"w_0*w_1": v**-1, "w_1*w_0": LaurentPoly(1)}
 
 
 def test_tensor_follows_the_flavor_coproduct():
@@ -98,8 +90,8 @@ def test_tensor_follows_the_flavor_coproduct():
         for n in range(3):
             assert check_relations(tensor(findim(m), findim(n))).ok, (m, n)
     t = tensor(findim(1), findim(1))
-    got = apply(t, "E", Vector.basis_vector(t, pair(1, 1)))
-    assert got.entries == {pair(0, 1): LaurentPoly(1), pair(1, 0): v**-1}
+    got = apply(t, "E", Vector.basis_vector(t, "w_1*w_1"))
+    assert got.entries == {"w_0*w_1": LaurentPoly(1), "w_1*w_0": v**-1}
 
 
 def test_tensor_quantum_relations():
@@ -126,19 +118,20 @@ def test_tensor_classical_relations():
     ids=["classical", "quantum", "verma"],
 )
 def test_tensor_makes_one_label_per_basis_vector_and_reads_no_column(a, b, monkeypatch):
-    made = []
-
-    def counted(la, lb):
-        made.append((la, lb))
-        return Label("tensor", (la, lb))
-
     def forbidden(*args):
         raise AssertionError("tensor called WeightModule.column")
 
-    monkeypatch.setattr(Label, "tensor", staticmethod(counted))
     monkeypatch.setattr(WeightModule, "column", forbidden)
     t = tensor(a, b)
-    assert len(made) == a.dim * b.dim == t.dim
+    assert t.basis == tuple(f"{la}*{lb}" for la in a.basis for lb in b.basis)
+
+
+def test_tensor_refuses_product_names_that_coincide():
+    # x (x) y*z and x*y (x) z would both be named x*y*z
+    a = WeightModule(CLASSICAL, "a", ["x", "x*y"], {"x": 0, "x*y": 0}, {"e": {}, "f": {}})
+    b = WeightModule(CLASSICAL, "b", ["y*z", "z"], {"y*z": 0, "z": 0}, {"e": {}, "f": {}})
+    with pytest.raises(ValueError, match="pairwise distinct"):
+        tensor(a, b)
 
 
 # -- weight spaces -------------------------------------------------------------
@@ -148,7 +141,7 @@ def test_weight_spaces_f1f1():
     t = tensor(finite_dim_classical(1), finite_dim_classical(1))
     spaces = weight_spaces(t)
     assert {k: len(v) for k, v in spaces.items()} == {2: 1, 0: 2, -2: 1}
-    assert spaces[0] == [pair(0, 1), pair(1, 0)]
+    assert spaces[0] == ["w_0*w_1", "w_1*w_0"]
 
 
 def test_weight_spaces_multiplicity_free():
@@ -366,8 +359,8 @@ def test_hwv_classical_f1f1():
     t = tensor(finite_dim_classical(1), finite_dim_classical(1))
     found = dict(highest_weight_vectors(t))
     assert set(found) == {2, 0}
-    assert found[0].entries == {pair(0, 1): 1, pair(1, 0): -1}
-    assert found[2].entries == {pair(0, 0): 1}
+    assert found[0].entries == {"w_0*w_1": 1, "w_1*w_0": -1}
+    assert found[2].entries == {"w_0*w_0": 1}
 
 
 def test_hwv_top_is_pair_of_tops():
@@ -375,7 +368,7 @@ def test_hwv_top_is_pair_of_tops():
         t = tensor(ctor(2), ctor(3))
         top = [vec for wt, vec in highest_weight_vectors(t) if wt == 5]
         assert len(top) == 1
-        assert top[0].entries == {pair(0, 0): t.flavor.ring(1)}
+        assert top[0].entries == {"w_0*w_0": t.flavor.ring(1)}
 
 
 def test_hwv_quantum_f1f1_canonical_form():
@@ -383,7 +376,7 @@ def test_hwv_quantum_f1f1_canonical_form():
     found = dict(highest_weight_vectors(t))
     # kernel of E on the weight-0 space, normalized to coprime integer
     # coefficients with positive leading coefficient first
-    assert found[0].entries == {pair(0, 1): v, pair(1, 0): LaurentPoly(-1)}
+    assert found[0].entries == {"w_0*w_1": v, "w_1*w_0": LaurentPoly(-1)}
 
 
 def test_hwv_annihilated_and_eigen():
@@ -417,7 +410,7 @@ def test_hwv_trivial_tensor():
     t = tensor(finite_dim_quantum(0), finite_dim_quantum(0))
     assert cg_decompose(0, 0).summands == {0: 1}
     [(wt, vec)] = highest_weight_vectors(t)
-    assert wt == 0 and vec.entries == {pair(0, 0): LaurentPoly(1)}
+    assert wt == 0 and vec.entries == {"w_0*w_0": LaurentPoly(1)}
 
 
 def test_hwv_on_truncated_verma_finds_submodule_generator():
@@ -425,8 +418,8 @@ def test_hwv_on_truncated_verma_finds_submodule_generator():
     m = verma_classical(2, 5)
     found = dict(highest_weight_vectors(m))
     assert set(found) == {2, -4}
-    assert found[2].entries == {Label.verma(0): 1}
-    assert found[-4].entries == {Label.verma(3): 1}
+    assert found[2].entries == {"w_0": 1}
+    assert found[-4].entries == {"w_3": 1}
 
 
 def test_hwv_of_one_weight_is_the_full_result_filtered():
@@ -500,10 +493,7 @@ def test_hwv_specializes_to_classical():
             classical = {wt: vec for wt, vec in highest_weight_vectors(tc)}
             assert set(quantum) == set(classical)
             for wt, qvec in quantum.items():
-                spec = {
-                    Label.tensor(*lab.index): specialize_one(c)
-                    for lab, c in qvec.entries.items()
-                }
+                spec = {lab: specialize_one(c) for lab, c in qvec.entries.items()}
                 lead = next(
                     spec[lab] for lab in tc.basis if spec.get(lab)
                 )
@@ -635,21 +625,21 @@ def test_decomposition_validates_multiplicity():
 
 def test_phi_depth_zero_single_term():
     vec = phi_vector(2, 3, 0)
-    assert vec.entries == {pair(0, 0): -(v**3)}  # (-1)^(n-p) v^n with n = 3
+    assert vec.entries == {"w_0*w_0": -(v**3)}  # (-1)^(n-p) v^n with n = 3
     vec = phi_vector(2, 2, 0)
-    assert vec.entries == {pair(0, 0): v**2}
+    assert vec.entries == {"w_0*w_0": v**2}
 
 
 def test_phi_1_1_1_terms():
     vec = phi_vector(1, 1, 1)
-    assert vec.entries == {pair(0, 1): v**-1, pair(1, 0): v}
+    assert vec.entries == {"w_0*w_1": v**-1, "w_1*w_0": v}
     assert "weight-matched-v1" in vec.note
 
 
 def test_phi_denominator_clearing():
     # (3,1,1): raw coefficients involve 1/[3]; cleared by [3]!/[2]! = [3]
     vec = phi_vector(3, 1, 1)
-    assert vec.entries == {pair(0, 1): q_int(3) * v**-3, pair(1, 0): v}
+    assert vec.entries == {"w_0*w_1": q_int(3) * v**-3, "w_1*w_0": v}
     assert "[3]!/[2]!" in vec.note
 
 
@@ -682,7 +672,7 @@ def test_phi_vs_oracle_1_1_1_witness():
     # not land on the oracle line and the report documents it
     report = phi_vs_oracle(1, 1, 1)
     assert not report.proportional
-    assert report.witness == (pair(1, 0), v, LaurentPoly(-1))
+    assert report.witness == ("w_1*w_0", v, LaurentPoly(-1))
 
 
 def test_phi_vs_oracle_inexact_first_ratio_is_a_mismatch():
@@ -690,7 +680,7 @@ def test_phi_vs_oracle_inexact_first_ratio_is_a_mismatch():
     # which is not a Laurent polynomial, so no ratio exists
     report = phi_vs_oracle(2, 1, 1, Interpretation("p-k,k", lambda m, n, p, k: (p - k, k)))
     assert not report.proportional and report.scalar is None
-    assert report.witness == (pair(0, 1), v, v**2 + 1)
+    assert report.witness == ("w_0*w_1", v, v**2 + 1)
     assert report.interpretation == "p-k,k"
 
 
