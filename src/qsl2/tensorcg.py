@@ -3,9 +3,10 @@ vector extraction for classical and quantum sl(2).
 
 The decomposition F_m (x) F_n = F_{m+n} (+) ... (+) F_{|m-n|} is produced
 three independent ways: the closed form, character peeling on the product
-of the factors' characters, and exact raising-operator nullspaces
-computed by fraction-free (Bareiss/Gauss-Jordan) elimination over the
-scalar ring of the tensor module.
+of the factors' characters, and exact raising-operator nullspaces: a
+product recurrence on a bidiagonal weight space (each space of F_m (x) F_n
+that holds a highest-weight vector), fraction-free (Bareiss) elimination
+on any other.  Each kernel is certified annihilated and complete.
 The explicit highest-weight transfer formula, evaluated verbatim with
 exact q-factorial coefficients, is adjudicated against the nullspace
 oracle and the outcome reported as data.
@@ -25,7 +26,7 @@ class DecompositionError(ValueError):
 
 
 class NullspaceError(ArithmeticError):
-    """A raising-operator kernel failed its certificate or its expected dimension."""
+    """A raising-operator kernel failed a side of its certificate or its expected dimension."""
 
 
 @dataclass(frozen=True)
@@ -95,7 +96,7 @@ def weight_spaces(m: WeightModule) -> dict:
     return spaces
 
 
-# -- exact nullspace by fraction-free elimination ------------------------------
+# -- exact nullspaces: elimination, recurrence, rank mod p ---------------------
 
 
 def _kernel_fraction_free(rows: list[list], ncols: int, ring: type):
@@ -154,6 +155,75 @@ def _kernel_fraction_free(rows: list[list], ncols: int, ring: type):
     return kernel
 
 
+def _bidiagonal_kernel(rows: list[list], ring: type) -> list:
+    """The kernel vector x_k = (-1)^k d_0..d_{k-1} s_k..s_{p-1} of a p x (p+1)
+    matrix whose row r holds only d_r at column r and s_r at column r+1.
+
+    >>> _bidiagonal_kernel([[2, 5]], int)  # [[d, s]]
+    [5, -2]
+    """
+    p = len(rows)
+    suffix = [ring(1)] * (p + 1)  # suffix[k] = s_k..s_{p-1}
+    for k in range(p - 1, -1, -1):
+        suffix[k] = rows[k][k + 1] * suffix[k + 1]
+    x, prefix = [], ring(1)  # prefix = d_0..d_{k-1}
+    for k in range(p + 1):
+        x.append(prefix * suffix[k] if k % 2 == 0 else -(prefix * suffix[k]))
+        if k < p:
+            prefix = prefix * rows[k][k]
+    return x
+
+
+# (v0, prime): v -> v0 mod prime can only lower a rank; 65537 is no small root, as 3 may be
+_SPECIALIZATIONS = ((3, 2**61 - 1), (65537, 2**89 - 1))
+
+
+def _rank_mod(rows: list[list], v0: int, prime: int) -> int:
+    """Rank of rows at v = v0 over GF(prime); ValueError if a denominator vanishes there."""
+
+    def at(c):
+        if isinstance(c, LaurentPoly):
+            return sum(at(a) * pow(v0, e, prime) for e, a in c.terms())
+        return c % prime if type(c) is int else c.numerator * pow(c.denominator, -1, prime)
+
+    m, rank = [[at(c) % prime for c in row] for row in rows], 0
+    for c in range(len(m[0]) if m else 0):
+        piv = next((i for i in range(rank, len(m)) if m[i][c]), None)
+        if piv is not None:
+            m[rank], m[piv] = m[piv], m[rank]
+            inv = pow(m[rank][c], -1, prime)
+            for i in range(rank + 1, len(m)):
+                if f := m[i][c] * inv % prime:
+                    m[i] = [(a - f * b) % prime for a, b in zip(m[i], m[rank])]
+            rank += 1
+    return rank
+
+
+def _kernel(rows: list[list], ncols: int, ring: type) -> list:
+    """Right kernel of rows (ncols columns), proven complete.  A p x (p+1)
+    bidiagonal matrix with every s_r nonzero has rank p (columns 1..p are
+    triangular), so its recurrence vector spans the kernel.  Otherwise a
+    rank of ncols at v0 mod prime proves the kernel is 0; else Bareiss's
+    vectors must be independent there and as many as the nullity there,
+    at the first (v0, prime) or the second; NullspaceError if at neither."""
+    if len(rows) == ncols - 1 and all(
+            row[r + 1] and not any(row[:r] + row[r + 2:]) for r, row in enumerate(rows)):
+        return [_bidiagonal_kernel(rows, ring)]
+    kernel = nullity = None
+    for v0, prime in _SPECIALIZATIONS:
+        try:
+            nullity = ncols - _rank_mod(rows, v0, prime)
+        except ValueError:  # a denominator of rows vanishes mod prime
+            continue
+        if kernel is None:
+            if not nullity:
+                return []
+            kernel = _kernel_fraction_free(rows, ncols, ring)  # minors of rows: no new denominator
+        if len(kernel) == nullity == _rank_mod(kernel, v0, prime):
+            return kernel
+    raise NullspaceError(f"kernel not proven complete: {len(kernel or ())} vectors, nullity {nullity} mod p")
+
+
 def highest_weight_vectors(m: WeightModule, weight=None) -> list[tuple[object, Vector]]:
     """Exact basis of raising-operator kernels, one weight space at a time;
     only the space of ``weight`` when it is given (none if m lacks it).
@@ -168,9 +238,9 @@ def highest_weight_vectors(m: WeightModule, weight=None) -> list[tuple[object, V
     integer coefficients, positive leading coefficient in the first
     nonzero entry).  Normalisation removes every scalar factor, so any
     exact method yielding these vectors up to ring scalars meets it;
-    here it is fraction-free elimination, certified by applying the
-    raising operator to every returned vector (the product must be
-    exactly zero).  Output is ordered by descending weight.
+    here it is ``_kernel``, whose kernels are proven complete; applying
+    the raising operator to every returned vector must give exactly
+    zero.  Output is ordered by descending weight.
     """
     raising, ring = m.flavor.raising, m.flavor.ring
     up = m.action[raising]
@@ -185,7 +255,7 @@ def highest_weight_vectors(m: WeightModule, weight=None) -> list[tuple[object, V
         for j, src in enumerate(source):
             for row_lab, c in up.get(src, {}).items():
                 rows[tpos[row_lab]][j] = c
-        for coords in _kernel_fraction_free(rows, len(source), ring):
+        for coords in _kernel(rows, len(source), ring):
             vec = Vector(m, dict(zip(source, coords)))
             if not apply(m, raising, vec).is_zero():
                 raise NullspaceError(f"nullspace certificate failed at weight {w} of {m.name}")

@@ -3,6 +3,7 @@ import os
 import re
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -336,20 +337,20 @@ def test_injected_fault_never_cancels_its_entry(capsys, argv):
     assert envelope["payload"]["failures"]
 
 
-# -- hwv: one elimination per request ----------------------------------------
+# -- hwv: one kernel solve per request ----------------------------------------
 
 HWV_3_3_1 = ["hwv", "--m", "3", "--n", "3", "--p", "1"]
 
 
 @pytest.mark.parametrize("flags", [[], ["--quantum"]])
 def test_hwv_request_runs_one_elimination(capsys, monkeypatch, flags):
-    calls = []
-    kernel = tensorcg._kernel_fraction_free
-    monkeypatch.setattr(
-        tensorcg, "_kernel_fraction_free", lambda *args: calls.append(args) or kernel(*args)
-    )
+    # one kernel solve, by the recurrence: the space of weight m+n-2p is bidiagonal
+    calls = Counter()
+    for name in ("_kernel", "_bidiagonal_kernel", "_kernel_fraction_free"):
+        solver = getattr(tensorcg, name)
+        monkeypatch.setattr(tensorcg, name, lambda *args, n=name, f=solver: calls.update([n]) or f(*args))
     code, _ = run_cli(capsys, HWV_3_3_1 + flags)
-    assert code == 0 and len(calls) == 1
+    assert code == 0 and calls == Counter({"_kernel": 1, "_bidiagonal_kernel": 1})  # no _kernel_fraction_free
 
 
 @pytest.mark.parametrize("flags", [[], ["--quantum"]])
@@ -362,7 +363,7 @@ def test_hwv_request_runs_one_elimination(capsys, monkeypatch, flags):
     ids=["empty", "not-annihilated"],
 )
 def test_hwv_oracle_failure_is_internal_failure(capsys, monkeypatch, flags, kernel, error):
-    monkeypatch.setattr(tensorcg, "_kernel_fraction_free", kernel)
+    monkeypatch.setattr(tensorcg, "_kernel", kernel)
     code, out = run_cli(capsys, HWV_3_3_1 + flags)
     assert code == 1
     envelope = json.loads(out)

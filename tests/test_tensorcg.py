@@ -1,4 +1,5 @@
 import dataclasses
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -463,12 +464,154 @@ def test_highest_weight_vector_needs_a_one_dimensional_kernel():
 
 
 def test_nullspace_certificate_failure_raises(monkeypatch):
-    monkeypatch.setattr(tensorcg, "_kernel_fraction_free", lambda rows, ncols, ring: [[ring(1)] * ncols])
+    monkeypatch.setattr(tensorcg, "_kernel", lambda rows, ncols, ring: [[ring(1)] * ncols])
     t = tensor(finite_dim_classical(1), finite_dim_classical(1))
     with pytest.raises(NullspaceError, match="certificate failed at weight 0"):
         highest_weight_vectors(t, 0)
     with pytest.raises(NullspaceError):
         phi_vs_oracle(1, 1, 1)
+
+
+# -- certified kernels: recurrence, rank mod p, completeness -------------------------
+
+
+def count_calls(monkeypatch, *names):
+    """A Counter of the calls to the named tensorcg functions, each still run."""
+    calls = Counter()
+    for name in names:
+        fn = getattr(tensorcg, name)
+        monkeypatch.setattr(tensorcg, name, lambda *args, n=name, f=fn: calls.update([n]) or f(*args))
+    return calls
+
+
+def rasskazova_tensor():
+    """A tensor whose spaces of weight 9, 7, 5, 3, 1 have 2-dimensional kernels."""
+    return tensor(rasskazova(RasskazovaParams(0, 0, 1, 2)), rasskazova(RasskazovaParams(1, 2, 2, 2)))
+
+
+@pytest.mark.parametrize(
+    "mutation, count",
+    [(lambda kernel: kernel[:-1], 1), (lambda kernel: [kernel[0]] * len(kernel), 2)],
+    ids=["drops-a-vector", "repeats-a-vector"],
+)
+def test_an_incomplete_kernel_raises(monkeypatch, mutation, count):
+    multi = rasskazova_tensor()
+    wide = [w for w in weight_spaces(multi) if len(highest_weight_vectors(multi, w)) > 1]
+    assert sorted(wide) == [1, 3, 5, 7, 9]
+    monkeypatch.setattr(tensorcg, "_kernel_fraction_free", lambda *args: mutation(_kernel_fraction_free(*args)))
+    for w in wide:
+        # the one-sided check, apply on every returned vector, accepts the mutation
+        rows, ncols = raising_rows(multi, w)
+        mutated = tensorcg._kernel_fraction_free(rows, ncols, multi.flavor.ring)
+        vectors = [Vector(multi, dict(zip(weight_spaces(multi)[w], x))) for x in mutated]
+        assert len(vectors) == count and all(apply(multi, multi.flavor.raising, x).is_zero() for x in vectors)
+        # the nullity mod p, and the rank of the vectors mod p, do not
+        with pytest.raises(NullspaceError, match=f"not proven complete: {count} vectors, nullity 2"):
+            highest_weight_vectors(multi, w)
+
+
+@pytest.mark.parametrize("ring", [Fraction, LaurentPoly], ids=["fraction", "laurent"])
+def test_a_zero_superdiagonal_entry_takes_the_elimination(ring, monkeypatch):
+    calls = count_calls(monkeypatch, "_bidiagonal_kernel", "_kernel_fraction_free")
+    zero_s = ([[4, 0]], [[1, 0, 0], [0, 2, 3]], [[1, 2, 0], [0, 3, 0]], [[0, 0, 0], [0, 1, 1]])
+    for rows in zero_s:
+        rows = [[ring(c) for c in row] for row in rows]
+        assert tensorcg._kernel(rows, len(rows) + 1, ring) == _kernel_fraction_free(rows, len(rows) + 1, ring)
+    assert calls == Counter({"_kernel_fraction_free": len(zero_s)})
+    # a zero d_r keeps the shape: the recurrence still solves it
+    rows = [[ring(0), ring(2), ring(0)], [ring(0), ring(0), ring(3)]]
+    (x,) = tensorcg._kernel(rows, 3, ring)
+    assert calls["_bidiagonal_kernel"] == 1 and x == [ring(6), ring(0), ring(0)]
+
+
+@pytest.mark.parametrize("ring", [Fraction, LaurentPoly], ids=["fraction", "laurent"])
+def test_an_empty_target_keeps_every_basis_vector(ring):
+    for ncols in (1, 2, 3):
+        kernel = tensorcg._kernel([], ncols, ring)
+        assert kernel == [[ring(1) if i == j else ring() for i in range(ncols)] for j in range(ncols)]
+        assert all(type(c) is ring for x in kernel for c in x)
+    multi = rasskazova_tensor()  # weight 9 is its top: no target, two basis vectors
+    assert [x.entries for _, x in highest_weight_vectors(multi, 9)] == [
+        {lab: 1} for lab in weight_spaces(multi)[9]
+    ]
+
+
+def test_a_root_of_the_first_specialization_is_decided_by_the_second(monkeypatch):
+    (v0, first), (_, second) = tensorcg._SPECIALIZATIONS
+    root = v - v0  # zero at the first pair
+    cases = [
+        ([[root]], 1, LaurentPoly),  # nullity 0, but 1 at the first pair
+        ([[root, 0, root], [0, 1, 0]], 3, LaurentPoly),  # nullity 1, but 2 at the first pair
+        ([[Fraction(1, first), 0], [0, 1]], 2, Fraction),  # no image at the first pair
+    ]
+    primes = []
+    rank_mod = tensorcg._rank_mod
+    monkeypatch.setattr(tensorcg, "_rank_mod", lambda rows, v0, p: primes.append(p) or rank_mod(rows, v0, p))
+    for rows, ncols, ring in cases:
+        primes.clear()
+        assert tensorcg._kernel(rows, ncols, ring) == _kernel_fraction_free(rows, ncols, ring)
+        assert primes[0] == first and primes[-1] == second
+    hw = Fraction(1, first)  # every e entry of this Verma module has no image at the first pair
+    assert [(w, x.entries) for w, x in highest_weight_vectors(verma_classical(hw, 4))] == [(hw, {"w_0": 1})]
+    monkeypatch.setattr(tensorcg, "_SPECIALIZATIONS", ((v0, first), (v0, second)))
+    for rows, ncols, ring in cases[:2]:
+        with pytest.raises(NullspaceError, match="not proven complete"):
+            tensorcg._kernel(rows, ncols, ring)
+
+
+@st.composite
+def raising_matrices(draw):
+    """(rows, ncols, ring): a sparse raising matrix from one weight space
+    to the next, over the integers or in Q[v, v^-1]; half of them are
+    bidiagonal, with every superdiagonal entry nonzero or one of them zero."""
+    ring = draw(st.sampled_from([Fraction, LaurentPoly]))
+    ncols = draw(st.integers(1, 6))
+
+    def entry(nonzero=False):
+        if not nonzero and not draw(st.integers(0, 2)):  # a third of the cells are zero
+            return ring()
+        coeff = st.integers(-4, 4).filter(bool)
+        if ring is Fraction:
+            return Fraction(draw(coeff))
+        return LaurentPoly(draw(st.dictionaries(st.integers(-3, 3), coeff, min_size=1, max_size=2)))
+
+    if draw(st.booleans()):
+        rows = [[ring()] * ncols for _ in range(ncols - 1)]
+        zero_at = draw(st.sampled_from([None, *range(ncols - 1)]))
+        for r, row in enumerate(rows):
+            row[r], row[r + 1] = entry(), ring() if r == zero_at else entry(nonzero=True)
+    else:
+        rows = [[entry() for _ in range(ncols)] for _ in range(draw(st.integers(0, 6)))]
+    return rows, ncols, ring
+
+
+@given(raising_matrices())
+@settings(max_examples=200, deadline=None)
+def test_certified_kernel_is_the_normalized_elimination_kernel(matrix):
+    rows, ncols, ring = matrix
+    kernel = tensorcg._kernel(rows, ncols, ring)
+    reference = _kernel_fraction_free(rows, ncols, ring)
+    normalize = CLASSICAL.normalize if ring is Fraction else QUANTUM.normalize
+    assert [normalize(x) for x in kernel] == [normalize(x) for x in reference]
+    # both sides of the certificate: every vector annihilated, none missing
+    for x in kernel:
+        assert all(not sum((a * b for a, b in zip(row, x)), ring()) for row in rows)
+    if ring is Fraction:
+        assert len(kernel) == ncols - rref_kernel(rows, ncols)[1]
+    # a specialisation can only raise the nullity: no pair admits a kernel one vector short
+    assert all(len(kernel) <= ncols - tensorcg._rank_mod(rows, v0, p) for v0, p in tensorcg._SPECIALIZATIONS)
+
+
+@pytest.mark.parametrize("findim", [finite_dim_classical, finite_dim_quantum])
+def test_hwv_of_f_m_f_n_uses_the_recurrence_and_the_rank_mod_p_only(findim, monkeypatch):
+    calls = count_calls(monkeypatch, "_bidiagonal_kernel", "_rank_mod", "_kernel_fraction_free")
+    for m in range(7):
+        for n in range(7):
+            calls.clear()
+            found = highest_weight_vectors(tensor(findim(m), findim(n)))
+            assert len(found) == min(m, n) + 1
+            # m + n + 1 weight spaces: min(m, n) + 1 bidiagonal, each other one of nullity 0
+            assert calls == Counter({"_bidiagonal_kernel": min(m, n) + 1, "_rank_mod": max(m, n)}), (m, n)
 
 
 @pytest.mark.parametrize("findim", [finite_dim_classical, finite_dim_quantum])
