@@ -126,17 +126,12 @@ def _kernel_fraction_free(rows: list[list], ncols: int, ring: type):
         if piv != r:
             m[piv], m[r] = m[r], m[piv]
         p = m[r][c]
+        # every non-pivot row gets the one-step update, even where its f is
+        # zero: the uniform rescaling keeps later divisions exact
         for i in range(nrows):
-            if i == r:
-                continue
-            f = m[i][c]
-            # every non-pivot row gets the one-step update, even when f
-            # is zero: the uniform rescaling keeps later divisions exact.
-            # Where both entries are zero the update is zero, so it is skipped.
-            if f:
-                m[i] = [(p * x - f * y) / prev if x or y else x for x, y in zip(m[i], m[r])]
-            else:
-                m[i] = [p * x / prev if x else x for x in m[i]]
+            if i != r:
+                f = m[i][c]
+                m[i] = [(p * x - f * y) / prev for x, y in zip(m[i], m[r])]
         pivots.append((r, c))
         prev = p
         r += 1
@@ -149,8 +144,7 @@ def _kernel_fraction_free(rows: list[list], ncols: int, ring: type):
         x = [ring()] * ncols
         x[f] = prev
         for i, c in pivots:
-            if m[i][f]:
-                x[c] = -m[i][f]
+            x[c] = -m[i][f]
         kernel.append([c if type(c) is ring else ring(c) for c in x])
     return kernel
 
@@ -256,10 +250,10 @@ def highest_weight_vectors(m: WeightModule, weight=None) -> list[tuple[object, V
             for row_lab, c in up.get(src, {}).items():
                 rows[tpos[row_lab]][j] = c
         for coords in _kernel(rows, len(source), ring):
-            vec = Vector(m, dict(zip(source, coords)))
+            vec = Vector(m, dict(zip(source, m.flavor.normalize(coords))))
             if not apply(m, raising, vec).is_zero():
                 raise NullspaceError(f"nullspace certificate failed at weight {w} of {m.name}")
-            out.append((w, Vector(m, dict(zip(source, m.flavor.normalize(coords))))))
+            out.append((w, vec))
     return out
 
 

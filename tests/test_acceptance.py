@@ -101,6 +101,8 @@ def test_criterion_4_transfer_formula_adjudication():
                 for p in range(min(m, n) + 1):
                     report = phi_vs_oracle(m, n, p)
                     assert report.interpretation == "weight-matched-v1"
+                    # README's empirical status: proportional exactly when p = 0
+                    assert report.proportional == (p == 0), (m, n, p)
                     if report.proportional:
                         assert report.scalar is not None and report.scalar
                         assert report.witness is None

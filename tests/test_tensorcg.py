@@ -220,38 +220,6 @@ def test_kernel_is_the_normalized_rref_kernel_basis(matrix_and_ncols):
     assert [CLASSICAL.normalize(x) for x in kernel] == [CLASSICAL.normalize(x) for x in expected]
 
 
-def dense_kernel_reference(rows, ncols, ring):
-    """_kernel_fraction_free with the dense one-step update, which
-    computes every entry of every non-pivot row, zeros included."""
-    m = [list(r) for r in rows]
-    pivots = []
-    prev = ring(1)
-    r = 0
-    for c in range(ncols):
-        piv = next((i for i in range(r, len(m)) if m[i][c]), None)
-        if piv is None:
-            continue
-        m[piv], m[r] = m[r], m[piv]
-        p = m[r][c]
-        for i in range(len(m)):
-            if i != r:
-                f = m[i][c]
-                m[i] = [(p * m[i][j] - f * m[r][j]) / prev for j in range(ncols)]
-        pivots.append((r, c))
-        prev = p
-        r += 1
-    pivot_cols = {c for _, c in pivots}
-    kernel = []
-    for f in (c for c in range(ncols) if c not in pivot_cols):
-        x = [ring()] * ncols
-        x[f] = prev
-        for i, c in pivots:
-            if m[i][f]:
-                x[c] = -m[i][f]
-        kernel.append(x)
-    return kernel
-
-
 def raising_rows(m, weight):
     """The matrix of the raising operator from one weight space to the next."""
     spaces = weight_spaces(m)
@@ -261,35 +229,6 @@ def raising_rows(m, weight):
         for row_lab, c in m.column(m.flavor.raising, lab).items():
             rows[target.index(row_lab)][j] = c
     return rows, len(source)
-
-
-@pytest.mark.parametrize("findim", [finite_dim_classical, finite_dim_quantum])
-def test_zero_skipping_kernel_equals_the_dense_update(findim):
-    # equal vectors, not merely proportional ones: the skipped work is exactly zero
-    for a in range(6):
-        for b in range(6):
-            module = tensor(findim(a), findim(b))
-            ring = module.flavor.ring
-            for weight in weight_spaces(module):
-                rows, ncols = raising_rows(module, weight)
-                assert _kernel_fraction_free(rows, ncols, ring) == dense_kernel_reference(rows, ncols, ring)
-
-
-@given(st.data())
-@settings(max_examples=200)
-def test_zero_skipping_kernel_equals_the_dense_update_on_sparse_matrices(data):
-    nrows, ncols = data.draw(st.integers(1, 5)), data.draw(st.integers(1, 6))
-    cells = nrows * ncols
-    nonzero = data.draw(st.sets(st.integers(0, cells - 1), max_size=cells // 2))
-    values = data.draw(st.lists(st.integers(-4, 4).filter(bool), min_size=cells, max_size=cells))
-    shifts = data.draw(st.lists(st.integers(-2, 2), min_size=cells, max_size=cells))
-    entry = [values[k] if k in nonzero else 0 for k in range(cells)]
-    for ring, scalar in (
-        (Fraction, lambda k: Fraction(entry[k])),
-        (LaurentPoly, lambda k: LaurentPoly({shifts[k]: entry[k]})),
-    ):
-        rows = [[scalar(i * ncols + j) for j in range(ncols)] for i in range(nrows)]
-        assert _kernel_fraction_free(rows, ncols, ring) == dense_kernel_reference(rows, ncols, ring)
 
 
 def with_int_entries(m):
@@ -470,6 +409,20 @@ def test_nullspace_certificate_failure_raises(monkeypatch):
         highest_weight_vectors(t, 0)
     with pytest.raises(NullspaceError):
         phi_vs_oracle(1, 1, 1)
+
+
+@pytest.mark.parametrize("flavor", [CLASSICAL, QUANTUM], ids=["classical", "quantum"])
+def test_hwv_certifies_the_vector_it_returns(flavor):
+    # a normaliser that leaves the kernel: only a certificate of the returned vector sees it
+    def doubled(coords):
+        head, *tail = flavor.normalize(coords)
+        return [2 * head, *tail]
+
+    bad = dataclasses.replace(flavor, normalize=doubled)
+    f = finite_dim_classical(1) if flavor is CLASSICAL else finite_dim_quantum(1)
+    factor = WeightModule(bad, f.name, f.basis, f.weights, f.action)
+    with pytest.raises(NullspaceError, match="nullspace certificate failed at weight 0"):
+        highest_weight_vectors(tensor(factor, factor), 0)
 
 
 # -- certified kernels: recurrence, rank mod p, completeness -------------------------
