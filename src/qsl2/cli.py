@@ -197,8 +197,8 @@ def cmd_hwv(ns):
     target = ns.m + ns.n - 2 * ns.p
     try:
         report = phi_vs_oracle(ns.m, ns.n, ns.p) if ns.quantum else None
-        vec = report.oracle if report else highest_weight_vector(
-            tensor(finite_dim_classical(ns.m), finite_dim_classical(ns.n)), target)
+        vec = report.oracle if report else highest_weight_vector(  # only target's space and its image under e
+            tensor(finite_dim_classical(ns.m), finite_dim_classical(ns.n), {target, target + 2}), target)
     except NullspaceError as exc:
         raise CheckFailure(str(exc))
     if ns.format == "csv":

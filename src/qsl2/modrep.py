@@ -386,7 +386,7 @@ def check_relations(m: WeightModule) -> RelationReport:
     """
     fl = m.flavor
     up, down = m.action[fl.raising], m.action[fl.lowering]
-    checked = tuple(lab for lab in m.basis if lab not in m.boundary)
+    checked = tuple([lab for lab in m.basis if lab not in m.boundary])  # a list: see qarith.primitive
     target = {lab: fl.commutator(m.weights[lab]) for lab in checked}
     D = None
     if fl.ring is Fraction:  # on integers: each scalar times D, the products times D^2
@@ -414,7 +414,7 @@ def check_relations(m: WeightModule) -> RelationReport:
         relations=fl.relations,
         checked=checked,
         failures=tuple(failures),
-        excluded=tuple(lab for lab in m.basis if lab in m.boundary),
+        excluded=tuple([lab for lab in m.basis if lab in m.boundary]),
     )
 
 

@@ -344,7 +344,8 @@ def primitive(polys: list[LaurentPoly]) -> list[LaurentPoly]:
     coeffs = [c for p in polys for c in p._coeffs.values()]
     if not coeffs:
         return polys
-    scale = Fraction(lcm(*(c.denominator for c in coeffs)), gcd(*(c.numerator for c in coeffs)))
+    # splat lists: a generator's resized tuple goes to the tuple free list, which only a full gc empties
+    scale = Fraction(lcm(*[c.denominator for c in coeffs]), gcd(*[c.numerator for c in coeffs]))
     if next(p for p in polys if p).leading_coeff < 0:
         scale = -scale
     if scale == 1:

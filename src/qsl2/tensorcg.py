@@ -52,7 +52,7 @@ class Decomposition:
 # -- tensor products -----------------------------------------------------------
 
 
-def tensor(a: WeightModule, b: WeightModule) -> WeightModule:
+def tensor(a: WeightModule, b: WeightModule, spaces=None) -> WeightModule:
     """Tensor product of two modules of one flavour under its coproduct.
 
     Each raising or lowering g acts by D(g) = g (x) right + left (x) g,
@@ -62,12 +62,18 @@ def tensor(a: WeightModule, b: WeightModule) -> WeightModule:
     the module holds one label per basis vector and every stored key is
     a basis label.  The vector la (x) lb is named f"{la}*{lb}", in basis
     order a's basis then b's; ValueError if two of these names coincide.
+    Given a set of weights ``spaces``, only the vectors of those weights
+    are built, in the same order; an entry whose row falls outside them
+    is dropped and its column marked boundary, as a truncation is.
     """
     if a.flavor is not b.flavor:
         raise ValueError(f"cannot tensor a {a.flavor.name} and a {b.flavor.name} module")
     fl, one = a.flavor, a.flavor.ring(1)
-    at = {(la, lb): f"{la}*{lb}" for la in a.basis for lb in b.basis}
-    weights = {lab: a.weights[la] + b.weights[lb] for (la, lb), lab in at.items()}
+    wa, wb = a.weights, b.weights
+    at = {(la, lb): f"{la}*{lb}" for la in a.basis for lb in b.basis
+          if spaces is None or wa[la] + wb[lb] in spaces}
+    weights = {lab: wa[la] + wb[lb] for (la, lb), lab in at.items()}
+    clipped = {lab for (la, lb), lab in at.items() if la in a.boundary or lb in b.boundary}
 
     def twists(m, gen):  # eigenvalue of a twist on each basis vector of m, kept where it is not 1
         return {lab: t for lab in m.basis if gen and (t := fl.diagonal[gen](m.weights[lab])) != one}
@@ -77,15 +83,16 @@ def tensor(a: WeightModule, b: WeightModule) -> WeightModule:
         ga, gb, rts, lts = a.action[g], b.action[g], twists(b, right), twists(a, left)
         mat = action[g] = {}
         for (la, lb), lab in at.items():
-            rt, lt = rts.get(lb), lts.get(la)
-            col = {at[ra, lb]: c if rt is None else c * rt for ra, c in ga.get(la, {}).items()}
+            rt, lt, ca, cb = rts.get(lb), lts.get(la), ga.get(la, {}), gb.get(lb, {})
+            col = {row: c if rt is None else c * rt for ra, c in ca.items() if (row := at.get((ra, lb)))}
             # g shifts weights, so these rows never meet the ones above
-            col.update({at[la, rb]: c if lt is None else lt * c for rb, c in gb.get(lb, {}).items()})
+            col.update({row: c if lt is None else lt * c for rb, c in cb.items() if (row := at.get((la, rb)))})
+            if len(col) < len(ca) + len(cb):
+                clipped.add(lab)
             if col:
                 mat[lab] = col
 
-    boundary = [lab for (la, lb), lab in at.items() if la in a.boundary or lb in b.boundary]
-    return WeightModule(fl, f"T({a.name};{b.name})", at.values(), weights, action, boundary=boundary)
+    return WeightModule(fl, f"T({a.name};{b.name})", at.values(), weights, action, boundary=clipped)
 
 
 def weight_spaces(m: WeightModule) -> dict:
@@ -345,7 +352,8 @@ def phi_vector(
     m: int, n: int, p: int, interpretation: Interpretation = WEIGHT_MATCHED
 ) -> Vector:
     """Evaluate the explicit highest-weight transfer formula for
-    F_m (x) F_n at depth p, in the quantum tensor module.
+    F_m (x) F_n at depth p, in the quantum tensor module built on the
+    weights m+n-2p, m+n-2p+2 and those of the labels the reading names.
 
     The term-k coefficient is
         (-1)^(n-p) * [n-p+k]! [m-k]! / ([n-p]! [m]!) * v^((k-p)(2+m)+p^2-k^2+n)
@@ -362,7 +370,8 @@ def phi_vector(
     if not 0 <= p <= min(m, n):
         raise ValueError(f"need 0 <= p <= min(m, n) = {min(m, n)}, got p = {p}")
 
-    module = tensor(finite_dim_quantum(m), finite_dim_quantum(n))
+    fa, fb = finite_dim_quantum(m), finite_dim_quantum(n)
+    spaces = {m + n - 2 * p, m + n - 2 * p + 2}  # the oracle's weight space and its image under E
     sign = 1 if (n - p) % 2 == 0 else -1
     entries: dict = {}
     for k in range(p + 1):
@@ -377,9 +386,12 @@ def phi_vector(
             coeff = coeff * q_int(i)
         for i in range(m - p + 1, m - k + 1):  # [m-k]!/[m-p]!
             coeff = coeff * q_int(i)
-        lab = module.basis[pos_a * (n + 1) + pos_b]  # tensor's name for w_{pos_a} (x) w_{pos_b}
+        la, lb = fa.basis[pos_a], fb.basis[pos_b]
+        spaces.add(fa.weights[la] + fb.weights[lb])  # a reading may leave weight m+n-2p
+        lab = f"{la}*{lb}"  # tensor's name for w_{pos_a} (x) w_{pos_b}
         entries[lab] = entries.get(lab, LaurentPoly()) + coeff
 
+    module = tensor(fa, fb, spaces)
     note = f"interpretation={interpretation.ident};cleared-by=[{m}]!/[{m - p}]!"
     return Vector(module, entries, note=note)
 

@@ -1,14 +1,16 @@
-"""Regenerate the CLI golden files and their manifest.
+"""Regenerate the CLI golden files, their manifest and the grid digest.
 
 Run from the repository root after an intentional output-format change:
 
     python3 tests/regen_golden.py
 
 Review the diff before committing: the golden files are the CLI's
-byte-exact contract.
+byte-exact contract, and the grid digest extends it to every hwv and
+decompose invocation with m, n <= 8.
 """
 
 import contextlib
+import hashlib
 import io
 import json
 from pathlib import Path
@@ -109,6 +111,32 @@ CASES = {
 }
 
 
+def grid() -> list[list[str]]:
+    """Every hwv with m, n <= 8 and p <= min(m, n) + 1 (the last p is a
+    usage error), then every decompose with m, n <= 8; each classical and
+    quantum, in each of the three formats."""
+    variants = [[*quantum, "--format", fmt] for quantum in ([], ["--quantum"]) for fmt in ("json", "csv", "pretty")]
+    hwv = [["hwv", "--m", str(m), "--n", str(n), "--p", str(p)]
+           for m in range(9) for n in range(9) for p in range(min(m, n) + 2)]
+    decompose = [["decompose", "--m", str(m), "--n", str(n)] for m in range(9) for n in range(9)]
+    return [argv + variant for argv in hwv + decompose for variant in variants]
+
+
+def grid_hash(argv: list[str]) -> str:
+    """The first 16 hex digits of SHA-256 over the exit status and stdout of main(argv)."""
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        code = main(argv)
+    return hashlib.sha256(f"{code}\n{buf.getvalue()}".encode()).hexdigest()[:16]
+
+
+def regenerate_digest(path: Path) -> None:
+    """One line per grid argv: its hash, two spaces, the argv joined by spaces."""
+    argvs = grid()
+    path.write_text("".join(f"{grid_hash(argv)}  {' '.join(argv)}\n" for argv in argvs))
+    print(f"wrote {len(argvs)} grid hashes to {path}")
+
+
 def regenerate(golden_dir: Path) -> None:
     manifest = {}
     for name, (argv, expected_exit) in CASES.items():
@@ -127,3 +155,4 @@ def regenerate(golden_dir: Path) -> None:
 
 if __name__ == "__main__":
     regenerate(Path(__file__).parent / "golden")
+    regenerate_digest(Path(__file__).parent / "golden" / "grid_digest.txt")

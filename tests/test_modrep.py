@@ -24,7 +24,7 @@ from qsl2.modrep import (
 )
 from qsl2.qarith import LaurentPoly, q_int, specialize_one, v
 from qsl2.serialize import module_descriptor, scalar_json
-from qsl2.tensorcg import tensor
+from qsl2.tensorcg import highest_weight_vectors, tensor
 
 
 def upper_and_lower(lab):
@@ -710,13 +710,41 @@ def test_tensor_of_a_verma_module_equals_the_reference_coproduct():
         assert tensor(a, b).action == reference_tensor_action(a, b)
 
 
+def assert_is_the_restriction(t, full, spaces):
+    """t is full cut to the vectors whose weights lie in spaces, in full's
+    order; an entry whose row is cut leaves its column on the boundary."""
+    keep = {lab for lab in full.basis if full.weights[lab] in spaces}
+    assert t.basis == tuple(lab for lab in full.basis if lab in keep)
+    assert t.weights == {lab: full.weights[lab] for lab in t.basis}
+    assert t.action == {g: {col: kept for col, entries in mat.items() if col in keep
+                            if (kept := {row: c for row, c in entries.items() if row in keep})}
+                        for g, mat in full.action.items()}
+    clipped = {col for mat in full.action.values() for col, entries in mat.items()
+               if col in keep and not entries.keys() <= keep}
+    assert t.boundary == full.boundary & keep | clipped
+
+
 @settings(max_examples=50, deadline=None)
-@given(graded_classical_modules(), graded_classical_modules())
-def test_tensor_of_random_modules_equals_the_reference_coproduct(a, b):
+@given(graded_classical_modules(), graded_classical_modules(), st.data())
+def test_tensor_of_random_modules_equals_the_reference_coproduct(a, b, data):
     t = tensor(a, b)
     assert t.action == reference_tensor_action(a, b)
     assert t.boundary == {f"{la}*{lb}" for la in a.basis for lb in b.basis
                           if la in a.boundary or lb in b.boundary}
+    spaces = data.draw(st.sets(st.sampled_from(sorted(set(t.weights.values())))))
+    assert_is_the_restriction(tensor(a, b, spaces), t, spaces)
+
+
+@FLAVORS
+@pytest.mark.parametrize("m, n", [(m, n) for m in range(6) for n in range(6)])
+def test_tensor_of_two_weight_spaces_is_the_full_tensor_restricted(flavor, m, n):
+    a, b = findim(flavor, m), findim(flavor, n)
+    full = tensor(a, b)
+    for w in range(m + n, -m - n - 1, -2):
+        t = tensor(a, b, {w, w + 2})
+        assert_is_the_restriction(t, full, {w, w + 2})
+        assert check_relations(t).ok
+        assert highest_weight_vectors(t, w) == highest_weight_vectors(full, w)
 
 
 # -- the constructors on integer numerators -------------------------------------

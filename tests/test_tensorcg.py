@@ -780,6 +780,17 @@ def test_phi_vs_oracle_inexact_first_ratio_is_a_mismatch():
     assert report.interpretation == "p-k,k"
 
 
+def test_phi_vs_oracle_reading_off_the_weight_space():
+    # under the (k, k) reading term k sits at weight m+n-4k, so phi leaves
+    # weight m+n-2p, and its first entry already meets a zero of the oracle
+    reading = Interpretation("k,k", lambda m, n, p, k: (k, k))
+    phi = phi_vector(2, 2, 1, reading)
+    assert phi.items_in_order() == [("w_0*w_0", -(v**-2 + 1)), ("w_1*w_1", -(v + v**3))]
+    report = phi_vs_oracle(2, 2, 1, reading)
+    assert not report.proportional and report.scalar is None
+    assert report.witness == ("w_0*w_0", -(v**-2 + 1), LaurentPoly())
+
+
 def test_phi_vs_oracle_runs_and_oracle_is_killed():
     t = None
     for m in range(4):
