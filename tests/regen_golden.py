@@ -6,7 +6,8 @@ Run from the repository root after an intentional output-format change:
 
 Review the diff before committing: the golden files are the CLI's
 byte-exact contract, and the grid digest extends it to every hwv and
-decompose invocation with m, n <= 8.
+decompose invocation with m, n <= 8 and to the check and qtable
+requests the benchmark draws.
 """
 
 import contextlib
@@ -114,12 +115,27 @@ CASES = {
 def grid() -> list[list[str]]:
     """Every hwv with m, n <= 8 and p <= min(m, n) + 1 (the last p is a
     usage error), then every decompose with m, n <= 8; each classical and
-    quantum, in each of the three formats."""
+    quantum, in each of the three formats.  Then the check and qtable
+    requests the benchmark workloads draw, over the ends of their ranges:
+    check findim with n <= 8 and qtable with max-n <= 10 in every format
+    and flavour; check verma and check rasskazova on non-integral
+    rationals, plain, --describe and --inject-fault; and two negative
+    rationals passed as separate tokens.  No argparse error is included:
+    its wording varies across the supported Python versions."""
     variants = [[*quantum, "--format", fmt] for quantum in ([], ["--quantum"]) for fmt in ("json", "csv", "pretty")]
     hwv = [["hwv", "--m", str(m), "--n", str(n), "--p", str(p)]
            for m in range(9) for n in range(9) for p in range(min(m, n) + 2)]
     decompose = [["decompose", "--m", str(m), "--n", str(n)] for m in range(9) for n in range(9)]
-    return [argv + variant for argv in hwv + decompose for variant in variants]
+    findim = [["check", "findim", "--n", str(n)] for n in range(9)]
+    qtable = [["qtable", "--max-n", str(n), "--format", fmt] for n in range(11) for fmt in ("json", "csv", "pretty")]
+    checks = [["check", "verma", f"--hw={hw}", "--depth", str(depth)]
+              for hw in ("1/2", "-7/3", "40/9") for depth in (1, 8, 50, 300)]
+    checks += [["check", "rasskazova", f"--beta={beta}", f"--lambda={lam}", "--n", str(n), "--window", str(window)]
+               for beta, lam in (("1/2", "-1/3"), ("-40/9", "7/2")) for n in (1, 5) for window in (1, 10, 40)]
+    checks = [argv + flag for argv in checks for flag in ([], ["--describe"], ["--inject-fault"])]
+    separate = [["check", "verma", "--hw", "-3/2", "--depth", "4"],
+                ["check", "rasskazova", "--beta", "1/2", "--lambda", "-1/3", "--n", "2", "--window", "2"]]
+    return [argv + variant for argv in hwv + decompose + findim for variant in variants] + qtable + checks + separate
 
 
 def grid_hash(argv: list[str]) -> str:
