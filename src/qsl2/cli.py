@@ -56,6 +56,7 @@ from .serialize import (
 )
 from .tensorcg import (
     NullspaceError,
+    _finite_dim,
     cg_decompose,
     decompose_by_character,
     highest_weight_vector,
@@ -198,7 +199,7 @@ def cmd_hwv(ns):
     try:
         report = phi_vs_oracle(ns.m, ns.n, ns.p) if ns.quantum else None
         vec = report.oracle if report else highest_weight_vector(  # only target's space and its image under e
-            tensor(finite_dim_classical(ns.m), finite_dim_classical(ns.n), {target, target + 2}), target)
+            tensor(_finite_dim(ns.m, False), _finite_dim(ns.n, False), {target, target + 2}), target)
     except NullspaceError as exc:
         raise CheckFailure(str(exc))
     if ns.format == "csv":

@@ -6,7 +6,8 @@ three independent ways: the closed form, character peeling on the product
 of the factors' characters, and exact raising-operator nullspaces: a
 product recurrence on a bidiagonal weight space (each space of F_m (x) F_n
 that holds a highest-weight vector), fraction-free (Bareiss) elimination
-on any other.  Each kernel is certified annihilated and complete.
+on any other.  Each kernel is certified annihilated and complete; a
+quantum one of +-v^e [a] entries is normalised by cyclotomic factors.
 The explicit highest-weight transfer formula, evaluated verbatim with
 exact q-factorial coefficients, is adjudicated against the nullspace
 oracle and the outcome reported as data.
@@ -14,10 +15,13 @@ oracle and the outcome reported as data.
 
 from __future__ import annotations
 
+import functools
+from collections import Counter
 from dataclasses import dataclass
+from math import prod
 from typing import Callable
 
-from .modrep import Vector, WeightModule, apply, finite_dim_quantum
+from .modrep import QUANTUM, Flavor, Vector, WeightModule, apply, finite_dim_classical, finite_dim_quantum
 from .qarith import ExactDivisionError, LaurentPoly, q_int
 
 
@@ -175,6 +179,44 @@ def _bidiagonal_kernel(rows: list[list], ring: type) -> list:
     return x
 
 
+@functools.cache
+def _cyclotomic(d: int) -> LaurentPoly:
+    """The d-th cyclotomic polynomial Phi_d: v^d - 1 over every Phi_e with e | d, e < d."""
+    return LaurentPoly({d: 1, 0: -1}) / prod(_cyclotomic(e) for e in range(1, d) if d % e == 0)
+
+
+def _q_int_factors(c):
+    """(sign, low, ds) with c = sign v^low prod(Phi_d for d in ds) if the nonzero c is
+    +-v^e [a], its coefficients all 1 or all -1 on low, low+2, ..., low+2a-2, else None;
+    ds are the d >= 3 dividing 2a, as [a] = v^(1-a) prod(Phi_d for d | 2a, d >= 3):
+
+    >>> _q_int_factors(q_int(6))  # [6] = v^-5 Phi_3 Phi_4 Phi_6 Phi_12
+    (1, -5, [3, 4, 6, 12])
+    """
+    terms = list(c.terms()) if isinstance(c, LaurentPoly) else [(0, c)]
+    (low, sign), a2 = terms[0], 2 * len(terms)
+    if sign not in (1, -1) or terms != [(low + 2 * i, sign) for i in range(len(terms))]:
+        return None
+    return sign, low, [d for d in range(3, a2 + 1) if a2 % d == 0]
+
+
+def _factored_kernel(rows: list[list]) -> list | None:
+    """QUANTUM.normalize of _bidiagonal_kernel(rows) if every nonzero entry is +-v^e [a],
+    else None: a coordinate is a sign, a power of v and a count of each Phi_d until the
+    gcd, the least power and counts, is divided out; each Phi_d is monic, irreducible, primitive."""
+    d, s = ([row[r + j] and _q_int_factors(row[r + j]) for r, row in enumerate(rows)] for j in (0, 1))
+    if None in d or None in s:
+        return None
+    live = next((r + 1 for r, f in enumerate(d) if not f), len(rows) + 1)  # x_k = 0 past a zero d_r
+    xs = [[((-1) ** k, 0, ())] + d[:k] + s[k:] for k in range(live)]  # x_k = (-1)^k d_0..d_{k-1} s_k..s_{p-1}
+    signs, lows = [prod(f[0] for f in x) for x in xs], [sum(f[1] for f in x) for x in xs]
+    counts = [Counter(e for f in x for e in f[2]) for x in xs]
+    common, e0, lead = functools.reduce(Counter.__and__, counts), min(lows), signs[0]
+    out = [prod(map(_cyclotomic, sorted((c - common).elements())), start=LaurentPoly({low - e0: sign * lead}))
+           for sign, low, c in zip(signs, lows, counts)]
+    return out + [LaurentPoly()] * (len(rows) + 1 - live)
+
+
 # (v0, prime): v -> v0 mod prime can only lower a rank; 65537 is no small root, as 3 may be
 _SPECIALIZATIONS = ((3, 2**61 - 1), (65537, 2**89 - 1))
 
@@ -200,16 +242,18 @@ def _rank_mod(rows: list[list], v0: int, prime: int) -> int:
     return rank
 
 
-def _kernel(rows: list[list], ncols: int, ring: type) -> list:
-    """Right kernel of rows (ncols columns), proven complete.  A p x (p+1)
-    bidiagonal matrix with every s_r nonzero has rank p (columns 1..p are
-    triangular), so its recurrence vector spans the kernel.  Otherwise a
-    rank of ncols at v0 mod prime proves the kernel is 0; else Bareiss's
-    vectors must be independent there and as many as the nullity there,
-    at the first (v0, prime) or the second; NullspaceError if at neither."""
+def _kernel(rows: list[list], ncols: int, flavor: Flavor) -> list:
+    """Right kernel of rows (ncols columns), proven complete, each vector
+    scaled by flavor.normalize.  A p x (p+1) bidiagonal matrix with every
+    s_r nonzero has rank p (columns 1..p are triangular), so its recurrence
+    vector spans the kernel; _factored_kernel normalises it for QUANTUM.
+    Otherwise a rank of ncols at v0 mod prime proves the kernel is 0; else
+    Bareiss's vectors must be independent there and as many as the nullity
+    there, at the first (v0, prime) or the second; NullspaceError if at neither."""
     if len(rows) == ncols - 1 and all(
             row[r + 1] and not any(row[:r] + row[r + 2:]) for r, row in enumerate(rows)):
-        return [_bidiagonal_kernel(rows, ring)]
+        factored = _factored_kernel(rows) if flavor.normalize is QUANTUM.normalize else None
+        return [factored or flavor.normalize(_bidiagonal_kernel(rows, flavor.ring))]
     kernel = nullity = None
     for v0, prime in _SPECIALIZATIONS:
         try:
@@ -219,9 +263,9 @@ def _kernel(rows: list[list], ncols: int, ring: type) -> list:
         if kernel is None:
             if not nullity:
                 return []
-            kernel = _kernel_fraction_free(rows, ncols, ring)  # minors of rows: no new denominator
+            kernel = _kernel_fraction_free(rows, ncols, flavor.ring)  # minors of rows: no new denominator
         if len(kernel) == nullity == _rank_mod(kernel, v0, prime):
-            return kernel
+            return [flavor.normalize(x) for x in kernel]
     raise NullspaceError(f"kernel not proven complete: {len(kernel or ())} vectors, nullity {nullity} mod p")
 
 
@@ -239,9 +283,10 @@ def highest_weight_vectors(m: WeightModule, weight=None) -> list[tuple[object, V
     integer coefficients, positive leading coefficient in the first
     nonzero entry).  Normalisation removes every scalar factor, so any
     exact method yielding these vectors up to ring scalars meets it;
-    here it is ``_kernel``, whose kernels are proven complete; applying
-    the raising operator to every returned vector must give exactly
-    zero.  Output is ordered by descending weight.
+    here it is ``_kernel``, whose kernels are proven complete (a quantum
+    bidiagonal space of +-v^e [a] entries is normalised in factored form,
+    with no gcd); applying the raising operator to every returned vector
+    must give exactly zero.  Output is ordered by descending weight.
     """
     raising, ring = m.flavor.raising, m.flavor.ring
     up = m.action[raising]
@@ -256,8 +301,8 @@ def highest_weight_vectors(m: WeightModule, weight=None) -> list[tuple[object, V
         for j, src in enumerate(source):
             for row_lab, c in up.get(src, {}).items():
                 rows[tpos[row_lab]][j] = c
-        for coords in _kernel(rows, len(source), ring):
-            vec = Vector(m, dict(zip(source, m.flavor.normalize(coords))))
+        for coords in _kernel(rows, len(source), m.flavor):
+            vec = Vector(m, dict(zip(source, coords)))
             if not apply(m, raising, vec).is_zero():
                 raise NullspaceError(f"nullspace certificate failed at weight {w} of {m.name}")
             out.append((w, vec))
@@ -348,6 +393,12 @@ def _weight_matched_positions(m: int, n: int, p: int, k: int) -> tuple[int, int]
 WEIGHT_MATCHED = Interpretation("weight-matched-v1", _weight_matched_positions)
 
 
+@functools.lru_cache(maxsize=32)
+def _finite_dim(n: int, quantum: bool) -> WeightModule:
+    """F_n, shared by the hwv callers, which only read it; the public constructors build a new one."""
+    return finite_dim_quantum(n) if quantum else finite_dim_classical(n)
+
+
 def phi_vector(
     m: int, n: int, p: int, interpretation: Interpretation = WEIGHT_MATCHED
 ) -> Vector:
@@ -370,7 +421,7 @@ def phi_vector(
     if not 0 <= p <= min(m, n):
         raise ValueError(f"need 0 <= p <= min(m, n) = {min(m, n)}, got p = {p}")
 
-    fa, fb = finite_dim_quantum(m), finite_dim_quantum(n)
+    fa, fb = _finite_dim(m, True), _finite_dim(n, True)
     spaces = {m + n - 2 * p, m + n - 2 * p + 2}  # the oracle's weight space and its image under E
     sign = 1 if (n - p) % 2 == 0 else -1
     entries: dict = {}
@@ -381,11 +432,9 @@ def phi_vector(
                 f"term k={k}: positions ({pos_a}, {pos_b}) fall outside "
                 f"F_{m} (x) F_{n} under interpretation {interpretation.ident}"
             )
-        coeff = LaurentPoly({(k - p) * (2 + m) + p * p - k * k + n: sign})
-        for i in range(n - p + 1, n - p + k + 1):  # [n-p+k]!/[n-p]!
-            coeff = coeff * q_int(i)
-        for i in range(m - p + 1, m - k + 1):  # [m-k]!/[m-p]!
-            coeff = coeff * q_int(i)
+        # [n-p+k]!/[n-p]! times [m-k]!/[m-p]!
+        coeff = prod(map(q_int, [*range(n - p + 1, n - p + k + 1), *range(m - p + 1, m - k + 1)]),
+                     start=LaurentPoly({(k - p) * (2 + m) + p * p - k * k + n: sign}))
         la, lb = fa.basis[pos_a], fb.basis[pos_b]
         spaces.add(fa.weights[la] + fb.weights[lb])  # a reading may leave weight m+n-2p
         lab = f"{la}*{lb}"  # tensor's name for w_{pos_a} (x) w_{pos_b}

@@ -402,21 +402,23 @@ HWV_3_3_1 = ["hwv", "--m", "3", "--n", "3", "--p", "1"]
 
 @pytest.mark.parametrize("flags", [[], ["--quantum"]])
 def test_hwv_request_runs_one_elimination(capsys, monkeypatch, flags):
-    # one kernel solve, by the recurrence: the space of weight m+n-2p is bidiagonal
+    # one kernel solve, by the recurrence: the space of weight m+n-2p is bidiagonal;
+    # a quantum one is normalised in factored form, so the ring recurrence never runs
+    recurrence = "_factored_kernel" if flags else "_bidiagonal_kernel"
     calls = Counter()
-    for name in ("_kernel", "_bidiagonal_kernel", "_kernel_fraction_free"):
+    for name in ("_kernel", "_bidiagonal_kernel", "_factored_kernel", "_kernel_fraction_free"):
         solver = getattr(tensorcg, name)
         monkeypatch.setattr(tensorcg, name, lambda *args, n=name, f=solver: calls.update([n]) or f(*args))
     code, _ = run_cli(capsys, HWV_3_3_1 + flags)
-    assert code == 0 and calls == Counter({"_kernel": 1, "_bidiagonal_kernel": 1})  # no _kernel_fraction_free
+    assert code == 0 and calls == Counter({"_kernel": 1, recurrence: 1})  # no _kernel_fraction_free
 
 
 @pytest.mark.parametrize("flags", [[], ["--quantum"]])
 @pytest.mark.parametrize(
     "kernel, error",
     [
-        (lambda rows, ncols, ring: [], "nullspace at weight 4 is 0-dimensional, expected 1"),
-        (lambda rows, ncols, ring: [[ring(1)] * ncols], "nullspace certificate failed at weight 4 of "),
+        (lambda rows, ncols, flavor: [], "nullspace at weight 4 is 0-dimensional, expected 1"),
+        (lambda rows, ncols, flavor: [[flavor.ring(1)] * ncols], "nullspace certificate failed at weight 4 of "),
     ],
     ids=["empty", "not-annihilated"],
 )
@@ -427,6 +429,36 @@ def test_hwv_oracle_failure_is_internal_failure(capsys, monkeypatch, flags, kern
     envelope = json.loads(out)
     assert envelope.pop("error").startswith(error)
     assert envelope == {"version": qsl2.__version__, "command": HWV_3_3_1 + flags, "status": "error"}
+
+
+def test_quantum_hwv_requests_take_the_factored_path_and_no_gcd(capsys, monkeypatch):
+    from qsl2 import modrep
+
+    calls = Counter()
+    for module, name in ((modrep, "lp_gcd"), (tensorcg, "_factored_kernel"), (tensorcg, "_bidiagonal_kernel")):
+        fn = getattr(module, name)
+        monkeypatch.setattr(module, name, lambda *args, n=name, f=fn: calls.update([n]) or f(*args))
+    for m in range(7):
+        for n in range(7):
+            for p in range(min(m, n) + 1):
+                calls.clear()
+                code, _ = run_cli(capsys, ["hwv", "--m", str(m), "--n", str(n), "--p", str(p), "--quantum"])
+                assert code == 0 and calls == Counter({"_factored_kernel": 1}), (m, n, p)
+
+
+def test_a_corrupted_cyclotomic_factor_fails_the_certificate(capsys, monkeypatch):
+    # hwv 3 3 2 expands Phi_3, Phi_4 and Phi_6; fill the cache first, so that
+    # the corrupted Phi_4 is only what the expansion reads
+    cyclotomic = tensorcg._cyclotomic
+    for d in range(1, 20):
+        cyclotomic(d)
+    monkeypatch.setattr(tensorcg, "_cyclotomic", lambda d: cyclotomic(d) + 1 if d == 4 else cyclotomic(d))
+    argv = ["hwv", "--m", "3", "--n", "3", "--p", "2", "--quantum"]
+    code, out = run_cli(capsys, argv)
+    assert code == 1
+    assert json.loads(out)["error"].startswith("nullspace certificate failed at weight 2 of ")
+    with pytest.raises(tensorcg.NullspaceError, match="certificate failed at weight 2"):
+        tensorcg.phi_vs_oracle(3, 3, 2)
 
 
 # -- help is argparse's, outside the envelope contract ---------------------------

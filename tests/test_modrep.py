@@ -24,7 +24,8 @@ from qsl2.modrep import (
 )
 from qsl2.qarith import LaurentPoly, q_int, specialize_one, v
 from qsl2.serialize import module_descriptor, scalar_json
-from qsl2.tensorcg import highest_weight_vectors, tensor
+from qsl2 import tensorcg
+from qsl2.tensorcg import highest_weight_vectors, tensor, weight_spaces
 
 
 def upper_and_lower(lab):
@@ -745,6 +746,26 @@ def test_tensor_of_two_weight_spaces_is_the_full_tensor_restricted(flavor, m, n)
         assert_is_the_restriction(t, full, {w, w + 2})
         assert check_relations(t).ok
         assert highest_weight_vectors(t, w) == highest_weight_vectors(full, w)
+
+
+@pytest.mark.parametrize("flavor", [QUANTUM, KASSEL], ids=["quantum", "kassel"])
+def test_factored_normal_form_is_the_gcd_normal_form_on_every_hwv_space(flavor):
+    # each bidiagonal space of F_m (x) F_n: the recurrence vector normalised in
+    # factored form equals QUANTUM.normalize of it, computed with lp_gcd
+    solved = 0
+    for m in range(11):
+        for n in range(11):
+            t = tensor(findim(flavor, m), findim(flavor, n))
+            spaces, up = weight_spaces(t), t.action[flavor.raising]
+            for w, source in spaces.items():
+                target = spaces.get(w + 2, [])
+                if len(target) != len(source) - 1:
+                    continue
+                rows = [[up.get(src, {}).get(lab, LaurentPoly()) for src in source] for lab in target]
+                factored = tensorcg._factored_kernel(rows)
+                assert factored == QUANTUM.normalize(tensorcg._bidiagonal_kernel(rows, LaurentPoly)), (m, n, w)
+                solved += 1
+    assert solved == sum(min(m, n) + 1 for m in range(11) for n in range(11))
 
 
 # -- the constructors on integer numerators -------------------------------------

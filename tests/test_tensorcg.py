@@ -403,7 +403,7 @@ def test_highest_weight_vector_needs_a_one_dimensional_kernel():
 
 
 def test_nullspace_certificate_failure_raises(monkeypatch):
-    monkeypatch.setattr(tensorcg, "_kernel", lambda rows, ncols, ring: [[ring(1)] * ncols])
+    monkeypatch.setattr(tensorcg, "_kernel", lambda rows, ncols, flavor: [[flavor.ring(1)] * ncols])
     t = tensor(finite_dim_classical(1), finite_dim_classical(1))
     with pytest.raises(NullspaceError, match="certificate failed at weight 0"):
         highest_weight_vectors(t, 0)
@@ -463,24 +463,32 @@ def test_an_incomplete_kernel_raises(monkeypatch, mutation, count):
             highest_weight_vectors(multi, w)
 
 
+def flavor_of(ring):
+    return CLASSICAL if ring is Fraction else QUANTUM
+
+
+def normalized_elimination(rows, ncols, ring):
+    return [flavor_of(ring).normalize(x) for x in _kernel_fraction_free(rows, ncols, ring)]
+
+
 @pytest.mark.parametrize("ring", [Fraction, LaurentPoly], ids=["fraction", "laurent"])
 def test_a_zero_superdiagonal_entry_takes_the_elimination(ring, monkeypatch):
     calls = count_calls(monkeypatch, "_bidiagonal_kernel", "_kernel_fraction_free")
     zero_s = ([[4, 0]], [[1, 0, 0], [0, 2, 3]], [[1, 2, 0], [0, 3, 0]], [[0, 0, 0], [0, 1, 1]])
     for rows in zero_s:
         rows = [[ring(c) for c in row] for row in rows]
-        assert tensorcg._kernel(rows, len(rows) + 1, ring) == _kernel_fraction_free(rows, len(rows) + 1, ring)
+        assert tensorcg._kernel(rows, len(rows) + 1, flavor_of(ring)) == normalized_elimination(rows, len(rows) + 1, ring)
     assert calls == Counter({"_kernel_fraction_free": len(zero_s)})
-    # a zero d_r keeps the shape: the recurrence still solves it
+    # a zero d_r keeps the shape: the recurrence still solves it (2 and 3 are no +-v^e [a])
     rows = [[ring(0), ring(2), ring(0)], [ring(0), ring(0), ring(3)]]
-    (x,) = tensorcg._kernel(rows, 3, ring)
-    assert calls["_bidiagonal_kernel"] == 1 and x == [ring(6), ring(0), ring(0)]
+    (x,) = tensorcg._kernel(rows, 3, flavor_of(ring))
+    assert calls["_bidiagonal_kernel"] == 1 and x == [ring(1), ring(0), ring(0)]
 
 
 @pytest.mark.parametrize("ring", [Fraction, LaurentPoly], ids=["fraction", "laurent"])
 def test_an_empty_target_keeps_every_basis_vector(ring):
     for ncols in (1, 2, 3):
-        kernel = tensorcg._kernel([], ncols, ring)
+        kernel = tensorcg._kernel([], ncols, flavor_of(ring))
         assert kernel == [[ring(1) if i == j else ring() for i in range(ncols)] for j in range(ncols)]
         assert all(type(c) is ring for x in kernel for c in x)
     multi = rasskazova_tensor()  # weight 9 is its top: no target, two basis vectors
@@ -502,14 +510,14 @@ def test_a_root_of_the_first_specialization_is_decided_by_the_second(monkeypatch
     monkeypatch.setattr(tensorcg, "_rank_mod", lambda rows, v0, p: primes.append(p) or rank_mod(rows, v0, p))
     for rows, ncols, ring in cases:
         primes.clear()
-        assert tensorcg._kernel(rows, ncols, ring) == _kernel_fraction_free(rows, ncols, ring)
+        assert tensorcg._kernel(rows, ncols, flavor_of(ring)) == normalized_elimination(rows, ncols, ring)
         assert primes[0] == first and primes[-1] == second
     hw = Fraction(1, first)  # every e entry of this Verma module has no image at the first pair
     assert [(w, x.entries) for w, x in highest_weight_vectors(verma_classical(hw, 4))] == [(hw, {"w_0": 1})]
     monkeypatch.setattr(tensorcg, "_SPECIALIZATIONS", ((v0, first), (v0, second)))
     for rows, ncols, ring in cases[:2]:
         with pytest.raises(NullspaceError, match="not proven complete"):
-            tensorcg._kernel(rows, ncols, ring)
+            tensorcg._kernel(rows, ncols, flavor_of(ring))
 
 
 @st.composite
@@ -542,10 +550,8 @@ def raising_matrices(draw):
 @settings(max_examples=200, deadline=None)
 def test_certified_kernel_is_the_normalized_elimination_kernel(matrix):
     rows, ncols, ring = matrix
-    kernel = tensorcg._kernel(rows, ncols, ring)
-    reference = _kernel_fraction_free(rows, ncols, ring)
-    normalize = CLASSICAL.normalize if ring is Fraction else QUANTUM.normalize
-    assert [normalize(x) for x in kernel] == [normalize(x) for x in reference]
+    kernel = tensorcg._kernel(rows, ncols, flavor_of(ring))
+    assert kernel == normalized_elimination(rows, ncols, ring)
     # both sides of the certificate: every vector annihilated, none missing
     for x in kernel:
         assert all(not sum((a * b for a, b in zip(row, x)), ring()) for row in rows)
@@ -555,16 +561,54 @@ def test_certified_kernel_is_the_normalized_elimination_kernel(matrix):
     assert all(len(kernel) <= ncols - tensorcg._rank_mod(rows, v0, p) for v0, p in tensorcg._SPECIALIZATIONS)
 
 
+@st.composite
+def q_int_bidiagonals(draw):
+    """(rows, shaped): a p x (p+1) bidiagonal matrix over Q[v, v^-1] whose
+    nonzero entries are +-v^e [a], a quarter of the d_r zero.  In about half
+    of them one entry is a near miss instead: 2 [a], [a] with one more term
+    past a gap, or [a] with one more term of the other sign; shaped is
+    whether none is."""
+    p = draw(st.integers(0, 6))
+    rows = [[LaurentPoly()] * (p + 1) for _ in range(p)]
+    for r in range(p):
+        for c in (r, r + 1):
+            if c == r + 1 or draw(st.integers(0, 3)):
+                sign, e, a = draw(st.sampled_from([1, -1])), draw(st.integers(-4, 4)), draw(st.integers(1, 6))
+                rows[r][c] = sign * v**e * q_int(a)
+    cells = [(r, c) for r in range(p) for c in (r, r + 1) if rows[r][c]]
+    if not cells or draw(st.booleans()):
+        return rows, True
+    r, c = draw(st.sampled_from(cells))
+    x = rows[r][c]
+    sign, top = x.leading_coeff, x.max_exp
+    rows[r][c] = draw(st.sampled_from([2 * x, x + sign * v ** (top + 4), x - sign * v ** (top + 2)]))
+    return rows, False
+
+
+@given(q_int_bidiagonals())
+@settings(max_examples=200, deadline=None)
+def test_factored_kernel_is_the_normalized_recurrence_or_falls_back(matrix):
+    rows, shaped = matrix
+    factored = tensorcg._factored_kernel(rows)
+    assert (factored is not None) == shaped
+    if shaped:
+        assert factored == QUANTUM.normalize(tensorcg._bidiagonal_kernel(rows, LaurentPoly))
+    # either way the certified kernel is the normalised elimination kernel
+    assert tensorcg._kernel(rows, len(rows) + 1, QUANTUM) == normalized_elimination(rows, len(rows) + 1, LaurentPoly)
+
+
 @pytest.mark.parametrize("findim", [finite_dim_classical, finite_dim_quantum])
 def test_hwv_of_f_m_f_n_uses_the_recurrence_and_the_rank_mod_p_only(findim, monkeypatch):
-    calls = count_calls(monkeypatch, "_bidiagonal_kernel", "_rank_mod", "_kernel_fraction_free")
+    calls = count_calls(monkeypatch, "_bidiagonal_kernel", "_factored_kernel", "_rank_mod", "_kernel_fraction_free")
+    # a quantum recurrence is normalised in factored form: the ring recurrence never runs
+    recurrence = "_bidiagonal_kernel" if findim is finite_dim_classical else "_factored_kernel"
     for m in range(7):
         for n in range(7):
             calls.clear()
             found = highest_weight_vectors(tensor(findim(m), findim(n)))
             assert len(found) == min(m, n) + 1
             # m + n + 1 weight spaces: min(m, n) + 1 bidiagonal, each other one of nullity 0
-            assert calls == Counter({"_bidiagonal_kernel": min(m, n) + 1, "_rank_mod": max(m, n)}), (m, n)
+            assert calls == Counter({recurrence: min(m, n) + 1, "_rank_mod": max(m, n)}), (m, n)
 
 
 @pytest.mark.parametrize("findim", [finite_dim_classical, finite_dim_quantum])
