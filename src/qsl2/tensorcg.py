@@ -212,7 +212,7 @@ def _factored_kernel(rows: list[list]) -> list | None:
     signs, lows = [prod(f[0] for f in x) for x in xs], [sum(f[1] for f in x) for x in xs]
     counts = [Counter(e for f in x for e in f[2]) for x in xs]
     common, e0, lead = functools.reduce(Counter.__and__, counts), min(lows), signs[0]
-    out = [prod(map(_cyclotomic, sorted((c - common).elements())), start=LaurentPoly({low - e0: sign * lead}))
+    out = [prod(map(_cyclotomic, (c - common).elements()), start=LaurentPoly({low - e0: sign * lead}))
            for sign, low, c in zip(signs, lows, counts)]
     return out + [LaurentPoly()] * (len(rows) + 1 - live)
 
