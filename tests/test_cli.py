@@ -447,8 +447,8 @@ def test_quantum_hwv_requests_take_the_factored_path_and_no_gcd(capsys, monkeypa
 
 
 def test_a_corrupted_cyclotomic_factor_fails_the_certificate(capsys, monkeypatch):
-    # hwv 3 3 2 expands Phi_3, Phi_4 and Phi_6; fill the cache first, so that
-    # the corrupted Phi_4 is only what the expansion reads
+    # hwv 3 3 2 expands Phi_3, Phi_4 and Phi_6; the cache is filled first, so
+    # that no other Phi_d is built by dividing by the corrupted Phi_4
     cyclotomic = tensorcg._cyclotomic
     for d in range(1, 20):
         cyclotomic(d)

@@ -477,7 +477,8 @@ def test_a_zero_superdiagonal_entry_takes_the_elimination(ring, monkeypatch):
     zero_s = ([[4, 0]], [[1, 0, 0], [0, 2, 3]], [[1, 2, 0], [0, 3, 0]], [[0, 0, 0], [0, 1, 1]])
     for rows in zero_s:
         rows = [[ring(c) for c in row] for row in rows]
-        assert tensorcg._kernel(rows, len(rows) + 1, flavor_of(ring)) == normalized_elimination(rows, len(rows) + 1, ring)
+        ncols = len(rows) + 1
+        assert tensorcg._kernel(rows, ncols, flavor_of(ring)) == normalized_elimination(rows, ncols, ring)
     assert calls == Counter({"_kernel_fraction_free": len(zero_s)})
     # a zero d_r keeps the shape: the recurrence still solves it (2 and 3 are no +-v^e [a])
     rows = [[ring(0), ring(2), ring(0)], [ring(0), ring(0), ring(3)]]
