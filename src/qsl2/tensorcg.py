@@ -6,8 +6,9 @@ three independent ways: the closed form, character peeling on the product
 of the factors' characters, and exact raising-operator nullspaces: a
 product recurrence on a bidiagonal weight space (each space of F_m (x) F_n
 that holds a highest-weight vector), fraction-free (Bareiss) elimination
-on any other.  Each kernel is certified annihilated and complete; a
-quantum one of +-v^e [a] entries is normalised by cyclotomic factors.
+on any other.  Each kernel is certified annihilated and complete.  A
+quantum recurrence of +-v^e [a] entries is normalised by its cyclotomic
+factors, with no gcd; any other kernel takes the flavour's normaliser.
 The explicit highest-weight transfer formula, evaluated verbatim with
 exact q-factorial coefficients, is adjudicated against the nullspace
 oracle and the outcome reported as data.
@@ -212,9 +213,8 @@ def _factored_kernel(rows: list[list]) -> list | None:
     signs, lows = [prod(f[0] for f in x) for x in xs], [sum(f[1] for f in x) for x in xs]
     counts = [Counter(e for f in x for e in f[2]) for x in xs]
     common, e0, lead = functools.reduce(Counter.__and__, counts), min(lows), signs[0]
-    out = [prod(map(_cyclotomic, (c - common).elements()), start=LaurentPoly({low - e0: sign * lead}))
-           for sign, low, c in zip(signs, lows, counts)]
-    return out + [LaurentPoly()] * (len(rows) + 1 - live)
+    return [prod(map(_cyclotomic, (c - common).elements()), start=LaurentPoly({low - e0: sign * lead}))
+            for sign, low, c in zip(signs, lows, counts)] + [LaurentPoly()] * (len(rows) + 1 - live)
 
 
 # (v0, prime): v -> v0 mod prime can only lower a rank; 65537 is no small root, as 3 may be
@@ -283,10 +283,10 @@ def highest_weight_vectors(m: WeightModule, weight=None) -> list[tuple[object, V
     integer coefficients, positive leading coefficient in the first
     nonzero entry).  Normalisation removes every scalar factor, so any
     exact method yielding these vectors up to ring scalars meets it;
-    here it is ``_kernel``, whose kernels are proven complete (a quantum
-    bidiagonal space of +-v^e [a] entries is normalised in factored form,
-    with no gcd); applying the raising operator to every returned vector
-    must give exactly zero.  Output is ordered by descending weight.
+    here it is ``_kernel``, proven complete, which normalises a quantum
+    bidiagonal space of +-v^e [a] entries by cyclotomic factors, with no gcd,
+    and any other by the flavour; the raising operator must take every
+    returned vector to exactly zero.  Output is ordered by descending weight.
     """
     raising, ring = m.flavor.raising, m.flavor.ring
     up = m.action[raising]
