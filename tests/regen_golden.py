@@ -120,8 +120,11 @@ def grid() -> list[list[str]]:
     check findim with n <= 8 and qtable with max-n <= 10 in every format
     and flavour; check verma and check rasskazova on non-integral
     rationals, plain, --describe and --inject-fault; and two negative
-    rationals passed as separate tokens.  No argparse error is included:
-    its wording varies across the supported Python versions."""
+    rationals passed as separate tokens.  Last, spellings other than the
+    canonical one that every supported Python parses alike: "=" joins, an
+    abbreviation, repeated flags, --format first and negative rationals
+    as separate tokens.  No argparse error is included: its wording
+    varies across the supported Python versions."""
     variants = [[*quantum, "--format", fmt] for quantum in ([], ["--quantum"]) for fmt in ("json", "csv", "pretty")]
     hwv = [["hwv", "--m", str(m), "--n", str(n), "--p", str(p)]
            for m in range(9) for n in range(9) for p in range(min(m, n) + 2)]
@@ -135,7 +138,16 @@ def grid() -> list[list[str]]:
     checks = [argv + flag for argv in checks for flag in ([], ["--describe"], ["--inject-fault"])]
     separate = [["check", "verma", "--hw", "-3/2", "--depth", "4"],
                 ["check", "rasskazova", "--beta", "1/2", "--lambda", "-1/3", "--n", "2", "--window", "2"]]
-    return [argv + variant for argv in hwv + decompose + findim for variant in variants] + qtable + checks + separate
+    spellings = [["hwv", "--m=3", "--n", "2", "--p", "1"],
+                 ["hwv", "--m", "2", "--n", "2", "--p", "1", "--quant"],
+                 ["hwv", "--m", "1", "--n", "2", "--p", "1", "--m", "3", "--format", "pretty"],
+                 ["decompose", "--format", "csv", "--m", "3", "--n", "2", "--quantum"],
+                 ["qtable", "--format=pretty", "--max-n", "4"],
+                 ["check", "findim", "--n", "3", "--quantum", "--quantum"],
+                 ["check", "verma", "--depth", "3", "--hw", "-3/2", "--format", "csv"],
+                 ["check", "rasskazova", "--beta", "-1/2", "--lambda=5/3", "--n", "2", "--window", "3"]]
+    return ([argv + variant for argv in hwv + decompose + findim for variant in variants]
+            + qtable + checks + separate + spellings)
 
 
 def grid_hash(argv: list[str]) -> str:

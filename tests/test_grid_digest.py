@@ -16,6 +16,6 @@ def test_grid_output_matches_the_digest():
     expected = [line.split("  ", 1) for line in DIGEST.read_text().splitlines()]
     argvs = grid()
     assert [argv.split() for _, argv in expected] == argvs
-    assert len(argvs) == 2843
+    assert len(argvs) == 2851
     for (digest, shown), argv in zip(expected, argvs):
         assert grid_hash(argv) == digest, f"output of qsl2 {shown} differs from the digest"
