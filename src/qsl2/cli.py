@@ -2,8 +2,10 @@
 
 Subcommands: decompose, hwv, check, qtable.  check has one sub-parser
 per module kind (findim, verma, rasskazova); each declares only its own
-flags, so another kind's flag is a usage error, and usage-error text is
-argparse's.  The parser is built once per process, on first use.
+flags, so another kind's flag is a usage error.  The parser is built once
+per process, on first use.  Canonical argv (the command path, then whole
+flags of it, each once, each value its own token) is read off the parser's
+action table; all else is argparse's: every usage error, help and spelling.
 
 Every invocation writes exactly one output envelope, except -h/--help:
 that prints argparse's help, no envelope, and exits 0 (main raises
@@ -38,8 +40,6 @@ from .modrep import (
     RasskazovaParams,
     check_relations,
     corrupt_one_entry,
-    finite_dim_classical,
-    finite_dim_quantum,
     rasskazova,
     verma_classical,
 )
@@ -164,6 +164,44 @@ def build_parser() -> _Parser:
     return parser
 
 
+def _read_canonical(parser: _Parser, argv: list[str]) -> argparse.Namespace | None:
+    """parser.parse_args(argv) read off its actions, or None if argv is not canonical or fails a check."""
+    values, i = {}, 0
+    while commands := [a for a in parser._actions if not a.option_strings]:
+        (action,) = commands  # the sub-parser choice, the only positional
+        if i == len(argv) or argv[i] not in action.choices:
+            return None
+        values[action.dest], parser, i = argv[i], action.choices[argv[i]], i + 1
+    flags = {s: a for a in parser._actions for s in a.option_strings}
+    try:
+        while i < len(argv):
+            action = flags.get(argv[i])  # None: not a whole flag of this command
+            if action is None or action.dest in values or action.default is argparse.SUPPRESS:  # repeated, -h
+                return None
+            if action.nargs == 0:
+                values[action.dest], i = action.const, i + 1
+                continue
+            if action.nargs is not None or i + 1 == len(argv) or argv[i + 1].startswith("-"):
+                return None
+            value = argv[i + 1] if action.type is None else action.type(argv[i + 1])
+            if action.choices is not None and value not in action.choices:
+                return None
+            values[action.dest], i = value, i + 2
+        missing = [a for a in parser._actions if a.dest not in values]
+        if any(a.required for a in missing):
+            return None
+        values |= {a.dest: a.type(a.default) if a.type and isinstance(a.default, str) else a.default
+                   for a in missing if a.default is not argparse.SUPPRESS}  # as argparse fills them in
+    except (argparse.ArgumentTypeError, TypeError, ValueError):
+        return None
+    return argparse.Namespace(**values)
+
+
+def parse_args(argv: list[str]) -> argparse.Namespace:
+    """build_parser().parse_args(argv), read off its action table when argv is canonical."""
+    return _read_canonical(build_parser(), argv) or build_parser().parse_args(argv)
+
+
 def _lines(lines) -> str:
     return "".join(f"{line}\n" for line in lines)
 
@@ -174,7 +212,7 @@ def _csv(header: str, rows) -> str:
 
 def cmd_decompose(ns):
     closed = cg_decompose(ns.m, ns.n)
-    a, b = map(finite_dim_quantum if ns.quantum else finite_dim_classical, (ns.m, ns.n))
+    a, b = _finite_dim(ns.m, ns.quantum), _finite_dim(ns.n, ns.quantum)
     peeled = decompose_by_character(a, b)  # from the factors' characters: no tensor module
     if peeled != closed:
         raise CheckFailure(
@@ -228,7 +266,7 @@ def cmd_check(ns):
     if ns.describe and ns.format != "json":
         raise UsageError(f"--describe needs --format json, got --format {ns.format}")
     if ns.kind == "findim":
-        module = finite_dim_quantum(ns.n) if ns.quantum else finite_dim_classical(ns.n)
+        module = _finite_dim(ns.n, ns.quantum)
     elif ns.kind == "verma":
         module = verma_classical(ns.hw, ns.depth)
     else:
@@ -294,7 +332,7 @@ def _dump(envelope: dict) -> str:
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     try:
-        ns = build_parser().parse_args(argv)
+        ns = parse_args(argv)
         result, code = COMMANDS[ns.cmd](ns), 0
     except UsageError as exc:
         result, code = {"status": "error", "error": str(exc)}, 2

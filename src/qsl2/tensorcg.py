@@ -395,7 +395,7 @@ WEIGHT_MATCHED = Interpretation("weight-matched-v1", _weight_matched_positions)
 
 @functools.lru_cache(maxsize=32)
 def _finite_dim(n: int, quantum: bool) -> WeightModule:
-    """F_n, shared by the hwv callers, which only read it; the public constructors build a new one."""
+    """F_n, shared by the callers that only read it; the public constructors build a new one."""
     return finite_dim_quantum(n) if quantum else finite_dim_classical(n)
 
 

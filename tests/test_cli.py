@@ -1,12 +1,17 @@
+import argparse
+import contextlib
+import io
 import json
 import os
 import re
+import runpy
 import subprocess
 import sys
 from collections import Counter
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import qsl2
 from qsl2 import tensorcg
@@ -255,6 +260,143 @@ def test_negative_rational_spellings_agree(capsys, separate, joined):
     assert csv[0] == csv[1] and csv[0][0] == 0
     payloads = [json.loads(run_cli(capsys, argv)[1])["payload"] for argv in (separate, joined)]
     assert payloads[0] == payloads[1]
+
+
+# -- canonical argv is read off argparse's action table ------------------------------
+
+# each command path and its whole flags; the switches take no value
+FLAGS = {
+    ("decompose",): ["--m", "--n", "--quantum", "--format"],
+    ("hwv",): ["--m", "--n", "--p", "--quantum", "--format"],
+    ("check", "findim"): ["--n", "--quantum", "--inject-fault", "--describe", "--format"],
+    ("check", "verma"): ["--hw", "--depth", "--inject-fault", "--describe", "--format"],
+    ("check", "rasskazova"): ["--beta", "--lambda", "--n", "--window", "--inject-fault", "--describe", "--format"],
+    ("qtable",): ["--max-n", "--format"],
+}
+SWITCHES = {"--quantum", "--inject-fault", "--describe"}
+
+
+def is_canonical(argv):
+    """A command path, then whole flags of it, each once, each value one token not starting with "-"."""
+    path = tuple(argv[:2]) if argv[:1] == ["check"] else tuple(argv[:1])
+    rest, flags = argv[len(path):], []
+    while rest:
+        flag, *rest = rest
+        if flag not in FLAGS.get(path, ()) or flag in flags:
+            return False
+        flags.append(flag)
+        if flag not in SWITCHES:
+            if not rest or rest[0].startswith("-"):
+                return False
+            rest = rest[1:]
+    return True
+
+
+def argparse_or_error(argv):
+    """build_parser().parse_args(argv), or the exception it raised (SystemExit for help)."""
+    from qsl2 import cli
+
+    try:
+        with contextlib.redirect_stdout(io.StringIO()):
+            return cli.build_parser().parse_args(argv)
+    except (cli.UsageError, SystemExit) as exc:
+        return exc
+
+
+def bench_argvs():
+    """The benchmark's warm-up list and pass 0 of each workload."""
+    workloads = runpy.run_path(str(Path(__file__).parents[1] / "bench" / "workloads.py"))
+    items = workloads["warmup_items"]() + [
+        item for name in workloads["WORKLOADS"] for item in workloads["generate"](name, 0, 0)]
+    return [item["argv"] for item in items]
+
+
+def test_canonical_reading_equals_argparse():
+    """On every argv the tests and the benchmark send, the reader either
+    defers or returns argparse's Namespace; it reads every canonical one."""
+    import regen_golden
+    from qsl2 import cli
+
+    argvs = (regen_golden.grid() + [case["argv"] for case in MANIFEST.values()]
+             + [list(argv) for argv in USAGE_ERRORS] + bench_argvs())
+    read = 0
+    for argv in argvs:
+        ns = cli._read_canonical(cli.build_parser(), argv)
+        expected = argparse_or_error(argv)
+        assert ns is None or ns == expected, argv
+        if is_canonical(argv) and isinstance(expected, argparse.Namespace):
+            assert ns is not None, argv
+        read += ns is not None
+    assert read > 0.9 * len(argvs)
+
+
+ODD_VALUES = ["-3/2", "٣", "+5", "1_0", " 4", "", "--m", "-1", "3.0", "xml", "0"]
+VALUES = {"--format": ["json", "csv", "pretty"], "--hw": ["1/2", "5/2", "3"],
+          "--beta": ["1/2", "5/2", "3"], "--lambda": ["1/2", "5/2", "3"]}
+
+
+@st.composite
+def spelled_argvs(draw):
+    """A command path, then its flags in any order; at a drawn rate each is
+    dropped, abbreviated, given an odd value, a missing one or one joined by
+    "=", and a repeated flag, -h, --help or an unknown flag is added."""
+    path = draw(st.sampled_from(sorted(FLAGS)))
+    rate = draw(st.integers(0, 4))  # in tenths
+
+    def odd():
+        return draw(st.integers(0, 9)) < rate
+
+    flags = draw(st.permutations(FLAGS[path]))
+    if odd():
+        flags.insert(draw(st.integers(0, len(flags))), draw(st.sampled_from([*FLAGS[path], "-h", "--help", "--bogus"])))
+    argv = list(path)
+    for flag in flags:
+        if odd():
+            continue
+        name = flag[:draw(st.integers(min(3, len(flag)), len(flag)))] if odd() else flag
+        value = draw(st.sampled_from(ODD_VALUES if odd() else VALUES.get(flag, ["1", "2", "3"])))
+        form = draw(st.sampled_from(["bare", "next", "joined"])) if odd() else "bare" if flag in SWITCHES else "next"
+        argv += [name] if form == "bare" else [name, value] if form == "next" else [f"{name}={value}"]
+    return argv
+
+
+@settings(max_examples=400, deadline=None)
+@given(spelled_argvs())
+def test_reader_defers_wherever_argparse_fails(argv):
+    from qsl2 import cli
+
+    ns = cli._read_canonical(cli.build_parser(), argv)
+    expected = argparse_or_error(argv)
+    if not isinstance(expected, argparse.Namespace):
+        assert ns is None, (argv, expected)
+    else:
+        assert ns is None or ns == expected, argv
+
+
+def test_canonical_requests_need_no_argparse(monkeypatch):
+    """Every canonical grid and golden argv that argparse accepts gives its
+    recorded output with argparse's parse_args disabled."""
+    import regen_golden
+    from qsl2 import cli
+
+    def parse_args(self, *args, **kwargs):
+        raise AssertionError("argparse parsed a canonical argv")
+
+    digest = [line.split("  ", 1) for line in (GOLDEN / "grid_digest.txt").read_text().splitlines()]
+    def accepted(argv):
+        return is_canonical(argv) and isinstance(argparse_or_error(argv), argparse.Namespace)
+
+    canonical = [(h, argv.split()) for h, argv in digest if accepted(argv.split())]
+    golden = {name: case for name, case in MANIFEST.items() if accepted(case["argv"])}
+    assert len(canonical) == 2770 and len(golden) == 35
+    monkeypatch.setattr(cli._Parser, "parse_args", parse_args)
+    for h, argv in canonical:
+        assert regen_golden.grid_hash(argv) == h, argv
+    for name, case in golden.items():
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert main(case["argv"]) == case["exit"], name
+        assert out.getvalue() == (GOLDEN / f"{name}.json").read_text(), name
 
 
 def test_decompose_cross_check_mismatch_is_internal_failure(capsys, monkeypatch):
