@@ -172,10 +172,9 @@ def _read_canonical(parser: _Parser, argv: list[str]) -> argparse.Namespace | No
         if i == len(argv) or argv[i] not in action.choices:
             return None
         values[action.dest], parser, i = argv[i], action.choices[argv[i]], i + 1
-    flags = {s: a for a in parser._actions for s in a.option_strings}
     try:
         while i < len(argv):
-            action = flags.get(argv[i])  # None: not a whole flag of this command
+            action = parser._option_string_actions.get(argv[i])  # None: not a whole flag of this command
             if action is None or action.dest in values or action.default is argparse.SUPPRESS:  # repeated, -h
                 return None
             if action.nargs == 0:
