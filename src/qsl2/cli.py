@@ -4,8 +4,9 @@ Subcommands: decompose, hwv, check, qtable.  check has one sub-parser
 per module kind (findim, verma, rasskazova); each declares only its own
 flags, so another kind's flag is a usage error.  The parser is built once
 per process, on first use.  Canonical argv (the command path, then whole
-flags of it, each once, each value its own token) is read off the parser's
-action table; all else is argparse's: every usage error, help and spelling.
+flags of it, each once, each value its own token or joined by "=") is read
+off the parser's action table; all else is argparse's: every usage error,
+help and spelling.
 
 Every invocation writes exactly one output envelope, except -h/--help:
 that prints argparse's help, no envelope, and exits 0 (main raises
@@ -173,19 +174,25 @@ def _read_canonical(parser: _Parser, argv: list[str]) -> argparse.Namespace | No
             return None
         values[action.dest], parser, i = argv[i], action.choices[argv[i]], i + 1
     try:
+        actions = parser._option_string_actions  # the whole option strings of this command
         while i < len(argv):
-            action = parser._option_string_actions.get(argv[i])  # None: not a whole flag of this command
-            if action is None or action.dest in values or action.default is argparse.SUPPRESS:  # repeated, -h
-                return None
-            if action.nargs == 0:
+            action, value = actions.get(argv[i]), None
+            if action is None and argv[i].startswith("--"):  # --flag=value: the value may start with "-"
+                flag, _, value = argv[i].partition("=")
+                action = actions.get(flag)
+            if action is None or action.dest in values or action.default is argparse.SUPPRESS or value == "":
+                return None  # not a flag of this command, repeated, -h, or nothing after "="
+            if action.nargs == 0 and value is None:
                 values[action.dest], i = action.const, i + 1
                 continue
-            if action.nargs is not None or i + 1 == len(argv) or argv[i + 1].startswith("-"):
+            if value is None and i + 1 < len(argv) and not argv[i + 1].startswith("-"):
+                value, i = argv[i + 1], i + 1
+            if action.nargs is not None or value is None:  # a switch given "=", or no value token
                 return None
-            value = argv[i + 1] if action.type is None else action.type(argv[i + 1])
+            value = value if action.type is None else action.type(value)
             if action.choices is not None and value not in action.choices:
                 return None
-            values[action.dest], i = value, i + 2
+            values[action.dest], i = value, i + 1
         missing = [a for a in parser._actions if a.dest not in values]
         if any(a.required for a in missing):
             return None

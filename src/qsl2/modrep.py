@@ -26,20 +26,59 @@ eigenvalues by which the diagonal generators (h, or K and Kinv) act on
 each weight, so that their matrices are never stored, and holds the
 coproduct as data, the defining relations by name, the commutator's
 value on each weight and the canonical scaling of kernel vectors.
+
+Flavor, RasskazovaParams and the relation reports are frozen records on
+``Record``, the base defined here and shared with tensorcg: field-wise
+== (identity for Flavor), a ``Name(field=value, ...)`` repr and a checked
+``replace``.  It is plain Python, so importing qsl2 loads no inspect or typing.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
-from typing import Callable
 
 from .qarith import LaurentPoly, lp_gcd, primitive, q_int
 
 
-@dataclass(frozen=True, eq=False)
-class Flavor:
+class Record:
+    """Base of the frozen records: ``_fields`` names the fields, in order.
+
+    A record compares and hashes field-wise, prints as ``Name(field=value,
+    ...)`` and refuses assignment; ``replace`` builds the copy through
+    ``__init__``, so its checks run again.  Only ``__init__`` writes
+    ``__dict__``, so it holds exactly the fields, and == compares it.  This
+    ``__init__`` takes them by position or name; a per-request record has its own.
+    """
+
+    def __init__(self, *args, **kwargs):
+        values = dict(zip(self._fields, args), **kwargs)
+        if len(args) + len(kwargs) != len(self._fields) or values.keys() != set(self._fields):
+            raise TypeError(f"{type(self).__name__}() takes the fields {', '.join(self._fields)}")
+        self.__dict__.update(values)
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"{type(self).__name__} is frozen: cannot set or delete {name!r}")
+
+    __delattr__ = __setattr__
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.__dict__ == other.__dict__
+
+    def __hash__(self):
+        return hash(tuple(self.__dict__[f] for f in self._fields))
+
+    def __repr__(self):
+        return f"{type(self).__qualname__}({', '.join(f'{f}={getattr(self, f)!r}' for f in self._fields)})"
+
+    def replace(self, **changes):
+        """A copy with the named fields changed, checked as a new record is."""
+        return type(self)(**{f: getattr(self, f) for f in self._fields} | changes)
+
+
+class Flavor(Record):
     """Classical sl(2) or U_v(sl2), as data.
 
     ``ring`` is the scalar ring, Fraction or LaurentPoly: ``ring()`` is its
@@ -52,15 +91,9 @@ class Flavor:
     weight grading proves them (see check_relations).
     """
 
-    name: str
-    raising: str
-    lowering: str
-    ring: type
-    diagonal: dict
-    coproduct: dict
-    relations: tuple
-    commutator: Callable
-    normalize: Callable[[list], list]
+    _fields = ("name", "raising", "lowering", "ring", "diagonal", "coproduct", "relations",
+               "commutator", "normalize")  # normalize: list of kernel coordinates -> scaled list
+    __eq__, __hash__ = object.__eq__, object.__hash__  # two flavours are never equal
 
     @property
     def generators(self) -> tuple[str, ...]:
@@ -273,22 +306,18 @@ def verma_classical(hw, depth: int) -> WeightModule:
     return WeightModule(CLASSICAL, name, basis, weights, {"e": e, "f": f}, boundary=[basis[depth]])
 
 
-@dataclass(frozen=True)
-class RasskazovaParams:
+class RasskazovaParams(Record):
     """Parameters (beta, lambda, n) plus the retained window j in [-J, J]."""
 
-    beta: Fraction
-    lam: Fraction
-    n: int
-    window: int
+    _fields = ("beta", "lam", "n", "window")
 
-    def __post_init__(self):
-        object.__setattr__(self, "beta", Fraction(self.beta))
-        object.__setattr__(self, "lam", Fraction(self.lam))
-        if self.n < 1:
-            raise ValueError(f"Rasskazova family needs n >= 1, got {self.n}")
-        if self.window < 1:
-            raise ValueError(f"window must be >= 1, got {self.window}")
+    def __init__(self, beta, lam, n: int, window: int):
+        beta, lam = Fraction(beta), Fraction(lam)
+        if n < 1:
+            raise ValueError(f"Rasskazova family needs n >= 1, got {n}")
+        if window < 1:
+            raise ValueError(f"window must be >= 1, got {window}")
+        self.__dict__.update(beta=beta, lam=lam, n=n, window=window)
 
 
 def rasskazova(p: RasskazovaParams) -> WeightModule:
@@ -344,15 +373,14 @@ def rasskazova(p: RasskazovaParams) -> WeightModule:
 # -- relation checking ----------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class RelationFailure:
-    relation: str
-    label: object
-    defect: tuple  # ((label, scalar), ...) in ambient order, never empty
+class RelationFailure(Record):
+    _fields = ("relation", "label", "defect")  # defect: ((label, scalar), ...) in ambient order, never empty
+
+    def __init__(self, relation: str, label, defect: tuple):
+        self.__dict__.update(relation=relation, label=label, defect=defect)
 
 
-@dataclass(frozen=True)
-class RelationReport:
+class RelationReport(Record):
     """Exact pass/fail record of the defining relations on a module.
 
     Zero failures means every checked relation holds exactly on every
@@ -360,12 +388,12 @@ class RelationReport:
     vectors that were skipped.
     """
 
-    module: str
-    flavor: str
-    relations: tuple[str, ...]
-    checked: tuple
-    failures: tuple[RelationFailure, ...]
-    excluded: tuple
+    _fields = ("module", "flavor", "relations", "checked", "failures", "excluded")
+
+    def __init__(self, module: str, flavor: str, relations: tuple[str, ...], checked: tuple,
+                 failures: tuple[RelationFailure, ...], excluded: tuple):
+        self.__dict__.update(module=module, flavor=flavor, relations=relations, checked=checked,
+                             failures=failures, excluded=excluded)
 
     @property
     def ok(self) -> bool:

@@ -14,10 +14,10 @@ Integer data, such as every q-integer, never builds a Fraction.
 
 from __future__ import annotations
 
+from collections.abc import Iterator, Mapping
 from fractions import Fraction
 from math import gcd, lcm
 from operator import index
-from typing import Iterator, Mapping
 
 
 class ExactDivisionError(ArithmeticError):

@@ -11,18 +11,18 @@ quantum recurrence of +-v^e [a] entries is normalised by its cyclotomic
 factors, with no gcd; any other kernel takes the flavour's normaliser.
 The explicit highest-weight transfer formula, evaluated verbatim with
 exact q-factorial coefficients, is adjudicated against the nullspace
-oracle and the outcome reported as data.
+oracle and the outcome reported as data.  Decomposition, Interpretation
+and ComparisonReport are frozen records on modrep's ``Record`` base.
 """
 
 from __future__ import annotations
 
 import functools
 from collections import Counter
-from dataclasses import dataclass
 from math import prod
-from typing import Callable
 
-from .modrep import QUANTUM, Flavor, Vector, WeightModule, apply, finite_dim_classical, finite_dim_quantum
+from .modrep import QUANTUM, Flavor, Record, Vector, WeightModule, apply
+from .modrep import finite_dim_classical, finite_dim_quantum
 from .qarith import ExactDivisionError, LaurentPoly, q_int
 
 
@@ -34,16 +34,16 @@ class NullspaceError(ArithmeticError):
     """A raising-operator kernel failed a side of its certificate or its expected dimension."""
 
 
-@dataclass(frozen=True)
-class Decomposition:
+class Decomposition(Record):
     """Multiset of highest weights of the irreducible summands."""
 
-    summands: dict  # highest weight (int) -> multiplicity (>= 1)
+    _fields = ("summands",)
 
-    def __post_init__(self):
-        for w, mult in self.summands.items():
+    def __init__(self, summands: dict):  # highest weight (int) -> multiplicity (>= 1)
+        for w, mult in summands.items():
             if mult < 1:
                 raise ValueError(f"multiplicity of weight {w} must be >= 1, got {mult}")
+        self.__dict__["summands"] = summands
 
     @property
     def total_dim(self) -> int:
@@ -370,8 +370,7 @@ def decompose_by_character(mod: WeightModule, *others: WeightModule) -> Decompos
 # -- the explicit highest-weight transfer formula ------------------------------
 
 
-@dataclass(frozen=True)
-class Interpretation:
+class Interpretation(Record):
     """A reading of the transfer formula's basis subscripts.
 
     ``positions(m, n, p, k)`` gives the pair of basis positions (indexed
@@ -379,8 +378,7 @@ class Interpretation:
     k of the sum.
     """
 
-    ident: str
-    positions: Callable[[int, int, int, int], tuple[int, int]]
+    _fields = ("ident", "positions")
 
 
 def _weight_matched_positions(m: int, n: int, p: int, k: int) -> tuple[int, int]:
@@ -445,8 +443,7 @@ def phi_vector(
     return Vector(module, entries, note=note)
 
 
-@dataclass(frozen=True)
-class ComparisonReport:
+class ComparisonReport(Record):
     """Outcome of comparing the transfer formula against the oracle.
 
     When proportional, ``scalar`` is the exact ratio (formula vector,
@@ -456,17 +453,13 @@ class ComparisonReport:
     ``oracle`` is the normalized oracle vector compared against.
     """
 
-    proportional: bool
-    scalar: LaurentPoly | None
-    witness: tuple | None
-    interpretation: str
-    oracle: Vector
+    _fields = ("proportional", "scalar", "witness", "interpretation", "oracle")
 
-    def __post_init__(self):
-        if self.proportional:
-            assert self.scalar is not None and self.witness is None
-        else:
-            assert self.witness is not None
+    def __init__(self, proportional: bool, scalar: LaurentPoly | None, witness: tuple | None,
+                 interpretation: str, oracle: Vector):
+        assert (scalar is not None and witness is None) if proportional else witness is not None
+        self.__dict__.update(proportional=proportional, scalar=scalar, witness=witness,
+                             interpretation=interpretation, oracle=oracle)
 
 
 def phi_vs_oracle(

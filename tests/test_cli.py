@@ -312,9 +312,36 @@ def bench_argvs():
     return [item["argv"] for item in items]
 
 
+# a valid value for each flag that takes one, by command path
+VALID = {
+    ("decompose",): {"--m": "2", "--n": "1"},
+    ("hwv",): {"--m": "2", "--n": "1", "--p": "1"},
+    ("check", "findim"): {"--n": "2"},
+    ("check", "verma"): {"--hw": "1/2", "--depth": "2"},
+    ("check", "rasskazova"): {"--beta": "1/2", "--lambda": "3", "--n": "1", "--window": "1"},
+    ("qtable",): {"--max-n": "3"},
+}
+
+
+def joined_argvs():
+    """Each value flag spelled --flag=value with a valid, negative, empty and
+    ill-typed value, and each switch given a value after "="."""
+    argvs = []
+    for path, valid in VALID.items():
+        flags = {**valid, "--format": "csv"}
+        for flag in flags:
+            for value in (flags[flag], "-3/2", "", "x"):
+                rest = [t for f, v in valid.items() if f != flag for t in (f, v)]
+                argvs.append([*path, f"{flag}={value}", *rest])
+        for switch in SWITCHES.intersection(FLAGS[path]):
+            argvs.append([*path, f"{switch}=1", *(t for item in valid.items() for t in item)])
+    return argvs
+
+
 def test_canonical_reading_equals_argparse():
     """On every argv the tests and the benchmark send, the reader either
-    defers or returns argparse's Namespace; it reads every canonical one."""
+    defers or returns argparse's Namespace; it reads every canonical one,
+    and every --flag=value spelling argparse accepts."""
     import regen_golden
     from qsl2 import cli
 
@@ -326,6 +353,14 @@ def test_canonical_reading_equals_argparse():
         assert ns is None or ns == expected, argv
         if is_canonical(argv) and isinstance(expected, argparse.Namespace):
             assert ns is not None, argv
+    read = 0
+    for argv in joined_argvs():
+        ns = cli._read_canonical(cli.build_parser(), argv)
+        expected = argparse_or_error(argv)
+        assert ns is None or ns == expected, argv
+        assert (ns is not None) == isinstance(expected, argparse.Namespace), (argv, expected)
+        read += ns is not None
+    assert read == 19 + 3  # every valid value, and "-3/2" for --hw, --beta and --lambda
 
 
 ODD_VALUES = ["-3/2", "٣", "+5", "1_0", " 4", "", "--m", "-1", "3.0", "xml", "0"]
@@ -623,6 +658,23 @@ def test_parser_is_built_once_and_not_at_import():
     proc = run_python("-c", probe)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[-1] == "[0, 1, 1, 1]"
+
+
+def test_import_loads_no_dataclasses_inspect_or_typing():
+    """What import qsl2.cli adds to the standard modules qsl2 itself needs:
+    without site, so that no .pth file has loaded typing beforehand."""
+    probe = (
+        "import sys\n"
+        "import argparse, collections.abc, fractions, functools, json, math, operator, re\n"
+        "before = set(sys.modules)\n"
+        "import qsl2.cli\n"
+        "print(json.dumps(sorted(set(sys.modules) - before)))\n"
+    )
+    proc = run_python("-S", "-c", probe)
+    assert proc.returncode == 0, proc.stderr
+    added = set(json.loads(proc.stdout.splitlines()[-1]))
+    assert "qsl2.cli" in added
+    assert not added & {"dataclasses", "inspect", "typing", "ast", "dis", "tokenize"}, sorted(added)
 
 
 def test_check_kind_help_lists_only_its_own_flags(capsys):

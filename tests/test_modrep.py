@@ -1,4 +1,3 @@
-import dataclasses
 from fractions import Fraction
 from math import gcd
 
@@ -40,7 +39,7 @@ def basis_vec(m, lab):
 
 # D(E) = E (x) 1 + K (x) E, D(F) = F (x) Kinv + 1 (x) F (Kassel 1995,
 # Jantzen 1996): QUANTUM's coproduct with the twists on the other factor
-KASSEL = dataclasses.replace(QUANTUM, coproduct={"E": (None, "K"), "F": ("Kinv", None)})
+KASSEL = QUANTUM.replace(coproduct={"E": (None, "K"), "F": ("Kinv", None)})
 
 
 def findim(flavor, n):
@@ -494,6 +493,71 @@ def test_flavor_ring_names_the_scalar_ring():
         assert not flavor.ring() and flavor.ring(1) == 1
 
 
+# -- the frozen records: field-wise ==, hash and repr, no assignment, checked replace
+
+
+def test_records_compare_hash_and_print_field_wise():
+    def report(defect):
+        failure = RelationFailure("[e,f]=h", "w_0", defect)
+        return RelationReport("F(n=1)", "classical", ("[e,f]=h",), ("w_0",), (failure,), ())
+
+    a, b = report((("w_0", Fraction(1, 2)),)), report((("w_0", Fraction(2, 4)),))
+    assert a == b and hash(a) == hash(b) and a is not b
+    assert a != report((("w_0", Fraction(1, 3)),)) and a != a.replace(excluded=("w_1",))
+    assert a.__eq__("F(n=1)") is NotImplemented and a != "F(n=1)"
+    assert repr(a) == (
+        "RelationReport(module='F(n=1)', flavor='classical', relations=('[e,f]=h',), checked=('w_0',), "
+        "failures=(RelationFailure(relation='[e,f]=h', label='w_0', defect=(('w_0', Fraction(1, 2)),)),), "
+        "excluded=())"
+    )
+
+
+@pytest.mark.parametrize("make", [
+    lambda: RasskazovaParams(Fraction(1, 2), 3, 2, 1),
+    lambda: check_relations(finite_dim_classical(2)),
+    lambda: tensorcg.Decomposition({2: 1}),
+    lambda: tensorcg.WEIGHT_MATCHED,
+    lambda: QUANTUM,
+])
+def test_records_refuse_assignment(make):
+    record = make()
+    field = type(record)._fields[0]
+    before = getattr(record, field)
+    for change in (lambda: setattr(record, field, None), lambda: delattr(record, field),
+                   lambda: setattr(record, "extra", 1)):
+        with pytest.raises(AttributeError):
+            change()
+    assert getattr(record, field) is before
+
+
+def test_replace_checks_the_new_record():
+    params = RasskazovaParams(1, Fraction(5, 2), 2, 3)
+    assert params.replace(beta="1/2") == RasskazovaParams(Fraction(1, 2), Fraction(5, 2), 2, 3)
+    assert type(params.replace(lam=2).lam) is Fraction and params.replace().n == 2
+    for bad in ({"n": 0}, {"window": 0}):
+        with pytest.raises(ValueError):
+            params.replace(**bad)
+    with pytest.raises(TypeError):
+        params.replace(depth=1)
+    with pytest.raises(ValueError):
+        tensorcg.Decomposition({2: 1}).replace(summands={2: 0})
+    # the generic constructor wants every field once, by position or name
+    positions = tensorcg.WEIGHT_MATCHED.positions
+    assert tensorcg.Interpretation(ident="x", positions=positions) == tensorcg.Interpretation("x", positions)
+    for args, kwargs in [(("x",), {}), (("x", positions, 1), {}), (("x", positions), {"ident": "y"}),
+                         ((), {"ident": "x", "positions": positions, "other": 1})]:
+        with pytest.raises(TypeError):
+            tensorcg.Interpretation(*args, **kwargs)
+
+
+def test_flavor_equality_is_identity():
+    twin = QUANTUM.replace()
+    assert all(getattr(twin, f) is getattr(QUANTUM, f) for f in QUANTUM._fields)
+    assert twin != QUANTUM and QUANTUM == QUANTUM and CLASSICAL != QUANTUM
+    assert len({QUANTUM, twin, QUANTUM}) == 2 and hash(QUANTUM) == object.__hash__(QUANTUM)
+    assert finite_dim_quantum(1).flavor is QUANTUM
+
+
 def stored(m, gen=None):
     """Every stored entry of m, or of its generator gen."""
     return [c for g in ([gen] if gen else m.action) for col in m.action[g].values() for c in col.values()]
@@ -882,7 +946,7 @@ def test_integer_checker_matches_the_reference_on_wide_denominators(m):
         for col, entries in m.action["e"].items():
             for row, c in entries.items():
                 bad = check_relations(with_entry(m, "e", col, row, c + 1 or c - 1))
-                assert dataclasses.replace(bad, module=m.name) == report
+                assert bad.replace(module=m.name) == report
     for x in modules:
         report = check_relations(x)
         assert report == reference_check_relations(x)

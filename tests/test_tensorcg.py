@@ -1,4 +1,3 @@
-import dataclasses
 from collections import Counter
 from fractions import Fraction
 
@@ -81,7 +80,7 @@ def test_tensor_quantum_E_coproduct():
 
 def test_tensor_follows_the_flavor_coproduct():
     # D(E) = E (x) 1 + K (x) E, D(F) = F (x) Kinv + 1 (x) F is a coproduct too
-    alt = dataclasses.replace(QUANTUM, coproduct={"E": (None, "K"), "F": ("Kinv", None)})
+    alt = QUANTUM.replace(coproduct={"E": (None, "K"), "F": ("Kinv", None)})
 
     def findim(n):
         f = finite_dim_quantum(n)
@@ -418,7 +417,7 @@ def test_hwv_certifies_the_vector_it_returns(flavor):
         head, *tail = flavor.normalize(coords)
         return [2 * head, *tail]
 
-    bad = dataclasses.replace(flavor, normalize=doubled)
+    bad = flavor.replace(normalize=doubled)
     f = finite_dim_classical(1) if flavor is CLASSICAL else finite_dim_quantum(1)
     factor = WeightModule(bad, f.name, f.basis, f.weights, f.action)
     with pytest.raises(NullspaceError, match="nullspace certificate failed at weight 0"):
