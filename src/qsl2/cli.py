@@ -4,9 +4,9 @@ Subcommands: decompose, hwv, check, qtable.  check has one sub-parser
 per module kind (findim, verma, rasskazova); each declares only its own
 flags, so another kind's flag is a usage error.  The parser is built once
 per process, on first use.  Canonical argv (the command path, then whole
-flags of it, each once, each value its own token or joined by "=") is read
-off the parser's action table; all else is argparse's: every usage error,
-help and spelling.
+flags of it, each once, each value its own token, a negative number too,
+or joined by "=") is read off the parser's action table; all else is
+argparse's: every usage error, help and spelling.
 
 Every invocation writes exactly one output envelope, except -h/--help:
 that prints argparse's help, no envelope, and exits 0 (main raises
@@ -185,7 +185,9 @@ def _read_canonical(parser: _Parser, argv: list[str]) -> argparse.Namespace | No
             if action.nargs == 0 and value is None:
                 values[action.dest], i = action.const, i + 1
                 continue
-            if value is None and i + 1 < len(argv) and not argv[i + 1].startswith("-"):
+            # a negative number is a value to argparse too: no option string here looks like one
+            if value is None and i + 1 < len(argv) and (
+                    argv[i + 1][:1] != "-" or parser._negative_number_matcher.fullmatch(argv[i + 1])):
                 value, i = argv[i + 1], i + 1
             if action.nargs is not None or value is None:  # a switch given "=", or no value token
                 return None
@@ -196,8 +198,8 @@ def _read_canonical(parser: _Parser, argv: list[str]) -> argparse.Namespace | No
         missing = [a for a in parser._actions if a.dest not in values]
         if any(a.required for a in missing):
             return None
-        values |= {a.dest: a.type(a.default) if a.type and isinstance(a.default, str) else a.default
-                   for a in missing if a.default is not argparse.SUPPRESS}  # as argparse fills them in
+        # as argparse fills them in: no action here has both a type and a str default
+        values |= {a.dest: a.default for a in missing if a.default is not argparse.SUPPRESS}
     except (argparse.ArgumentTypeError, TypeError, ValueError):
         return None
     return argparse.Namespace(**values)

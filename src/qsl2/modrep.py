@@ -48,7 +48,7 @@ class Record:
     ...)`` and refuses assignment; ``replace`` builds the copy through
     ``__init__``, so its checks run again.  Only ``__init__`` writes
     ``__dict__``, so it holds exactly the fields, and == compares it.  This
-    ``__init__`` takes them by position or name; a per-request record has its own.
+    ``__init__`` takes them by position or name; a record that checks or converts them has its own.
     """
 
     def __init__(self, *args, **kwargs):
@@ -134,14 +134,6 @@ class WeightModule:
     def position(self, label) -> int:
         return self._pos[label]
 
-    def column(self, gen: str, label) -> dict:
-        """Sparse image of a basis vector under a generator."""
-        mat = self.action.get(gen)
-        if mat is not None:
-            return mat.get(label, {})
-        c = self.flavor.diagonal[gen](self.weights[label])
-        return {label: c} if c else {}
-
     def _validate(self):
         fl = self.flavor
         if set(self.action) != {fl.raising, fl.lowering}:
@@ -196,32 +188,12 @@ class Vector:
                 raise ValueError(f"label {lab} does not belong to {module.name}")
         self.note = note
 
-    @classmethod
-    def zero(cls, module: WeightModule) -> "Vector":
-        return cls(module, {})
-
-    @classmethod
-    def basis_vector(cls, module: WeightModule, label) -> "Vector":
-        return cls(module, {label: module.flavor.ring(1)})
-
     def is_zero(self) -> bool:
         return not self.entries
 
     def items_in_order(self):
         """(label, scalar) pairs in ambient basis order."""
         return sorted(self.entries.items(), key=lambda kv: self.module.position(kv[0]))
-
-    def scaled(self, c) -> "Vector":
-        return Vector(self.module, {lab: x * c for lab, x in self.entries.items()})
-
-    def __add__(self, other: "Vector") -> "Vector":
-        out = dict(self.entries)
-        for lab, c in other.entries.items():
-            out[lab] = out[lab] + c if lab in out else c
-        return Vector(self.module, out)
-
-    def __sub__(self, other: "Vector") -> "Vector":
-        return self + Vector(self.module, {lab: -c for lab, c in other.entries.items()})
 
     def __eq__(self, other):
         if not isinstance(other, Vector):
@@ -249,9 +221,13 @@ def apply(module: WeightModule, gen: str, x: Vector) -> Vector:
         raise ValueError(f"generator {gen!r} not defined on {module.flavor.name} module {module.name}")
     if x.module is not module:
         raise ValueError(f"vector lives in {x.module.name}, not {module.name}")
+    mat = module.action.get(gen)
+    if mat is None:  # h, K or Kinv: each basis vector times its eigenvalue
+        eigenvalue, weights = module.flavor.diagonal[gen], module.weights
+        return Vector(module, {lab: eigenvalue(weights[lab]) * c for lab, c in x.entries.items()})
     out: dict = {}
     for lab, c in x.entries.items():
-        for row, a in module.column(gen, lab).items():
+        for row, a in mat.get(lab, {}).items():
             out[row] = out[row] + a * c if row in out else a * c
     return Vector(module, out)
 
@@ -376,9 +352,6 @@ def rasskazova(p: RasskazovaParams) -> WeightModule:
 class RelationFailure(Record):
     _fields = ("relation", "label", "defect")  # defect: ((label, scalar), ...) in ambient order, never empty
 
-    def __init__(self, relation: str, label, defect: tuple):
-        self.__dict__.update(relation=relation, label=label, defect=defect)
-
 
 class RelationReport(Record):
     """Exact pass/fail record of the defining relations on a module.
@@ -389,11 +362,6 @@ class RelationReport(Record):
     """
 
     _fields = ("module", "flavor", "relations", "checked", "failures", "excluded")
-
-    def __init__(self, module: str, flavor: str, relations: tuple[str, ...], checked: tuple,
-                 failures: tuple[RelationFailure, ...], excluded: tuple):
-        self.__dict__.update(module=module, flavor=flavor, relations=relations, checked=checked,
-                             failures=failures, excluded=excluded)
 
     @property
     def ok(self) -> bool:

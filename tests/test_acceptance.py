@@ -25,6 +25,7 @@ from qsl2.tensorcg import (
     phi_vs_oracle,
     tensor,
 )
+from vectors import scaled
 
 
 class _Criterion:
@@ -89,7 +90,7 @@ def test_criterion_3_highest_weight_oracle_soundness():
                     assert len(vectors) == 1, (m, n, p)
                     vec = vectors[0]
                     assert apply(module, "E", vec).is_zero(), (m, n, p)
-                    assert apply(module, "K", vec) == vec.scaled(LaurentPoly({w: 1}))
+                    assert apply(module, "K", vec) == scaled(vec, LaurentPoly({w: 1}))
 
 
 def test_criterion_4_transfer_formula_adjudication():
@@ -123,9 +124,9 @@ def test_criterion_5_quantum_classical_consistency():
             for gq, gc in (("E", "e"), ("F", "f")):
                 for col in mq.basis:
                     specialized = {
-                        row: specialize_one(c) for row, c in mq.column(gq, col).items()
+                        row: specialize_one(c) for row, c in mq.action[gq].get(col, {}).items()
                     }
-                    assert specialized == mc.column(gc, col), (n, gq, col)
+                    assert specialized == mc.action[gc].get(col, {}), (n, gq, col)
         for m in range(6):
             for n in range(6):
                 tq = tensor(finite_dim_quantum(m), finite_dim_quantum(n))

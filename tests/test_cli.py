@@ -278,7 +278,11 @@ SWITCHES = {"--quantum", "--inject-fault", "--describe"}
 
 
 def is_canonical(argv):
-    """A command path, then whole flags of it, each once, each value one token not starting with "-"."""
+    """A command path, then whole flags of it, each once, each value one
+    token not starting with "-" unless argparse reads it as a negative number."""
+    from qsl2 import cli
+
+    negative = cli.build_parser()._negative_number_matcher
     path = tuple(argv[:2]) if argv[:1] == ["check"] else tuple(argv[:1])
     rest, flags = argv[len(path):], []
     while rest:
@@ -287,7 +291,7 @@ def is_canonical(argv):
             return False
         flags.append(flag)
         if flag not in SWITCHES:
-            if not rest or rest[0].startswith("-"):
+            if not rest or rest[0].startswith("-") and not negative.fullmatch(rest[0]):
                 return False
             rest = rest[1:]
     return True
@@ -406,8 +410,9 @@ def test_reader_defers_wherever_argparse_fails(argv):
 
 
 def test_canonical_requests_need_no_argparse(monkeypatch):
-    """Every canonical grid and golden argv that argparse accepts gives its
-    recorded output with argparse's parse_args disabled."""
+    """Every canonical grid and golden argv that argparse accepts, and a
+    negative rational given as its own token, gives its recorded output
+    with argparse's parse_args disabled."""
     import regen_golden
     from qsl2 import cli
 
@@ -417,18 +422,26 @@ def test_canonical_requests_need_no_argparse(monkeypatch):
     def accepted(argv):
         return is_canonical(argv) and isinstance(argparse_or_error(argv), argparse.Namespace)
 
+    def run(argv):
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            return main(argv), out.getvalue()
+
     digest = [line.split("  ", 1) for line in (GOLDEN / "grid_digest.txt").read_text().splitlines()]
     canonical = [(h, argv.split()) for h, argv in digest if accepted(argv.split())]
     golden = {name: case for name, case in MANIFEST.items() if accepted(case["argv"])}
-    assert len(canonical) == 2770 and len(golden) == 35
+    # 3 of the canonical grid argvs and 1 golden give a negative rational as its own token
+    assert len(canonical) == 2773 and len(golden) == 36
+    assert golden["check_verma_negative_hw"]["argv"] == ["check", "verma", "--hw", "-3/2", "--depth", "2"]
+    negative = ["check", "rasskazova", "--beta", "-1/2", "--lambda", "-3", "--n", "2", "--window", "2"]
+    assert accepted(negative)
+    recorded = run(negative)  # through argparse
     monkeypatch.setattr(cli._Parser, "parse_args", parse_args)
     for h, argv in canonical:
         assert regen_golden.grid_hash(argv) == h, argv
     for name, case in golden.items():
-        out = io.StringIO()
-        with contextlib.redirect_stdout(out):
-            assert main(case["argv"]) == case["exit"], name
-        assert out.getvalue() == (GOLDEN / f"{name}.json").read_text(), name
+        assert run(case["argv"]) == (case["exit"], (GOLDEN / f"{name}.json").read_text()), name
+    assert run(negative) == recorded and recorded[0] == 0
 
 
 def test_decompose_cross_check_mismatch_is_internal_failure(capsys, monkeypatch):

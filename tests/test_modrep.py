@@ -25,16 +25,13 @@ from qsl2.qarith import LaurentPoly, q_int, specialize_one, v
 from qsl2.serialize import module_descriptor, scalar_json
 from qsl2 import tensorcg
 from qsl2.tensorcg import highest_weight_vectors, tensor, weight_spaces
+from vectors import add, basis_vector, scaled, sub, zero
 
 
 def upper_and_lower(lab):
     """(i, j) read from a Rasskazova vector's name w^i_j."""
     i, j = lab[2:].split("_")
     return int(i), int(j)
-
-
-def basis_vec(m, lab):
-    return Vector.basis_vector(m, lab)
 
 
 # D(E) = E (x) 1 + K (x) E, D(F) = F (x) Kinv + 1 (x) F (Kassel 1995,
@@ -54,25 +51,25 @@ def findim(flavor, n):
 def test_findim_classical_trivial():
     m = finite_dim_classical(0)
     assert m.dim == 1
-    x = basis_vec(m, "w_0")
+    x = basis_vector(m, "w_0")
     for g in ("e", "f", "h"):
         assert apply(m, g, x).is_zero()
 
 
 def test_findim_classical_one():
     m = finite_dim_classical(1)
-    assert apply(m, "e", basis_vec(m, "w_1")).entries == {"w_0": 1}
-    assert apply(m, "f", basis_vec(m, "w_0")).entries == {"w_1": 1}
-    assert apply(m, "h", basis_vec(m, "w_0")).entries == {"w_0": 1}
-    assert apply(m, "h", basis_vec(m, "w_1")).entries == {"w_1": -1}
+    assert apply(m, "e", basis_vector(m, "w_1")).entries == {"w_0": 1}
+    assert apply(m, "f", basis_vector(m, "w_0")).entries == {"w_1": 1}
+    assert apply(m, "h", basis_vector(m, "w_0")).entries == {"w_0": 1}
+    assert apply(m, "h", basis_vector(m, "w_1")).entries == {"w_1": -1}
 
 
 def test_findim_classical_two_commutator():
     m = finite_dim_classical(2)
     assert [m.weights[lab] for lab in m.basis] == [2, 0, -2]
     for lab in m.basis:
-        x = basis_vec(m, lab)
-        ef = apply(m, "e", apply(m, "f", x)) - apply(m, "f", apply(m, "e", x))
+        x = basis_vector(m, lab)
+        ef = sub(apply(m, "e", apply(m, "f", x)), apply(m, "f", apply(m, "e", x)))
         assert ef == apply(m, "h", x)
 
 
@@ -88,7 +85,7 @@ def test_findim_negative_rejected():
 
 def test_findim_quantum_trivial():
     m = finite_dim_quantum(0)
-    x = basis_vec(m, "w_0")
+    x = basis_vector(m, "w_0")
     assert apply(m, "K", x) == x
     assert apply(m, "E", x).is_zero()
     assert apply(m, "F", x).is_zero()
@@ -96,21 +93,21 @@ def test_findim_quantum_trivial():
 
 def test_findim_quantum_one():
     m = finite_dim_quantum(1)
-    assert apply(m, "E", basis_vec(m, "w_1")).entries == {"w_0": LaurentPoly(1)}
-    assert apply(m, "K", basis_vec(m, "w_0")).entries == {"w_0": v}
+    assert apply(m, "E", basis_vector(m, "w_1")).entries == {"w_0": LaurentPoly(1)}
+    assert apply(m, "K", basis_vector(m, "w_0")).entries == {"w_0": v}
 
 
 def test_findim_quantum_commutator_values():
     # in F_3, (EF - FE) w_1 = ([2][2] - [1][3]) w_1 = [3-2] w_1 = w_1
     m = finite_dim_quantum(3)
-    x = basis_vec(m, "w_1")
-    d = apply(m, "E", apply(m, "F", x)) - apply(m, "F", apply(m, "E", x))
+    x = basis_vector(m, "w_1")
+    d = sub(apply(m, "E", apply(m, "F", x)), apply(m, "F", apply(m, "E", x)))
     assert q_int(2) * q_int(2) - q_int(1) * q_int(3) == LaurentPoly(1)
     assert d.entries == {"w_1": LaurentPoly(1)}
     # in F_2 the weight of w_1 is zero and the commutator vanishes
     m2 = finite_dim_quantum(2)
-    x2 = basis_vec(m2, "w_1")
-    d2 = apply(m2, "E", apply(m2, "F", x2)) - apply(m2, "F", apply(m2, "E", x2))
+    x2 = basis_vector(m2, "w_1")
+    d2 = sub(apply(m2, "E", apply(m2, "F", x2)), apply(m2, "F", apply(m2, "E", x2)))
     assert d2.is_zero()
 
 
@@ -118,9 +115,9 @@ def test_findim_quantum_commutator_is_qint_of_weight():
     for n in range(0, 9):
         m = finite_dim_quantum(n)
         for lab in m.basis:
-            x = basis_vec(m, lab)
-            d = apply(m, "E", apply(m, "F", x)) - apply(m, "F", apply(m, "E", x))
-            assert d == x.scaled(q_int(m.weights[lab]))
+            x = basis_vector(m, lab)
+            d = sub(apply(m, "E", apply(m, "F", x)), apply(m, "F", apply(m, "E", x)))
+            assert d == scaled(x, q_int(m.weights[lab]))
 
 
 def test_quantum_specializes_to_classical():
@@ -132,8 +129,8 @@ def test_quantum_specializes_to_classical():
         ]
         for gq, gc in (("E", "e"), ("F", "f")):
             for col in mq.basis:
-                qcol = {r: specialize_one(c) for r, c in mq.column(gq, col).items()}
-                assert qcol == mc.column(gc, col)
+                qcol = {r: specialize_one(c) for r, c in mq.action[gq].get(col, {}).items()}
+                assert qcol == mc.action[gc].get(col, {})
 
 
 # -- truncated Verma ---------------------------------------------------------
@@ -142,17 +139,17 @@ def test_quantum_specializes_to_classical():
 def test_verma_highest_weight_killed():
     for hw in (0, 2, Fraction(5, 2), -3):
         m = verma_classical(hw, 4)
-        assert apply(m, "e", basis_vec(m, "w_0")).is_zero()
+        assert apply(m, "e", basis_vector(m, "w_0")).is_zero()
 
 
 def test_verma_e_coefficients():
     m = verma_classical(0, 3)
     # e.w_1 = 1*(0-1+1) w_0 = 0
-    assert apply(m, "e", basis_vec(m, "w_1")).is_zero()
+    assert apply(m, "e", basis_vector(m, "w_1")).is_zero()
     m = verma_classical(2, 3)
     # e.w_3 = 3*(2-3+1) w_2 = 0: the finite submodule inside
-    assert apply(m, "e", basis_vec(m, "w_3")).is_zero()
-    assert apply(m, "e", basis_vec(m, "w_2")).entries == {"w_1": 2}
+    assert apply(m, "e", basis_vector(m, "w_3")).is_zero()
+    assert apply(m, "e", basis_vector(m, "w_2")).entries == {"w_1": 2}
 
 
 def test_weights_are_int_unless_rational():
@@ -183,7 +180,7 @@ def test_verma_maximal_submodule_invariant():
     tail = {f"w_{k}" for k in range(n + 1, depth + 1)}
     for g in ("e", "f", "h"):
         for col in tail:
-            for row in m.column(g, col):
+            for row in apply(m, g, basis_vector(m, col)).entries:
                 assert row in tail, (g, col, row)
     assert m.dim - len(tail) == finite_dim_classical(n).dim
 
@@ -193,18 +190,18 @@ def test_verma_maximal_submodule_invariant():
 
 def test_rasskazova_f_at_zero():
     m = rasskazova(RasskazovaParams(0, 0, 1, 2))
-    assert apply(m, "f", basis_vec(m, "w^1_0")).entries == {"w^1_-1": -1}
+    assert apply(m, "f", basis_vector(m, "w^1_0")).entries == {"w^1_-1": -1}
 
 
 def test_rasskazova_e_vanishes_with_convention():
     # e.w^1_{-1} = (lam - beta + 0) w^1_0 + w^0_0 and both terms are zero
     m = rasskazova(RasskazovaParams(0, 0, 1, 2))
-    assert apply(m, "e", basis_vec(m, "w^1_-1")).is_zero()
+    assert apply(m, "e", basis_vector(m, "w^1_-1")).is_zero()
 
 
 def test_rasskazova_f_with_lower_layer():
     m = rasskazova(RasskazovaParams(1, 2, 2, 3))
-    got = apply(m, "f", basis_vec(m, "w^2_1"))
+    got = apply(m, "f", basis_vector(m, "w^2_1"))
     assert got.entries == {"w^2_0": -2, "w^1_0": -1}
 
 
@@ -226,7 +223,7 @@ def test_rasskazova_filtration_never_raises_i():
         m = rasskazova(RasskazovaParams(1, 2, n, 4))
         for g in ("e", "f", "h"):
             for col in m.basis:
-                for row in m.column(g, col):
+                for row in apply(m, g, basis_vector(m, col)).entries:
                     assert upper_and_lower(row)[0] <= upper_and_lower(col)[0]
 
 
@@ -382,27 +379,37 @@ def test_an_injected_fault_always_fails_the_check():
 
 def test_apply_diagonal():
     m = finite_dim_classical(2)
-    assert apply(m, "h", basis_vec(m, "w_0")).entries == {"w_0": 2}
+    assert apply(m, "h", basis_vector(m, "w_0")).entries == {"w_0": 2}
 
 
 def test_apply_zero_vector():
     m = finite_dim_classical(2)
-    assert apply(m, "e", Vector.zero(m)).is_zero()
+    assert apply(m, "e", zero(m)).is_zero()
 
 
 def test_apply_linearity():
     m = finite_dim_quantum(1)
-    x = basis_vec(m, "w_0") + basis_vec(m, "w_1")
+    x = add(basis_vector(m, "w_0"), basis_vector(m, "w_1"))
     assert apply(m, "E", x).entries == {"w_0": LaurentPoly(1)}
 
 
 def test_apply_flavor_mismatch():
     m = finite_dim_classical(2)
     with pytest.raises(ValueError):
-        apply(m, "E", basis_vec(m, "w_0"))
+        apply(m, "E", basis_vector(m, "w_0"))
     other = finite_dim_classical(2)
     with pytest.raises(ValueError):
-        apply(m, "e", basis_vec(other, "w_0"))
+        apply(m, "e", basis_vector(other, "w_0"))
+
+
+@pytest.mark.parametrize("gen, source, message", [
+    ("K", lambda m: m, "generator 'K' not defined on classical module F"),
+    ("e", lambda m: finite_dim_classical(1), r"vector lives in F\(n=1\), not F\(n=1\)"),
+], ids=["diagonal-of-the-other-flavour", "vector-of-another-module"])
+def test_apply_refuses(gen, source, message):
+    m = finite_dim_classical(1)
+    with pytest.raises(ValueError, match=message):
+        apply(m, gen, basis_vector(source(m), "w_0"))
 
 
 # -- structural validation -------------------------------------------------------
@@ -604,7 +611,7 @@ def test_vector_strips_zeros():
     m = finite_dim_classical(1)
     x = Vector(m, {"w_0": Fraction(0), "w_1": Fraction(2)})
     assert x.entries == {"w_1": 2}
-    assert (x - x).is_zero()
+    assert sub(x, x).is_zero()
 
 
 # -- the reference relation evaluator ------------------------------------------
@@ -613,13 +620,13 @@ def test_vector_strips_zeros():
 # it, failures and defects included, on every module.
 
 REFERENCE_DEFECTS = {
-    "[h,e]=2e": lambda x, w: x("h", "e") - x("e", "h") - x("e").scaled(Fraction(2)),
-    "[h,f]=-2f": lambda x, w: x("h", "f") - x("f", "h") + x("f").scaled(Fraction(2)),
-    "[e,f]=h": lambda x, w: x("e", "f") - x("f", "e") - x("h"),
-    "K Kinv=1": lambda x, w: x("K", "Kinv") - x(),
-    "K E Kinv=v^2 E": lambda x, w: x("K", "E", "Kinv") - x("E").scaled(LaurentPoly({2: 1})),
-    "K F Kinv=v^-2 F": lambda x, w: x("K", "F", "Kinv") - x("F").scaled(LaurentPoly({-2: 1})),
-    "[E,F]=[h]_v": lambda x, w: x("E", "F") - x("F", "E") - x().scaled(q_int(w)),
+    "[h,e]=2e": lambda x, w: sub(x("h", "e"), x("e", "h"), scaled(x("e"), Fraction(2))),
+    "[h,f]=-2f": lambda x, w: add(sub(x("h", "f"), x("f", "h")), scaled(x("f"), Fraction(2))),
+    "[e,f]=h": lambda x, w: sub(x("e", "f"), x("f", "e"), x("h")),
+    "K Kinv=1": lambda x, w: sub(x("K", "Kinv"), x()),
+    "K E Kinv=v^2 E": lambda x, w: sub(x("K", "E", "Kinv"), scaled(x("E"), LaurentPoly({2: 1}))),
+    "K F Kinv=v^-2 F": lambda x, w: sub(x("K", "F", "Kinv"), scaled(x("F"), LaurentPoly({-2: 1}))),
+    "[E,F]=[h]_v": lambda x, w: sub(x("E", "F"), x("F", "E"), scaled(x(), q_int(w))),
 }
 
 
@@ -638,7 +645,7 @@ def reference_check_relations(m: WeightModule) -> RelationReport:
         if lab in m.boundary:
             continue
         checked.append(lab)
-        images = {(): Vector.basis_vector(m, lab)}
+        images = {(): basis_vector(m, lab)}
         for relname in m.flavor.relations:
             d = REFERENCE_DEFECTS[relname](image, m.weights[lab])
             if not d.is_zero():
@@ -743,7 +750,7 @@ def reference_tensor_action(a, b):
     or lowering g, with (right, left) = coproduct[g], each factor through apply."""
 
     def act(m, gen, lab):  # a twist of None is 1
-        x = Vector.basis_vector(m, lab)
+        x = basis_vector(m, lab)
         return (x if gen is None else apply(m, gen, x)).entries
 
     action = {}
