@@ -221,11 +221,11 @@ def _csv(header: str, rows) -> str:
 def cmd_decompose(ns):
     closed = cg_decompose(ns.m, ns.n)
     a, b = _finite_dim(ns.m, ns.quantum), _finite_dim(ns.n, ns.quantum)
-    peeled = decompose_by_character(a, b)  # from the factors' characters: no tensor module
-    if peeled != closed:
+    by_character = decompose_by_character(a, b)  # from the factors' characters: no tensor module
+    if by_character != closed:
         raise CheckFailure(
-            "closed-form decomposition disagrees with character peeling",
-            {"closed_form": decomposition_json(closed), "character": decomposition_json(peeled)},
+            "closed-form decomposition disagrees with the character's multiplicities",
+            {"closed_form": decomposition_json(closed), "character": decomposition_json(by_character)},
         )
     if ns.format == "csv":
         return _csv("weight,multiplicity", closed.pairs())

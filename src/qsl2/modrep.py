@@ -24,8 +24,8 @@ that tells the two apart.  It names the generators and the scalar
 ring, whose zero is ``ring()`` and one ``ring(1)``, gives the
 eigenvalues by which the diagonal generators (h, or K and Kinv) act on
 each weight, so that their matrices are never stored, and holds the
-coproduct as data, the defining relations by name, the commutator's
-value on each weight and the canonical scaling of kernel vectors.
+coproduct as data, the defining relations by name and the commutator's
+value on each weight.
 
 Flavor, RasskazovaParams and the relation reports are frozen records on
 ``Record``, the base defined here and shared with tensorcg: field-wise
@@ -38,7 +38,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import lcm
 
-from .qarith import LaurentPoly, lp_gcd, primitive, q_int
+from .qarith import LaurentPoly, q_int
 
 
 class Record:
@@ -91,8 +91,7 @@ class Flavor(Record):
     weight grading proves them (see check_relations).
     """
 
-    _fields = ("name", "raising", "lowering", "ring", "diagonal", "coproduct", "relations",
-               "commutator", "normalize")  # normalize: list of kernel coordinates -> scaled list
+    _fields = ("name", "raising", "lowering", "ring", "diagonal", "coproduct", "relations", "commutator")
     __eq__, __hash__ = object.__eq__, object.__hash__  # two flavours are never equal
 
     @property
@@ -178,15 +177,14 @@ class WeightModule:
 class Vector:
     """Sparse linear combination of basis elements with exact entries."""
 
-    __slots__ = ("module", "entries", "note")
+    __slots__ = ("module", "entries")
 
-    def __init__(self, module: WeightModule, entries: dict, note: str | None = None):
+    def __init__(self, module: WeightModule, entries: dict):
         self.module = module
         self.entries = {lab: c for lab, c in entries.items() if c}
         for lab in self.entries:
             if lab not in module._pos:
                 raise ValueError(f"label {lab} does not belong to {module.name}")
-        self.note = note
 
     def is_zero(self) -> bool:
         return not self.entries
@@ -440,22 +438,6 @@ def corrupt_one_entry(m: WeightModule) -> WeightModule:
 # -- the two flavours --------------------------------------------------------------
 
 
-def _normalize_rational(coords: list) -> list:
-    """First nonzero coordinate scaled to 1."""
-    lead = next(c for c in coords if c)
-    return [c / lead for c in coords]
-
-
-def _normalize_laurent(coords: list) -> list:
-    """No common Laurent factor, coprime integer coefficients, positive
-    leading coefficient in the first nonzero coordinate."""
-    nonzero = [c for c in coords if c]
-    g = nonzero[0]
-    for c in nonzero[1:]:
-        g = lp_gcd(g, c)
-    return primitive([c.div_exact(g) if c else c for c in coords])
-
-
 CLASSICAL = Flavor(
     name="classical",
     raising="e",
@@ -465,7 +447,6 @@ CLASSICAL = Flavor(
     coproduct={"e": (None, None), "f": (None, None)},  # x (x) 1 + 1 (x) x
     relations=("[h,e]=2e", "[h,f]=-2f", "[e,f]=h"),
     commutator=lambda w: w,
-    normalize=_normalize_rational,
 )
 
 QUANTUM = Flavor(
@@ -478,5 +459,4 @@ QUANTUM = Flavor(
     coproduct={"E": ("K", None), "F": (None, "Kinv")},
     relations=("K Kinv=1", "K E Kinv=v^2 E", "K F Kinv=v^-2 F", "[E,F]=[h]_v"),
     commutator=q_int,
-    normalize=_normalize_laurent,
 )

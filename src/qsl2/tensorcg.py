@@ -2,13 +2,13 @@
 vector extraction for classical and quantum sl(2).
 
 The decomposition F_m (x) F_n = F_{m+n} (+) ... (+) F_{|m-n|} is produced
-three independent ways: the closed form, character peeling on the product
-of the factors' characters, and exact raising-operator nullspaces: a
-product recurrence on a bidiagonal weight space (each space of F_m (x) F_n
-that holds a highest-weight vector), fraction-free (Bareiss) elimination
-on any other.  Each kernel is certified annihilated and complete.  A
-quantum recurrence of +-v^e [a] entries is normalised by its cyclotomic
-factors, with no gcd; any other kernel takes the flavour's normaliser.
+three independent ways: the closed form, multiplicities c(w) - c(w+2) read
+off the product of the factors' characters, and exact raising-operator
+nullspaces: a product recurrence on a bidiagonal weight space (each space
+of F_m (x) F_n that holds a highest-weight vector), fraction-free (Bareiss)
+elimination on any other.  Each kernel is certified annihilated and
+complete.  A quantum recurrence of +-v^e [a] entries is normalised by its
+cyclotomic factors, with no gcd; any other kernel by its ring's normaliser.
 The explicit highest-weight transfer formula, evaluated verbatim with
 exact q-factorial coefficients, is adjudicated against the nullspace
 oracle and the outcome reported as data.  Decomposition, Interpretation
@@ -21,9 +21,8 @@ import functools
 from collections import Counter
 from math import prod
 
-from .modrep import QUANTUM, Flavor, Record, Vector, WeightModule, apply
-from .modrep import finite_dim_classical, finite_dim_quantum
-from .qarith import ExactDivisionError, LaurentPoly, q_int
+from .modrep import Record, Vector, WeightModule, apply, finite_dim_classical, finite_dim_quantum
+from .qarith import ExactDivisionError, LaurentPoly, lp_gcd, primitive, q_int
 
 
 class DecompositionError(ValueError):
@@ -202,7 +201,7 @@ def _q_int_factors(c):
 
 
 def _factored_kernel(rows: list[list]) -> list | None:
-    """QUANTUM.normalize of _bidiagonal_kernel(rows) if every nonzero entry is +-v^e [a],
+    """_normalize_laurent of _bidiagonal_kernel(rows) if every nonzero entry is +-v^e [a],
     else None: a coordinate is a sign, a power of v and a count of each Phi_d until the
     gcd, the least power and counts, is divided out; each Phi_d is monic, irreducible, primitive."""
     d, s = ([row[r + j] and _q_int_factors(row[r + j]) for r, row in enumerate(rows)] for j in (0, 1))
@@ -242,18 +241,35 @@ def _rank_mod(rows: list[list], v0: int, prime: int) -> int:
     return rank
 
 
-def _kernel(rows: list[list], ncols: int, flavor: Flavor) -> list:
-    """Right kernel of rows (ncols columns), proven complete, each vector
-    scaled by flavor.normalize.  A p x (p+1) bidiagonal matrix with every
-    s_r nonzero has rank p (columns 1..p are triangular), so its recurrence
-    vector spans the kernel; _factored_kernel normalises it for QUANTUM.
+def _normalize_rational(coords: list) -> list:
+    """First nonzero coordinate scaled to 1."""
+    lead = next(c for c in coords if c)
+    return [c / lead for c in coords]
+
+
+def _normalize_laurent(coords: list) -> list:
+    """No common Laurent factor, coprime integer coefficients, positive
+    leading coefficient in the first nonzero coordinate."""
+    nonzero = [c for c in coords if c]
+    g = nonzero[0]
+    for c in nonzero[1:]:
+        g = lp_gcd(g, c)
+    return primitive([c.div_exact(g) if c else c for c in coords])
+
+
+def _kernel(rows: list[list], ncols: int, ring: type) -> list:
+    """Right kernel of rows (ncols columns) over ring, Fraction or LaurentPoly,
+    proven complete, each vector scaled by that ring's normaliser.  A p x (p+1)
+    bidiagonal matrix with every s_r nonzero has rank p (columns 1..p are
+    triangular), so its recurrence vector spans the kernel; over LaurentPoly
+    _factored_kernel normalises it when it can.
     Otherwise a rank of ncols at v0 mod prime proves the kernel is 0; else
     Bareiss's vectors must be independent there and as many as the nullity
     there, at the first (v0, prime) or the second; NullspaceError if at neither."""
+    normalize = _normalize_laurent if ring is LaurentPoly else _normalize_rational
     if len(rows) == ncols - 1 and all(
             row[r + 1] and not any(row[:r] + row[r + 2:]) for r, row in enumerate(rows)):
-        factored = _factored_kernel(rows) if flavor.normalize is QUANTUM.normalize else None
-        return [factored or flavor.normalize(_bidiagonal_kernel(rows, flavor.ring))]
+        return [(ring is LaurentPoly and _factored_kernel(rows)) or normalize(_bidiagonal_kernel(rows, ring))]
     kernel = nullity = None
     for v0, prime in _SPECIALIZATIONS:
         try:
@@ -263,9 +279,9 @@ def _kernel(rows: list[list], ncols: int, flavor: Flavor) -> list:
         if kernel is None:
             if not nullity:
                 return []
-            kernel = _kernel_fraction_free(rows, ncols, flavor.ring)  # minors of rows: no new denominator
+            kernel = _kernel_fraction_free(rows, ncols, ring)  # minors of rows: no new denominator
         if len(kernel) == nullity == _rank_mod(kernel, v0, prime):
-            return [flavor.normalize(x) for x in kernel]
+            return [normalize(x) for x in kernel]
     raise NullspaceError(f"kernel not proven complete: {len(kernel or ())} vectors, nullity {nullity} mod p")
 
 
@@ -277,15 +293,15 @@ def highest_weight_vectors(m: WeightModule, weight=None) -> list[tuple[object, V
     basis of the kernel of e (resp. E) restricted to that space (columns:
     the space's basis in ambient order), one vector per free column in
     column order, each with 1 at its own free column and 0 at the other
-    free columns, then scaled by
-    ``m.flavor.normalize`` (classical: first nonzero coordinate in
-    ambient order is 1; quantum: no common Laurent factor, coprime
-    integer coefficients, positive leading coefficient in the first
-    nonzero entry).  Normalisation removes every scalar factor, so any
-    exact method yielding these vectors up to ring scalars meets it;
-    here it is ``_kernel``, proven complete, which normalises a quantum
-    bidiagonal space of +-v^e [a] entries by cyclotomic factors, with no gcd,
-    and any other by the flavour; the raising operator must take every
+    free columns, then scaled to the normal form of the module's ring
+    (Fraction: first nonzero coordinate in ambient order is 1;
+    LaurentPoly: no common Laurent factor, coprime integer coefficients,
+    positive leading coefficient in the first nonzero entry).
+    Normalisation removes every scalar factor, so any exact method
+    yielding these vectors up to ring scalars meets it; here it is
+    ``_kernel``, proven complete, which normalises a quantum bidiagonal
+    space of +-v^e [a] entries by cyclotomic factors, with no gcd, and
+    any other by the ring's normaliser; the raising operator must take every
     returned vector to exactly zero.  Output is ordered by descending weight.
     """
     raising, ring = m.flavor.raising, m.flavor.ring
@@ -301,7 +317,7 @@ def highest_weight_vectors(m: WeightModule, weight=None) -> list[tuple[object, V
         for j, src in enumerate(source):
             for row_lab, c in up.get(src, {}).items():
                 rows[tpos[row_lab]][j] = c
-        for coords in _kernel(rows, len(source), m.flavor):
+        for coords in _kernel(rows, len(source), ring):
             vec = Vector(m, dict(zip(source, coords)))
             if not apply(m, raising, vec).is_zero():
                 raise NullspaceError(f"nullspace certificate failed at weight {w} of {m.name}")
@@ -330,14 +346,15 @@ def cg_decompose(m: int, n: int) -> Decomposition:
 
 
 def decompose_by_character(mod: WeightModule, *others: WeightModule) -> Decomposition:
-    """Decomposition of mod (x) others... by greedy peeling of its character.
+    """Decomposition of mod (x) others... read off its character.
 
     A character is multiplicative: the product's {weight: multiplicity}
-    counts are the convolution of the factors', so no tensor module is
-    built.  Each step removes the character of the summand with the
-    largest remaining weight.  Raises DecompositionError, naming the
-    product as tensor() would, on a non-integral weight, a negative top
-    weight or a residue that cannot be peeled.
+    counts c are the convolution of the factors', so no tensor module is
+    built.  They are those of a sum of F_n's exactly when c(-w) = c(w) and
+    c(w) >= c(w+2) for every w >= 0; F_w then occurs c(w) - c(w+2) times
+    (Humphreys, Introduction to Lie Algebras, section 7).  Raises
+    DecompositionError, naming the product as tensor() would, on a
+    non-integral weight or on counts that fail the condition.
     """
     product, name = {0: 1}, None  # the trivial module's character
     for factor in (mod, *others):
@@ -347,24 +364,16 @@ def decompose_by_character(mod: WeightModule, *others: WeightModule) -> Decompos
             for wb in weights:
                 acc[wa + wb] = acc.get(wa + wb, 0) + ca
         product, name = acc, factor.name if name is None else f"T({name};{factor.name})"
-    counts: dict[int, int] = {}
-    for w, c in product.items():
+    c: Counter = Counter()  # c[w] is 0 for an absent weight w, and stays absent
+    for w, n in product.items():
         if w.denominator != 1:  # weights are ints or Fractions
             raise DecompositionError(f"non-integral weight {w} in {name}")
-        counts[int(w)] = c
-
-    summands: dict[int, int] = {}
-    while live := [w for w, c in counts.items() if c]:
-        top = max(live)
-        if top < 0:
-            raise DecompositionError(f"{name}: leftover weight {top} < 0 cannot head a summand")
-        for u in range(top, -top - 1, -2):
-            if counts.get(u, 0) < 1:
-                raise DecompositionError(
-                    f"{name}: peeling weight {top} needs weight {u} but its multiplicity is exhausted")
-            counts[u] -= 1
-        summands[top] = summands.get(top, 0) + 1
-    return Decomposition(summands)
+        c[int(w)] = n
+    top = max(c, default=0)
+    if any(c[w] != c[-w] for w in c) or any(c[w] < c[w + 2] for w in range(top)):
+        raise DecompositionError(
+            f"{name}: weight counts {dict(sorted(c.items()))} are not those of a sum of F_n's")
+    return Decomposition({w: c[w] - c[w + 2] for w in range(top, -1, -1) if c[w] > c[w + 2]})
 
 
 # -- the explicit highest-weight transfer formula ------------------------------
@@ -411,8 +420,7 @@ def phi_vector(
     the returned vector is the formula multiplied through by the common
     denominator [m]!/[m-p]! = [m][m-1]...[m-p+1]; the cleared
     coefficients [n-p+k]!/[n-p]! * [m-k]!/[m-p]! are exact ring elements.
-    The scaling and the subscript interpretation are recorded in the
-    vector's note.
+    phi_vs_oracle records the reading in its report.
     """
     if m < 0 or n < 0:
         raise ValueError(f"need m, n >= 0, got ({m}, {n})")
@@ -438,9 +446,7 @@ def phi_vector(
         lab = f"{la}*{lb}"  # tensor's name for w_{pos_a} (x) w_{pos_b}
         entries[lab] = entries.get(lab, LaurentPoly()) + coeff
 
-    module = tensor(fa, fb, spaces)
-    note = f"interpretation={interpretation.ident};cleared-by=[{m}]!/[{m - p}]!"
-    return Vector(module, entries, note=note)
+    return Vector(tensor(fa, fb, spaces), entries)
 
 
 class ComparisonReport(Record):

@@ -15,7 +15,7 @@ from hypothesis import given, settings, strategies as st
 
 import qsl2
 from qsl2 import tensorcg
-from qsl2.cli import main
+from qsl2.cli import main, run
 from qsl2.qarith import ExactDivisionError
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -84,6 +84,14 @@ def test_no_floats_anywhere():
                 for k, item in x.items():
                     scan(item)
         scan(json.loads(text))
+
+
+@pytest.mark.parametrize("argv, code", [(["qtable", "--max-n", "0"], 0), (["hwv"], 2)], ids=["ok", "usage"])
+def test_console_script_exits_with_the_status_of_main(capsys, monkeypatch, argv, code):
+    monkeypatch.setattr(sys, "argv", ["qsl2", *argv])
+    with pytest.raises(SystemExit) as exited:
+        run()
+    assert exited.value.code == code == main(argv)
 
 
 def test_module_entry_point_matches_golden():
@@ -604,8 +612,8 @@ def test_hwv_request_runs_one_elimination(capsys, monkeypatch, flags):
 @pytest.mark.parametrize(
     "kernel, error",
     [
-        (lambda rows, ncols, flavor: [], "nullspace at weight 4 is 0-dimensional, expected 1"),
-        (lambda rows, ncols, flavor: [[flavor.ring(1)] * ncols], "nullspace certificate failed at weight 4 of "),
+        (lambda rows, ncols, ring: [], "nullspace at weight 4 is 0-dimensional, expected 1"),
+        (lambda rows, ncols, ring: [[ring(1)] * ncols], "nullspace certificate failed at weight 4 of "),
     ],
     ids=["empty", "not-annihilated"],
 )
@@ -619,12 +627,10 @@ def test_hwv_oracle_failure_is_internal_failure(capsys, monkeypatch, flags, kern
 
 
 def test_quantum_hwv_requests_take_the_factored_path_and_no_gcd(capsys, monkeypatch):
-    from qsl2 import modrep
-
     calls = Counter()
-    for module, name in ((modrep, "lp_gcd"), (tensorcg, "_factored_kernel"), (tensorcg, "_bidiagonal_kernel")):
-        fn = getattr(module, name)
-        monkeypatch.setattr(module, name, lambda *args, n=name, f=fn: calls.update([n]) or f(*args))
+    for name in ("lp_gcd", "_factored_kernel", "_bidiagonal_kernel"):
+        fn = getattr(tensorcg, name)
+        monkeypatch.setattr(tensorcg, name, lambda *args, n=name, f=fn: calls.update([n]) or f(*args))
     for m in range(7):
         for n in range(7):
             for p in range(min(m, n) + 1):

@@ -614,6 +614,11 @@ def test_vector_strips_zeros():
     assert sub(x, x).is_zero()
 
 
+def test_zero_vector_prints_0_and_equals_no_number():
+    z = Vector(finite_dim_classical(1), {})
+    assert str(z) == "0" and (z == 1) is False
+
+
 # -- the reference relation evaluator ------------------------------------------
 # Every defining relation evaluated on every basis vector through words of
 # generators, relying on no weight grading.  check_relations must agree with
@@ -822,7 +827,7 @@ def test_tensor_of_two_weight_spaces_is_the_full_tensor_restricted(flavor, m, n)
 @pytest.mark.parametrize("flavor", [QUANTUM, KASSEL], ids=["quantum", "kassel"])
 def test_factored_normal_form_is_the_gcd_normal_form_on_every_hwv_space(flavor):
     # each bidiagonal space of F_m (x) F_n: the recurrence vector normalised in
-    # factored form equals QUANTUM.normalize of it, computed with lp_gcd
+    # factored form equals tensorcg._normalize_laurent of it, computed with lp_gcd
     solved = 0
     for m in range(11):
         for n in range(11):
@@ -834,7 +839,7 @@ def test_factored_normal_form_is_the_gcd_normal_form_on_every_hwv_space(flavor):
                     continue
                 rows = [[up.get(src, {}).get(lab, LaurentPoly()) for src in source] for lab in target]
                 factored = tensorcg._factored_kernel(rows)
-                assert factored == QUANTUM.normalize(tensorcg._bidiagonal_kernel(rows, LaurentPoly)), (m, n, w)
+                assert factored == tensorcg._normalize_laurent(tensorcg._bidiagonal_kernel(rows, LaurentPoly)), (m, n, w)
                 solved += 1
     assert solved == sum(min(m, n) + 1 for m in range(11) for n in range(11))
 

@@ -8,6 +8,7 @@ from qsl2.qarith import (
     LaurentPoly,
     _poly_divmod,
     lp_gcd,
+    primitive,
     q_binom,
     q_fact,
     q_int,
@@ -56,6 +57,38 @@ def test_non_integral_exponent_is_rejected(exp):
 
 def test_integer_exponents_are_accepted():
     assert LaurentPoly({-3: 1, True: 2}) == v**-3 + 2 * v
+
+
+def test_a_coefficient_is_an_exact_number():
+    assert LaurentPoly({0: True}) == 1
+    with pytest.raises(TypeError, match="cannot use float as an exact coefficient"):
+        LaurentPoly({0: 1.5})
+
+
+def test_laurent_poly_is_immutable():
+    with pytest.raises(AttributeError, match="immutable"):
+        v.x = 1
+
+
+@pytest.mark.parametrize("exp", ["min_exp", "max_exp"])
+def test_zero_has_no_exponents(exp):
+    with pytest.raises(ValueError, match="zero polynomial has no exponents"):
+        getattr(LaurentPoly(), exp)
+
+
+@pytest.mark.parametrize(
+    "op",
+    [lambda: v + "a", lambda: v - "a", lambda: "a" - v, lambda: v * "a", lambda: v**0.5, lambda: v.div_exact("a")],
+    ids=["add", "sub", "rsub", "mul", "pow", "div_exact"],
+)
+def test_an_operand_outside_the_ring_is_refused(op):
+    with pytest.raises(TypeError):
+        op()
+
+
+def test_a_non_unit_has_no_negative_power():
+    with pytest.raises(ValueError, match="negative power of a non-unit"):
+        (v + 1) ** -1
 
 
 def test_negative_power_of_a_monomial_is_a_fraction():
@@ -186,6 +219,8 @@ def test_q_binom_boundary():
     assert q_binom(4, 4) == 1
     assert q_binom(4, -1) == LaurentPoly()
     assert q_binom(4, 5) == LaurentPoly()
+    with pytest.raises(ValueError, match="needs n >= 0"):
+        q_binom(-1, 0)
 
 
 def test_q_binom_two_one():
@@ -229,6 +264,9 @@ def test_specialize_one():
     assert specialize_one(q_fact(3)) == 6
     assert specialize_one(LaurentPoly()) == 0
     assert isinstance(specialize_one(q_int(2)), Fraction)
+    # an int or a Fraction is a constant
+    for c in (3, Fraction(1, 2)):
+        assert specialize_one(c) == c and type(specialize_one(c)) is Fraction
 
 
 # -- exact division ------------------------------------------------------------
@@ -304,6 +342,16 @@ def test_gcd_canonical_sign_and_content():
     g = lp_gcd(-2 * v - 2, -4 * v - 4)
     assert g == v + 1
     assert g.leading_coeff > 0
+
+
+def test_gcd_with_zero_is_the_other_made_primitive():
+    assert lp_gcd(LaurentPoly(), -2 * v - 4) == v + 2
+    assert lp_gcd(Fraction(1, 2) * v**3, LaurentPoly()) == v**3
+
+
+def test_primitive_returns_all_zero_input_as_is():
+    zeros = [LaurentPoly()]
+    assert primitive(zeros) is zeros
 
 
 # -- ring laws (randomized) -------------------------------------------------------
