@@ -34,8 +34,7 @@ from .modrep import (
     apply,
     check_relations,
     corrupt_one_entry,
-    finite_dim_classical,
-    finite_dim_quantum,
+    finite_dim,
     rasskazova,
     verma_classical,
 )
@@ -76,8 +75,7 @@ __all__ = [
     "apply",
     "check_relations",
     "corrupt_one_entry",
-    "finite_dim_classical",
-    "finite_dim_quantum",
+    "finite_dim",
     "rasskazova",
     "verma_classical",
     "ComparisonReport",

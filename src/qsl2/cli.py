@@ -38,6 +38,8 @@ from fractions import Fraction
 
 from . import __version__
 from .modrep import (
+    CLASSICAL,
+    QUANTUM,
     RasskazovaParams,
     check_relations,
     corrupt_one_entry,
@@ -122,21 +124,21 @@ def build_parser() -> _Parser:
     p = sub.add_parser("decompose", help="Clebsch-Gordan decomposition of F_m (x) F_n")
     p.add_argument("--m", type=_nonneg, required=True)
     p.add_argument("--n", type=_nonneg, required=True)
-    p.add_argument("--quantum", action="store_true")
+    p.add_argument("--quantum", dest="flavor", action="store_const", const=QUANTUM, default=CLASSICAL)
     add_format(p)
 
     p = sub.add_parser("hwv", help="highest-weight vector of weight m+n-2p")
     p.add_argument("--m", type=_nonneg, required=True)
     p.add_argument("--n", type=_nonneg, required=True)
     p.add_argument("--p", type=_nonneg, required=True)
-    p.add_argument("--quantum", action="store_true")
+    p.add_argument("--quantum", dest="flavor", action="store_const", const=QUANTUM, default=CLASSICAL)
     add_format(p)
 
     p = sub.add_parser("check", help="verify the defining relations on a module")
     kinds = p.add_subparsers(dest="kind", required=True, parser_class=_Parser)
     findim = kinds.add_parser("findim", help="F_n, classical or quantum")
     findim.add_argument("--n", type=_nonneg, required=True, help="highest weight")
-    findim.add_argument("--quantum", action="store_true")
+    findim.add_argument("--quantum", dest="flavor", action="store_const", const=QUANTUM, default=CLASSICAL)
     verma = kinds.add_parser("verma", help="classical Verma module M(hw), truncated")
     verma.add_argument("--hw", type=_rational, required=True, help="highest weight, rational a/b")
     verma.add_argument("--depth", type=_positive, required=True, help="truncation depth")
@@ -220,7 +222,7 @@ def _csv(header: str, rows) -> str:
 
 def cmd_decompose(ns):
     closed = cg_decompose(ns.m, ns.n)
-    a, b = _finite_dim(ns.m, ns.quantum), _finite_dim(ns.n, ns.quantum)
+    a, b = _finite_dim(ns.m, ns.flavor), _finite_dim(ns.n, ns.flavor)
     by_character = decompose_by_character(a, b)  # from the factors' characters: no tensor module
     if by_character != closed:
         raise CheckFailure(
@@ -243,9 +245,9 @@ def cmd_hwv(ns):
         raise UsageError(f"--p must be <= min(m, n) = {min(ns.m, ns.n)}, got {ns.p}")
     target = ns.m + ns.n - 2 * ns.p
     try:
-        report = phi_vs_oracle(ns.m, ns.n, ns.p) if ns.quantum else None
+        report = phi_vs_oracle(ns.m, ns.n, ns.p) if ns.flavor is QUANTUM else None
         vec = report.oracle if report else highest_weight_vector(  # only target's space and its image under e
-            tensor(_finite_dim(ns.m, False), _finite_dim(ns.n, False), {target, target + 2}), target)
+            tensor(_finite_dim(ns.m, ns.flavor), _finite_dim(ns.n, ns.flavor), {target, target + 2}), target)
     except NullspaceError as exc:
         raise CheckFailure(str(exc))
     if ns.format == "csv":
@@ -274,7 +276,7 @@ def cmd_check(ns):
     if ns.describe and ns.format != "json":
         raise UsageError(f"--describe needs --format json, got --format {ns.format}")
     if ns.kind == "findim":
-        module = _finite_dim(ns.n, ns.quantum)
+        module = _finite_dim(ns.n, ns.flavor)
     elif ns.kind == "verma":
         module = verma_classical(ns.hw, ns.depth)
     else:

@@ -1,18 +1,18 @@
 """Weight modules for classical and quantum sl(2).
 
-Constructors for the finite-dimensional modules F_n (classical e/f/h and
-quantum E/F/K actions), truncated Verma modules, and the Rasskazova
-family V(beta, lambda, n), together with a machine check of the defining
+Constructors for the finite-dimensional modules F_n of any Flavor
+(finite_dim), truncated Verma modules, and the Rasskazova family
+V(beta, lambda, n), together with a machine check of the defining
 algebra relations on every constructed module: the constructor's weight
 grading certifies every relation but one, and check_relations evaluates
 that one, the commutator of raising and lowering, on each basis vector.
 
 A module is a finite ordered basis with weight labels and sparse
 raising and lowering matrices over an exact scalar ring: Fraction for
-classical modules, LaurentPoly for quantum ones; a known integer is
-stored as an int in either.  A rational module is built, graded and
-checked on int numerators over one common denominator; a Fraction is
-made only where a scalar is a quotient or is reported.  Modules are
+classical modules, LaurentPoly for quantum ones.  F_n stores int weights,
+and int entries classically.  A rational module is built, graded and checked
+on int numerators over one common denominator, but stores each weight
+and quotient entry as a Fraction, an integral one too.  Modules are
 immutable after construction and every operation here is pure.
 
 A basis label is the vector's printed name, a str: w_k for F_n and the
@@ -233,32 +233,21 @@ def apply(module: WeightModule, gen: str, x: Vector) -> Vector:
 # -- constructors ------------------------------------------------------------
 
 
-def finite_dim_classical(n: int) -> WeightModule:
-    """The (n+1)-dimensional simple module with basis w_0 .. w_n.
+def finite_dim(n: int, flavor: Flavor) -> WeightModule:
+    """The (n+1)-dimensional simple module F_n of a flavour, basis w_0 .. w_n.
 
-    h.w_k = (n-2k) w_k, e.w_k = (n-k+1) w_{k-1}, f.w_k = (k+1) w_{k+1}.
+    w_k has weight n-2k, raising.w_k = [n-k+1] w_{k-1} and lowering.w_k =
+    [k+1] w_{k+1}, where [a] = flavor.commutator(a): a classically, the
+    q-integer [a]_v quantum; so h.w_k = (n-2k) w_k or K.w_k = v^(n-2k) w_k.
     """
     if n < 0:
         raise ValueError(f"finite-dimensional module needs n >= 0, got {n}")
     basis = [f"w_{k}" for k in range(n + 1)]
     weights = {lab: n - 2 * k for k, lab in enumerate(basis)}
-    e = {basis[k]: {basis[k - 1]: n - k + 1} for k in range(1, n + 1)}
-    f = {basis[k]: {basis[k + 1]: k + 1} for k in range(n)}
-    return WeightModule(CLASSICAL, f"F(n={n})", basis, weights, {"e": e, "f": f})
-
-
-def finite_dim_quantum(n: int) -> WeightModule:
-    """Quantum analogue of finite_dim_classical.
-
-    K.w_k = v^(n-2k) w_k, E.w_k = [n-k+1] w_{k-1}, F.w_k = [k+1] w_{k+1}.
-    """
-    if n < 0:
-        raise ValueError(f"finite-dimensional module needs n >= 0, got {n}")
-    basis = [f"w_{k}" for k in range(n + 1)]
-    weights = {lab: n - 2 * k for k, lab in enumerate(basis)}
-    E = {basis[k]: {basis[k - 1]: q_int(n - k + 1)} for k in range(1, n + 1)}
-    F = {basis[k]: {basis[k + 1]: q_int(k + 1)} for k in range(n)}
-    return WeightModule(QUANTUM, f"Fq(n={n})", basis, weights, {"E": E, "F": F})
+    up = {basis[k]: {basis[k - 1]: flavor.commutator(n - k + 1)} for k in range(1, n + 1)}
+    down = {basis[k]: {basis[k + 1]: flavor.commutator(k + 1)} for k in range(n)}
+    name = f"Fq(n={n})" if flavor.ring is LaurentPoly else f"F(n={n})"
+    return WeightModule(flavor, name, basis, weights, {flavor.raising: up, flavor.lowering: down})
 
 
 def verma_classical(hw, depth: int) -> WeightModule:
@@ -269,6 +258,8 @@ def verma_classical(hw, depth: int) -> WeightModule:
     """
     if depth < 1:
         raise ValueError(f"Verma truncation depth must be >= 1, got {depth}")
+    if isinstance(hw, float):
+        raise ValueError(f"highest weight {hw!r} is a float: give an int, a Fraction or 'a/b'")
     hw = Fraction(hw)
     p, q = hw.numerator, hw.denominator  # every scalar below over q, built once
     basis = [f"w_{k}" for k in range(depth + 1)]
@@ -286,6 +277,8 @@ class RasskazovaParams(Record):
     _fields = ("beta", "lam", "n", "window")
 
     def __init__(self, beta, lam, n: int, window: int):
+        if isinstance(beta, float) or isinstance(lam, float):
+            raise ValueError(f"beta {beta!r} or lambda {lam!r} is a float: give an int, a Fraction or 'a/b'")
         beta, lam = Fraction(beta), Fraction(lam)
         if n < 1:
             raise ValueError(f"Rasskazova family needs n >= 1, got {n}")

@@ -21,7 +21,7 @@ import functools
 from collections import Counter
 from math import prod
 
-from .modrep import Record, Vector, WeightModule, apply, finite_dim_classical, finite_dim_quantum
+from .modrep import QUANTUM, Flavor, Record, Vector, WeightModule, apply, finite_dim
 from .qarith import ExactDivisionError, LaurentPoly, lp_gcd, primitive, q_int
 
 
@@ -401,9 +401,9 @@ WEIGHT_MATCHED = Interpretation("weight-matched-v1", _weight_matched_positions)
 
 
 @functools.lru_cache(maxsize=32)
-def _finite_dim(n: int, quantum: bool) -> WeightModule:
-    """F_n, shared by the callers that only read it; the public constructors build a new one."""
-    return finite_dim_quantum(n) if quantum else finite_dim_classical(n)
+def _finite_dim(n: int, flavor: Flavor) -> WeightModule:
+    """F_n, shared by the callers that only read it; finite_dim builds a new one."""
+    return finite_dim(n, flavor)
 
 
 def phi_vector(
@@ -427,7 +427,7 @@ def phi_vector(
     if not 0 <= p <= min(m, n):
         raise ValueError(f"need 0 <= p <= min(m, n) = {min(m, n)}, got p = {p}")
 
-    fa, fb = _finite_dim(m, True), _finite_dim(n, True)
+    fa, fb = _finite_dim(m, QUANTUM), _finite_dim(n, QUANTUM)
     spaces = {m + n - 2 * p, m + n - 2 * p + 2}  # the oracle's weight space and its image under E
     sign = 1 if (n - p) % 2 == 0 else -1
     entries: dict = {}

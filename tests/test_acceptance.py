@@ -9,11 +9,12 @@ import time
 from fractions import Fraction
 
 from qsl2.modrep import (
+    CLASSICAL,
+    QUANTUM,
     RasskazovaParams,
     apply,
     check_relations,
-    finite_dim_classical,
-    finite_dim_quantum,
+    finite_dim,
     rasskazova,
     verma_classical,
 )
@@ -56,8 +57,8 @@ def test_criterion_1_clebsch_gordan_reproduction():
                 closed = cg_decompose(m, n)
                 expected = {w: 1 for w in range(m + n, abs(m - n) - 1, -2)}
                 assert closed.summands == expected, (m, n)
-                tc = tensor(finite_dim_classical(m), finite_dim_classical(n))
-                tq = tensor(finite_dim_quantum(m), finite_dim_quantum(n))
+                tc = tensor(finite_dim(m, CLASSICAL), finite_dim(n, CLASSICAL))
+                tq = tensor(finite_dim(m, QUANTUM), finite_dim(n, QUANTUM))
                 assert decompose_by_character(tc) == closed, (m, n, "classical")
                 assert decompose_by_character(tq) == closed, (m, n, "quantum")
 
@@ -65,8 +66,8 @@ def test_criterion_1_clebsch_gordan_reproduction():
 def test_criterion_2_relation_verification():
     with _Criterion(2, "defining relations on every constructed module", 5):
         for n in range(9):
-            assert check_relations(finite_dim_classical(n)).ok, n
-            assert check_relations(finite_dim_quantum(n)).ok, n
+            assert check_relations(finite_dim(n, CLASSICAL)).ok, n
+            assert check_relations(finite_dim(n, QUANTUM)).ok, n
         for hw in (0, 1, 2, Fraction(5, 2), -3):
             report = check_relations(verma_classical(hw, 12))
             assert report.ok, hw
@@ -82,7 +83,7 @@ def test_criterion_3_highest_weight_oracle_soundness():
     with _Criterion(3, "raising-operator nullspace oracle", 30):
         for m in range(7):
             for n in range(7):
-                module = tensor(finite_dim_quantum(m), finite_dim_quantum(n))
+                module = tensor(finite_dim(m, QUANTUM), finite_dim(n, QUANTUM))
                 found = highest_weight_vectors(module)
                 for p in range(min(m, n) + 1):
                     w = m + n - 2 * p
@@ -97,7 +98,7 @@ def test_criterion_4_transfer_formula_adjudication():
     with _Criterion(4, "explicit formula vs oracle, complete reports", 10):
         for m in range(5):
             for n in range(5):
-                module = tensor(finite_dim_quantum(m), finite_dim_quantum(n))
+                module = tensor(finite_dim(m, QUANTUM), finite_dim(n, QUANTUM))
                 oracle = dict(highest_weight_vectors(module))
                 for p in range(min(m, n) + 1):
                     report = phi_vs_oracle(m, n, p)
@@ -118,7 +119,7 @@ def test_criterion_4_transfer_formula_adjudication():
 def test_criterion_5_quantum_classical_consistency():
     with _Criterion(5, "specialization at v=1 recovers the classical side"):
         for n in range(6):
-            mq, mc = finite_dim_quantum(n), finite_dim_classical(n)
+            mq, mc = finite_dim(n, QUANTUM), finite_dim(n, CLASSICAL)
             for lab in mq.basis:
                 assert Fraction(mq.weights[lab]) == mc.weights[lab]
             for gq, gc in (("E", "e"), ("F", "f")):
@@ -129,8 +130,8 @@ def test_criterion_5_quantum_classical_consistency():
                     assert specialized == mc.action[gc].get(col, {}), (n, gq, col)
         for m in range(6):
             for n in range(6):
-                tq = tensor(finite_dim_quantum(m), finite_dim_quantum(n))
-                tc = tensor(finite_dim_classical(m), finite_dim_classical(n))
+                tq = tensor(finite_dim(m, QUANTUM), finite_dim(n, QUANTUM))
+                tc = tensor(finite_dim(m, CLASSICAL), finite_dim(n, CLASSICAL))
                 classical = dict(highest_weight_vectors(tc))
                 for wt, qvec in highest_weight_vectors(tq):
                     spec = {

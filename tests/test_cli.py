@@ -1,4 +1,5 @@
 import argparse
+import ast
 import contextlib
 import io
 import json
@@ -16,6 +17,7 @@ from hypothesis import given, settings, strategies as st
 import qsl2
 from qsl2 import tensorcg
 from qsl2.cli import main, run
+from qsl2.modrep import CLASSICAL, QUANTUM
 from qsl2.qarith import ExactDivisionError
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -694,6 +696,31 @@ def test_import_loads_no_dataclasses_inspect_or_typing():
     added = set(json.loads(proc.stdout.splitlines()[-1]))
     assert "qsl2.cli" in added
     assert not added & {"dataclasses", "inspect", "typing", "ast", "dis", "tokenize"}, sorted(added)
+
+
+def test_public_api_is_exactly_all():
+    """Every name in __all__ resolves, import * binds exactly them, and every
+    public name qsl2/__init__.py imports is listed."""
+    assert [name for name in qsl2.__all__ if not hasattr(qsl2, name)] == []
+    assert len(set(qsl2.__all__)) == len(qsl2.__all__)
+    star: dict = {}
+    exec("from qsl2 import *", star)
+    assert star.keys() - {"__builtins__"} == set(qsl2.__all__)
+    tree = ast.parse(Path(qsl2.__file__).read_text())
+    imported = {a.asname or a.name for node in tree.body if isinstance(node, ast.ImportFrom)
+                for a in node.names}
+    assert {name for name in imported if not name.startswith("_")} - set(qsl2.__all__) == set()
+
+
+def test_quantum_switch_carries_the_flavor():
+    from qsl2 import cli
+
+    for path in (["decompose", "--m", "1", "--n", "2"], ["hwv", "--m", "1", "--n", "1", "--p", "0"],
+                 ["check", "findim", "--n", "2"]):
+        assert cli.parse_args(path).flavor is CLASSICAL
+        assert cli.parse_args(path + ["--quantum"]).flavor is QUANTUM  # read off the action table
+        assert cli.build_parser().parse_args(path + ["--quantum"]).flavor is QUANTUM  # through argparse
+        assert "quantum" not in vars(cli.parse_args(path))
 
 
 def test_check_kind_help_lists_only_its_own_flags(capsys):

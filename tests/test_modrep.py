@@ -16,8 +16,7 @@ from qsl2.modrep import (
     apply,
     check_relations,
     corrupt_one_entry,
-    finite_dim_classical,
-    finite_dim_quantum,
+    finite_dim,
     rasskazova,
     verma_classical,
 )
@@ -39,17 +38,11 @@ def upper_and_lower(lab):
 KASSEL = QUANTUM.replace(coproduct={"E": (None, "K"), "F": ("Kinv", None)})
 
 
-def findim(flavor, n):
-    """F_n of a flavour; KASSEL shares QUANTUM's modules."""
-    m = finite_dim_classical(n) if flavor is CLASSICAL else finite_dim_quantum(n)
-    return WeightModule(flavor, m.name, m.basis, m.weights, m.action)
-
-
 # -- finite-dimensional classical ------------------------------------------
 
 
 def test_findim_classical_trivial():
-    m = finite_dim_classical(0)
+    m = finite_dim(0, CLASSICAL)
     assert m.dim == 1
     x = basis_vector(m, "w_0")
     for g in ("e", "f", "h"):
@@ -57,7 +50,7 @@ def test_findim_classical_trivial():
 
 
 def test_findim_classical_one():
-    m = finite_dim_classical(1)
+    m = finite_dim(1, CLASSICAL)
     assert apply(m, "e", basis_vector(m, "w_1")).entries == {"w_0": 1}
     assert apply(m, "f", basis_vector(m, "w_0")).entries == {"w_1": 1}
     assert apply(m, "h", basis_vector(m, "w_0")).entries == {"w_0": 1}
@@ -65,7 +58,7 @@ def test_findim_classical_one():
 
 
 def test_findim_classical_two_commutator():
-    m = finite_dim_classical(2)
+    m = finite_dim(2, CLASSICAL)
     assert [m.weights[lab] for lab in m.basis] == [2, 0, -2]
     for lab in m.basis:
         x = basis_vector(m, lab)
@@ -75,16 +68,16 @@ def test_findim_classical_two_commutator():
 
 def test_findim_negative_rejected():
     with pytest.raises(ValueError):
-        finite_dim_classical(-1)
+        finite_dim(-1, CLASSICAL)
     with pytest.raises(ValueError):
-        finite_dim_quantum(-2)
+        finite_dim(-2, QUANTUM)
 
 
 # -- finite-dimensional quantum ---------------------------------------------
 
 
 def test_findim_quantum_trivial():
-    m = finite_dim_quantum(0)
+    m = finite_dim(0, QUANTUM)
     x = basis_vector(m, "w_0")
     assert apply(m, "K", x) == x
     assert apply(m, "E", x).is_zero()
@@ -92,20 +85,20 @@ def test_findim_quantum_trivial():
 
 
 def test_findim_quantum_one():
-    m = finite_dim_quantum(1)
+    m = finite_dim(1, QUANTUM)
     assert apply(m, "E", basis_vector(m, "w_1")).entries == {"w_0": LaurentPoly(1)}
     assert apply(m, "K", basis_vector(m, "w_0")).entries == {"w_0": v}
 
 
 def test_findim_quantum_commutator_values():
     # in F_3, (EF - FE) w_1 = ([2][2] - [1][3]) w_1 = [3-2] w_1 = w_1
-    m = finite_dim_quantum(3)
+    m = finite_dim(3, QUANTUM)
     x = basis_vector(m, "w_1")
     d = sub(apply(m, "E", apply(m, "F", x)), apply(m, "F", apply(m, "E", x)))
     assert q_int(2) * q_int(2) - q_int(1) * q_int(3) == LaurentPoly(1)
     assert d.entries == {"w_1": LaurentPoly(1)}
     # in F_2 the weight of w_1 is zero and the commutator vanishes
-    m2 = finite_dim_quantum(2)
+    m2 = finite_dim(2, QUANTUM)
     x2 = basis_vector(m2, "w_1")
     d2 = sub(apply(m2, "E", apply(m2, "F", x2)), apply(m2, "F", apply(m2, "E", x2)))
     assert d2.is_zero()
@@ -113,7 +106,7 @@ def test_findim_quantum_commutator_values():
 
 def test_findim_quantum_commutator_is_qint_of_weight():
     for n in range(0, 9):
-        m = finite_dim_quantum(n)
+        m = finite_dim(n, QUANTUM)
         for lab in m.basis:
             x = basis_vector(m, lab)
             d = sub(apply(m, "E", apply(m, "F", x)), apply(m, "F", apply(m, "E", x)))
@@ -122,8 +115,8 @@ def test_findim_quantum_commutator_is_qint_of_weight():
 
 def test_quantum_specializes_to_classical():
     for n in range(0, 9):
-        mq = finite_dim_quantum(n)
-        mc = finite_dim_classical(n)
+        mq = finite_dim(n, QUANTUM)
+        mc = finite_dim(n, CLASSICAL)
         assert [mq.weights[lab] for lab in mq.basis] == [
             mc.weights[lab] for lab in mc.basis
         ]
@@ -153,12 +146,26 @@ def test_verma_e_coefficients():
 
 
 def test_weights_are_int_unless_rational():
-    assert all(type(wt) is int for wt in finite_dim_classical(5).weights.values())
-    assert all(type(wt) is int for wt in finite_dim_quantum(5).weights.values())
+    assert all(type(wt) is int for wt in finite_dim(5, CLASSICAL).weights.values())
+    assert all(type(wt) is int for wt in finite_dim(5, QUANTUM).weights.values())
     m = verma_classical(Fraction(-7, 3), 4)
     assert [m.weights[f"w_{k}"] for k in range(5)] == [Fraction(-7 - 6 * k, 3) for k in range(5)]
     assert all(type(wt) is Fraction for wt in m.weights.values())
     assert check_relations(m).ok
+
+
+@pytest.mark.parametrize("build", [
+    lambda x: verma_classical(x, 2).weights,
+    lambda x: RasskazovaParams(x, 0, 1, 1),
+    lambda x: RasskazovaParams(0, x, 1, 1),
+], ids=["verma-hw", "rasskazova-beta", "rasskazova-lambda"])
+def test_a_float_parameter_is_refused(build):
+    # Fraction(0.1) is the float's binary value, not 1/10, so a float never reaches a module
+    for x in (0.1, 2.0):
+        with pytest.raises(ValueError, match="is a float"):
+            build(x)
+    assert build(Fraction(1, 10)) == build("1/10") != build(Fraction(0.1))
+    assert build(2) == build(Fraction(2)) == build("2")
 
 
 def test_verma_boundary_marked():
@@ -182,7 +189,7 @@ def test_verma_maximal_submodule_invariant():
         for col in tail:
             for row in apply(m, g, basis_vector(m, col)).entries:
                 assert row in tail, (g, col, row)
-    assert m.dim - len(tail) == finite_dim_classical(n).dim
+    assert m.dim - len(tail) == finite_dim(n, CLASSICAL).dim
 
 
 # -- Rasskazova family --------------------------------------------------------
@@ -229,11 +236,11 @@ def test_rasskazova_filtration_never_raises_i():
 
 BUILT_IN = pytest.mark.parametrize(
     "module",
-    [finite_dim_classical(4), finite_dim_quantum(4), verma_classical(Fraction(5, 2), 6),
+    [finite_dim(4, CLASSICAL), finite_dim(4, QUANTUM), verma_classical(Fraction(5, 2), 6),
      rasskazova(RasskazovaParams(Fraction(1, 2), Fraction(-3, 5), 3, 3)),
-     tensor(finite_dim_classical(2), finite_dim_classical(3)),
-     tensor(finite_dim_quantum(2), finite_dim_quantum(3)),
-     tensor(verma_classical(Fraction(5, 2), 3), finite_dim_classical(1))],
+     tensor(finite_dim(2, CLASSICAL), finite_dim(3, CLASSICAL)),
+     tensor(finite_dim(2, QUANTUM), finite_dim(3, QUANTUM)),
+     tensor(verma_classical(Fraction(5, 2), 3), finite_dim(1, CLASSICAL))],
     ids=repr,
 )
 
@@ -258,14 +265,14 @@ def test_every_label_is_the_printed_name(module):
 
 
 def test_relations_findim_classical():
-    report = check_relations(finite_dim_classical(4))
+    report = check_relations(finite_dim(4, CLASSICAL))
     assert report.ok
     assert report.excluded == ()
     assert len(report.checked) == 5
 
 
 def test_relations_findim_quantum():
-    report = check_relations(finite_dim_quantum(5))
+    report = check_relations(finite_dim(5, QUANTUM))
     assert report.ok
     assert report.flavor == "quantum"
 
@@ -286,8 +293,8 @@ def test_relations_rasskazova_interior():
 
 def test_relations_sweep():
     for n in range(0, 6):
-        assert check_relations(finite_dim_classical(n)).ok
-        assert check_relations(finite_dim_quantum(n)).ok
+        assert check_relations(finite_dim(n, CLASSICAL)).ok
+        assert check_relations(finite_dim(n, QUANTUM)).ok
     for hw in (0, 1, 2, Fraction(5, 2), -3):
         assert check_relations(verma_classical(hw, 6)).ok
     for beta, lam in ((0, 0), (1, 2), (Fraction(-3), Fraction(5, 2))):
@@ -296,7 +303,7 @@ def test_relations_sweep():
 
 
 def test_relations_detect_corruption():
-    bad = corrupt_one_entry(finite_dim_classical(3))
+    bad = corrupt_one_entry(finite_dim(3, CLASSICAL))
     report = check_relations(bad)
     assert not report.ok
     # the perturbed entry sits at (w_0, w_1) of e; exactly the [e,f]
@@ -335,20 +342,20 @@ FLAVORS = pytest.mark.parametrize("flavor", COPRODUCTS.values(), ids=list(COPROD
 @FLAVORS
 @pytest.mark.parametrize("n", range(1, 7))
 def test_every_single_entry_perturbation_of_findim_is_caught(flavor, n):
-    for where, bad in single_entry_perturbations(findim(flavor, n)):
+    for where, bad in single_entry_perturbations(finite_dim(n, flavor)):
         assert not check_relations(bad).ok, where
 
 
 @FLAVORS
 @pytest.mark.parametrize("a, b", [(a, b) for a in range(4) for b in range(4) if a + b])
 def test_every_single_entry_perturbation_of_a_tensor_is_caught(flavor, a, b):
-    for where, bad in single_entry_perturbations(tensor(findim(flavor, a), findim(flavor, b))):
+    for where, bad in single_entry_perturbations(tensor(finite_dim(a, flavor), finite_dim(b, flavor))):
         assert not check_relations(bad).ok, where
 
 
 def test_corrupt_needs_raising_entries():
     with pytest.raises(ValueError):
-        corrupt_one_entry(finite_dim_classical(0))
+        corrupt_one_entry(finite_dim(0, CLASSICAL))
 
 
 FAULT_SCALARS = (0, 1, -1, Fraction(1, 2), Fraction(-1, 2), 2, -2, Fraction(1, 3))
@@ -357,7 +364,7 @@ FAULT_MODULES = [
       for beta in FAULT_SCALARS for lam in FAULT_SCALARS for n in range(1, 4) for window in range(1, 4)),
     *(verma_classical(hw, depth)
       for hw in (0, 1, 2, 3, 4, -1, -3, Fraction(1, 2), Fraction(5, 2), Fraction(-7, 3)) for depth in range(1, 6)),
-    *(findim(flavor, n) for flavor in (CLASSICAL, QUANTUM) for n in range(8)),
+    *(finite_dim(n, flavor) for flavor in (CLASSICAL, QUANTUM) for n in range(8)),
 ]
 
 
@@ -378,36 +385,36 @@ def test_an_injected_fault_always_fails_the_check():
 
 
 def test_apply_diagonal():
-    m = finite_dim_classical(2)
+    m = finite_dim(2, CLASSICAL)
     assert apply(m, "h", basis_vector(m, "w_0")).entries == {"w_0": 2}
 
 
 def test_apply_zero_vector():
-    m = finite_dim_classical(2)
+    m = finite_dim(2, CLASSICAL)
     assert apply(m, "e", zero(m)).is_zero()
 
 
 def test_apply_linearity():
-    m = finite_dim_quantum(1)
+    m = finite_dim(1, QUANTUM)
     x = add(basis_vector(m, "w_0"), basis_vector(m, "w_1"))
     assert apply(m, "E", x).entries == {"w_0": LaurentPoly(1)}
 
 
 def test_apply_flavor_mismatch():
-    m = finite_dim_classical(2)
+    m = finite_dim(2, CLASSICAL)
     with pytest.raises(ValueError):
         apply(m, "E", basis_vector(m, "w_0"))
-    other = finite_dim_classical(2)
+    other = finite_dim(2, CLASSICAL)
     with pytest.raises(ValueError):
         apply(m, "e", basis_vector(other, "w_0"))
 
 
 @pytest.mark.parametrize("gen, source, message", [
     ("K", lambda m: m, "generator 'K' not defined on classical module F"),
-    ("e", lambda m: finite_dim_classical(1), r"vector lives in F\(n=1\), not F\(n=1\)"),
+    ("e", lambda m: finite_dim(1, CLASSICAL), r"vector lives in F\(n=1\), not F\(n=1\)"),
 ], ids=["diagonal-of-the-other-flavour", "vector-of-another-module"])
 def test_apply_refuses(gen, source, message):
-    m = finite_dim_classical(1)
+    m = finite_dim(1, CLASSICAL)
     with pytest.raises(ValueError, match=message):
         apply(m, gen, basis_vector(source(m), "w_0"))
 
@@ -521,7 +528,7 @@ def test_records_compare_hash_and_print_field_wise():
 
 @pytest.mark.parametrize("make", [
     lambda: RasskazovaParams(Fraction(1, 2), 3, 2, 1),
-    lambda: check_relations(finite_dim_classical(2)),
+    lambda: check_relations(finite_dim(2, CLASSICAL)),
     lambda: tensorcg.Decomposition({2: 1}),
     lambda: tensorcg.WEIGHT_MATCHED,
     lambda: QUANTUM,
@@ -562,7 +569,7 @@ def test_flavor_equality_is_identity():
     assert all(getattr(twin, f) is getattr(QUANTUM, f) for f in QUANTUM._fields)
     assert twin != QUANTUM and QUANTUM == QUANTUM and CLASSICAL != QUANTUM
     assert len({QUANTUM, twin, QUANTUM}) == 2 and hash(QUANTUM) == object.__hash__(QUANTUM)
-    assert finite_dim_quantum(1).flavor is QUANTUM
+    assert finite_dim(1, QUANTUM).flavor is QUANTUM
 
 
 def stored(m, gen=None):
@@ -572,7 +579,7 @@ def stored(m, gen=None):
 
 def test_known_integers_are_stored_as_int():
     for n in range(9):
-        assert all(type(c) is int for c in stored(finite_dim_classical(n)))
+        assert all(type(c) is int for c in stored(finite_dim(n, CLASSICAL)))
     verma = verma_classical(Fraction(1, 2), 6)
     assert all(type(c) is int and c == 1 for c in stored(verma, "f"))
     # e.w_k = k(1/2-k+1) w_{k-1}: a quotient, a Fraction where it is not integral
@@ -608,14 +615,14 @@ def test_diagonal_generators_are_not_stored(flavor, diag):
 
 
 def test_vector_strips_zeros():
-    m = finite_dim_classical(1)
+    m = finite_dim(1, CLASSICAL)
     x = Vector(m, {"w_0": Fraction(0), "w_1": Fraction(2)})
     assert x.entries == {"w_1": 2}
     assert sub(x, x).is_zero()
 
 
 def test_zero_vector_prints_0_and_equals_no_number():
-    z = Vector(finite_dim_classical(1), {})
+    z = Vector(finite_dim(1, CLASSICAL), {})
     assert str(z) == "0" and (z == 1) is False
 
 
@@ -667,7 +674,8 @@ def reference_check_relations(m: WeightModule) -> RelationReport:
 
 
 REFERENCE_MODULES = {
-    **{f"findim-{fl.name}-{n}": (lambda fl=fl, n=n: findim(fl, n)) for fl in (CLASSICAL, QUANTUM) for n in range(7)},
+    **{f"findim-{fl.name}-{n}": (lambda fl=fl, n=n: finite_dim(n, fl))
+       for fl in (CLASSICAL, QUANTUM) for n in range(7)},
     **{f"verma-{hw}": (lambda hw=hw: verma_classical(hw, 5)) for hw in (0, 2, Fraction(5, 2), Fraction(-7, 3))},
     **{
         f"rasskazova-{p.beta}-{p.lam}-{p.n}": (lambda p=p: rasskazova(p))
@@ -678,7 +686,7 @@ REFERENCE_MODULES = {
         )
     },
     **{
-        f"tensor-{name}-{a}-{b}": (lambda fl=fl, a=a, b=b: tensor(findim(fl, a), findim(fl, b)))
+        f"tensor-{name}-{a}-{b}": (lambda fl=fl, a=a, b=b: tensor(finite_dim(a, fl), finite_dim(b, fl)))
         for name, fl in COPRODUCTS.items()
         for a in range(4)
         for b in range(4)
@@ -695,11 +703,11 @@ def test_checker_matches_the_reference_evaluator(name):
 
 
 NO_VECTOR_MODULES = {
-    "findim-classical-4": lambda: finite_dim_classical(4),
-    "findim-quantum-4": lambda: finite_dim_quantum(4),
+    "findim-classical-4": lambda: finite_dim(4, CLASSICAL),
+    "findim-quantum-4": lambda: finite_dim(4, QUANTUM),
     "verma--7/3": lambda: verma_classical(Fraction(-7, 3), 6),
     "rasskazova-1-2-2": lambda: rasskazova(RasskazovaParams(1, 2, 2, 3)),
-    "tensor-quantum-2-2": lambda: tensor(finite_dim_quantum(2), finite_dim_quantum(2)),
+    "tensor-quantum-2-2": lambda: tensor(finite_dim(2, QUANTUM), finite_dim(2, QUANTUM)),
 }
 
 
@@ -777,13 +785,13 @@ def reference_tensor_action(a, b):
 @FLAVORS
 @pytest.mark.parametrize("m, n", [(m, n) for m in range(4) for n in range(4)])
 def test_tensor_of_findim_equals_the_reference_coproduct(flavor, m, n):
-    a, b = findim(flavor, m), findim(flavor, n)
+    a, b = finite_dim(m, flavor), finite_dim(n, flavor)
     assert tensor(a, b).action == reference_tensor_action(a, b)
 
 
 def test_tensor_of_a_verma_module_equals_the_reference_coproduct():
-    for a, b in ((verma_classical(Fraction(5, 2), 3), finite_dim_classical(2)),
-                 (finite_dim_classical(1), verma_classical(-3, 4))):
+    for a, b in ((verma_classical(Fraction(5, 2), 3), finite_dim(2, CLASSICAL)),
+                 (finite_dim(1, CLASSICAL), verma_classical(-3, 4))):
         assert tensor(a, b).action == reference_tensor_action(a, b)
 
 
@@ -815,7 +823,7 @@ def test_tensor_of_random_modules_equals_the_reference_coproduct(a, b, data):
 @FLAVORS
 @pytest.mark.parametrize("m, n", [(m, n) for m in range(6) for n in range(6)])
 def test_tensor_of_two_weight_spaces_is_the_full_tensor_restricted(flavor, m, n):
-    a, b = findim(flavor, m), findim(flavor, n)
+    a, b = finite_dim(m, flavor), finite_dim(n, flavor)
     full = tensor(a, b)
     for w in range(m + n, -m - n - 1, -2):
         t = tensor(a, b, {w, w + 2})
@@ -831,7 +839,7 @@ def test_factored_normal_form_is_the_gcd_normal_form_on_every_hwv_space(flavor):
     solved = 0
     for m in range(11):
         for n in range(11):
-            t = tensor(findim(flavor, m), findim(flavor, n))
+            t = tensor(finite_dim(m, flavor), finite_dim(n, flavor))
             spaces, up = weight_spaces(t), t.action[flavor.raising]
             for w, source in spaces.items():
                 target = spaces.get(w + 2, [])

@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from qsl2.modrep import Vector, finite_dim_classical, finite_dim_quantum
+from qsl2.modrep import CLASSICAL, QUANTUM, Vector, finite_dim
 from qsl2.qarith import LaurentPoly, q_fact, v
 from qsl2.serialize import (
     comparison_json,
@@ -49,13 +49,13 @@ def test_scalar_token_dispatch():
 
 
 def test_vector_json_ambient_order():
-    m = finite_dim_classical(2)
+    m = finite_dim(2, CLASSICAL)
     x = Vector(m, {"w_2": Fraction(1, 2), "w_0": Fraction(-3)})
     assert vector_json(x) == [["w_0", -3], ["w_2", "1/2"]]
 
 
 def test_module_descriptor_classical():
-    got = module_descriptor(finite_dim_classical(1))
+    got = module_descriptor(finite_dim(1, CLASSICAL))
     assert got == {
         "flavor": "classical",
         "name": "F(n=1)",
@@ -71,7 +71,7 @@ def test_module_descriptor_classical():
 
 
 def test_module_descriptor_quantum():
-    got = module_descriptor(finite_dim_quantum(1))
+    got = module_descriptor(finite_dim(1, QUANTUM))
     assert got["weights"] == [["w_0", 1], ["w_1", -1]]
     assert got["action"]["K"] == [
         ["w_0", "w_0", [[1, 1, 1]]],

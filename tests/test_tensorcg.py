@@ -12,8 +12,7 @@ from qsl2.modrep import (
     WeightModule,
     apply,
     check_relations,
-    finite_dim_classical,
-    finite_dim_quantum,
+    finite_dim,
     rasskazova,
     verma_classical,
 )
@@ -41,7 +40,7 @@ from vectors import basis_vector, scaled
 
 
 def test_tensor_classical_unit_factor():
-    a, b = finite_dim_classical(0), finite_dim_classical(2)
+    a, b = finite_dim(0, CLASSICAL), finite_dim(2, CLASSICAL)
     t = tensor(a, b)
     for g in ("e", "f", "h"):
         for k in b.basis:
@@ -50,72 +49,67 @@ def test_tensor_classical_unit_factor():
 
 
 def test_tensor_classical_coproduct():
-    t = tensor(finite_dim_classical(1), finite_dim_classical(1))
+    t = tensor(finite_dim(1, CLASSICAL), finite_dim(1, CLASSICAL))
     got = apply(t, "e", basis_vector(t, "w_1*w_1"))
     assert got.entries == {"w_0*w_1": 1, "w_1*w_0": 1}
 
 
 def test_tensor_dimensions():
-    t = tensor(finite_dim_classical(2), finite_dim_classical(3))
+    t = tensor(finite_dim(2, CLASSICAL), finite_dim(3, CLASSICAL))
     assert t.dim == 12
 
 
 def test_tensor_flavor_mismatch():
     with pytest.raises(ValueError):
-        tensor(finite_dim_classical(1), finite_dim_quantum(1))
+        tensor(finite_dim(1, CLASSICAL), finite_dim(1, QUANTUM))
     with pytest.raises(ValueError):
-        tensor(finite_dim_quantum(1), finite_dim_classical(1))
+        tensor(finite_dim(1, QUANTUM), finite_dim(1, CLASSICAL))
 
 
 def test_tensor_quantum_grouplike_K():
-    t = tensor(finite_dim_quantum(2), finite_dim_quantum(3))
+    t = tensor(finite_dim(2, QUANTUM), finite_dim(3, QUANTUM))
     got = apply(t, "K", basis_vector(t, "w_0*w_0"))
     assert got.entries == {"w_0*w_0": v**5}
 
 
 def test_tensor_quantum_E_coproduct():
-    t = tensor(finite_dim_quantum(1), finite_dim_quantum(1))
+    t = tensor(finite_dim(1, QUANTUM), finite_dim(1, QUANTUM))
     got = apply(t, "E", basis_vector(t, "w_1*w_1"))
     assert got.entries == {"w_0*w_1": v**-1, "w_1*w_0": LaurentPoly(1)}
 
 
 def test_tensor_follows_the_flavor_coproduct():
     # D(E) = E (x) 1 + K (x) E, D(F) = F (x) Kinv + 1 (x) F is a coproduct too
-    alt = QUANTUM.replace(coproduct={"E": (None, "K"), "F": ("Kinv", None)})
-
-    def findim(n):
-        f = finite_dim_quantum(n)
-        return WeightModule(alt, f.name, f.basis, f.weights, f.action)
-
+    kassel = QUANTUM.replace(coproduct={"E": (None, "K"), "F": ("Kinv", None)})
     for m in range(3):
         for n in range(3):
-            assert check_relations(tensor(findim(m), findim(n))).ok, (m, n)
-    t = tensor(findim(1), findim(1))
+            assert check_relations(tensor(finite_dim(m, kassel), finite_dim(n, kassel))).ok, (m, n)
+    t = tensor(finite_dim(1, kassel), finite_dim(1, kassel))
     got = apply(t, "E", basis_vector(t, "w_1*w_1"))
     assert got.entries == {"w_0*w_1": LaurentPoly(1), "w_1*w_0": v**-1}
 
 
 def test_tensor_quantum_relations():
     assert check_relations(
-        tensor(finite_dim_quantum(1), finite_dim_quantum(1))
+        tensor(finite_dim(1, QUANTUM), finite_dim(1, QUANTUM))
     ).ok
     for m in range(4):
         for n in range(4):
-            t = tensor(finite_dim_quantum(m), finite_dim_quantum(n))
+            t = tensor(finite_dim(m, QUANTUM), finite_dim(n, QUANTUM))
             assert check_relations(t).ok, (m, n)
 
 
 def test_tensor_classical_relations():
     for m in range(4):
         for n in range(4):
-            t = tensor(finite_dim_classical(m), finite_dim_classical(n))
+            t = tensor(finite_dim(m, CLASSICAL), finite_dim(n, CLASSICAL))
             assert check_relations(t).ok, (m, n)
 
 
 @pytest.mark.parametrize(
     "a, b",
-    [(finite_dim_classical(2), finite_dim_classical(3)), (finite_dim_quantum(2), finite_dim_quantum(3)),
-     (verma_classical(Fraction(5, 2), 3), finite_dim_classical(1))],
+    [(finite_dim(2, CLASSICAL), finite_dim(3, CLASSICAL)), (finite_dim(2, QUANTUM), finite_dim(3, QUANTUM)),
+     (verma_classical(Fraction(5, 2), 3), finite_dim(1, CLASSICAL))],
     ids=["classical", "quantum", "verma"],
 )
 def test_tensor_makes_one_label_per_basis_vector(a, b):
@@ -135,19 +129,19 @@ def test_tensor_refuses_product_names_that_coincide():
 
 
 def test_weight_spaces_f1f1():
-    t = tensor(finite_dim_classical(1), finite_dim_classical(1))
+    t = tensor(finite_dim(1, CLASSICAL), finite_dim(1, CLASSICAL))
     spaces = weight_spaces(t)
     assert {k: len(v) for k, v in spaces.items()} == {2: 1, 0: 2, -2: 1}
     assert spaces[0] == ["w_0*w_1", "w_1*w_0"]
 
 
 def test_weight_spaces_multiplicity_free():
-    m = finite_dim_classical(5)
+    m = finite_dim(5, CLASSICAL)
     assert all(len(labs) == 1 for labs in weight_spaces(m).values())
 
 
 def test_weight_spaces_f2f2():
-    t = tensor(finite_dim_classical(2), finite_dim_classical(2))
+    t = tensor(finite_dim(2, CLASSICAL), finite_dim(2, CLASSICAL))
     assert len(weight_spaces(t)[0]) == 3
 
 
@@ -242,9 +236,9 @@ def with_int_entries(m):
     return WeightModule(m.flavor, m.name, m.basis, m.weights, action)
 
 
-@pytest.mark.parametrize("findim, n", [(finite_dim_classical, 2), (finite_dim_quantum, 1)])
-def test_hwv_of_a_module_with_int_entries_stays_in_the_ring(findim, n):
-    built = findim(n)
+@pytest.mark.parametrize("flavor, n", [(CLASSICAL, 2), (QUANTUM, 1)], ids=["classical-2", "quantum-1"])
+def test_hwv_of_a_module_with_int_entries_stays_in_the_ring(flavor, n):
+    built = finite_dim(n, flavor)
     ints = with_int_entries(built)
     assert any(type(c) is int for mat in ints.action.values() for col in mat.values() for c in col.values())
     found = highest_weight_vectors(tensor(ints, ints))
@@ -257,7 +251,7 @@ def test_classical_hwv_coordinates_are_fractions():
     # the output contract: int entries of classical F_n never reach a coordinate
     for a in range(5):
         for b in range(5):
-            found = highest_weight_vectors(tensor(finite_dim_classical(a), finite_dim_classical(b)))
+            found = highest_weight_vectors(tensor(finite_dim(a, CLASSICAL), finite_dim(b, CLASSICAL)))
             assert found and all(type(c) is Fraction for _, x in found for c in x.entries.values())
 
 
@@ -293,7 +287,7 @@ def test_kernel_laurent_entries():
 
 
 def test_hwv_classical_f1f1():
-    t = tensor(finite_dim_classical(1), finite_dim_classical(1))
+    t = tensor(finite_dim(1, CLASSICAL), finite_dim(1, CLASSICAL))
     found = dict(highest_weight_vectors(t))
     assert set(found) == {2, 0}
     assert found[0].entries == {"w_0*w_1": 1, "w_1*w_0": -1}
@@ -301,15 +295,15 @@ def test_hwv_classical_f1f1():
 
 
 def test_hwv_top_is_pair_of_tops():
-    for ctor in (finite_dim_classical, finite_dim_quantum):
-        t = tensor(ctor(2), ctor(3))
+    for flavor in (CLASSICAL, QUANTUM):
+        t = tensor(finite_dim(2, flavor), finite_dim(3, flavor))
         top = [vec for wt, vec in highest_weight_vectors(t) if wt == 5]
         assert len(top) == 1
         assert top[0].entries == {"w_0*w_0": t.flavor.ring(1)}
 
 
 def test_hwv_quantum_f1f1_canonical_form():
-    t = tensor(finite_dim_quantum(1), finite_dim_quantum(1))
+    t = tensor(finite_dim(1, QUANTUM), finite_dim(1, QUANTUM))
     found = dict(highest_weight_vectors(t))
     # kernel of E on the weight-0 space, normalized to coprime integer
     # coefficients with positive leading coefficient first
@@ -317,11 +311,11 @@ def test_hwv_quantum_f1f1_canonical_form():
 
 
 def test_hwv_annihilated_and_eigen():
-    for ctor, raising, diag in (
-        (finite_dim_classical, "e", "h"),
-        (finite_dim_quantum, "E", "K"),
+    for flavor, raising, diag in (
+        (CLASSICAL, "e", "h"),
+        (QUANTUM, "E", "K"),
     ):
-        t = tensor(ctor(2), ctor(3))
+        t = tensor(finite_dim(2, flavor), finite_dim(3, flavor))
         for wt, vec in highest_weight_vectors(t):
             assert apply(t, raising, vec).is_zero()
             if diag == "h":
@@ -331,20 +325,20 @@ def test_hwv_annihilated_and_eigen():
 
 
 def test_quantum_hwv_coefficients_are_ints():
-    t = tensor(finite_dim_quantum(4), finite_dim_quantum(3))
+    t = tensor(finite_dim(4, QUANTUM), finite_dim(3, QUANTUM))
     coeffs = [c for _, vec in highest_weight_vectors(t) for c in vec.entries.values()]
     assert len(coeffs) == 1 + 2 + 3 + 4  # one vector per summand F_7, F_5, F_3, F_1
     assert all(type(x) is int for c in coeffs for _, x in c.terms())
 
 
 def test_hwv_descending_weight_order():
-    t = tensor(finite_dim_classical(3), finite_dim_classical(3))
+    t = tensor(finite_dim(3, CLASSICAL), finite_dim(3, CLASSICAL))
     weights = [wt for wt, _ in highest_weight_vectors(t)]
     assert weights == sorted(weights, reverse=True) == [6, 4, 2, 0]
 
 
 def test_hwv_trivial_tensor():
-    t = tensor(finite_dim_quantum(0), finite_dim_quantum(0))
+    t = tensor(finite_dim(0, QUANTUM), finite_dim(0, QUANTUM))
     assert cg_decompose(0, 0).summands == {0: 1}
     [(wt, vec)] = highest_weight_vectors(t)
     assert wt == 0 and vec.entries == {"w_0*w_0": LaurentPoly(1)}
@@ -361,8 +355,8 @@ def test_hwv_on_truncated_verma_finds_submodule_generator():
 
 def test_hwv_of_one_weight_is_the_full_result_filtered():
     modules = [
-        tensor(ctor(m), ctor(n))
-        for ctor in (finite_dim_classical, finite_dim_quantum)
+        tensor(finite_dim(m, flavor), finite_dim(n, flavor))
+        for flavor in (CLASSICAL, QUANTUM)
         for m in range(6)
         for n in range(6)
     ]
@@ -382,14 +376,14 @@ def test_hwv_of_one_weight_is_the_full_result_filtered():
 
 
 def test_hwv_of_an_absent_weight_is_empty():
-    t = tensor(finite_dim_quantum(2), finite_dim_quantum(3))
+    t = tensor(finite_dim(2, QUANTUM), finite_dim(3, QUANTUM))
     for wt in (7, 4, Fraction(1, 2)):
         assert highest_weight_vectors(t, wt) == []
     assert highest_weight_vectors(verma_classical(2, 5), 3) == []
 
 
 def test_highest_weight_vector_needs_a_one_dimensional_kernel():
-    t = tensor(finite_dim_classical(2), finite_dim_classical(3))
+    t = tensor(finite_dim(2, CLASSICAL), finite_dim(3, CLASSICAL))
     assert highest_weight_vector(t, 3) == highest_weight_vectors(t, 3)[0][1]
     with pytest.raises(NullspaceError, match="weight 4 is 0-dimensional"):
         highest_weight_vector(t, 4)
@@ -401,7 +395,7 @@ def test_highest_weight_vector_needs_a_one_dimensional_kernel():
 
 def test_nullspace_certificate_failure_raises(monkeypatch):
     monkeypatch.setattr(tensorcg, "_kernel", lambda rows, ncols, ring: [[ring(1)] * ncols])
-    t = tensor(finite_dim_classical(1), finite_dim_classical(1))
+    t = tensor(finite_dim(1, CLASSICAL), finite_dim(1, CLASSICAL))
     with pytest.raises(NullspaceError, match="certificate failed at weight 0"):
         highest_weight_vectors(t, 0)
     with pytest.raises(NullspaceError):
@@ -409,11 +403,11 @@ def test_nullspace_certificate_failure_raises(monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "findim, solver",
-    [(finite_dim_classical, "_normalize_rational"), (finite_dim_quantum, "_factored_kernel")],
+    "flavor, solver",
+    [(CLASSICAL, "_normalize_rational"), (QUANTUM, "_factored_kernel")],
     ids=["classical", "quantum"],
 )
-def test_hwv_certifies_the_vector_it_returns(findim, solver, monkeypatch):
+def test_hwv_certifies_the_vector_it_returns(flavor, solver, monkeypatch):
     # a solver whose vector leaves the kernel: only a certificate of the returned vector sees it
     fn = getattr(tensorcg, solver)
 
@@ -423,7 +417,7 @@ def test_hwv_certifies_the_vector_it_returns(findim, solver, monkeypatch):
 
     monkeypatch.setattr(tensorcg, solver, doubled)
     with pytest.raises(NullspaceError, match="nullspace certificate failed at weight 0"):
-        highest_weight_vectors(tensor(findim(1), findim(1)), 0)
+        highest_weight_vectors(tensor(finite_dim(1, flavor), finite_dim(1, flavor)), 0)
 
 
 # -- certified kernels: recurrence, rank mod p, completeness -------------------------
@@ -596,23 +590,23 @@ def test_factored_kernel_is_the_normalized_recurrence_or_falls_back(matrix):
     assert tensorcg._kernel(rows, len(rows) + 1, LaurentPoly) == normalized_elimination(rows, len(rows) + 1, LaurentPoly)
 
 
-@pytest.mark.parametrize("findim", [finite_dim_classical, finite_dim_quantum])
-def test_hwv_of_f_m_f_n_uses_the_recurrence_and_the_rank_mod_p_only(findim, monkeypatch):
+@pytest.mark.parametrize("flavor", [CLASSICAL, QUANTUM], ids=["classical", "quantum"])
+def test_hwv_of_f_m_f_n_uses_the_recurrence_and_the_rank_mod_p_only(flavor, monkeypatch):
     calls = count_calls(monkeypatch, "_bidiagonal_kernel", "_factored_kernel", "_rank_mod", "_kernel_fraction_free")
     # a quantum recurrence is normalised in factored form: the ring recurrence never runs
-    recurrence = "_bidiagonal_kernel" if findim is finite_dim_classical else "_factored_kernel"
+    recurrence = "_bidiagonal_kernel" if flavor is CLASSICAL else "_factored_kernel"
     for m in range(7):
         for n in range(7):
             calls.clear()
-            found = highest_weight_vectors(tensor(findim(m), findim(n)))
+            found = highest_weight_vectors(tensor(finite_dim(m, flavor), finite_dim(n, flavor)))
             assert len(found) == min(m, n) + 1
             # m + n + 1 weight spaces: min(m, n) + 1 bidiagonal, each other one of nullity 0
             assert calls == Counter({recurrence: min(m, n) + 1, "_rank_mod": max(m, n)}), (m, n)
 
 
-@pytest.mark.parametrize("findim", [finite_dim_classical, finite_dim_quantum])
-def test_hwv_reads_the_stored_map_and_certifies_with_apply(findim, monkeypatch):
-    t = tensor(findim(2), findim(3))
+@pytest.mark.parametrize("flavor", [CLASSICAL, QUANTUM], ids=["classical", "quantum"])
+def test_hwv_reads_the_stored_map_and_certifies_with_apply(flavor, monkeypatch):
+    t = tensor(finite_dim(2, flavor), finite_dim(3, flavor))
     applied = []
     monkeypatch.setattr(tensorcg, "apply", lambda m, g, x: applied.append(g) or apply(m, g, x))
     found = highest_weight_vectors(t)
@@ -623,8 +617,8 @@ def test_hwv_reads_the_stored_map_and_certifies_with_apply(findim, monkeypatch):
 def test_hwv_specializes_to_classical():
     for m in range(4):
         for n in range(4):
-            tq = tensor(finite_dim_quantum(m), finite_dim_quantum(n))
-            tc = tensor(finite_dim_classical(m), finite_dim_classical(n))
+            tq = tensor(finite_dim(m, QUANTUM), finite_dim(n, QUANTUM))
+            tc = tensor(finite_dim(m, CLASSICAL), finite_dim(n, CLASSICAL))
             quantum = {wt: vec for wt, vec in highest_weight_vectors(tq)}
             classical = {wt: vec for wt, vec in highest_weight_vectors(tc)}
             assert set(quantum) == set(classical)
@@ -638,8 +632,9 @@ def test_hwv_specializes_to_classical():
 
 
 def test_hwv_spans_the_sympy_nullspace():
-    # differential: an independent exact solver, compared as RREF bases of the span
-    sympy = pytest.importorskip("sympy")
+    # differential: an independent exact solver, compared as RREF bases of the span; sympy is in
+    # the test extra, so without it this comparison fails rather than skips
+    import sympy
 
     def matrix(rows, ncols):
         return sympy.Matrix(len(rows), ncols, [sympy.Rational(c.numerator, c.denominator) for r in rows for c in r])
@@ -649,7 +644,7 @@ def test_hwv_spans_the_sympy_nullspace():
 
     for a in range(5):
         for b in range(5):
-            module = tensor(finite_dim_classical(a), finite_dim_classical(b))
+            module = tensor(finite_dim(a, CLASSICAL), finite_dim(b, CLASSICAL))
             for weight, source in weight_spaces(module).items():
                 rows, ncols = raising_rows(module, weight)
                 theirs = []
@@ -684,12 +679,12 @@ def test_cg_decompose_negative():
 
 
 def test_decompose_by_character_f1f1():
-    t = tensor(finite_dim_classical(1), finite_dim_classical(1))
+    t = tensor(finite_dim(1, CLASSICAL), finite_dim(1, CLASSICAL))
     assert decompose_by_character(t) == cg_decompose(1, 1)
 
 
 def test_decompose_by_character_single():
-    assert decompose_by_character(finite_dim_classical(4)).summands == {4: 1}
+    assert decompose_by_character(finite_dim(4, CLASSICAL)).summands == {4: 1}
 
 
 def test_decompose_by_character_rejects_verma():
@@ -776,8 +771,8 @@ def test_agreement_of_all_three_routes():
     for m in range(5):
         for n in range(5):
             expected = cg_decompose(m, n)
-            tc = tensor(finite_dim_classical(m), finite_dim_classical(n))
-            tq = tensor(finite_dim_quantum(m), finite_dim_quantum(n))
+            tc = tensor(finite_dim(m, CLASSICAL), finite_dim(n, CLASSICAL))
+            tq = tensor(finite_dim(m, QUANTUM), finite_dim(n, QUANTUM))
             assert decompose_by_character(tc) == expected
             assert decompose_by_character(tq) == expected
             for t in (tc, tq):
@@ -786,16 +781,16 @@ def test_agreement_of_all_three_routes():
                 )
                 assert weights == sorted(expected.summands, reverse=True)
     # the factors' characters give what the tensor module's weights give
-    for findim in (finite_dim_classical, finite_dim_quantum):
+    for flavor in (CLASSICAL, QUANTUM):
         for m in range(9):
             for n in range(9):
-                a, b = findim(m), findim(n)
+                a, b = finite_dim(m, flavor), finite_dim(n, flavor)
                 assert decompose_by_character(a, b) == decompose_by_character(tensor(a, b))
 
 
 def test_decompose_by_character_names_the_product_as_tensor_does():
     # a factor with a non-integral weight: the product's weights are too
-    verma, f2 = verma_classical(Fraction(5, 2), 4), finite_dim_classical(2)
+    verma, f2 = verma_classical(Fraction(5, 2), 4), finite_dim(2, CLASSICAL)
     for factors in ((verma, f2), (f2, verma)):
         with pytest.raises(DecompositionError) as by_factors:
             decompose_by_character(*factors)
@@ -810,7 +805,7 @@ def test_decompose_by_character_names_the_product_as_tensor_does():
     with pytest.raises(DecompositionError) as by_tensor:
         decompose_by_character(tensor(verma, half))
     assert str(by_factors.value) == str(by_tensor.value)
-    three = [finite_dim_classical(k) for k in (1, 2, 3)]
+    three = [finite_dim(k, CLASSICAL) for k in (1, 2, 3)]
     assert decompose_by_character(*three) == decompose_by_character(tensor(tensor(*three[:2]), three[2]))
 
 
@@ -901,13 +896,13 @@ def test_phi_vs_oracle_runs_and_oracle_is_killed():
                 assert isinstance(report, ComparisonReport)
                 assert report.proportional or report.witness is not None
     # oracle side of (2,1,1) independently annihilated by E
-    t = tensor(finite_dim_quantum(2), finite_dim_quantum(1))
+    t = tensor(finite_dim(2, QUANTUM), finite_dim(1, QUANTUM))
     (oracle,) = [vec for wt, vec in highest_weight_vectors(t) if wt == 1]
     assert apply(t, "E", oracle).is_zero()
 
 
 def test_phi_vs_oracle_carries_its_oracle():
     for m, n, p in ((1, 1, 1), (2, 2, 0), (3, 2, 2)):
-        t = tensor(finite_dim_quantum(m), finite_dim_quantum(n))
+        t = tensor(finite_dim(m, QUANTUM), finite_dim(n, QUANTUM))
         target = m + n - 2 * p
         assert highest_weight_vectors(t, target) == [(target, phi_vs_oracle(m, n, p).oracle)]
