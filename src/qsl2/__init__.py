@@ -3,11 +3,11 @@
 Construction of the finite-dimensional modules F_n, truncated Verma
 modules, and Rasskazova's V(beta, lambda, n); tensor products under the
 classical and quantum coproducts; Clebsch-Gordan decomposition; exact
-extraction of highest-weight vectors, by a product recurrence on a
-bidiagonal weight space, a rank mod p that proves a kernel zero, or
-fraction-free (Bareiss) elimination, each kernel certified annihilated
-and complete; and evaluation of the explicit highest-weight transfer
-formula against the nullspace oracle.  All arithmetic is exact.
+extraction of highest-weight vectors, one solver per kind of weight space (a
+bidiagonal one solved into its normal form, by cyclotomic factors if quantum;
+any other by a rank mod p proving it zero, or by Bareiss elimination), each
+kernel certified annihilated and complete; and evaluation of the explicit
+highest-weight transfer formula against the nullspace oracle.  All arithmetic is exact.
 """
 
 __version__ = "0.1.0"

@@ -242,6 +242,8 @@ def finite_dim(n: int, flavor: Flavor) -> WeightModule:
     """
     if n < 0:
         raise ValueError(f"finite-dimensional module needs n >= 0, got {n}")
+    if not isinstance(flavor, Flavor):  # its fields are read before WeightModule checks it
+        raise ValueError(f"unknown flavor {flavor!r}")
     basis = [f"w_{k}" for k in range(n + 1)]
     weights = {lab: n - 2 * k for k, lab in enumerate(basis)}
     up = {basis[k]: {basis[k - 1]: flavor.commutator(n - k + 1)} for k in range(1, n + 1)}

@@ -4,11 +4,11 @@ vector extraction for classical and quantum sl(2).
 The decomposition F_m (x) F_n = F_{m+n} (+) ... (+) F_{|m-n|} is produced
 three independent ways: the closed form, multiplicities c(w) - c(w+2) read
 off the product of the factors' characters, and exact raising-operator
-nullspaces: a product recurrence on a bidiagonal weight space (each space
-of F_m (x) F_n that holds a highest-weight vector), fraction-free (Bareiss)
-elimination on any other.  Each kernel is certified annihilated and
-complete.  A quantum recurrence of +-v^e [a] entries is normalised by its
-cyclotomic factors, with no gcd; any other kernel by its ring's normaliser.
+nullspaces, each certified annihilated and complete.  A rational bidiagonal
+weight space (each space of F_m (x) F_n with a highest-weight vector) is
+solved straight into its normal form, a quantum one of +-v^e [a] entries
+by its cyclotomic factors, with no gcd; any other space by fraction-free
+(Bareiss) elimination and its ring's normaliser.
 The explicit highest-weight transfer formula, evaluated verbatim with
 exact q-factorial coefficients, is adjudicated against the nullspace
 oracle and the outcome reported as data.  Decomposition, Interpretation
@@ -160,25 +160,6 @@ def _kernel_fraction_free(rows: list[list], ncols: int, ring: type):
     return kernel
 
 
-def _bidiagonal_kernel(rows: list[list], ring: type) -> list:
-    """The kernel vector x_k = (-1)^k d_0..d_{k-1} s_k..s_{p-1} of a p x (p+1)
-    matrix whose row r holds only d_r at column r and s_r at column r+1.
-
-    >>> _bidiagonal_kernel([[2, 5]], int)  # [[d, s]]
-    [5, -2]
-    """
-    p = len(rows)
-    suffix = [ring(1)] * (p + 1)  # suffix[k] = s_k..s_{p-1}
-    for k in range(p - 1, -1, -1):
-        suffix[k] = rows[k][k + 1] * suffix[k + 1]
-    x, prefix = [], ring(1)  # prefix = d_0..d_{k-1}
-    for k in range(p + 1):
-        x.append(prefix * suffix[k] if k % 2 == 0 else -(prefix * suffix[k]))
-        if k < p:
-            prefix = prefix * rows[k][k]
-    return x
-
-
 @functools.cache
 def _cyclotomic(d: int) -> LaurentPoly:
     """The d-th cyclotomic polynomial Phi_d: v^d - 1 over every Phi_e with e | d, e < d."""
@@ -201,9 +182,9 @@ def _q_int_factors(c):
 
 
 def _factored_kernel(rows: list[list]) -> list | None:
-    """_normalize_laurent of _bidiagonal_kernel(rows) if every nonzero entry is +-v^e [a],
-    else None: a coordinate is a sign, a power of v and a count of each Phi_d until the
-    gcd, the least power and counts, is divided out; each Phi_d is monic, irreducible, primitive."""
+    """_normalize_laurent of the kernel x_k = (-1)^k d_0..d_{k-1} s_k..s_{p-1} of bidiagonal rows if each
+    nonzero entry is +-v^e [a], else None: a coordinate is a sign, a power of v and a count of each Phi_d
+    until the gcd, the least power and counts, is divided out; each Phi_d is monic, irreducible, primitive."""
     d, s = ([row[r + j] and _q_int_factors(row[r + j]) for r, row in enumerate(rows)] for j in (0, 1))
     if None in d or None in s:
         return None
@@ -258,18 +239,22 @@ def _normalize_laurent(coords: list) -> list:
 
 
 def _kernel(rows: list[list], ncols: int, ring: type) -> list:
-    """Right kernel of rows (ncols columns) over ring, Fraction or LaurentPoly,
-    proven complete, each vector scaled by that ring's normaliser.  A p x (p+1)
-    bidiagonal matrix with every s_r nonzero has rank p (columns 1..p are
-    triangular), so its recurrence vector spans the kernel; over LaurentPoly
-    _factored_kernel normalises it when it can.
-    Otherwise a rank of ncols at v0 mod prime proves the kernel is 0; else
-    Bareiss's vectors must be independent there and as many as the nullity
-    there, at the first (v0, prime) or the second; NullspaceError if at neither."""
-    normalize = _normalize_laurent if ring is LaurentPoly else _normalize_rational
+    """Right kernel of rows (ncols columns) over ring, Fraction or LaurentPoly, proven
+    complete, each vector in that ring's normal form.  A p x (p+1) bidiagonal matrix with
+    every s_r nonzero has rank p (columns 1..p are triangular): over Fraction x_0 = 1 and
+    x_{k+1} = -x_k d_k / s_k; over LaurentPoly _factored_kernel, else Bareiss's one vector.
+    Otherwise a rank of ncols at v0 mod prime proves the kernel is 0; else Bareiss's
+    vectors must be independent there and as many as the nullity there, at the first
+    (v0, prime) or the second; NullspaceError if at neither."""
     if len(rows) == ncols - 1 and all(
             row[r + 1] and not any(row[:r] + row[r + 2:]) for r, row in enumerate(rows)):
-        return [(ring is LaurentPoly and _factored_kernel(rows)) or normalize(_bidiagonal_kernel(rows, ring))]
+        if ring is LaurentPoly:
+            return [_factored_kernel(rows) or _normalize_laurent(_kernel_fraction_free(rows, ncols, ring)[0])]
+        x = [ring(1)]
+        for k, row in enumerate(rows):
+            x.append(-x[k] * row[k] / row[k + 1])
+        return [x]
+    normalize = _normalize_laurent if ring is LaurentPoly else _normalize_rational
     kernel = nullity = None
     for v0, prime in _SPECIALIZATIONS:
         try:
@@ -299,10 +284,10 @@ def highest_weight_vectors(m: WeightModule, weight=None) -> list[tuple[object, V
     positive leading coefficient in the first nonzero entry).
     Normalisation removes every scalar factor, so any exact method
     yielding these vectors up to ring scalars meets it; here it is
-    ``_kernel``, proven complete, which normalises a quantum bidiagonal
-    space of +-v^e [a] entries by cyclotomic factors, with no gcd, and
-    any other by the ring's normaliser; the raising operator must take every
-    returned vector to exactly zero.  Output is ordered by descending weight.
+    ``_kernel``, proven complete, which solves a rational bidiagonal space straight
+    into its normal form, a quantum one of +-v^e [a] entries by cyclotomic factors
+    with no gcd, any other by Bareiss and the ring's normaliser; the raising operator
+    must take every returned vector to exactly zero.  Output is ordered by descending weight.
     """
     raising, ring = m.flavor.raising, m.flavor.ring
     up = m.action[raising]

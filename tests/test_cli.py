@@ -19,6 +19,7 @@ from qsl2 import tensorcg
 from qsl2.cli import main, run
 from qsl2.modrep import CLASSICAL, QUANTUM
 from qsl2.qarith import ExactDivisionError
+from calls import count_calls
 
 GOLDEN = Path(__file__).parent / "golden"
 MANIFEST = json.loads((GOLDEN / "manifest.json").read_text())
@@ -599,15 +600,12 @@ HWV_3_3_1 = ["hwv", "--m", "3", "--n", "3", "--p", "1"]
 
 @pytest.mark.parametrize("flags", [[], ["--quantum"]])
 def test_hwv_request_runs_one_elimination(capsys, monkeypatch, flags):
-    # one kernel solve, by the recurrence: the space of weight m+n-2p is bidiagonal;
-    # a quantum one is normalised in factored form, so the ring recurrence never runs
-    recurrence = "_factored_kernel" if flags else "_bidiagonal_kernel"
-    calls = Counter()
-    for name in ("_kernel", "_bidiagonal_kernel", "_factored_kernel", "_kernel_fraction_free"):
-        solver = getattr(tensorcg, name)
-        monkeypatch.setattr(tensorcg, name, lambda *args, n=name, f=solver: calls.update([n]) or f(*args))
+    # one kernel solve, with no elimination: the space of weight m+n-2p is bidiagonal;
+    # a classical one is solved straight into its normal form, a quantum one in factored form
+    solvers = ("_kernel", "_factored_kernel", "_kernel_fraction_free", "_normalize_rational", "_rank_mod")
+    calls = count_calls(monkeypatch, *solvers)
     code, _ = run_cli(capsys, HWV_3_3_1 + flags)
-    assert code == 0 and calls == Counter({"_kernel": 1, recurrence: 1})  # no _kernel_fraction_free
+    assert code == 0 and calls == Counter({"_kernel": 1, "_factored_kernel": 1} if flags else {"_kernel": 1})
 
 
 @pytest.mark.parametrize("flags", [[], ["--quantum"]])
@@ -629,10 +627,7 @@ def test_hwv_oracle_failure_is_internal_failure(capsys, monkeypatch, flags, kern
 
 
 def test_quantum_hwv_requests_take_the_factored_path_and_no_gcd(capsys, monkeypatch):
-    calls = Counter()
-    for name in ("lp_gcd", "_factored_kernel", "_bidiagonal_kernel"):
-        fn = getattr(tensorcg, name)
-        monkeypatch.setattr(tensorcg, name, lambda *args, n=name, f=fn: calls.update([n]) or f(*args))
+    calls = count_calls(monkeypatch, "lp_gcd", "_factored_kernel", "_kernel_fraction_free")
     for m in range(7):
         for n in range(7):
             for p in range(min(m, n) + 1):

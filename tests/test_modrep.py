@@ -168,6 +168,12 @@ def test_a_float_parameter_is_refused(build):
     assert build(2) == build(Fraction(2)) == build("2")
 
 
+@pytest.mark.parametrize("flavor", [True, "quantum", None])
+def test_finite_dim_refuses_what_is_no_flavor(flavor):
+    with pytest.raises(ValueError, match="unknown flavor"):
+        finite_dim(2, flavor)
+
+
 def test_verma_boundary_marked():
     m = verma_classical(Fraction(5, 2), 8)
     assert m.boundary == {"w_8"}
@@ -834,8 +840,8 @@ def test_tensor_of_two_weight_spaces_is_the_full_tensor_restricted(flavor, m, n)
 
 @pytest.mark.parametrize("flavor", [QUANTUM, KASSEL], ids=["quantum", "kassel"])
 def test_factored_normal_form_is_the_gcd_normal_form_on_every_hwv_space(flavor):
-    # each bidiagonal space of F_m (x) F_n: the recurrence vector normalised in
-    # factored form equals tensorcg._normalize_laurent of it, computed with lp_gcd
+    # each bidiagonal space of F_m (x) F_n: the kernel vector normalised in factored form
+    # equals Bareiss's one vector there through tensorcg._normalize_laurent, computed with lp_gcd
     solved = 0
     for m in range(11):
         for n in range(11):
@@ -847,7 +853,8 @@ def test_factored_normal_form_is_the_gcd_normal_form_on_every_hwv_space(flavor):
                     continue
                 rows = [[up.get(src, {}).get(lab, LaurentPoly()) for src in source] for lab in target]
                 factored = tensorcg._factored_kernel(rows)
-                assert factored == tensorcg._normalize_laurent(tensorcg._bidiagonal_kernel(rows, LaurentPoly)), (m, n, w)
+                (x,) = tensorcg._kernel_fraction_free(rows, len(source), LaurentPoly)
+                assert factored == tensorcg._normalize_laurent(x), (m, n, w)
                 solved += 1
     assert solved == sum(min(m, n) + 1 for m in range(11) for n in range(11))
 

@@ -34,6 +34,7 @@ from qsl2.tensorcg import (
     tensor,
     weight_spaces,
 )
+from calls import count_calls
 from vectors import basis_vector, scaled
 
 # -- tensor construction ------------------------------------------------------
@@ -402,34 +403,27 @@ def test_nullspace_certificate_failure_raises(monkeypatch):
         phi_vs_oracle(1, 1, 1)
 
 
+def double_head(x):
+    return [2 * x[0], *x[1:]]
+
+
 @pytest.mark.parametrize(
-    "flavor, solver",
-    [(CLASSICAL, "_normalize_rational"), (QUANTUM, "_factored_kernel")],
+    "flavor, solver, doubled",
+    [
+        (CLASSICAL, "_kernel", lambda kernel: [double_head(x) for x in kernel]),
+        (QUANTUM, "_factored_kernel", double_head),
+    ],
     ids=["classical", "quantum"],
 )
-def test_hwv_certifies_the_vector_it_returns(flavor, solver, monkeypatch):
+def test_hwv_certifies_the_vector_it_returns(flavor, solver, doubled, monkeypatch):
     # a solver whose vector leaves the kernel: only a certificate of the returned vector sees it
     fn = getattr(tensorcg, solver)
-
-    def doubled(*args):
-        head, *tail = fn(*args)
-        return [2 * head, *tail]
-
-    monkeypatch.setattr(tensorcg, solver, doubled)
+    monkeypatch.setattr(tensorcg, solver, lambda *args: doubled(fn(*args)))
     with pytest.raises(NullspaceError, match="nullspace certificate failed at weight 0"):
         highest_weight_vectors(tensor(finite_dim(1, flavor), finite_dim(1, flavor)), 0)
 
 
 # -- certified kernels: recurrence, rank mod p, completeness -------------------------
-
-
-def count_calls(monkeypatch, *names):
-    """A Counter of the calls to the named tensorcg functions, each still run."""
-    calls = Counter()
-    for name in names:
-        fn = getattr(tensorcg, name)
-        monkeypatch.setattr(tensorcg, name, lambda *args, n=name, f=fn: calls.update([n]) or f(*args))
-    return calls
 
 
 def rasskazova_tensor():
@@ -465,17 +459,22 @@ def normalized_elimination(rows, ncols, ring):
 
 @pytest.mark.parametrize("ring", [Fraction, LaurentPoly], ids=["fraction", "laurent"])
 def test_a_zero_superdiagonal_entry_takes_the_elimination(ring, monkeypatch):
-    calls = count_calls(monkeypatch, "_bidiagonal_kernel", "_kernel_fraction_free")
+    calls = count_calls(monkeypatch, "_factored_kernel", "_kernel_fraction_free", "_rank_mod")
     zero_s = ([[4, 0]], [[1, 0, 0], [0, 2, 3]], [[1, 2, 0], [0, 3, 0]], [[0, 0, 0], [0, 1, 1]])
     for rows in zero_s:
         rows = [[ring(c) for c in row] for row in rows]
         ncols = len(rows) + 1
         assert tensorcg._kernel(rows, ncols, ring) == normalized_elimination(rows, ncols, ring)
-    assert calls == Counter({"_kernel_fraction_free": len(zero_s)})
-    # a zero d_r keeps the shape: the recurrence still solves it (2 and 3 are no +-v^e [a])
+    # each proven complete at the first specialisation: the rank of rows, then of the kernel
+    assert calls == Counter({"_kernel_fraction_free": len(zero_s), "_rank_mod": 2 * len(zero_s)})
+    # a zero d_r keeps the shape, so rank p needs no rank mod p: the rational recurrence
+    # solves it, and over LaurentPoly (2 and 3 are no +-v^e [a]) Bareiss's one vector
+    calls.clear()
     rows = [[ring(0), ring(2), ring(0)], [ring(0), ring(0), ring(3)]]
     (x,) = tensorcg._kernel(rows, 3, ring)
-    assert calls["_bidiagonal_kernel"] == 1 and x == [ring(1), ring(0), ring(0)]
+    assert x == [ring(1), ring(0), ring(0)] and all(type(c) is ring for c in x)
+    fallback = {"_factored_kernel": 1, "_kernel_fraction_free": 1} if ring is LaurentPoly else {}
+    assert calls == Counter(fallback)
 
 
 @pytest.mark.parametrize("ring", [Fraction, LaurentPoly], ids=["fraction", "laurent"])
@@ -545,6 +544,8 @@ def test_certified_kernel_is_the_normalized_elimination_kernel(matrix):
     rows, ncols, ring = matrix
     kernel = tensorcg._kernel(rows, ncols, ring)
     assert kernel == normalized_elimination(rows, ncols, ring)
+    # equality alone would accept an int coordinate, as 1 == Fraction(1)
+    assert all(type(c) is ring for x in kernel for c in x)
     # both sides of the certificate: every vector annihilated, none missing
     for x in kernel:
         assert all(not sum((a * b for a, b in zip(row, x)), ring()) for row in rows)
@@ -582,26 +583,33 @@ def q_int_bidiagonals(draw):
 @settings(max_examples=200, deadline=None)
 def test_factored_kernel_is_the_normalized_recurrence_or_falls_back(matrix):
     rows, shaped = matrix
+    ncols = len(rows) + 1
     factored = tensorcg._factored_kernel(rows)
     assert (factored is not None) == shaped
+    # the shape proves rank p: the elimination kernel is one vector, normalised by gcds
+    (reference,) = normalized_elimination(rows, ncols, LaurentPoly)
     if shaped:
-        assert factored == tensorcg._normalize_laurent(tensorcg._bidiagonal_kernel(rows, LaurentPoly))
-    # either way the certified kernel is the normalised elimination kernel
-    assert tensorcg._kernel(rows, len(rows) + 1, LaurentPoly) == normalized_elimination(rows, len(rows) + 1, LaurentPoly)
+        assert factored == reference
+    # either way the certified kernel is that vector; a near miss takes Bareiss once, no rank mod p
+    with pytest.MonkeyPatch.context() as patch:
+        calls = count_calls(patch, "_factored_kernel", "_kernel_fraction_free", "_rank_mod")
+        assert tensorcg._kernel(rows, ncols, LaurentPoly) == [reference]
+    assert calls == Counter({"_factored_kernel": 1} if shaped else {"_factored_kernel": 1, "_kernel_fraction_free": 1})
 
 
 @pytest.mark.parametrize("flavor", [CLASSICAL, QUANTUM], ids=["classical", "quantum"])
 def test_hwv_of_f_m_f_n_uses_the_recurrence_and_the_rank_mod_p_only(flavor, monkeypatch):
-    calls = count_calls(monkeypatch, "_bidiagonal_kernel", "_factored_kernel", "_rank_mod", "_kernel_fraction_free")
-    # a quantum recurrence is normalised in factored form: the ring recurrence never runs
-    recurrence = "_bidiagonal_kernel" if flavor is CLASSICAL else "_factored_kernel"
+    solvers = ("_factored_kernel", "_kernel_fraction_free", "_normalize_rational", "_normalize_laurent")
+    calls = count_calls(monkeypatch, "_rank_mod", *solvers)
     for m in range(7):
         for n in range(7):
             calls.clear()
             found = highest_weight_vectors(tensor(finite_dim(m, flavor), finite_dim(n, flavor)))
             assert len(found) == min(m, n) + 1
-            # m + n + 1 weight spaces: min(m, n) + 1 bidiagonal, each other one of nullity 0
-            assert calls == Counter({recurrence: min(m, n) + 1, "_rank_mod": max(m, n)}), (m, n)
+            # m + n + 1 weight spaces: min(m, n) + 1 bidiagonal, each other one of nullity 0;
+            # a classical bidiagonal space is solved in _kernel itself, a quantum one in factored form
+            solved = {"_factored_kernel": min(m, n) + 1} if flavor is QUANTUM else {}
+            assert calls == Counter({**solved, "_rank_mod": max(m, n)}), (m, n)
 
 
 @pytest.mark.parametrize("flavor", [CLASSICAL, QUANTUM], ids=["classical", "quantum"])
