@@ -9,11 +9,11 @@ that one, the commutator of raising and lowering, on each basis vector.
 
 A module is a finite ordered basis with weight labels and sparse
 raising and lowering matrices over an exact scalar ring: Fraction for
-classical modules, LaurentPoly for quantum ones.  F_n stores int weights,
-and int entries classically.  A rational module is built, graded and checked
-on int numerators over one common denominator, but stores each weight
-and quotient entry as a Fraction, an integral one too.  Modules are
-immutable after construction and every operation here is pure.
+classical modules, LaurentPoly for quantum ones.  It stores each weight and
+classical entry once, as an int numerator over its least common denominator
+den (1 for F_n and quantum modules), and is graded, checked and described on
+them; ``weights`` and ``action`` read the values, Fractions where den > 1.
+Modules are immutable after construction and every operation here is pure.
 
 A basis label is the vector's printed name, a str: w_k for F_n and the
 Verma modules, w^i_j for Rasskazova's, and la*lb for a tensor product.
@@ -82,8 +82,8 @@ class Flavor(Record):
     """Classical sl(2) or U_v(sl2), as data.
 
     ``ring`` is the scalar ring, Fraction or LaurentPoly: ``ring()`` is its
-    zero, ``ring(1)`` its one; a stored scalar may also be an int or a Fraction.
-    ``diagonal[g](w)`` is the eigenvalue of g on weight w.
+    zero, ``ring(1)`` its one; a quantum entry may also be an int or a Fraction.
+    ``diagonal[g](w)`` is the eigenvalue of g on weight w (h's, w, is read on a numerator).
     ``coproduct[g] = (right, left)`` means D(g) = g (x) right + left (x) g,
     each twist a diagonal generator or None for 1.  ``relations`` names
     the defining relations, [raising, lowering] = commutator(w) last; the
@@ -108,21 +108,33 @@ class WeightModule:
     whose image under some generator was clipped by truncating an
     infinite module; relation checks skip them.  A label is any hashable,
     printed with str; the built-in modules use the vector's name, a str.
+
+    ``num_weights`` and ``num_action`` hold each weight and classical entry as an int numerator
+    over ``den``, the least common denominator (1 for F_n and quantum modules), given with den or
+    else rescaled from ints and Fractions; ``weights`` and ``action`` read values, Fractions if den > 1.
     """
 
-    __slots__ = ("flavor", "name", "basis", "weights", "action", "boundary", "_pos")
+    __slots__ = ("flavor", "name", "basis", "den", "num_weights", "num_action", "weights", "action", "boundary", "_pos")
 
-    def __init__(self, flavor: Flavor, name, basis, weights, action, boundary=()):
+    def __init__(self, flavor: Flavor, name, basis, weights, action, boundary=(), den=None):
         if not isinstance(flavor, Flavor):
             raise ValueError(f"unknown flavor {flavor!r}")
-        self.flavor = flavor
-        self.name = name
-        self.basis = tuple(basis)
+        self.flavor, self.name, self.basis = flavor, name, tuple(basis)
         self._pos = {lab: i for i, lab in enumerate(self.basis)}
         if len(self._pos) != len(self.basis):
             raise ValueError("basis labels must be pairwise distinct")
-        self.weights = dict(weights)
-        self.action = {g: {c: dict(col) for c, col in mat.items()} for g, mat in action.items()}
+        weights = dict(weights)
+        action = {g: {c: dict(col) for c, col in mat.items()} for g, mat in action.items()}
+        if den is None:  # values: over Q, their ints and Fractions become numerators over their lcm
+            dicts = [] if flavor.ring is LaurentPoly else [weights, *(c for m in action.values() for c in m.values())]
+            den = lcm(*{x.denominator for d in dicts for x in d.values() if type(x) is Fraction})
+            for d in dicts:  # any other value is left for _validate to refuse
+                d.update({k: x.numerator * (den // x.denominator) for k, x in d.items() if type(x) in {int, Fraction}})
+        self.den, self.num_weights, self.num_action = den, weights, action
+        if den == 1:  # the views are the stored dicts
+            self.weights, self.action = weights, action
+        else:  # the subclass builds them when read; __getattr__ here would slow every attribute read
+            self.__class__ = _FractionViews
         self.boundary = frozenset(boundary)
         self._validate()
 
@@ -134,29 +146,24 @@ class WeightModule:
         return self._pos[label]
 
     def _validate(self):
-        fl = self.flavor
-        if set(self.action) != {fl.raising, fl.lowering}:
-            raise ValueError(f"{self.name}: stores {sorted(self.action)}, not {fl.raising} and {fl.lowering}")
-        # v^w must be a ring element, so over Q a weight is any rational; an entry is int, Fraction or ring
+        fl, den, weights = self.flavor, self.den, self.num_weights
+        if set(self.num_action) != {fl.raising, fl.lowering}:
+            raise ValueError(f"{self.name}: stores {sorted(self.num_action)}, not {fl.raising} and {fl.lowering}")
+        # v^w must be a ring element, so over Q a weight is any rational (stored as a numerator, as entries are)
         quantum = fl.ring is LaurentPoly
-        allowed, kind = ({int}, "an integer") if quantum else ({int, Fraction}, "rational")
-        scalars, ring = {int, Fraction, fl.ring}, "in Q[v, v^-1]" if quantum else "rational"
-        weights = self.weights
+        if type(den) is not int or den < 1 or quantum and den != 1:
+            raise ValueError(f"{self.name}: den {den!r} is not a positive int (1 over Q[v, v^-1])")
+        scalars, ring = ({int, Fraction, fl.ring}, "in Q[v, v^-1]") if quantum else ({int}, "rational")
         if weights.keys() != self._pos.keys():  # so a lookup in weights finds a label and its weight
             raise ValueError(f"{self.name}: the weights must label exactly the basis")
         if stray := self.boundary.difference(self._pos):  # else a typo leaves its vector checked
             raise ValueError(f"{self.name}: boundary label {min(map(str, stray))} is not in the basis")
-        types = set(map(type, weights.values()))
-        if not types <= allowed:
-            lab, wt = next((lab, wt) for lab, wt in weights.items() if type(wt) not in allowed)
-            raise ValueError(f"{self.name}: weight {wt} of {lab} is not {kind}")
-        # the grading compared on integers: each weight times their common denominator
-        den = lcm(*{wt.denominator for wt in weights.values()}) if Fraction in types else 1
-        if den != 1:
-            weights = {lab: wt.numerator * (den // wt.denominator) for lab, wt in weights.items()}
-        # raising and lowering entries connect weights that differ by +-2
+        if not set(map(type, weights.values())) <= {int}:
+            lab, wt = next((lab, wt) for lab, wt in weights.items() if type(wt) is not int)
+            raise ValueError(f"{self.name}: weight {wt} of {lab} is not {'an integer' if quantum else 'rational'}")
+        # raising and lowering entries connect weights that differ by +-2, compared on numerators
         for g, shift in ((fl.raising, 2 * den), (fl.lowering, -2 * den)):
-            for col, entries in self.action[g].items():
+            for col, entries in self.num_action[g].items():
                 if (target := weights.get(col)) is None:
                     raise ValueError(f"{self.name}: unknown column label {col}")
                 target += shift
@@ -172,6 +179,18 @@ class WeightModule:
 
     def __repr__(self):
         return f"<WeightModule {self.name} dim={self.dim} {self.flavor.name}>"
+
+
+class _FractionViews(WeightModule):  # den > 1: weights and action are built on first read
+    __slots__ = ()
+
+    def __getattr__(self, name):  # reached while a slot is unset
+        if name not in ("weights", "action"):
+            raise AttributeError(f"'WeightModule' object has no attribute {name!r}")
+        self.weights = {lab: Fraction(w, self.den) for lab, w in self.num_weights.items()}
+        self.action = {g: {c: {row: Fraction(x, self.den) for row, x in col.items()}
+                           for c, col in mat.items()} for g, mat in self.num_action.items()}
+        return getattr(self, name)
 
 
 class Vector:
@@ -249,7 +268,7 @@ def finite_dim(n: int, flavor: Flavor) -> WeightModule:
     up = {basis[k]: {basis[k - 1]: flavor.commutator(n - k + 1)} for k in range(1, n + 1)}
     down = {basis[k]: {basis[k + 1]: flavor.commutator(k + 1)} for k in range(n)}
     name = f"Fq(n={n})" if flavor.ring is LaurentPoly else f"F(n={n})"
-    return WeightModule(flavor, name, basis, weights, {flavor.raising: up, flavor.lowering: down})
+    return WeightModule(flavor, name, basis, weights, {flavor.raising: up, flavor.lowering: down}, den=1)
 
 
 def verma_classical(hw, depth: int) -> WeightModule:
@@ -263,14 +282,14 @@ def verma_classical(hw, depth: int) -> WeightModule:
     if isinstance(hw, float):
         raise ValueError(f"highest weight {hw!r} is a float: give an int, a Fraction or 'a/b'")
     hw = Fraction(hw)
-    p, q = hw.numerator, hw.denominator  # every scalar below over q, built once
+    p, q = hw.numerator, hw.denominator  # every scalar below is a numerator over q, the least
     basis = [f"w_{k}" for k in range(depth + 1)]
-    weights = {lab: Fraction(p - 2 * k * q, q) for k, lab in enumerate(basis)}
-    e = {basis[k]: {basis[k - 1]: Fraction(k * (p - (k - 1) * q), q)}
+    weights = {lab: p - 2 * k * q for k, lab in enumerate(basis)}
+    e = {basis[k]: {basis[k - 1]: k * (p - (k - 1) * q)}
          for k in range(1, depth + 1) if p != (k - 1) * q}  # no zero stored where hw = k-1
-    f = {basis[k]: {basis[k + 1]: 1} for k in range(depth)}
+    f = {basis[k]: {basis[k + 1]: q} for k in range(depth)}
     name = f"M(hw={hw};depth={depth})"
-    return WeightModule(CLASSICAL, name, basis, weights, {"e": e, "f": f}, boundary=[basis[depth]])
+    return WeightModule(CLASSICAL, name, basis, weights, {"e": e, "f": f}, boundary=[basis[depth]], den=q)
 
 
 class RasskazovaParams(Record):
@@ -301,11 +320,11 @@ def rasskazova(p: RasskazovaParams) -> WeightModule:
     truncation boundary.
     """
     beta, lam, n, J = p.beta, p.lam, p.n, p.window
-    D = lcm(beta.denominator, lam.denominator)  # every scalar below over D, from numerators B and L
+    D = lcm(beta.denominator, lam.denominator)  # every scalar below is a numerator over D, the least
     B, L = int(beta * D), int(lam * D)
     at = {(i, j): f"w^{i}_{j}" for i in range(1, n + 1) for j in range(-J, J + 1)}  # entries reuse these
     basis = list(at.values())
-    weights = dict(zip(basis, [Fraction(2 * j * D + B, D) for j in range(-J, J + 1)] * n))
+    weights = dict(zip(basis, [2 * j * D + B for j in range(-J, J + 1)] * n))
 
     e: dict = {}
     f: dict = {}
@@ -313,13 +332,13 @@ def rasskazova(p: RasskazovaParams) -> WeightModule:
         if j + 1 <= J:
             col: dict = {}
             if j >= 0:
-                col[at[i, j + 1]] = 1
+                col[at[i, j + 1]] = D
             else:
                 c = L + j * B + j * (j + 1) * D
                 if c:
-                    col[at[i, j + 1]] = Fraction(c, D)
+                    col[at[i, j + 1]] = c
                 if i > 1:
-                    col[at[i - 1, j + 1]] = 1
+                    col[at[i - 1, j + 1]] = D
             if col:
                 e[lab] = col
         if j - 1 >= -J:
@@ -327,16 +346,16 @@ def rasskazova(p: RasskazovaParams) -> WeightModule:
             if j > 0:
                 c = L + (j - 1) * B + j * (j - 1) * D
                 if c:
-                    col[at[i, j - 1]] = Fraction(-c, D)
+                    col[at[i, j - 1]] = -c
                 if i > 1:
-                    col[at[i - 1, j - 1]] = -1
+                    col[at[i - 1, j - 1]] = -D
             else:
-                col[at[i, j - 1]] = -1
+                col[at[i, j - 1]] = -D
             if col:
                 f[lab] = col
     boundary = [lab for (i, j), lab in at.items() if abs(j) == J]
     name = f"V(beta={beta};lambda={lam};n={n};J={J})"
-    return WeightModule(CLASSICAL, name, basis, weights, {"e": e, "f": f}, boundary=boundary)
+    return WeightModule(CLASSICAL, name, basis, weights, {"e": e, "f": f}, boundary=boundary, den=D)
 
 
 # -- relation checking ----------------------------------------------------------
@@ -368,21 +387,15 @@ def check_relations(m: WeightModule) -> RelationReport:
     On x of weight w with e.x = sum c_y y, [h,e]-2e leaves sum (wt(y)-w-2)
     c_y y and K E Kinv-v^2 E leaves sum (v^(wt(y)-w)-v^2) c_y y, zero as m
     is graded; so only [raising, lowering] = commutator(w) is evaluated,
-    read from the stored columns.  Over Q it runs on ints, each scalar
-    times the common denominator D, and a nonzero defect is divided by D^2.
+    read from the stored columns.  Over Q it reads the int numerators over
+    m.den: products over den^2, h (the weight) times den, a defect / den^2.
     Failures are reported as data (relation name, basis vector, exact
     defect), never raised.
     """
-    fl = m.flavor
-    up, down = m.action[fl.raising], m.action[fl.lowering]
+    fl, den, weights = m.flavor, m.den, m.num_weights
+    up, down = m.num_action[fl.raising], m.num_action[fl.lowering]
     checked = tuple([lab for lab in m.basis if lab not in m.boundary])  # a list: see qarith.primitive
-    target = {lab: fl.commutator(m.weights[lab]) for lab in checked}
-    D = None
-    if fl.ring is Fraction:  # on integers: each scalar times D, the products times D^2
-        D = lcm(*{c.denominator for x in (target, *up.values(), *down.values()) for c in x.values()})
-        up, down = ({col: {row: c.numerator * (D // c.denominator) for row, c in entries.items()}
-                     for col, entries in mat.items()} for mat in (up, down))
-        target = {lab: c.numerator * (D * D // c.denominator) for lab, c in target.items()}
+    target = {lab: fl.commutator(weights[lab] * den) for lab in checked}  # den is 1 over Q[v, v^-1]
     failures = []
     for lab in checked:
         d = {lab: -target[lab]}
@@ -392,7 +405,7 @@ def check_relations(m: WeightModule) -> RelationReport:
         for mid, a in up.get(lab, {}).items():  # - lowering(raising(x))
             for row, b in down.get(mid, {}).items():
                 d[row] = d[row] - b * a if row in d else -(b * a)
-        defect = [(row, c if D is None else Fraction(c, D * D)) for row, c in d.items() if c]
+        defect = [(row, c if fl.ring is LaurentPoly else Fraction(c, den * den)) for row, c in d.items() if c]
         if defect:
             defect.sort(key=lambda kv: m.position(kv[0]))
             failures.append(RelationFailure(fl.relations[-1], lab, tuple(defect)))
@@ -417,16 +430,16 @@ def corrupt_one_entry(m: WeightModule) -> WeightModule:
     Diagnostic helper: the copy must fail check_relations (exercising the
     defect report and the CLI exit status); ValueError if no entry qualifies.
     """
-    fl = m.flavor
-    up, down = m.action[fl.raising], m.action[fl.lowering]
+    fl, den = m.flavor, m.den
+    up, down = m.num_action[fl.raising], m.num_action[fl.lowering]
     read = {x for z, col in down.items() if z not in m.boundary for x in col}  # by raising(lowering(z))
     for col in m.basis:
         entries = up.get(col, {})
         for row in sorted(entries, key=m.position):
             if col in read or (col not in m.boundary and down.get(row)):
-                c = entries[row] + 1 or entries[row] - 1
-                action = {**m.action, fl.raising: {**up, col: {**entries, row: c}}}
-                return WeightModule(fl, m.name + "+fault", m.basis, m.weights, action, boundary=m.boundary)
+                c = entries[row] + den or entries[row] - den  # +-1 on a numerator over den
+                action = {**m.num_action, fl.raising: {**up, col: {**entries, row: c}}}
+                return WeightModule(fl, m.name + "+fault", m.basis, m.num_weights, action, m.boundary, den)
     raise ValueError(f"{m.name} has no raising entries to perturb")
 
 

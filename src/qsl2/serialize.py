@@ -10,6 +10,8 @@ A basis label is written as it is: the built-in ones are str names.
 
 from __future__ import annotations
 
+from math import gcd
+
 from .modrep import RelationReport, Vector, WeightModule
 from .qarith import LaurentPoly
 from .tensorcg import ComparisonReport, Decomposition
@@ -90,24 +92,28 @@ def comparison_json(r: ComparisonReport) -> dict:
 
 
 def module_descriptor(m: WeightModule) -> dict:
-    """Full sparse description: flavor, basis, weights, and each
-    generator as (row label, column label, scalar) triplets; the
-    diagonal ones from their eigenvalues on the weights."""
-    fl = m.flavor
+    """Full sparse description: flavor, basis, weights, and each generator as
+    (row label, column label, scalar) triplets, the diagonal ones from their
+    eigenvalues on the weights; a classical value is read off its numerator over m.den."""
+    fl, den, weights = m.flavor, m.den, m.num_weights
+    def over(n):  # n/den in lowest terms, with one gcd and no Fraction
+        g = gcd(n, den)
+        return n // g if g == den else f"{n // g}/{den // g}"
+    scalar = scalar_json if fl.ring is LaurentPoly else over
     action = {}
     for g in fl.generators:
-        if g in m.action:
-            mat = m.action[g]
-            action[g] = [[row, col, scalar_json(mat[col][row])]
+        if g in m.num_action:
+            mat = m.num_action[g]
+            action[g] = [[row, col, scalar(mat[col][row])]
                          for col in m.basis if col in mat for row in sorted(mat[col], key=m.position)]
         else:
             eigen = fl.diagonal[g]
-            action[g] = [[lab, lab, scalar_json(c)] for lab in m.basis if (c := eigen(m.weights[lab]))]
+            action[g] = [[lab, lab, scalar(c)] for lab in m.basis if (c := eigen(weights[lab]))]
     return {
         "flavor": fl.name,
         "name": m.name,
         "basis": list(m.basis),
-        "weights": [[lab, rational_json(m.weights[lab])] for lab in m.basis],
+        "weights": [[lab, over(weights[lab])] for lab in m.basis],
         "action": action,
         "boundary": [lab for lab in m.basis if lab in m.boundary],
     }

@@ -96,7 +96,8 @@ def tensor(a: WeightModule, b: WeightModule, spaces=None) -> WeightModule:
             if col:
                 mat[lab] = col
 
-    return WeightModule(fl, f"T({a.name};{b.name})", at.values(), weights, action, boundary=clipped)
+    den = 1 if a.den == b.den == 1 else None  # integral factors give integral entries: no rescaling
+    return WeightModule(fl, f"T({a.name};{b.name})", at.values(), weights, action, clipped, den)
 
 
 def weight_spaces(m: WeightModule) -> dict:

@@ -19,7 +19,7 @@ from qsl2 import tensorcg
 from qsl2.cli import main, run
 from qsl2.modrep import CLASSICAL, QUANTUM
 from qsl2.qarith import ExactDivisionError
-from calls import count_calls
+from calls import count_calls, count_fractions
 
 GOLDEN = Path(__file__).parent / "golden"
 MANIFEST = json.loads((GOLDEN / "manifest.json").read_text())
@@ -593,13 +593,30 @@ def test_injected_fault_never_cancels_its_entry(capsys, argv):
     assert envelope["payload"]["failures"]
 
 
+@pytest.mark.parametrize("argv, small, large", [
+    (["check", "verma", "--hw", "-7/3", "--depth"], "10", "200"),
+    (["check", "rasskazova", "--beta", "1/2", "--lambda", "-5/3", "--n", "3", "--window"], "2", "40"),
+], ids=["verma", "rasskazova"])
+def test_a_rational_check_builds_no_fraction_per_entry(capsys, monkeypatch, argv, small, large):
+    # a rational module is stored and checked as int numerators over one denominator,
+    # and described with one gcd per scalar, so the count does not grow with the module
+    built = count_fractions(monkeypatch)
+    counts = []
+    for size in (small, large):
+        built.clear()
+        code, out = run_cli(capsys, argv + [size, "--describe"])
+        assert code == 0 and json.loads(out)["payload"]["descriptor"]["weights"]
+        counts.append(built["Fraction"])
+    assert counts[0] == counts[1] > 0
+
+
 # -- hwv: one kernel solve per request ----------------------------------------
 
 HWV_3_3_1 = ["hwv", "--m", "3", "--n", "3", "--p", "1"]
 
 
 @pytest.mark.parametrize("flags", [[], ["--quantum"]])
-def test_hwv_request_runs_one_elimination(capsys, monkeypatch, flags):
+def test_hwv_request_runs_one_kernel_solve(capsys, monkeypatch, flags):
     # one kernel solve, with no elimination: the space of weight m+n-2p is bidiagonal;
     # a classical one is solved straight into its normal form, a quantum one in factored form
     solvers = ("_kernel", "_factored_kernel", "_kernel_fraction_free", "_normalize_rational", "_rank_mod")

@@ -1,5 +1,5 @@
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -146,9 +146,12 @@ def test_verma_e_coefficients():
 
 
 def test_weights_are_int_unless_rational():
-    assert all(type(wt) is int for wt in finite_dim(5, CLASSICAL).weights.values())
-    assert all(type(wt) is int for wt in finite_dim(5, QUANTUM).weights.values())
+    # a weight is stored as an int numerator over den; it reads back as an int where den is 1
+    for m in (finite_dim(5, CLASSICAL), finite_dim(5, QUANTUM), verma_classical(2, 3)):
+        assert m.den == 1 and m.weights is m.num_weights
+        assert all(type(wt) is int for wt in m.weights.values())
     m = verma_classical(Fraction(-7, 3), 4)
+    assert m.den == 3 and m.num_weights == {f"w_{k}": -7 - 6 * k for k in range(5)}
     assert [m.weights[f"w_{k}"] for k in range(5)] == [Fraction(-7 - 6 * k, 3) for k in range(5)]
     assert all(type(wt) is Fraction for wt in m.weights.values())
     assert check_relations(m).ok
@@ -578,23 +581,41 @@ def test_flavor_equality_is_identity():
     assert finite_dim(1, QUANTUM).flavor is QUANTUM
 
 
-def stored(m, gen=None):
-    """Every stored entry of m, or of its generator gen."""
-    return [c for g in ([gen] if gen else m.action) for col in m.action[g].values() for c in col.values()]
+def stored(m, gen=None, action=None):
+    """Every entry of m's action view, or of the given action, or of its generator gen."""
+    action = m.action if action is None else action
+    return [c for g in ([gen] if gen else action) for col in action[g].values() for c in col.values()]
+
+
+def assert_stored_over_least_den(m):
+    """Every weight and classical entry stored as an int numerator over m.den, the
+    least common denominator; the views read Fractions exactly when den > 1, and
+    are the stored dicts themselves when den is 1."""
+    numerators = [*m.num_weights.values(), *stored(m, action=m.num_action)]
+    assert all(type(x) is int for x in numerators)
+    assert m.den == lcm(*(Fraction(x, m.den).denominator for x in numerators))
+    assert {type(x) for x in (*m.weights.values(), *stored(m))} == {Fraction if m.den > 1 else int}
+    assert m.den > 1 or (m.weights is m.num_weights and m.action is m.num_action)
 
 
 def test_known_integers_are_stored_as_int():
     for n in range(9):
-        assert all(type(c) is int for c in stored(finite_dim(n, CLASSICAL)))
+        assert_stored_over_least_den(finite_dim(n, CLASSICAL))
     verma = verma_classical(Fraction(1, 2), 6)
-    assert all(type(c) is int and c == 1 for c in stored(verma, "f"))
-    # e.w_k = k(1/2-k+1) w_{k-1}: a quotient, a Fraction where it is not integral
-    assert all(type(c) is Fraction for c in stored(verma, "e") if c.denominator != 1)
-    assert {type(c) for c in stored(verma, "e")} <= {int, Fraction}
-    # beta = 1/2, lambda = 1/3: no formula entry is integral, so the ints are the literal +-1s
-    entries = stored(rasskazova(RasskazovaParams(Fraction(1, 2), Fraction(1, 3), 2, 3)))
-    assert {c for c in entries if type(c) is int} == {1, -1}
-    assert all(type(c) is Fraction and c.denominator != 1 for c in entries if type(c) is not int)
+    assert_stored_over_least_den(verma)
+    assert verma.den == 2 and stored(verma, "f", verma.num_action) == [2] * 6 and stored(verma, "f") == [1] * 6
+    # e.w_k = k(1/2-k+1) w_{k-1}: its numerator over 2 is k(3-2k)
+    assert stored(verma, "e", verma.num_action) == [k * (3 - 2 * k) for k in range(1, 7)]
+    # beta = 1/2, lambda = 1/3: no formula entry is integral, so the integral ones are the literal +-1s
+    ras = rasskazova(RasskazovaParams(Fraction(1, 2), Fraction(1, 3), 2, 3))
+    assert_stored_over_least_den(ras)
+    entries = stored(ras)
+    assert ras.den == 6 and {c for c in entries if c.denominator == 1} == {1, -1}
+    assert {c for c in stored(ras, action=ras.num_action) if c % 6 == 0} == {6, -6}
+    # an integral highest weight stores ints over 1 and reads them back: e.w_1 = e.w_2 = 2, e.w_3 = 0
+    ints = verma_classical(2, 3)
+    assert_stored_over_least_den(ints)
+    assert ints.den == 1 and stored(ints, "e") == [2, 2] and ints.weights["w_0"] == 2
 
 
 def test_grading_is_compared_over_the_common_denominator():
@@ -868,13 +889,14 @@ RATIONALS = st.one_of(st.integers(-12, 40), st.builds(Fraction, st.integers(-60,
 
 
 def assert_scalar_types_and_nonzero(m, action):
-    """Fraction weights; each entry nonzero and of its formula's type: an int
-    where the docstring writes a literal integer, a Fraction where it writes
-    an expression in hw, beta or lambda."""
-    assert all(type(wt) is Fraction for wt in m.weights.values())
-    for g, mat in m.action.items():
+    """Each scalar stored as an int numerator over m.den, the least common
+    denominator: the weights and the formula's entries times den; no column
+    empty and no entry zero; the views Fractions exactly when den > 1."""
+    assert_stored_over_least_den(m)
+    assert m.num_weights == {lab: wt * m.den for lab, wt in m.weights.items()}
+    for g, mat in m.num_action.items():
         for col, entries in mat.items():
-            assert entries and all(c and type(c) is type(action[g][col][row]) for row, c in entries.items())
+            assert entries and all(c and c == action[g][col][row] * m.den for row, c in entries.items())
 
 
 @settings(max_examples=100, deadline=None)
@@ -939,10 +961,11 @@ def test_rasskazova_equals_its_docstring_formula(p):
 
 
 @st.composite
-def wide_denominator_modules(draw):
-    """Random graded classical module as in graded_classical_modules, with
-    weight and entry denominators up to 13 (a common denominator up to
-    lcm(1..13) = 360360) and plain int entries mixed in."""
+def wide_denominator_data(draw):
+    """(basis, weights, action, boundary) of a random graded classical module
+    as in graded_classical_modules, with weight and entry denominators up to
+    13 (a common denominator up to lcm(1..13) = 360360) and plain int entries
+    mixed in."""
     hw = draw(st.one_of(st.integers(-4, 4), st.fractions(-4, 4, max_denominator=13)))
     sizes = draw(st.lists(st.integers(1, 3), min_size=1, max_size=4))
     basis = [(k, i) for k, size in enumerate(sizes) for i in range(size)]
@@ -959,7 +982,11 @@ def wide_denominator_modules(draw):
                 if d:
                     f.setdefault(hi, {})[lo] = d
     boundary = draw(st.sets(st.sampled_from(basis)))
-    return WeightModule(CLASSICAL, "random", basis, weights, {"e": e, "f": f}, boundary)
+    return basis, weights, {"e": e, "f": f}, boundary
+
+
+def wide_denominator_modules():
+    return wide_denominator_data().map(lambda data: WeightModule(CLASSICAL, "random", *data))
 
 
 @settings(max_examples=100, deadline=None)
@@ -980,3 +1007,70 @@ def test_integer_checker_matches_the_reference_on_wide_denominators(m):
         for failure in report.failures:
             for _, c in failure.defect:
                 assert type(c) is Fraction and gcd(c.numerator, c.denominator) == 1
+
+# -- one module, from Fractions or from numerators --------------------------------
+
+
+@st.composite
+def module_twins(draw):
+    """One classical module built twice: from its values, ints and Fractions,
+    and from int numerators over their least common denominator, found here;
+    with that denominator.  The values are a wide_denominator_data draw or
+    the value views of a Verma or Rasskazova module."""
+    kind = draw(st.sampled_from(["wide", "verma", "rasskazova"]))
+    if kind == "wide":
+        name, (basis, weights, action, boundary) = "random", draw(wide_denominator_data())
+    else:
+        m = verma_classical(draw(RATIONALS), draw(st.integers(1, 12))) if kind == "verma" else rasskazova(
+            draw(rasskazova_params()))
+        name, basis, weights, action, boundary = m.name, m.basis, m.weights, m.action, m.boundary
+    values = [*weights.values(), *(c for mat in action.values() for col in mat.values() for c in col.values())]
+    den = lcm(*(Fraction(x).denominator for x in values))
+    numerators = ({lab: int(wt * den) for lab, wt in weights.items()},
+                  {g: {col: {row: int(c * den) for row, c in entries.items()} for col, entries in mat.items()}
+                   for g, mat in action.items()})
+    return (WeightModule(CLASSICAL, name, basis, weights, action, boundary),
+            WeightModule(CLASSICAL, name, basis, *numerators, boundary, den=den), den)
+
+
+def reference_descriptor(m):
+    """A classical module's descriptor rendered from its value views, one scalar_json per value."""
+    def triplets(g):
+        mat = m.action[g]
+        return [[row, col, scalar_json(mat[col][row])]
+                for col in m.basis if col in mat for row in sorted(mat[col], key=m.position)]
+    return {
+        "flavor": "classical",
+        "name": m.name,
+        "basis": list(m.basis),
+        "weights": [[lab, scalar_json(m.weights[lab])] for lab in m.basis],
+        "action": {"e": triplets("e"), "f": triplets("f"),
+                   "h": [[lab, lab, scalar_json(m.weights[lab])] for lab in m.basis if m.weights[lab]]},
+        "boundary": [lab for lab in m.basis if lab in m.boundary],
+    }
+
+
+@settings(max_examples=150, deadline=None)
+@given(module_twins())
+def test_a_module_from_fractions_is_the_module_from_numerators(twins):
+    values, numerators, den = twins
+    for m in (values, numerators):
+        assert m.den == den
+        assert_stored_over_least_den(m)
+    assert values.num_weights == numerators.num_weights and values.num_action == numerators.num_action
+    assert values.weights == numerators.weights and values.action == numerators.action
+    assert check_relations(values) == check_relations(numerators)
+    assert module_descriptor(values) == module_descriptor(numerators) == reference_descriptor(values)
+    try:
+        faulty = corrupt_one_entry(values)
+    except ValueError:
+        with pytest.raises(ValueError, match="no raising entries to perturb"):
+            corrupt_one_entry(numerators)
+        return
+    # the fault adds den to one stored numerator (-den where that cancels it): +-1 on its value
+    assert corrupt_one_entry(numerators).num_action == faulty.num_action
+    changed = [(c, values.action["e"][col][row]) for col, entries in faulty.action["e"].items()
+               for row, c in entries.items() if c != values.action["e"][col][row]]
+    assert len(changed) == 1 and changed[0][0] - changed[0][1] in (1, -1)
+    assert check_relations(corrupt_one_entry(numerators)) == check_relations(faulty)
+    assert not check_relations(faulty).ok
