@@ -336,7 +336,8 @@ COMMANDS = {
 
 
 def _dump(envelope: dict) -> str:
-    return json.dumps(envelope, sort_keys=True, separators=(",", ":")) + "\n"
+    # main builds the envelope afresh from dicts, lists, strs, ints and bools: it holds no cycle
+    return json.dumps(envelope, sort_keys=True, separators=(",", ":"), check_circular=False) + "\n"
 
 
 def main(argv: list[str] | None = None) -> int:

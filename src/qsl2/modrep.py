@@ -154,27 +154,31 @@ class WeightModule:
         if type(den) is not int or den < 1 or quantum and den != 1:
             raise ValueError(f"{self.name}: den {den!r} is not a positive int (1 over Q[v, v^-1])")
         scalars, ring = ({int, Fraction, fl.ring}, "in Q[v, v^-1]") if quantum else ({int}, "rational")
+        over = f"an int numerator over den {den}"  # over Q a Fraction is left only where den was given
         if weights.keys() != self._pos.keys():  # so a lookup in weights finds a label and its weight
             raise ValueError(f"{self.name}: the weights must label exactly the basis")
         if stray := self.boundary.difference(self._pos):  # else a typo leaves its vector checked
             raise ValueError(f"{self.name}: boundary label {min(map(str, stray))} is not in the basis")
         if not set(map(type, weights.values())) <= {int}:
             lab, wt = next((lab, wt) for lab, wt in weights.items() if type(wt) is not int)
-            raise ValueError(f"{self.name}: weight {wt} of {lab} is not {'an integer' if quantum else 'rational'}")
+            what = "an integer" if quantum else over if type(wt) is Fraction else "rational"
+            raise ValueError(f"{self.name}: weight {wt} of {lab} is not {what}")
         # raising and lowering entries connect weights that differ by +-2, compared on numerators
+        wget = weights.get
         for g, shift in ((fl.raising, 2 * den), (fl.lowering, -2 * den)):
             for col, entries in self.num_action[g].items():
-                if (target := weights.get(col)) is None:
+                if (target := wget(col)) is None:
                     raise ValueError(f"{self.name}: unknown column label {col}")
                 target += shift
-                for row, c in entries.items():
-                    if (wt := weights.get(row)) is None:
-                        raise ValueError(f"{self.name}: unknown row label {row}")
-                    if type(c) not in scalars:
-                        raise ValueError(f"{self.name}: {g} entry {c} at ({row}, {col}) is not {ring}")
-                    if not c:
-                        raise ValueError(f"{self.name}: stored zero at ({row}, {col}) of {g}")
-                    if wt != target:
+                for row, c in entries.items():  # one test per entry; a failure is named in the order below
+                    if wget(row) != target or type(c) not in scalars or not c:
+                        if row not in weights:
+                            raise ValueError(f"{self.name}: unknown row label {row}")
+                        if type(c) not in scalars:
+                            what = over if type(c) is Fraction else ring
+                            raise ValueError(f"{self.name}: {g} entry {c} at ({row}, {col}) is not {what}")
+                        if not c:
+                            raise ValueError(f"{self.name}: stored zero at ({row}, {col}) of {g}")
                         raise ValueError(f"{self.name}: {g} entry ({row}, {col}) breaks the weight grading")
 
     def __repr__(self):
@@ -322,38 +326,32 @@ def rasskazova(p: RasskazovaParams) -> WeightModule:
     beta, lam, n, J = p.beta, p.lam, p.n, p.window
     D = lcm(beta.denominator, lam.denominator)  # every scalar below is a numerator over D, the least
     B, L = int(beta * D), int(lam * D)
-    at = {(i, j): f"w^{i}_{j}" for i in range(1, n + 1) for j in range(-J, J + 1)}  # entries reuse these
-    basis = list(at.values())
-    weights = dict(zip(basis, [2 * j * D + B for j in range(-J, J + 1)] * n))
-
+    js = range(-J, J + 1)
+    layers = [[f"w^{i}_{j}" for j in js] for i in range(1, n + 1)]  # layers[i-1][j+J] is w^i_j
+    basis = [lab for layer in layers for lab in layer]
+    weights = dict(zip(basis, [2 * j * D + B for j in js] * n))
+    # the numerators of e.w^i_j's and f.w^i_j's w^i coefficients, the same on every layer i
+    up = [D if j >= 0 else L + j * B + j * (j + 1) * D for j in js]
+    down = [-D if j <= 0 else -(L + (j - 1) * B + j * (j - 1) * D) for j in js]
     e: dict = {}
     f: dict = {}
-    for (i, j), lab in at.items():
-        if j + 1 <= J:
-            col: dict = {}
-            if j >= 0:
-                col[at[i, j + 1]] = D
-            else:
-                c = L + j * B + j * (j + 1) * D
-                if c:
-                    col[at[i, j + 1]] = c
-                if i > 1:
-                    col[at[i - 1, j + 1]] = D
-            if col:
-                e[lab] = col
-        if j - 1 >= -J:
-            col = {}
-            if j > 0:
-                c = L + (j - 1) * B + j * (j - 1) * D
-                if c:
-                    col[at[i, j - 1]] = -c
-                if i > 1:
-                    col[at[i - 1, j - 1]] = -D
-            else:
-                col[at[i, j - 1]] = -D
-            if col:
-                f[lab] = col
-    boundary = [lab for (i, j), lab in at.items() if abs(j) == J]
+    below = None  # layer i-1, none below layer 1
+    for layer in layers:
+        for k, lab in enumerate(layer):  # j = k - J
+            if k < 2 * J:
+                col = {layer[k + 1]: up[k]} if up[k] else {}
+                if below and k < J:
+                    col[below[k + 1]] = D
+                if col:
+                    e[lab] = col
+            if k:
+                col = {layer[k - 1]: down[k]} if down[k] else {}
+                if below and k > J:
+                    col[below[k - 1]] = -D
+                if col:
+                    f[lab] = col
+        below = layer
+    boundary = [lab for layer in layers for lab in (layer[0], layer[-1])]
     name = f"V(beta={beta};lambda={lam};n={n};J={J})"
     return WeightModule(CLASSICAL, name, basis, weights, {"e": e, "f": f}, boundary=boundary, den=D)
 
@@ -392,21 +390,20 @@ def check_relations(m: WeightModule) -> RelationReport:
     Failures are reported as data (relation name, basis vector, exact
     defect), never raised.
     """
-    fl, den, weights = m.flavor, m.den, m.num_weights
-    up, down = m.num_action[fl.raising], m.num_action[fl.lowering]
+    fl, den, weights, commutator = m.flavor, m.den, m.num_weights, m.flavor.commutator
+    up, down, empty = m.num_action[fl.raising].get, m.num_action[fl.lowering].get, {}
     checked = tuple([lab for lab in m.basis if lab not in m.boundary])  # a list: see qarith.primitive
-    target = {lab: fl.commutator(weights[lab] * den) for lab in checked}  # den is 1 over Q[v, v^-1]
     failures = []
     for lab in checked:
-        d = {lab: -target[lab]}
-        for mid, a in down.get(lab, {}).items():  # + raising(lowering(x))
-            for row, b in up.get(mid, {}).items():
+        d = {lab: -commutator(weights[lab] * den)}  # den is 1 over Q[v, v^-1]
+        for mid, a in down(lab, empty).items():  # + raising(lowering(x))
+            for row, b in up(mid, empty).items():
                 d[row] = d[row] + b * a if row in d else b * a
-        for mid, a in up.get(lab, {}).items():  # - lowering(raising(x))
-            for row, b in down.get(mid, {}).items():
+        for mid, a in up(lab, empty).items():  # - lowering(raising(x))
+            for row, b in down(mid, empty).items():
                 d[row] = d[row] - b * a if row in d else -(b * a)
-        defect = [(row, c if fl.ring is LaurentPoly else Fraction(c, den * den)) for row, c in d.items() if c]
-        if defect:
+        if any(d.values()):
+            defect = [(row, c if fl.ring is LaurentPoly else Fraction(c, den * den)) for row, c in d.items() if c]
             defect.sort(key=lambda kv: m.position(kv[0]))
             failures.append(RelationFailure(fl.relations[-1], lab, tuple(defect)))
 

@@ -95,17 +95,19 @@ def module_descriptor(m: WeightModule) -> dict:
     """Full sparse description: flavor, basis, weights, and each generator as
     (row label, column label, scalar) triplets, the diagonal ones from their
     eigenvalues on the weights; a classical value is read off its numerator over m.den."""
-    fl, den, weights = m.flavor, m.den, m.num_weights
-    def over(n):  # n/den in lowest terms, with one gcd and no Fraction
-        g = gcd(n, den)
-        return n // g if g == den else f"{n // g}/{den // g}"
+    fl, den, weights, pos, rendered = m.flavor, m.den, m.num_weights, m.position, {}
+    def over(n):  # n/den in lowest terms, with one gcd and no Fraction, once per distinct n
+        if (s := rendered.get(n)) is None:
+            g = gcd(n, den)
+            s = rendered[n] = n // g if g == den else f"{n // g}/{den // g}"
+        return s
     scalar = scalar_json if fl.ring is LaurentPoly else over
     action = {}
     for g in fl.generators:
         if g in m.num_action:
             mat = m.num_action[g]
-            action[g] = [[row, col, scalar(mat[col][row])]
-                         for col in m.basis if col in mat for row in sorted(mat[col], key=m.position)]
+            action[g] = [[row, col, scalar(entries[row])] for col in m.basis if (entries := mat.get(col))
+                         for row in (sorted(entries, key=pos) if len(entries) > 1 else entries)]
         else:
             eigen = fl.diagonal[g]
             action[g] = [[lab, lab, scalar(c)] for lab in m.basis if (c := eigen(weights[lab]))]

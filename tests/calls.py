@@ -1,5 +1,5 @@
-"""Call counting for the tests that pin which solver a request takes, and
-how many Fractions it builds."""
+"""Call counting for the tests that pin which solver a request takes, how
+many gcds a descriptor takes, and how many Fractions it builds."""
 
 from collections import Counter
 from fractions import Fraction
@@ -7,12 +7,12 @@ from fractions import Fraction
 from qsl2 import tensorcg
 
 
-def count_calls(monkeypatch, *names):
-    """A Counter of the calls to the named tensorcg functions, each still run."""
+def count_calls(monkeypatch, *names, module=tensorcg):
+    """A Counter of the calls to the named functions of module, each still run."""
     calls = Counter()
     for name in names:
-        fn = getattr(tensorcg, name)
-        monkeypatch.setattr(tensorcg, name, lambda *args, n=name, f=fn: calls.update([n]) or f(*args))
+        fn = getattr(module, name)
+        monkeypatch.setattr(module, name, lambda *args, n=name, f=fn: calls.update([n]) or f(*args))
     return calls
 
 

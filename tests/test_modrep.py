@@ -449,8 +449,8 @@ F1_ACTION = {"e": {"w_1": {"w_0": Fraction(1)}}, "f": {"w_0": {"w_1": Fraction(1
 F1_QUANTUM = {"E": {"w_1": {"w_0": LaurentPoly(1)}}, "F": {"w_0": {"w_1": LaurentPoly(1)}}}
 
 
-def hand_built_f1(flavor=CLASSICAL, basis=("w_0", "w_1"), action=F1_ACTION, weights=None, boundary=()):
-    return WeightModule(flavor, "F1", basis, weights or {"w_0": 1, "w_1": -1}, action, boundary)
+def hand_built_f1(flavor=CLASSICAL, basis=("w_0", "w_1"), action=F1_ACTION, weights=None, boundary=(), den=None):
+    return WeightModule(flavor, "F1", basis, weights or {"w_0": 1, "w_1": -1}, action, boundary, den)
 
 
 def test_hand_built_module_passes_validation():
@@ -486,18 +486,105 @@ def test_hand_built_module_passes_validation():
         (dict(weights={"w_0": 1}), "F1: the weights must label exactly the basis"),
         (dict(weights={"w_0": 1, "w_1": -1, "w_2": -3}), "F1: the weights must label exactly the basis"),
         (dict(boundary=["w_1", "nope"]), "F1: boundary label nope is not in the basis"),
+        # numerators passed with den must be ints, even where the Fraction is rational
+        (dict(weights={"w_0": Fraction(1, 2), "w_1": -1}, den=2), "F1: weight 1/2 of w_0 is not an int numerator over den 2"),
+        (
+            dict(action={"e": {"w_1": {"w_0": Fraction(1, 2)}}, "f": {}}, weights={"w_0": 2, "w_1": -2}, den=2),
+            "F1: e entry 1/2 at (w_0, w_1) is not an int numerator over den 2",
+        ),
     ],
     ids=[
         "unknown-flavor", "duplicate-labels", "unknown-column", "unknown-row", "stored-zero",
         "quantum-rational-weight", "quantum-float-weight", "classical-float-weight", "classical-float-entry",
         "classical-str-entry", "classical-laurent-entry", "quantum-float-entry", "quantum-str-entry",
-        "missing-weight", "extra-weight", "unknown-boundary",
+        "missing-weight", "extra-weight", "unknown-boundary", "fraction-weight-over-den", "fraction-entry-over-den",
     ],
 )
 def test_constructor_rejects(overrides, message):
     with pytest.raises(ValueError) as exc:
         hand_built_f1(**overrides)
     assert str(exc.value) == message
+
+
+def reference_validate(flavor, name, weights, action, den):
+    """The entry walk of WeightModule._validate, each check in turn on each
+    stored entry: None, or the message of the first failure."""
+    quantum = flavor.ring is LaurentPoly
+    scalars, ring = ({int, Fraction, flavor.ring}, "in Q[v, v^-1]") if quantum else ({int}, "rational")
+    for g, shift in ((flavor.raising, 2 * den), (flavor.lowering, -2 * den)):
+        for col, entries in action[g].items():
+            if (target := weights.get(col)) is None:
+                return f"{name}: unknown column label {col}"
+            target += shift
+            for row, c in entries.items():
+                if (wt := weights.get(row)) is None:
+                    return f"{name}: unknown row label {row}"
+                if type(c) not in scalars:
+                    what = f"an int numerator over den {den}" if type(c) is Fraction else ring
+                    return f"{name}: {g} entry {c} at ({row}, {col}) is not {what}"
+                if not c:
+                    return f"{name}: stored zero at ({row}, {col}) of {g}"
+                if wt != target:
+                    return f"{name}: {g} entry ({row}, {col}) breaks the weight grading"
+    return None
+
+
+# each fault changes one entry; "laurent" and "fraction" are faults only over Q
+ENTRY_FAULTS = {
+    "row": lambda row, col, c, flavor: (("x", 0), c),  # a label outside the basis
+    "grading": lambda row, col, c, flavor: (col, c),  # the column's own weight, not +-2 from it
+    "zero": lambda row, col, c, flavor: (row, flavor.ring()),
+    "float": lambda row, col, c, flavor: (row, 0.5),
+    "str": lambda row, col, c, flavor: (row, str(c)),
+    "laurent": lambda row, col, c, flavor: (row, v),
+    "fraction": lambda row, col, c, flavor: (row, Fraction(1, 2)),
+}
+
+
+@st.composite
+def faulty_module_data(draw):
+    """(flavor, basis, weights, action, den) of a hand-built module: the layers
+    of graded_classical_modules as int numerators over den (1 and Laurent
+    entries over Q[v, v^-1]), 0-2 ENTRY_FAULTS on each entry and perhaps an
+    unknown column placed anywhere in one generator's matrix."""
+    flavor = draw(st.sampled_from([CLASSICAL, QUANTUM]))
+    den = 1 if flavor is QUANTUM else draw(st.integers(1, 6))
+    top = draw(st.integers(-8, 8))
+    sizes = draw(st.lists(st.integers(1, 2), min_size=1, max_size=3))
+    basis = [(k, i) for k, size in enumerate(sizes) for i in range(size)]
+    weights = {lab: top - 2 * lab[0] * den for lab in basis}
+    nonzero = st.integers(-3, 3).filter(bool)
+    if flavor is QUANTUM:
+        nonzero = st.builds(lambda c, e: LaurentPoly({e: c}), nonzero, st.integers(-2, 2))
+    action = {flavor.raising: {}, flavor.lowering: {}}
+    for lo in basis:
+        for hi in basis:
+            if hi[0] + 1 == lo[0]:
+                for g, col, row in ((flavor.raising, lo, hi), (flavor.lowering, hi, lo)):
+                    c = draw(nonzero)
+                    for fault in draw(st.lists(st.sampled_from(sorted(ENTRY_FAULTS)), max_size=2)):
+                        row, c = ENTRY_FAULTS[fault](row, col, c, flavor)
+                    action[g].setdefault(col, {})[row] = c
+    if not draw(st.integers(0, 3)):  # one example in four, so the entry faults are reached
+        g = draw(st.sampled_from(sorted(action)))
+        items = list(action[g].items())
+        items.insert(draw(st.integers(0, len(items))), (("x", 1), {basis[0]: flavor.ring(1)}))
+        action[g] = dict(items)
+    return flavor, basis, weights, action, den
+
+
+@settings(max_examples=300, deadline=None)
+@given(faulty_module_data())
+def test_validation_names_the_first_failure_of_the_reference_walk(data):
+    flavor, basis, weights, action, den = data
+    message = reference_validate(flavor, "bad", weights, action, den)
+    if message is None:
+        m = WeightModule(flavor, "bad", basis, weights, action, den=den)
+        assert m.num_action == action
+    else:
+        with pytest.raises(ValueError) as exc:
+            WeightModule(flavor, "bad", basis, weights, action, den=den)
+        assert str(exc.value) == message
 
 
 @pytest.mark.parametrize("c", [1, Fraction(1, 2), v + 1], ids=["int", "fraction", "laurent"])
@@ -899,16 +986,42 @@ def assert_scalar_types_and_nonzero(m, action):
             assert entries and all(c and c == action[g][col][row] * m.den for row, c in entries.items())
 
 
+def ordered(d, den=1):
+    """Nested dicts as nested (key, value) lists, so that == compares key order too; each value times den."""
+    return [(k, ordered(x, den) if isinstance(x, dict) else x * den) for k, x in d.items()]
+
+
+def assert_is_the_formula(m, basis, weights, action, boundary):
+    """m is the module of a formula's values, entry by entry: its basis and
+    boundary, its views equal to the values, and its stored numerators the
+    values times m.den, in the formula's key order, with no zero stored."""
+    assert m.basis == tuple(basis) and m.boundary == frozenset(boundary)
+    assert m.weights == weights and m.action == action
+    assert_scalar_types_and_nonzero(m, action)
+    assert ordered(m.num_weights) == ordered(weights, m.den)
+    assert ordered(m.num_action) == ordered(action, m.den)
+
+
+def verma_formula(hw, depth):
+    """(basis, weights, action, boundary) of verma_classical(hw, depth), by its docstring over Fractions."""
+    hw = Fraction(hw)
+    basis = [f"w_{k}" for k in range(depth + 1)]
+    weights = {f"w_{k}": hw - 2 * k for k in range(depth + 1)}
+    e = {f"w_{k}": {f"w_{k - 1}": k * (hw - k + 1)} for k in range(1, depth + 1) if k * (hw - k + 1)}
+    f = {f"w_{k}": {f"w_{k + 1}": 1} for k in range(depth)}
+    return basis, weights, {"e": e, "f": f}, [basis[-1]]
+
+
 @settings(max_examples=100, deadline=None)
 @given(hw=RATIONALS, depth=st.integers(1, 40))
 def test_verma_equals_its_docstring_formula(hw, depth):
-    m = verma_classical(hw, depth)
-    hw = Fraction(hw)
-    assert m.weights == {f"w_{k}": hw - 2 * k for k in range(depth + 1)}
-    e = {f"w_{k}": {f"w_{k - 1}": k * (hw - k + 1)} for k in range(1, depth + 1) if k * (hw - k + 1)}
-    f = {f"w_{k}": {f"w_{k + 1}": 1} for k in range(depth)}
-    assert m.action == {"e": e, "f": f}
-    assert_scalar_types_and_nonzero(m, {"e": e, "f": f})
+    assert_is_the_formula(verma_classical(hw, depth), *verma_formula(hw, depth))
+
+
+@pytest.mark.parametrize("hw", [0, 1, 2, 3, Fraction(1, 2), Fraction(-7, 3)])
+def test_verma_stores_its_formula_in_order(hw):
+    for depth in range(1, 5):  # an int hw = k-1 < depth drops the e entry at w_k
+        assert_is_the_formula(verma_classical(hw, depth), *verma_formula(hw, depth))
 
 
 @st.composite
@@ -926,16 +1039,16 @@ def rasskazova_params(draw):
     return RasskazovaParams(beta, lam, n, window)
 
 
-@settings(max_examples=100, deadline=None)
-@given(rasskazova_params())
-def test_rasskazova_equals_its_docstring_formula(p):
-    m = rasskazova(p)
+def rasskazova_formula(p):
+    """(basis, weights, action, boundary) of rasskazova(p), by its docstring over
+    Fractions: each column's w^i entry before its w^(i-1) one, in basis order."""
     beta, lam, J = p.beta, p.lam, p.window
+    basis = [f"w^{i}_{j}" for i in range(1, p.n + 1) for j in range(-J, J + 1)]
+    weights = {f"w^{i}_{j}": 2 * j + beta for i in range(1, p.n + 1) for j in range(-J, J + 1)}
     e: dict = {}
     f: dict = {}
     for i in range(1, p.n + 1):
         for j in range(-J, J + 1):
-            assert m.weights[f"w^{i}_{j}"] == 2 * j + beta
             up = {}
             if j + 1 <= J:
                 if j >= 0:
@@ -955,9 +1068,30 @@ def test_rasskazova_equals_its_docstring_formula(p):
                 col = {lab: c for lab, c in col.items() if c and not lab.startswith("w^0_")}
                 if col:
                     mat[f"w^{i}_{j}"] = col
-    assert len(m.weights) == p.n * (2 * J + 1)
-    assert m.action == {"e": e, "f": f}
-    assert_scalar_types_and_nonzero(m, {"e": e, "f": f})
+    boundary = [f"w^{i}_{j}" for i in range(1, p.n + 1) for j in (-J, J)]
+    return basis, weights, {"e": e, "f": f}, boundary
+
+
+@settings(max_examples=100, deadline=None)
+@given(rasskazova_params())
+def test_rasskazova_equals_its_docstring_formula(p):
+    m = rasskazova(p)
+    assert len(m.weights) == p.n * (2 * p.window + 1)
+    assert_is_the_formula(m, *rasskazova_formula(p))
+
+
+@pytest.mark.parametrize("beta, lam", [
+    (0, 0),  # e.w^i_-1 and f.w^i_1 have no w^i entry
+    (1, 2),
+    (Fraction(1, 2), Fraction(1, 3)),
+    (Fraction(1, 2), -1),  # e.w^i_-2 has no w^i entry
+    (Fraction(1, 2), Fraction(-5, 2)),  # f.w^i_2 has no w^i entry
+])
+def test_rasskazova_stores_its_formula_in_order(beta, lam):
+    for n in range(1, 4):
+        for window in range(1, 5):
+            p = RasskazovaParams(beta, lam, n, window)
+            assert_is_the_formula(rasskazova(p), *rasskazova_formula(p))
 
 
 @st.composite

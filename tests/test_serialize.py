@@ -2,7 +2,9 @@ from fractions import Fraction
 
 import pytest
 
-from qsl2.modrep import CLASSICAL, QUANTUM, Vector, finite_dim
+from calls import count_calls
+from qsl2 import serialize
+from qsl2.modrep import CLASSICAL, QUANTUM, RasskazovaParams, Vector, finite_dim, rasskazova, verma_classical
 from qsl2.qarith import LaurentPoly, q_fact, v
 from qsl2.serialize import (
     comparison_json,
@@ -91,3 +93,16 @@ def test_comparison_json_shapes():
     assert bad["proportional"] is False
     assert set(bad["witness"]) == {"label", "formula", "oracle"}
     assert "scalar" not in bad
+
+
+@pytest.mark.parametrize("make", [
+    lambda: verma_classical(Fraction(-7, 3), 50),
+    lambda: rasskazova(RasskazovaParams(Fraction(1, 2), Fraction(1, 3), 3, 10)),
+], ids=["verma", "rasskazova"])
+def test_descriptor_takes_one_gcd_per_distinct_numerator(make, monkeypatch):
+    m = make()
+    numerators = {*m.num_weights.values(), *(c for mat in m.num_action.values() for col in mat.values() for c in col.values())}
+    expected = module_descriptor(m)
+    calls = count_calls(monkeypatch, "gcd", module=serialize)
+    assert module_descriptor(m) == expected
+    assert 0 < calls["gcd"] <= len(numerators)
