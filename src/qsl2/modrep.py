@@ -40,6 +40,10 @@ from math import lcm
 
 from .qarith import LaurentPoly, q_int
 
+__all__ = ["CLASSICAL", "QUANTUM", "Flavor", "RasskazovaParams", "RelationFailure", "RelationReport", "Vector",
+           "WeightModule", "apply", "check_relations", "corrupt_one_entry", "finite_dim", "rasskazova",
+           "verma_classical"]
+
 
 class Record:
     """Base of the frozen records: ``_fields`` names the fields, in order.

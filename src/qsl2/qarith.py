@@ -19,6 +19,8 @@ from fractions import Fraction
 from math import gcd, lcm
 from operator import index
 
+__all__ = ["ExactDivisionError", "LaurentPoly", "lp_gcd", "q_binom", "q_fact", "q_int", "specialize_one", "v"]
+
 
 class ExactDivisionError(ArithmeticError):
     """No exact quotient exists in the Laurent ring."""

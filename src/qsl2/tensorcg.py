@@ -7,8 +7,8 @@ off the product of the factors' characters, and exact raising-operator
 nullspaces, each certified annihilated and complete.  A rational bidiagonal
 weight space (each space of F_m (x) F_n with a highest-weight vector) is
 solved straight into its normal form, a quantum one of +-v^e [a] entries
-by its cyclotomic factors, with no gcd; any other space by fraction-free
-(Bareiss) elimination and its ring's normaliser.
+by its cyclotomic factors, with no gcd; any other space by a rank mod p,
+then fraction-free (Bareiss) elimination and its ring's normaliser.
 The explicit highest-weight transfer formula, evaluated verbatim with
 exact q-factorial coefficients, is adjudicated against the nullspace
 oracle and the outcome reported as data.  Decomposition, Interpretation
@@ -23,6 +23,10 @@ from math import prod
 
 from .modrep import QUANTUM, Flavor, Record, Vector, WeightModule, apply, finite_dim
 from .qarith import ExactDivisionError, LaurentPoly, lp_gcd, primitive, q_int
+
+__all__ = ["ComparisonReport", "Decomposition", "DecompositionError", "Interpretation", "NullspaceError",
+           "WEIGHT_MATCHED", "cg_decompose", "decompose_by_character", "highest_weight_vector",
+           "highest_weight_vectors", "phi_vector", "phi_vs_oracle", "tensor", "weight_spaces"]
 
 
 class DecompositionError(ValueError):
@@ -243,18 +247,19 @@ def _kernel(rows: list[list], ncols: int, ring: type) -> list:
     """Right kernel of rows (ncols columns) over ring, Fraction or LaurentPoly, proven
     complete, each vector in that ring's normal form.  A p x (p+1) bidiagonal matrix with
     every s_r nonzero has rank p (columns 1..p are triangular): over Fraction x_0 = 1 and
-    x_{k+1} = -x_k d_k / s_k; over LaurentPoly _factored_kernel, else Bareiss's one vector.
-    Otherwise a rank of ncols at v0 mod prime proves the kernel is 0; else Bareiss's
-    vectors must be independent there and as many as the nullity there, at the first
-    (v0, prime) or the second; NullspaceError if at neither."""
+    x_{k+1} = -x_k d_k / s_k; over LaurentPoly _factored_kernel if it applies.  Otherwise
+    a rank of ncols at v0 mod prime proves the kernel is 0; else Bareiss's vectors must be
+    independent there and as many as the nullity there, at the first (v0, prime) or the
+    second; NullspaceError if at neither."""
     if len(rows) == ncols - 1 and all(
             row[r + 1] and not any(row[:r] + row[r + 2:]) for r, row in enumerate(rows)):
-        if ring is LaurentPoly:
-            return [_factored_kernel(rows) or _normalize_laurent(_kernel_fraction_free(rows, ncols, ring)[0])]
-        x = [ring(1)]
-        for k, row in enumerate(rows):
-            x.append(-x[k] * row[k] / row[k + 1])
-        return [x]
+        if ring is not LaurentPoly:
+            x = [ring(1)]
+            for k, row in enumerate(rows):
+                x.append(-x[k] * row[k] / row[k + 1])
+            return [x]
+        if x := _factored_kernel(rows):
+            return [x]
     normalize = _normalize_laurent if ring is LaurentPoly else _normalize_rational
     kernel = nullity = None
     for v0, prime in _SPECIALIZATIONS:
@@ -287,7 +292,7 @@ def highest_weight_vectors(m: WeightModule, weight=None) -> list[tuple[object, V
     yielding these vectors up to ring scalars meets it; here it is
     ``_kernel``, proven complete, which solves a rational bidiagonal space straight
     into its normal form, a quantum one of +-v^e [a] entries by cyclotomic factors
-    with no gcd, any other by Bareiss and the ring's normaliser; the raising operator
+    with no gcd, any other by a rank mod p, Bareiss and the ring's normaliser; the raising operator
     must take every returned vector to exactly zero.  Output is ordered by descending weight.
     """
     raising, ring = m.flavor.raising, m.flavor.ring

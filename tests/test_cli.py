@@ -1,5 +1,4 @@
 import argparse
-import ast
 import contextlib
 import io
 import json
@@ -15,7 +14,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import qsl2
-from qsl2 import tensorcg
+from qsl2 import modrep, qarith, tensorcg
 from qsl2.cli import main, run
 from qsl2.modrep import CLASSICAL, QUANTUM
 from qsl2.qarith import ExactDivisionError
@@ -711,17 +710,22 @@ def test_import_loads_no_dataclasses_inspect_or_typing():
 
 
 def test_public_api_is_exactly_all():
-    """Every name in __all__ resolves, import * binds exactly them, and every
-    public name qsl2/__init__.py imports is listed."""
+    """Every name in __all__ resolves, import * binds exactly them, and qsl2.__all__ is
+    qarith's, modrep's and tensorcg's lists in turn, each name defined where it is listed."""
     assert [name for name in qsl2.__all__ if not hasattr(qsl2, name)] == []
     assert len(set(qsl2.__all__)) == len(qsl2.__all__)
     star: dict = {}
     exec("from qsl2 import *", star)
     assert star.keys() - {"__builtins__"} == set(qsl2.__all__)
-    tree = ast.parse(Path(qsl2.__file__).read_text())
-    imported = {a.asname or a.name for node in tree.body if isinstance(node, ast.ImportFrom)
-                for a in node.names}
-    assert {name for name in imported if not name.startswith("_")} - set(qsl2.__all__) == set()
+    modules = (qarith, modrep, tensorcg)
+    for module in modules:
+        assert [name for name in module.__all__ if name not in vars(module)] == []
+        # an instance, such as CLASSICAL or v, reports its class's module
+        assert {getattr(vars(module)[name], "__module__", module.__name__) for name in module.__all__} == {
+            module.__name__}
+    names = [name for module in modules for name in module.__all__]
+    assert len(set(names)) == len(names)
+    assert qsl2.__all__ == [*names, "__version__"]
 
 
 def test_quantum_switch_carries_the_flavor():

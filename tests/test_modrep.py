@@ -1,5 +1,5 @@
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd, lcm, prod
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -23,7 +23,7 @@ from qsl2.modrep import (
 from qsl2.qarith import LaurentPoly, q_int, specialize_one, v
 from qsl2.serialize import module_descriptor, scalar_json
 from qsl2 import tensorcg
-from qsl2.tensorcg import highest_weight_vectors, tensor, weight_spaces
+from qsl2.tensorcg import highest_weight_vector, highest_weight_vectors, phi_vector, phi_vs_oracle, tensor, weight_spaces
 from vectors import add, basis_vector, scaled, sub, zero
 
 
@@ -492,12 +492,19 @@ def test_hand_built_module_passes_validation():
             dict(action={"e": {"w_1": {"w_0": Fraction(1, 2)}}, "f": {}}, weights={"w_0": 2, "w_1": -2}, den=2),
             "F1: e entry 1/2 at (w_0, w_1) is not an int numerator over den 2",
         ),
+        # den is a positive int, and 1 over Q[v, v^-1]; each case fails one clause of the test
+        (dict(den=0), "F1: den 0 is not a positive int (1 over Q[v, v^-1])"),
+        (dict(den=-2), "F1: den -2 is not a positive int (1 over Q[v, v^-1])"),
+        (dict(den="2"), "F1: den '2' is not a positive int (1 over Q[v, v^-1])"),
+        (dict(den=2.0), "F1: den 2.0 is not a positive int (1 over Q[v, v^-1])"),
+        (dict(flavor=QUANTUM, action=F1_QUANTUM, den=2), "F1: den 2 is not a positive int (1 over Q[v, v^-1])"),
     ],
     ids=[
         "unknown-flavor", "duplicate-labels", "unknown-column", "unknown-row", "stored-zero",
         "quantum-rational-weight", "quantum-float-weight", "classical-float-weight", "classical-float-entry",
         "classical-str-entry", "classical-laurent-entry", "quantum-float-entry", "quantum-str-entry",
         "missing-weight", "extra-weight", "unknown-boundary", "fraction-weight-over-den", "fraction-entry-over-den",
+        "den-zero", "den-negative", "den-str", "den-float", "quantum-den-two",
     ],
 )
 def test_constructor_rejects(overrides, message):
@@ -965,6 +972,46 @@ def test_factored_normal_form_is_the_gcd_normal_form_on_every_hwv_space(flavor):
                 assert factored == tensorcg._normalize_laurent(x), (m, n, w)
                 solved += 1
     assert solved == sum(min(m, n) + 1 for m in range(11) for n in range(11))
+
+
+def kassel_coefficient(m, n, p, k):
+    """Term k of the transfer formula with sign (-1)^(n-p+k) and exponent (k-p)(1+m)+p^2-k^2+n,
+    cleared as phi_vector clears it: [n-p+k]!/[n-p]! [m-k]!/[m-p]! times that signed power of v."""
+    return prod(map(q_int, [*range(n - p + 1, n - p + k + 1), *range(m - p + 1, m - k + 1)]),
+                start=LaurentPoly({(k - p) * (1 + m) + p * p - k * k + n: (-1) ** (n - p + k)}))
+
+
+def proportional(x: dict, y: dict) -> bool:
+    """Whether the coordinates x and y, y nonzero, are multiples of one another over the fractions of their ring."""
+    ref, zero = next(lab for lab, c in y.items() if c), LaurentPoly()
+    return bool(x.get(ref)) and all(x.get(lab, zero) * y[ref] == y.get(lab, zero) * x[ref] for lab in x.keys() | y)
+
+
+def test_transfer_formula_holds_under_kassel_with_an_alternating_sign():
+    # ROADMAP item 2, found with no change to phi_vector: read at (k, p-k) on F_m (x) F_n under
+    # KASSEL, the formula with the sign and exponent of kassel_coefficient is the oracle's vector
+    # up to a scalar at every p >= 1 with m, n <= 8; as written (phi_vs_oracle) it is at none of them
+    sizes = [(m, n, p) for m in range(9) for n in range(9) for p in range(1, min(m, n) + 1)]
+    assert len(sizes) == 204
+    for m, n, p in sizes:
+        a, b, w = finite_dim(m, KASSEL), finite_dim(n, KASSEL), m + n - 2 * p
+        oracle = highest_weight_vector(tensor(a, b, {w, w + 2}), w).entries
+        formula = {f"{a.basis[k]}*{b.basis[p - k]}": kassel_coefficient(m, n, p, k) for k in range(p + 1)}
+        assert proportional(formula, oracle), (m, n, p)
+        assert not phi_vs_oracle(m, n, p).proportional, (m, n, p)
+    assert all(phi_vs_oracle(m, n, 0).proportional for m in range(9) for n in range(9))
+    # free of conventions: at v = 1 the kernel's coordinates alternate in sign, the written ones do not
+    pairs = 0
+    for m, n, p in sizes:
+        a, b, w = finite_dim(m, CLASSICAL), finite_dim(n, CLASSICAL), m + n - 2 * p
+        oracle = highest_weight_vector(tensor(a, b, {w, w + 2}), w).entries
+        written = phi_vector(m, n, p).entries
+        for k in range(p):
+            here, there = f"{a.basis[k]}*{b.basis[p - k]}", f"{a.basis[k + 1]}*{b.basis[p - k - 1]}"
+            assert oracle[there] / oracle[here] == -Fraction(n - p + k + 1, m - k), (m, n, p, k)
+            assert specialize_one(written[there]) / specialize_one(written[here]) == Fraction(n - p + k + 1, m - k)
+            pairs += 1
+    assert pairs == 540
 
 
 # -- the constructors on integer numerators -------------------------------------

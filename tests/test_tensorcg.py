@@ -467,13 +467,13 @@ def test_a_zero_superdiagonal_entry_takes_the_elimination(ring, monkeypatch):
         assert tensorcg._kernel(rows, ncols, ring) == normalized_elimination(rows, ncols, ring)
     # each proven complete at the first specialisation: the rank of rows, then of the kernel
     assert calls == Counter({"_kernel_fraction_free": len(zero_s), "_rank_mod": 2 * len(zero_s)})
-    # a zero d_r keeps the shape, so rank p needs no rank mod p: the rational recurrence
-    # solves it, and over LaurentPoly (2 and 3 are no +-v^e [a]) Bareiss's one vector
+    # a zero d_r keeps the shape: the rational recurrence solves it, and over LaurentPoly
+    # (2 and 3 are no +-v^e [a]) the certified path, proven complete at the first specialisation
     calls.clear()
     rows = [[ring(0), ring(2), ring(0)], [ring(0), ring(0), ring(3)]]
     (x,) = tensorcg._kernel(rows, 3, ring)
     assert x == [ring(1), ring(0), ring(0)] and all(type(c) is ring for c in x)
-    fallback = {"_factored_kernel": 1, "_kernel_fraction_free": 1} if ring is LaurentPoly else {}
+    fallback = {"_factored_kernel": 1, "_kernel_fraction_free": 1, "_rank_mod": 2} if ring is LaurentPoly else {}
     assert calls == Counter(fallback)
 
 
@@ -590,11 +590,13 @@ def test_factored_kernel_is_the_normalized_recurrence_or_falls_back(matrix):
     (reference,) = normalized_elimination(rows, ncols, LaurentPoly)
     if shaped:
         assert factored == reference
-    # either way the certified kernel is that vector; a near miss takes Bareiss once, no rank mod p
+    # either way the certified kernel is that vector; a near miss takes the certified path: every
+    # s_r is nonzero at v = 3 mod the first prime, so one rank of rows, Bareiss once, one rank of its vector
     with pytest.MonkeyPatch.context() as patch:
         calls = count_calls(patch, "_factored_kernel", "_kernel_fraction_free", "_rank_mod")
         assert tensorcg._kernel(rows, ncols, LaurentPoly) == [reference]
-    assert calls == Counter({"_factored_kernel": 1} if shaped else {"_factored_kernel": 1, "_kernel_fraction_free": 1})
+    near_miss = {"_kernel_fraction_free": 1, "_rank_mod": 2}
+    assert calls == Counter({"_factored_kernel": 1} if shaped else {"_factored_kernel": 1, **near_miss})
 
 
 @pytest.mark.parametrize("flavor", [CLASSICAL, QUANTUM], ids=["classical", "quantum"])
