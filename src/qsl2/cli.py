@@ -46,7 +46,7 @@ from .modrep import (
     rasskazova,
     verma_classical,
 )
-from .qarith import q_fact, q_int
+from .qarith import q_facts, q_int
 from .serialize import (
     comparison_json,
     decomposition_json,
@@ -311,13 +311,7 @@ def cmd_check(ns):
 
 
 def cmd_qtable(ns):
-    table = []  # (k, [k], [k]!) with [k]! = [k-1]! [k]
-    fact = q_fact(0)
-    for k in range(ns.max_n + 1):
-        qk = q_int(k)
-        if k > 1:
-            fact = fact * qk
-        table.append((k, qk, fact))
+    table = [(k, q_int(k), f) for k, f in enumerate(q_facts(ns.max_n))]
     if ns.format == "csv":
         rows = ((k, laurent_token(qk), laurent_token(f)) for k, qk, f in table)
         return _csv("n,qint,qfact", rows)

@@ -4,7 +4,8 @@ Scalars for the quantum side of the package: Laurent polynomials in the
 quantum parameter v with exact rational coefficients, balanced q-integers
 [n] = v^(n-1) + v^(n-3) + ... + v^(1-n), q-factorials and q-binomials.
 There is no floating point and no rounding anywhere; every operation is
-exact and every value is immutable.
+exact and every value is immutable.  [n] and [n]! for |n| <= 16 are
+memoised: built once per process, and every call returns that value.
 
 A coefficient is stored in canonical form: a Python ``int`` when it is
 integral, a standard-library ``fractions.Fraction`` (arbitrary
@@ -16,10 +17,11 @@ from __future__ import annotations
 
 from collections.abc import Iterator, Mapping
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd, lcm, prod
 from operator import index
+from threading import Lock
 
-__all__ = ["ExactDivisionError", "LaurentPoly", "lp_gcd", "q_binom", "q_fact", "q_int", "specialize_one", "v"]
+__all__ = ["ExactDivisionError", "LaurentPoly", "lp_gcd", "q_binom", "q_fact", "q_facts", "q_int", "specialize_one", "v"]
 
 
 class ExactDivisionError(ArithmeticError):
@@ -251,27 +253,43 @@ class LaurentPoly:
 v = LaurentPoly.gen()
 
 
+_KEPT = 16  # q_int and q_fact keep [n] and [n]! for |n| up to this; the bench requests reach 10
+_q_ints: dict[int, LaurentPoly] = {}
+_q_facts: list[LaurentPoly] = [LaurentPoly({0: 1})] * 2  # [0]! = [1]! = 1, then each one product from the last
+_q_facts_lock = Lock()  # two threads must not both append the same [k]!
+
+
 def q_int(n: int) -> LaurentPoly:
     """Balanced q-integer [n] = (v^n - v^-n) / (v - v^-1).
 
     [n] = v^(n-1) + v^(n-3) + ... + v^(1-n) for n >= 1, [0] = 0 and
-    [-n] = -[n].
+    [-n] = -[n].  For |n| <= 16 the value is built once and shared.
     """
-    if n == 0:
-        return LaurentPoly()
-    if n < 0:
-        return -q_int(-n)
-    return LaurentPoly({n - 1 - 2 * i: 1 for i in range(n)})
+    if (out := _q_ints.get(index(n))) is None:  # index: a float equal to a kept key is refused, as range refuses it
+        out = LaurentPoly({n - 1 - 2 * i: 1 for i in range(n)}) if n >= 0 else -q_int(-n)
+        if abs(n) <= _KEPT:
+            _q_ints[n] = out
+    return out
 
 
 def q_fact(n: int) -> LaurentPoly:
-    """q-factorial [n]! = [n][n-1]...[1], with [0]! = 1."""
+    """q-factorial [n]! = [n][n-1]...[1], with [0]! = 1; built once and shared for n <= 16."""
     if n < 0:
         raise ValueError(f"q-factorial undefined for negative n = {n}")
-    out = LaurentPoly({0: 1})
-    for k in range(2, n + 1):
+    if len(_q_facts) <= min(n, _KEPT):  # checked again under the lock
+        with _q_facts_lock:
+            while len(_q_facts) <= min(n, _KEPT):
+                _q_facts.append(_q_facts[-1] * q_int(len(_q_facts)))
+    return _q_facts[n] if n <= _KEPT else prod(map(q_int, range(_KEPT + 1, n + 1)), start=_q_facts[_KEPT])
+
+
+def q_facts(n: int) -> Iterator[LaurentPoly]:
+    """Yield [0]!, [1]!, ..., [n]!: the shared values up to [16]!, then one product each."""
+    out = q_fact(min(n, _KEPT))
+    yield from _q_facts[:n + 1]
+    for k in range(_KEPT + 1, n + 1):
         out = out * q_int(k)
-    return out
+        yield out
 
 
 def q_binom(n: int, k: int) -> LaurentPoly:

@@ -1,10 +1,12 @@
 """Call counting for the tests that pin which solver a request takes, how
-many gcds a descriptor takes, and how many Fractions it builds."""
+many gcds a descriptor takes, how many Fractions it builds and how many
+Laurent products it makes."""
 
 from collections import Counter
 from fractions import Fraction
 
 from qsl2 import tensorcg
+from qsl2.qarith import LaurentPoly
 
 
 def count_calls(monkeypatch, *names, module=tensorcg):
@@ -27,4 +29,14 @@ def count_fractions(monkeypatch):
         coprime = Fraction.__dict__["_from_coprime_ints"].__func__
         monkeypatch.setattr(Fraction, "_from_coprime_ints",
                             classmethod(lambda *args: calls.update(["Fraction"]) or coprime(*args)))
+    return calls
+
+
+def count_muls(monkeypatch):
+    """A Counter whose "mul" counts every LaurentPoly.__mul__ call, that is every
+    product with a Laurent polynomial on the left; an int or Fraction on the left
+    goes through __rmul__ and is not counted."""
+    calls = Counter()
+    mul = LaurentPoly.__mul__
+    monkeypatch.setattr(LaurentPoly, "__mul__", lambda a, b: calls.update(["mul"]) or mul(a, b))
     return calls

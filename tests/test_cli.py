@@ -17,8 +17,9 @@ import qsl2
 from qsl2 import modrep, qarith, tensorcg
 from qsl2.cli import main, run
 from qsl2.modrep import CLASSICAL, QUANTUM
-from qsl2.qarith import ExactDivisionError
-from calls import count_calls, count_fractions
+from qsl2.qarith import ExactDivisionError, q_fact, q_int
+from qsl2.serialize import laurent_token
+from calls import count_calls, count_fractions, count_muls
 
 GOLDEN = Path(__file__).parent / "golden"
 MANIFEST = json.loads((GOLDEN / "manifest.json").read_text())
@@ -122,6 +123,26 @@ def test_csv_qtable(capsys):
     code, out = run_cli(capsys, ["qtable", "--max-n", "2", "--format", "csv"])
     assert code == 0
     assert out == "n,qint,qfact\n0,0,1*v^0\n1,1*v^0,1*v^0\n2,1*v^-1+1*v^1,1*v^-1+1*v^1\n"
+
+
+def test_qtable_reads_the_shared_q_factorials(capsys, monkeypatch, empty_q_tables):
+    calls = count_muls(monkeypatch)
+    code, first = run_cli(capsys, ["qtable", "--max-n", "10"])
+    assert code == 0 and calls["mul"] <= 9  # at most one product per [k]!, k = 2..10
+    calls.clear()
+    code, again = run_cli(capsys, ["qtable", "--max-n", "10"])
+    assert code == 0 and again == first and calls["mul"] == 0
+
+
+def test_qtable_past_the_kept_factorials_takes_one_product_per_row(capsys, monkeypatch, empty_q_tables):
+    q_fact(16)
+    calls = count_muls(monkeypatch)
+    code, out = run_cli(capsys, ["qtable", "--max-n", "18", "--format", "csv"])
+    rows = out.splitlines()[1:]
+    assert code == 0 and calls["mul"] == 2  # [17]! and [18]!
+    assert [row.split(",")[0] for row in rows] == [str(k) for k in range(19)]
+    assert rows[-2:] == [f"{k},{laurent_token(q_int(k))},{laurent_token(q_fact(k))}" for k in (17, 18)]
+    assert len(qarith._q_facts) == 17
 
 
 def test_format_does_not_leak_between_calls(capsys):

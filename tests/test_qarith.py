@@ -1,8 +1,11 @@
+import sys
+import threading
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
 
+from qsl2 import qarith
 from qsl2.qarith import (
     ExactDivisionError,
     LaurentPoly,
@@ -11,6 +14,7 @@ from qsl2.qarith import (
     primitive,
     q_binom,
     q_fact,
+    q_facts,
     q_int,
     specialize_one,
     v,
@@ -198,6 +202,76 @@ def test_q_fact_specializes_to_factorial():
 
     for n in range(0, 13):
         assert specialize_one(q_fact(n)) == math.factorial(n)
+
+
+# -- the tables of [n] and [n]! ---------------------------------------------
+
+
+def closed_q_int(n):
+    """[n] as the sum of v^(n-1-2i) over 0 <= i < n, with [0] = 0 and [-n] = -[n]."""
+    out = sum((v ** (abs(n) - 1 - 2 * i) for i in range(abs(n))), LaurentPoly())
+    return -out if n < 0 else out
+
+
+def test_q_int_and_q_fact_match_their_definitions_on_both_sides_of_the_kept_range(empty_q_tables):
+    for n in range(-70, 71):
+        assert q_int(n) == closed_q_int(n), n
+    product = one  # [1] [2] ... [n], left to right
+    for n, fact in enumerate(q_facts(70)):
+        product = product * closed_q_int(n) if n else product
+        assert fact == product, n
+        if n <= 20 or n == 70:  # past [16]! each q_fact call starts again from [16]!
+            assert q_fact(n) == product, n
+    assert q_int(-500) == -closed_q_int(500)
+    # kept: [n] for |n| <= 16 and [0]! .. [16]!, nothing past them
+    assert qarith._KEPT == 16
+    assert sorted(qarith._q_ints) == list(range(-16, 17)) and len(qarith._q_facts) == 17
+
+
+def test_q_int_and_q_fact_return_one_shared_value(empty_q_tables):
+    for n in (-5, 0, 5, 16):
+        assert q_int(n) is q_int(n)
+    for n in (0, 1, 9, 16):
+        assert q_fact(n) is q_fact(n)
+    assert q_fact(1) == q_fact(0) == 1 and q_int(17) is not q_int(17) and q_fact(17) is not q_fact(17)
+    for x in (2.0, 0.0, Fraction(2)):  # refused whether or not [2] and [0] are kept
+        with pytest.raises(TypeError):
+            q_int(x)
+        with pytest.raises(TypeError):
+            q_fact(x)
+    with pytest.raises(AttributeError, match="immutable"):
+        q_fact(3)._coeffs = {}
+
+
+def test_q_fact_negative_leaves_the_tables_as_they_were(empty_q_tables):
+    q_fact(5)
+    before = list(qarith._q_facts), dict(qarith._q_ints)
+    with pytest.raises(ValueError):
+        q_fact(-1)
+    with pytest.raises(ValueError):
+        next(q_facts(-1))
+    assert (qarith._q_facts, qarith._q_ints) == before
+    assert list(q_facts(0)) == [1] and list(q_facts(2)) == [1, 1, q_int(2)]
+
+
+def test_threads_growing_the_factorial_table_leave_each_entry_right(empty_q_tables):
+    expected = [one, one]
+    for k in range(2, qarith._KEPT + 1):
+        expected.append(expected[-1] * closed_q_int(k))
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(10):  # a race that appends one [k]! twice shows in some rounds, not all
+            del qarith._q_facts[2:]
+            threads = [threading.Thread(target=q_fact, args=(30,)) for _ in range(8)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+            assert not any(t.is_alive() for t in threads)
+            assert qarith._q_facts == expected  # [0]! .. [16]!: q_fact(30) keeps nothing past [16]!
+    finally:
+        sys.setswitchinterval(switch)
 
 
 # -- q-binomials -------------------------------------------------------------

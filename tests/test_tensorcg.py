@@ -845,11 +845,27 @@ def test_phi_denominator_clearing():
     assert vec.entries == {"w_0*w_1": q_int(3) * v**-3, "w_1*w_0": v}
 
 
+def test_phi_coefficients_are_the_cleared_transfer_formula():
+    for m in range(6):
+        for n in range(6):
+            for p in range(min(m, n) + 1):
+                sign = (-1) ** (n - p)
+                expected = {}
+                for k in range(p + 1):  # [n-p+1]...[n-p+k] [m-p+1]...[m-k] v^e, one q-integer at a time
+                    c = LaurentPoly({(k - p) * (2 + m) + p * p - k * k + n: sign})
+                    for j in [*range(n - p + 1, n - p + k + 1), *range(m - p + 1, m - k + 1)]:
+                        c = c * q_int(j)
+                    lab = f"w_{k}*w_{p - k}"
+                    expected[lab] = expected.get(lab, LaurentPoly()) + c
+                assert phi_vector(m, n, p).entries == expected, (m, n, p)
+
+
 def test_phi_precondition():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="need 0 <= p <= min"):
         phi_vector(3, 1, 2)
-    with pytest.raises(ValueError):
-        phi_vector(-1, 1, 0)
+    for m, n in ((-1, 1), (1, -1), (-1, -1)):
+        with pytest.raises(ValueError, match="need m, n >= 0"):
+            phi_vector(m, n, 0)
 
 
 def test_phi_interpretation_range_error():
