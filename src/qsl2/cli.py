@@ -89,21 +89,18 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _nonneg(text: str) -> int:
+def _nonneg(text: str, least: int = 0) -> int:
     try:
         value = int(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"not an integer: {text!r}")
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    if value < least:
+        raise argparse.ArgumentTypeError(f"must be >= {least}, got {value}")
     return value
 
 
 def _positive(text: str) -> int:
-    value = _nonneg(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
-    return value
+    return _nonneg(text, 1)
 
 
 def _rational(text: str) -> Fraction:

@@ -428,8 +428,8 @@ def corrupt_one_entry(m: WeightModule) -> WeightModule:
     boundary and lowering(y) is nonzero for its row y, or x lies in
     lowering(z) for some z off the boundary.
 
-    Diagnostic helper: the copy must fail check_relations (exercising the
-    defect report and the CLI exit status); ValueError if no entry qualifies.
+    Diagnostic helper: a checked relation reads that entry, so the copy's report differs from m's, and the
+    copy fails check_relations where m passes (a fault may repair a failing m); ValueError if none qualifies.
     """
     fl, den = m.flavor, m.den
     up, down = m.num_action[fl.raising], m.num_action[fl.lowering]

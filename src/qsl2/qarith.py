@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from collections.abc import Iterator, Mapping
 from fractions import Fraction
-from math import gcd, lcm, prod
+from math import gcd, lcm
 from operator import index
 from threading import Lock
 
@@ -267,20 +267,20 @@ def q_int(n: int) -> LaurentPoly:
     """
     if (out := _q_ints.get(index(n))) is None:  # index: a float equal to a kept key is refused, as range refuses it
         out = LaurentPoly({n - 1 - 2 * i: 1 for i in range(n)}) if n >= 0 else -q_int(-n)
-        if abs(n) <= _KEPT:
-            _q_ints[n] = out
+        if abs(n) <= _KEPT:  # a thread that stored [n] first gives every caller its value
+            out = _q_ints.setdefault(n, out)
     return out
 
 
 def q_fact(n: int) -> LaurentPoly:
-    """q-factorial [n]! = [n][n-1]...[1], with [0]! = 1; built once and shared for n <= 16."""
+    """q-factorial [n]! = [n][n-1]...[1], with [0]! = 1; built once and shared for n <= 16, else q_facts(n)'s last."""
     if n < 0:
         raise ValueError(f"q-factorial undefined for negative n = {n}")
     if len(_q_facts) <= min(n, _KEPT):  # checked again under the lock
         with _q_facts_lock:
             while len(_q_facts) <= min(n, _KEPT):
                 _q_facts.append(_q_facts[-1] * q_int(len(_q_facts)))
-    return _q_facts[n] if n <= _KEPT else prod(map(q_int, range(_KEPT + 1, n + 1)), start=_q_facts[_KEPT])
+    return _q_facts[n] if n <= _KEPT else [*q_facts(n)][-1]
 
 
 def q_facts(n: int) -> Iterator[LaurentPoly]:
@@ -293,12 +293,13 @@ def q_facts(n: int) -> Iterator[LaurentPoly]:
 
 
 def q_binom(n: int, k: int) -> LaurentPoly:
-    """q-binomial [n]! / ([k]! [n-k]!); zero when k is out of range."""
+    """q-binomial [n]! / ([k]! [n-k]!), the three from one q_facts(n) walk; zero when k is out of range."""
     if n < 0:
         raise ValueError(f"q-binomial needs n >= 0, got {n}")
     if k < 0 or k > n:
         return LaurentPoly()
-    return q_fact(n).div_exact(q_fact(k) * q_fact(n - k))
+    facts = [*q_facts(n)]
+    return facts[n].div_exact(facts[k] * facts[n - k])
 
 
 def specialize_one(p: LaurentPoly) -> Fraction:

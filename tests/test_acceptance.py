@@ -64,6 +64,8 @@ def test_criterion_1_clebsch_gordan_reproduction():
 
 
 def test_criterion_2_relation_verification():
+    """check_relations passes on F_n, Verma and Rasskazova modules at fixed sizes; that the relations
+    hold for every size and parameter is proved symbolically in tests/test_relations_symbolic.py."""
     with _Criterion(2, "defining relations on every constructed module", 5):
         for n in range(9):
             assert check_relations(finite_dim(n, CLASSICAL)).ok, n

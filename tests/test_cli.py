@@ -263,6 +263,15 @@ USAGE_ERRORS = {
         "--describe needs --format json, got --format pretty",
     ("check", "findim", "--n", "3", "--inject-fault", "--describe", "--format", "pretty"):
         "--describe needs --format json",
+    # an integer flag names its own least value
+    ("check", "verma", "--hw", "1/2", "--depth", "-3"): "argument --depth: must be >= 1, got -3",
+    ("check", "verma", "--hw", "1/2", "--depth", "0"): "argument --depth: must be >= 1, got 0",
+    ("check", "rasskazova", "--beta", "0", "--lambda", "0", "--n", "-3", "--window", "2"):
+        "argument --n: must be >= 1, got -3",
+    ("check", "rasskazova", "--beta", "0", "--lambda", "0", "--n", "1", "--window", "-2"):
+        "argument --window: must be >= 1, got -2",
+    ("qtable", "--max-n", "-1"): "argument --max-n: must be >= 0, got -1",
+    ("hwv", "--m", "1", "--n", "1", "--p=-2"): "argument --p: must be >= 0, got -2",
 }
 
 

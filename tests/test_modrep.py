@@ -2,7 +2,7 @@ from fractions import Fraction
 from math import gcd, lcm, prod
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from qsl2 import modrep
 from qsl2.modrep import (
@@ -712,6 +712,19 @@ def test_known_integers_are_stored_as_int():
     assert ints.den == 1 and stored(ints, "e") == [2, 2] and ints.weights["w_0"] == 2
 
 
+def test_an_unknown_attribute_of_a_rational_module_is_an_attribute_error():
+    m = verma_classical(Fraction(1, 2), 3)
+    with pytest.raises(AttributeError, match=r"^'WeightModule' object has no attribute 'nope'$"):
+        m.nope
+    assert not hasattr(m, "nope")
+    for view in (WeightModule.weights, WeightModule.action):  # the slots are still unset
+        with pytest.raises(AttributeError):
+            view.__get__(m)
+    _, weights, action, _ = verma_formula(Fraction(1, 2), 3)
+    assert m.weights == weights and m.action == action  # built on first read
+    assert WeightModule.weights.__get__(m) is m.weights
+
+
 def test_grading_is_compared_over_the_common_denominator():
     # a column at weight 1/2 reaches weight 5/2 under e, never 5/3
     basis = ["w_0", "w_1"]
@@ -1231,8 +1244,16 @@ def reference_descriptor(m):
     }
 
 
+# weights 1 and -1, e.(1,0) = -2 (0,0) and f.(0,0) = -(1,0): both relations fail, and the fault,
+# -2 -> -1, repairs them
+REPAIRED_BY_THE_FAULT = ([(0, 0), (1, 0)], {(0, 0): 1, (1, 0): -1},
+                         {"e": {(1, 0): {(0, 0): -2}}, "f": {(0, 0): {(1, 0): -1}}})
+
+
 @settings(max_examples=150, deadline=None)
 @given(module_twins())
+@example((WeightModule(CLASSICAL, "random", *REPAIRED_BY_THE_FAULT),
+          WeightModule(CLASSICAL, "random", *REPAIRED_BY_THE_FAULT, den=1), 1))
 def test_a_module_from_fractions_is_the_module_from_numerators(twins):
     values, numerators, den = twins
     for m in (values, numerators):
@@ -1253,5 +1274,12 @@ def test_a_module_from_fractions_is_the_module_from_numerators(twins):
     changed = [(c, values.action["e"][col][row]) for col, entries in faulty.action["e"].items()
                for row, c in entries.items() if c != values.action["e"][col][row]]
     assert len(changed) == 1 and changed[0][0] - changed[0][1] in (1, -1)
-    assert check_relations(corrupt_one_entry(numerators)) == check_relations(faulty)
-    assert not check_relations(faulty).ok
+    report, faulty_report = check_relations(values), check_relations(faulty)
+    assert check_relations(corrupt_one_entry(numerators)) == faulty_report
+    assert faulty_report.failures != report.failures  # a checked relation reads the changed entry
+    assert not (report.ok and faulty_report.ok)  # it fails where values passes; it may repair a failing module
+
+
+def test_a_fault_can_repair_a_module_that_fails():
+    m = WeightModule(CLASSICAL, "random", *REPAIRED_BY_THE_FAULT)
+    assert len(check_relations(m).failures) == 2 and check_relations(corrupt_one_entry(m)).ok

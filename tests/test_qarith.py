@@ -5,6 +5,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
+from calls import count_muls
+
 from qsl2 import qarith
 from qsl2.qarith import (
     ExactDivisionError,
@@ -254,24 +256,52 @@ def test_q_fact_negative_leaves_the_tables_as_they_were(empty_q_tables):
     assert list(q_facts(0)) == [1] and list(q_facts(2)) == [1, 1, q_int(2)]
 
 
-def test_threads_growing_the_factorial_table_leave_each_entry_right(empty_q_tables):
-    expected = [one, one]
-    for k in range(2, qarith._KEPT + 1):
-        expected.append(expected[-1] * closed_q_int(k))
+def in_threads(rounds, setup, target, check):
+    """rounds of: setup(), then 8 threads each run target() at a 1 us switch interval, then check()."""
     switch = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        for _ in range(10):  # a race that appends one [k]! twice shows in some rounds, not all
-            del qarith._q_facts[2:]
-            threads = [threading.Thread(target=q_fact, args=(30,)) for _ in range(8)]
+        for _ in range(rounds):  # a race shows in some rounds, not all
+            setup()
+            threads = [threading.Thread(target=target) for _ in range(8)]
             for t in threads:
                 t.start()
             for t in threads:
                 t.join(timeout=60)
             assert not any(t.is_alive() for t in threads)
-            assert qarith._q_facts == expected  # [0]! .. [16]!: q_fact(30) keeps nothing past [16]!
+            check()
     finally:
         sys.setswitchinterval(switch)
+
+
+def test_threads_growing_the_factorial_table_leave_each_entry_right(empty_q_tables):
+    expected = [one, one]
+    for k in range(2, qarith._KEPT + 1):
+        expected.append(expected[-1] * closed_q_int(k))
+
+    def setup():
+        del qarith._q_facts[2:]
+
+    def check():  # a race that appends one [k]! twice leaves the table too long
+        assert qarith._q_facts == expected  # [0]! .. [16]!: q_fact(30) keeps nothing past [16]!
+
+    in_threads(10, setup, lambda: q_fact(30), check)
+
+
+def test_threads_building_the_same_q_integer_get_the_one_kept_value(empty_q_tables):
+    kept = range(-qarith._KEPT, qarith._KEPT + 1)
+    got = []
+
+    def setup():
+        qarith._q_ints.clear()
+        got.clear()
+
+    def check():  # two threads that both build [n] must both return the value the table keeps
+        assert sorted(qarith._q_ints) == list(kept)
+        assert all(x is qarith._q_ints[n] for values in got for n, x in zip(kept, values))
+        assert all(qarith._q_ints[n] == closed_q_int(n) for n in kept)
+
+    in_threads(50, setup, lambda: got.append([*map(q_int, kept)]), check)
 
 
 # -- q-binomials -------------------------------------------------------------
@@ -312,6 +342,20 @@ def test_q_binom_matches_pascal_oracle():
     for n in range(0, 13):
         for k in range(0, n + 1):
             assert q_binom(n, k) == q_binom_pascal(n, k), (n, k)
+
+
+def test_q_binom_takes_its_three_factorials_from_one_walk(monkeypatch):
+    q_fact(16)  # warm: [0]! .. [16]! are kept
+    products = {(40, 20): 25, (70, 35): 55, (40, 3): 25, (12, 5): 1}  # [17]! .. [n]!, then [k]! [n-k]!
+    expected = {(n, k): q_fact(n).div_exact(q_fact(k) * q_fact(n - k)) for n, k in products}
+    calls = count_muls(monkeypatch)
+    for (n, k), count in products.items():
+        assert q_binom(n, k) == expected[n, k] and calls["mul"] == count, (n, k)
+        calls.clear()
+    for n in (17, 40):  # q_fact(n) past [16]!: n - 16 products on each call
+        q_fact(n)
+        assert calls["mul"] == n - 16, n
+        calls.clear()
 
 
 def test_q_binom_specializes_to_binomial():
