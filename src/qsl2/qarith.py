@@ -10,7 +10,8 @@ memoised: built once per process, and every call returns that value.
 A coefficient is stored in canonical form: a Python ``int`` when it is
 integral, a standard-library ``fractions.Fraction`` (arbitrary
 precision, lowest terms, positive denominator) only when it is not.
-Integer data, such as every q-integer, never builds a Fraction.
+Integer data, such as every q-integer, never builds a Fraction.  Ring results
+are built canonical with no re-validation; a monomial factor shifts exponents.
 """
 
 from __future__ import annotations
@@ -61,7 +62,7 @@ class LaurentPoly:
     __slots__ = ("_coeffs",)
 
     def __init__(self, coeffs: Mapping[int, int | Fraction] | int | Fraction = 0):
-        if isinstance(coeffs, (int, Fraction)):
+        if type(coeffs) is not dict and isinstance(coeffs, (int, Fraction)):
             coeffs = {0: coeffs}
         clean: dict[int, int | Fraction] = {}
         for exp, c in coeffs.items():
@@ -118,18 +119,17 @@ class LaurentPoly:
         return None
 
     def __add__(self, other):
-        other = self._coerce(other)
-        if other is None:
+        if type(other) is not LaurentPoly and (other := self._coerce(other)) is None:
             return NotImplemented
         out = dict(self._coeffs)
         for e, c in other._coeffs.items():
             out[e] = out.get(e, 0) + c
-        return LaurentPoly(out)
+        return _made(out)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return LaurentPoly({e: -c for e, c in self._coeffs.items()})
+        return _made({e: -c for e, c in self._coeffs.items()})
 
     def __sub__(self, other):
         other = self._coerce(other)
@@ -144,14 +144,17 @@ class LaurentPoly:
         return other + (-self)
 
     def __mul__(self, other):
-        other = self._coerce(other)
-        if other is None:
+        if type(other) is not LaurentPoly and (other := self._coerce(other)) is None:
             return NotImplemented
+        a, b = (other._coeffs, self._coeffs) if len(other._coeffs) == 1 else (self._coeffs, other._coeffs)
+        if len(a) == 1:  # a monomial times b: b's exponents shifted, no term meets another
+            ((e1, c1),) = a.items()
+            return _made({e1 + e2: c1 * c2 for e2, c2 in b.items()})
         out: dict[int, int | Fraction] = {}
-        for e1, c1 in self._coeffs.items():
-            for e2, c2 in other._coeffs.items():
+        for e1, c1 in a.items():
+            for e2, c2 in b.items():
                 out[e1 + e2] = out.get(e1 + e2, 0) + c1 * c2
-        return LaurentPoly(out)
+        return _made(out)
 
     __rmul__ = __mul__
 
@@ -174,8 +177,7 @@ class LaurentPoly:
         return out
 
     def __eq__(self, other):
-        other = self._coerce(other)
-        if other is None:
+        if type(other) is not LaurentPoly and (other := self._coerce(other)) is None:
             return NotImplemented
         return self._coeffs == other._coeffs
 
@@ -208,7 +210,7 @@ class LaurentPoly:
         quot, rem = _poly_divmod(num, den)
         if any(rem):
             raise ExactDivisionError(f"{other} does not divide {self}")
-        return LaurentPoly({la - lb + i: c for i, c in enumerate(quot) if c})
+        return _made({la - lb + i: c for i, c in enumerate(quot)})
 
     def __truediv__(self, other):
         # exact; calls div_exact by name, not as an alias, so wrappers of it see "/"
@@ -248,6 +250,13 @@ class LaurentPoly:
 
     def __repr__(self):
         return f"LaurentPoly({dict(sorted(self._coeffs.items()))!r})"
+
+
+def _made(coeffs: dict) -> LaurentPoly:
+    """LaurentPoly(coeffs) for int exponents and int or Fraction values, unchecked: zeros dropped, values canonical."""
+    out = object.__new__(LaurentPoly)
+    object.__setattr__(out, "_coeffs", {e: c if type(c) is int else _as_coeff(c) for e, c in coeffs.items() if c})
+    return out
 
 
 v = LaurentPoly.gen()

@@ -8,7 +8,8 @@ nullspaces, each certified annihilated and complete.  A rational bidiagonal
 weight space (each space of F_m (x) F_n with a highest-weight vector) is
 solved straight into its normal form, a quantum one of +-v^e [a] entries
 by its cyclotomic factors, with no gcd; any other space by a rank mod p,
-then fraction-free (Bareiss) elimination and its ring's normaliser.
+then fraction-free (Bareiss) elimination, on int numerators over Q, and
+its ring's normaliser.
 The explicit highest-weight transfer formula, evaluated verbatim with
 exact q-factorial coefficients, is adjudicated against the nullspace
 oracle and the outcome reported as data.  Decomposition, Interpretation
@@ -18,8 +19,9 @@ and ComparisonReport are frozen records on modrep's ``Record`` base.
 from __future__ import annotations
 
 import functools
+import operator
 from collections import Counter
-from math import prod
+from math import lcm, prod
 
 from .modrep import QUANTUM, Flavor, Record, Vector, WeightModule, apply, finite_dim
 from .qarith import ExactDivisionError, LaurentPoly, lp_gcd, primitive, q_int
@@ -71,30 +73,37 @@ def tensor(a: WeightModule, b: WeightModule, spaces=None) -> WeightModule:
     a basis label.  The vector la (x) lb is named f"{la}*{lb}", in basis
     order a's basis then b's; ValueError if two of these names coincide.
     Given a set of weights ``spaces``, only the vectors of those weights
-    are built, in the same order; an entry whose row falls outside them
-    is dropped and its column marked boundary, as a truncation is.
+    are built, in the same order, from those pairs alone, a twist evaluated
+    on their labels only; an entry whose row falls outside them is
+    dropped and its column marked boundary, as a truncation is.
     """
     if a.flavor is not b.flavor:
         raise ValueError(f"cannot tensor a {a.flavor.name} and a {b.flavor.name} module")
     fl, one = a.flavor, a.flavor.ring(1)
     wa, wb = a.weights, b.weights
-    at = {(la, lb): f"{la}*{lb}" for la in a.basis for lb in b.basis
-          if spaces is None or wa[la] + wb[lb] in spaces}
+    in_b = {w: [(b.position(lb), lb) for lb in labs] for w, labs in weight_spaces(b).items()}
+    kept = {x + y for x in set(wa.values()) for y in in_b} if spaces is None else spaces
+    at = {(la, lb): f"{la}*{lb}" for _, _, la, lb in sorted(  # each la with b's labels that complete it into kept
+        (pa, pb, la, lb) for w in kept for pa, la in enumerate(a.basis) for pb, lb in in_b.get(w - wa[la], ()))}
     weights = {lab: wa[la] + wb[lb] for (la, lb), lab in at.items()}
     clipped = {lab for (la, lb), lab in at.items() if la in a.boundary or lb in b.boundary}
 
-    def twists(m, gen):  # eigenvalue of a twist on each basis vector of m, kept where it is not 1
-        return {lab: t for lab in m.basis if gen and (t := fl.diagonal[gen](m.weights[lab])) != one}
+    def twists(m, gen, side):  # eigenvalue of a twist on m's labels in at (m's side of each pair), where it is not 1
+        labels = {pair[side] for pair in at} if gen else ()
+        return {lab: t for lab in labels if (t := fl.diagonal[gen](m.weights[lab])) != one}
 
     action: dict = {}
     for g, (right, left) in fl.coproduct.items():
-        ga, gb, rts, lts = a.action[g], b.action[g], twists(b, right), twists(a, left)
+        ga, gb, rts, lts = a.action[g], b.action[g], twists(b, right, 1), twists(a, left, 0)
         mat = action[g] = {}
         for (la, lb), lab in at.items():
-            rt, lt, ca, cb = rts.get(lb), lts.get(la), ga.get(la, {}), gb.get(lb, {})
-            col = {row: c if rt is None else c * rt for ra, c in ca.items() if (row := at.get((ra, lb)))}
-            # g shifts weights, so these rows never meet the ones above
-            col.update({row: c if lt is None else lt * c for rb, c in cb.items() if (row := at.get((la, rb)))})
+            col, rt, lt, ca, cb = {}, rts.get(lb), lts.get(la), ga.get(la, {}), gb.get(lb, {})
+            for ra, c in ca.items():
+                if row := at.get((ra, lb)):
+                    col[row] = c if rt is None else c * rt
+            for rb, c in cb.items():  # g shifts weights, so these rows never meet the ones above
+                if row := at.get((la, rb)):
+                    col[row] = c if lt is None else lt * c
             if len(col) < len(ca) + len(cb):
                 clipped.add(lab)
             if col:
@@ -121,15 +130,18 @@ def _kernel_fraction_free(rows: list[list], ncols: int, ring: type):
 
     One-step fraction-free Gauss-Jordan elimination: every division is
     by the previous pivot and is exact in the ring, so entries never
-    leave it.  Pivoting scans columns left to right and rows top down;
-    no reordering beyond the forced swaps, so results are deterministic.
-    Returns kernel vectors (one per free column, in column order) whose
-    entries are all of type ``ring``: ``ring(c)`` lifts a leftover int.
+    leave it; over Fraction each row is first scaled by its denominators'
+    lcm (the same kernel), so each division is an exact int ``//``.
+    Pivoting scans columns left to right and rows top down; no reordering
+    beyond the forced swaps, so results are deterministic.  Returns kernel
+    vectors (one per free column, in column order) whose entries are all
+    of type ``ring``: ``ring(c)`` lifts an int.
     """
-    m = [list(r) for r in rows]
+    m = [list(r) for r in rows] if ring is LaurentPoly else [  # splat a list: see qarith.primitive
+        [c.numerator * (d // c.denominator) for c in r] for r in rows for d in [lcm(*[c.denominator for c in r])]]
+    prev, div = (ring(1), operator.truediv) if ring is LaurentPoly else (1, operator.floordiv)
     nrows = len(m)
     pivots: list[tuple[int, int]] = []  # (row, col)
-    prev = ring(1)
     r = 0
     for c in range(ncols):
         piv = None
@@ -147,7 +159,7 @@ def _kernel_fraction_free(rows: list[list], ncols: int, ring: type):
         for i in range(nrows):
             if i != r:
                 f = m[i][c]
-                m[i] = [(p * x - f * y) / prev for x, y in zip(m[i], m[r])]
+                m[i] = [div(p * x - f * y, prev) for x, y in zip(m[i], m[r])]
         pivots.append((r, c))
         prev = p
         r += 1
@@ -189,17 +201,24 @@ def _q_int_factors(c):
 def _factored_kernel(rows: list[list]) -> list | None:
     """_normalize_laurent of the kernel x_k = (-1)^k d_0..d_{k-1} s_k..s_{p-1} of bidiagonal rows if each
     nonzero entry is +-v^e [a], else None: a coordinate is a sign, a power of v and a count of each Phi_d
-    until the gcd, the least power and counts, is divided out; each Phi_d is monic, irreducible, primitive."""
+    until the gcd, the least power and counts, is divided out; each Phi_d is monic, irreducible, primitive.
+    The gcd takes any common factor, x_0 too, so one walk holds x_k / x_0: 1, times -d_k / s_k per step."""
     d, s = ([row[r + j] and _q_int_factors(row[r + j]) for r, row in enumerate(rows)] for j in (0, 1))
     if None in d or None in s:
         return None
-    live = next((r + 1 for r, f in enumerate(d) if not f), len(rows) + 1)  # x_k = 0 past a zero d_r
-    xs = [[((-1) ** k, 0, ())] + d[:k] + s[k:] for k in range(live)]  # x_k = (-1)^k d_0..d_{k-1} s_k..s_{p-1}
-    signs, lows = [prod(f[0] for f in x) for x in xs], [sum(f[1] for f in x) for x in xs]
-    counts = [Counter(e for f in x for e in f[2]) for x in xs]
-    common, e0, lead = functools.reduce(Counter.__and__, counts), min(lows), signs[0]
-    return [prod(map(_cyclotomic, (c - common).elements()), start=LaurentPoly({low - e0: sign * lead}))
-            for sign, low, c in zip(signs, lows, counts)] + [LaurentPoly()] * (len(rows) + 1 - live)
+    xs = [(1, 0, [0] * (max((e for f in d + s if f for e in f[2]), default=0) + 1))]  # count[e]: the power of Phi_e
+    for dk, sk in zip(d, s):
+        if not dk:  # x_k = 0 past a zero d_k
+            break
+        sign, low, count = xs[-1]
+        count = count[:]
+        for e, by in [*((e, 1) for e in dk[2]), *((e, -1) for e in sk[2])]:
+            count[e] += by
+        xs.append((-sign * dk[0] * sk[0], low + dk[1] - sk[1], count))
+    common, e0 = list(map(min, zip(*[c for *_, c in xs]))), min(x[1] for x in xs)
+    return [prod([_cyclotomic(e) for e, (k, k0) in enumerate(zip(c, common)) for _ in range(k - k0)],
+                 start=LaurentPoly({low - e0: sign}))
+            for sign, low, c in xs] + [LaurentPoly()] * (len(rows) + 1 - len(xs))
 
 
 # (v0, prime): v -> v0 mod prime can only lower a rank; 65537 is no small root, as 3 may be
@@ -247,16 +266,17 @@ def _kernel(rows: list[list], ncols: int, ring: type) -> list:
     """Right kernel of rows (ncols columns) over ring, Fraction or LaurentPoly, proven
     complete, each vector in that ring's normal form.  A p x (p+1) bidiagonal matrix with
     every s_r nonzero has rank p (columns 1..p are triangular): over Fraction x_0 = 1 and
-    x_{k+1} = -x_k d_k / s_k; over LaurentPoly _factored_kernel if it applies.  Otherwise
+    x_{k+1} = -x_k d_k / s_k, one Fraction of two products of entries (ints from a module)
+    each; over LaurentPoly _factored_kernel if it applies.  Otherwise
     a rank of ncols at v0 mod prime proves the kernel is 0; else Bareiss's vectors must be
     independent there and as many as the nullity there, at the first (v0, prime) or the
     second; NullspaceError if at neither."""
     if len(rows) == ncols - 1 and all(
             row[r + 1] and not any(row[:r] + row[r + 2:]) for r, row in enumerate(rows)):
-        if ring is not LaurentPoly:
-            x = [ring(1)]
+        if ring is not LaurentPoly:  # x_k = num / den on int products, one Fraction each
+            num, den, x = 1, 1, [ring(1)]
             for k, row in enumerate(rows):
-                x.append(-x[k] * row[k] / row[k + 1])
+                x.append(ring(num := -num * row[k], den := den * row[k + 1]))
             return [x]
         if x := _factored_kernel(rows):
             return [x]
@@ -290,13 +310,14 @@ def highest_weight_vectors(m: WeightModule, weight=None) -> list[tuple[object, V
     positive leading coefficient in the first nonzero entry).
     Normalisation removes every scalar factor, so any exact method
     yielding these vectors up to ring scalars meets it; here it is
-    ``_kernel``, proven complete, which solves a rational bidiagonal space straight
+    ``_kernel``, proven complete, on the stored numerators (over Q den times the
+    matrix, with the same kernel), which solves a rational bidiagonal space straight
     into its normal form, a quantum one of +-v^e [a] entries by cyclotomic factors
-    with no gcd, any other by a rank mod p, Bareiss and the ring's normaliser; the raising operator
-    must take every returned vector to exactly zero.  Output is ordered by descending weight.
+    with no gcd, any other by a rank mod p, Bareiss and the ring's normaliser; the raising
+    operator must take every returned vector to exactly zero.  Output is ordered by descending weight.
     """
     raising, ring = m.flavor.raising, m.flavor.ring
-    up = m.action[raising]
+    up = m.num_action[raising]
     spaces = weight_spaces(m)
     asked = sorted(spaces, reverse=True) if weight is None else [w for w in spaces if w == weight]
     out = []
@@ -304,7 +325,7 @@ def highest_weight_vectors(m: WeightModule, weight=None) -> list[tuple[object, V
         source = spaces[w]
         target = spaces.get(w + 2, [])
         tpos = {lab: i for i, lab in enumerate(target)}
-        rows = [[ring()] * len(source) for _ in target]
+        rows = [[0] * len(source) for _ in target]
         for j, src in enumerate(source):
             for row_lab, c in up.get(src, {}).items():
                 rows[tpos[row_lab]][j] = c

@@ -1,0 +1,72 @@
+"""Reference kernel solvers for the differential tests.
+
+The engine eliminates over Q on int numerators with exact ``//`` and
+walks the factored bidiagonal kernel once; these are the direct forms it
+replaced, kept unchanged so that the tests can compare the two:
+fraction-free elimination on the ring's own values, and a factored
+kernel that counts each coordinate's cyclotomic factors from scratch.
+"""
+
+import functools
+from collections import Counter
+from math import prod
+
+from qsl2.qarith import LaurentPoly
+from qsl2.tensorcg import _cyclotomic, _q_int_factors
+
+
+def kernel_fraction_free(rows: list[list], ncols: int, ring: type):
+    """Right kernel of rows by one-step fraction-free Gauss-Jordan elimination,
+    every division ``/`` in ``ring`` (Fraction or LaurentPoly); one vector per
+    free column, in column order, every entry of type ``ring``."""
+    m = [list(r) for r in rows]
+    nrows = len(m)
+    pivots: list[tuple[int, int]] = []  # (row, col)
+    prev = ring(1)
+    r = 0
+    for c in range(ncols):
+        piv = None
+        for i in range(r, nrows):
+            if m[i][c]:
+                piv = i
+                break
+        if piv is None:
+            continue
+        if piv != r:
+            m[piv], m[r] = m[r], m[piv]
+        p = m[r][c]
+        for i in range(nrows):
+            if i != r:
+                f = m[i][c]
+                m[i] = [(p * x - f * y) / prev for x, y in zip(m[i], m[r])]
+        pivots.append((r, c))
+        prev = p
+        r += 1
+
+    pivot_cols = {c for _, c in pivots}
+    kernel = []
+    for f in range(ncols):
+        if f in pivot_cols:
+            continue
+        x = [ring()] * ncols
+        x[f] = prev
+        for i, c in pivots:
+            x[c] = -m[i][f]
+        kernel.append([c if type(c) is ring else ring(c) for c in x])
+    return kernel
+
+
+def factored_kernel(rows: list[list]) -> list | None:
+    """The normalised kernel x_k = (-1)^k d_0..d_{k-1} s_k..s_{p-1} of bidiagonal rows
+    whose nonzero entries are each +-v^e [a], else None; one Counter of cyclotomic
+    factors built per coordinate, the least counts and power of v divided out."""
+    d, s = ([row[r + j] and _q_int_factors(row[r + j]) for r, row in enumerate(rows)] for j in (0, 1))
+    if None in d or None in s:
+        return None
+    live = next((r + 1 for r, f in enumerate(d) if not f), len(rows) + 1)  # x_k = 0 past a zero d_r
+    xs = [[((-1) ** k, 0, ())] + d[:k] + s[k:] for k in range(live)]
+    signs, lows = [prod(f[0] for f in x) for x in xs], [sum(f[1] for f in x) for x in xs]
+    counts = [Counter(e for f in x for e in f[2]) for x in xs]
+    common, e0, lead = functools.reduce(Counter.__and__, counts), min(lows), signs[0]
+    return [prod(map(_cyclotomic, (c - common).elements()), start=LaurentPoly({low - e0: sign * lead}))
+            for sign, low, c in zip(signs, lows, counts)] + [LaurentPoly()] * (len(rows) + 1 - live)

@@ -7,7 +7,9 @@ Run from the repository root after an intentional output-format change:
 Review the diff before committing: the golden files are the CLI's
 byte-exact contract, and the grid digest extends it to every hwv and
 decompose invocation with m, n <= 8 and to the check and qtable
-requests the benchmark draws.
+requests the benchmark draws.  The product digest pins every vector of
+all-weight highest_weight_vectors on the triple products F_a (x) F_b (x) F_c,
+the spaces that reach the elimination.
 """
 
 import contextlib
@@ -17,6 +19,8 @@ import json
 from pathlib import Path
 
 from qsl2.cli import main
+from qsl2.modrep import CLASSICAL, QUANTUM, finite_dim
+from qsl2.tensorcg import highest_weight_vectors, tensor
 
 CASES = {
     "decompose_1_1": (["decompose", "--m", "1", "--n", "1"], 0),
@@ -165,6 +169,29 @@ def regenerate_digest(path: Path) -> None:
     print(f"wrote {len(argvs)} grid hashes to {path}")
 
 
+def products() -> list[tuple]:
+    """(flavor, a, b, c) for every F_a (x) F_b (x) F_c with a, b, c <= 4
+    classical and <= 3 quantum (quantum F_4^(x)3 takes most of a second)."""
+    return [(flavor, a, b, c) for flavor, top in ((CLASSICAL, 4), (QUANTUM, 3))
+            for a in range(top + 1) for b in range(top + 1) for c in range(top + 1)]
+
+
+def product_hash(flavor, a: int, b: int, c: int) -> str:
+    """The first 16 hex digits of SHA-256 over the repr of every (weight,
+    coordinates in basis order) that all-weight highest_weight_vectors
+    returns on (F_a (x) F_b) (x) F_c: the repr shows each coordinate's type."""
+    fa, fb, fc = (finite_dim(n, flavor) for n in (a, b, c))
+    found = highest_weight_vectors(tensor(tensor(fa, fb), fc))
+    return hashlib.sha256(repr([(w, x.items_in_order()) for w, x in found]).encode()).hexdigest()[:16]
+
+
+def regenerate_products(path: Path) -> None:
+    """One line per triple product: its hash, two spaces, the flavour and a, b, c."""
+    lines = [f"{product_hash(*case)}  {case[0].name} {' '.join(map(str, case[1:]))}\n" for case in products()]
+    path.write_text("".join(lines))
+    print(f"wrote {len(lines)} product hashes to {path}")
+
+
 def regenerate(golden_dir: Path) -> None:
     manifest = {}
     for name, (argv, expected_exit) in CASES.items():
@@ -184,3 +211,4 @@ def regenerate(golden_dir: Path) -> None:
 if __name__ == "__main__":
     regenerate(Path(__file__).parent / "golden")
     regenerate_digest(Path(__file__).parent / "golden" / "grid_digest.txt")
+    regenerate_products(Path(__file__).parent / "golden" / "product_digest.txt")

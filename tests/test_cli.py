@@ -19,7 +19,7 @@ from qsl2.cli import main, run
 from qsl2.modrep import CLASSICAL, QUANTUM
 from qsl2.qarith import ExactDivisionError, q_fact, q_int
 from qsl2.serialize import laurent_token
-from calls import count_calls, count_fractions, count_muls
+from calls import FRACTION_SLACK, count_calls, count_fractions, count_inits, count_muls
 
 GOLDEN = Path(__file__).parent / "golden"
 MANIFEST = json.loads((GOLDEN / "manifest.json").read_text())
@@ -670,6 +670,20 @@ def test_hwv_oracle_failure_is_internal_failure(capsys, monkeypatch, flags, kern
     envelope = json.loads(out)
     assert envelope.pop("error").startswith(error)
     assert envelope == {"version": qsl2.__version__, "command": HWV_3_3_1 + flags, "status": "error"}
+
+
+@pytest.mark.parametrize("argv, counter, pinned", [
+    (["hwv", "--m", "6", "--n", "6", "--p", "3", "--quantum"], count_inits, {"init": 23}),
+    (["hwv", "--m", "14", "--n", "14", "--p", "7"], count_fractions, {"Fraction": 30 * FRACTION_SLACK}),
+], ids=["quantum-laurent-validations", "classical-fractions"])
+def test_an_hwv_request_builds_a_pinned_count_of_ring_values(capsys, monkeypatch, argv, counter, pinned):
+    # a deterministic stand-in for a time budget: a ring result is built canonical with no
+    # re-validation (73 validating constructions before), a rational kernel on int products with
+    # one Fraction per coordinate (51 Fractions before); the first run fills the F_n and q caches
+    assert run_cli(capsys, argv)[0] == 0
+    built = counter(monkeypatch)
+    code, _ = run_cli(capsys, argv)
+    assert code == 0 and 0 < sum(built.values()) and all(built[k] <= n for k, n in pinned.items())
 
 
 def test_quantum_hwv_requests_take_the_factored_path_and_no_gcd(capsys, monkeypatch):

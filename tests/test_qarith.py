@@ -509,6 +509,57 @@ def test_ring_results_are_canonical(a, b):
         assert canonical((a * b) / b)
 
 
+def validated(p):
+    """p built again through LaurentPoly's validating constructor."""
+    return LaurentPoly(dict(p._coeffs))
+
+
+def stored(p):
+    """p's stored terms with each coefficient's type, so 2 and Fraction(2) differ."""
+    return sorted((e, type(c), c) for e, c in p._coeffs.items())
+
+
+small = st.one_of(st.integers(-4, 4), st.fractions(min_value=-4, max_value=4, max_denominator=6))
+monomials = st.tuples(st.integers(-5, 5), small.filter(bool)).map(lambda ec: LaurentPoly({ec[0]: ec[1]}))
+operands = st.one_of(monomials, st.dictionaries(st.integers(-4, 4), small, max_size=4).map(LaurentPoly))
+
+
+@st.composite
+def operand_pairs(draw):
+    """(a, b): any two, b a monomial, b cancelling a term of a or all of it,
+    or b the monomial whose product with a term of a is integral."""
+    a, b = draw(operands), draw(operands)
+    kind = draw(st.sampled_from(["any", "cancel-all", "cancel-term", "integral-product"]))
+    if kind == "cancel-all":
+        b = -a
+    elif a and kind != "any":
+        e, c = draw(st.sampled_from(sorted(a._coeffs.items())))
+        if kind == "cancel-term":
+            b = LaurentPoly({**b._coeffs, e: -c})
+        else:
+            b = LaurentPoly({-e: draw(st.sampled_from([1, -2, 3])) / Fraction(c)})
+    return draw(st.permutations([a, b]))
+
+
+@given(operand_pairs(), small)
+def test_ring_results_are_their_own_validated_form(pair, n):
+    # sums, differences, products and exact quotients are built without re-validation:
+    # each must be what the validating constructor would build from its own terms
+    a, b = pair
+    results = [a + b, a - b, a * b, a + n, n - a, a * n, n * a, (a * b) - (a * b), -a]
+    results += [(a * b).div_exact(d) for d in (a, b) if d]
+    for r in results:
+        assert stored(r) == stored(validated(r)) and r == validated(r) and hash(r) == hash(validated(r))
+        assert all(type(e) is int for e in r._coeffs)
+        assert all(type(c) is int or type(c) is Fraction and c.denominator != 1 for c in r._coeffs.values())
+        assert all(r._coeffs.values())
+    assert a * b == b * a and a + b == b + a and (a * b).div_exact(b or 1) * (b or 1) == a * b
+    with pytest.raises(TypeError):
+        LaurentPoly({0: 1.5})
+    with pytest.raises(TypeError):
+        LaurentPoly({1.0: 1})
+
+
 @given(polys)
 def test_bar_is_involution(a):
     assert a.bar().bar() == a

@@ -34,7 +34,8 @@ from qsl2.tensorcg import (
     tensor,
     weight_spaces,
 )
-from calls import count_calls
+from calls import FRACTION_SLACK, count_calls, count_fractions
+from kernels import factored_kernel, kernel_fraction_free
 from vectors import basis_vector, scaled
 
 # -- tensor construction ------------------------------------------------------
@@ -597,6 +598,83 @@ def test_factored_kernel_is_the_normalized_recurrence_or_falls_back(matrix):
         assert tensorcg._kernel(rows, ncols, LaurentPoly) == [reference]
     near_miss = {"_kernel_fraction_free": 1, "_rank_mod": 2}
     assert calls == Counter({"_factored_kernel": 1} if shaped else {"_factored_kernel": 1, **near_miss})
+
+
+@given(q_int_bidiagonals())
+@settings(max_examples=200, deadline=None)
+def test_factored_kernel_is_the_reference_one(matrix):
+    # the one walk against one Counter per coordinate (tests/kernels.py), near misses included
+    rows, _ = matrix
+    assert tensorcg._factored_kernel(rows) == factored_kernel(rows)
+
+
+@st.composite
+def int_matrices(draw):
+    """(rows, ncols): a small integer matrix; in half of them the last rows
+    are integer combinations of the ones before, so the rank falls short."""
+    ncols = draw(st.integers(1, 6))
+    rows = draw(st.lists(st.lists(st.integers(-5, 5), min_size=ncols, max_size=ncols), max_size=5))
+    if rows and draw(st.booleans()):
+        for _ in range(draw(st.integers(1, 3))):
+            mix = draw(st.lists(st.integers(-2, 2), min_size=len(rows), max_size=len(rows)))
+            rows.append([sum(a * row[j] for a, row in zip(mix, rows)) for j in range(ncols)])
+    return rows, ncols
+
+
+@given(int_matrices(), st.sampled_from([int, Fraction]))
+@settings(max_examples=200, deadline=None)
+def test_elimination_on_ints_is_the_elimination_on_fractions(matrix, kind):
+    # integer entries, as ints or as Fractions, take the same minors as the reference
+    rows, ncols = matrix
+    expected = kernel_fraction_free([[Fraction(c) for c in row] for row in rows], ncols, Fraction)
+    kernel = _kernel_fraction_free([[kind(c) for c in row] for row in rows], ncols, Fraction)
+    assert kernel == expected and all(type(c) is Fraction for x in kernel for c in x)
+    assert len(kernel) == ncols - rref_kernel(rows, ncols)[1]
+
+
+@given(st.integers(1, 6).flatmap(lambda ncols: st.tuples(st.lists(st.lists(
+    st.fractions(min_value=-4, max_value=4, max_denominator=6), min_size=ncols, max_size=ncols), max_size=5),
+    st.just(ncols))))
+@settings(max_examples=200, deadline=None)
+def test_elimination_on_rationals_is_the_reference_up_to_scale(matrix):
+    rows, ncols = matrix
+    normalize = tensorcg._normalize_rational
+    expected = [normalize(x) for x in kernel_fraction_free(rows, ncols, Fraction)]
+    assert [normalize(x) for x in _kernel_fraction_free(rows, ncols, Fraction)] == expected
+
+
+@given(raising_matrices())
+@settings(max_examples=100, deadline=None)
+def test_elimination_on_raising_matrices_is_the_reference(matrix):
+    rows, ncols, ring = matrix
+    assert _kernel_fraction_free(rows, ncols, ring) == kernel_fraction_free(rows, ncols, ring)
+
+
+@given(st.lists(st.tuples(st.fractions(min_value=-6, max_value=6, max_denominator=5).filter(
+    lambda hw: hw.denominator > 1), st.integers(1, 4)), min_size=2, max_size=2))
+@settings(max_examples=40, deadline=None)
+def test_hwv_of_a_tensor_over_a_common_denominator_is_the_reference_kernel(vermas):
+    # den > 1: hwv solves on the numerators, the reference on the Fraction values
+    module = tensor(*(verma_classical(hw, depth) for hw, depth in vermas))
+    assert module.den > 1
+    found = highest_weight_vectors(module)
+    normalize = tensorcg._normalize_rational
+    for w, source in weight_spaces(module).items():
+        rows, ncols = raising_rows(module, w)
+        expected = [normalize(x) for x in kernel_fraction_free(rows, ncols, Fraction)]
+        assert [[x.entries.get(lab, 0) for lab in source] for u, x in found if u == w] == expected
+        numerators = [[c * module.den for c in row] for row in rows]
+        assert [normalize(x) for x in _kernel_fraction_free(numerators, ncols, Fraction)] == expected
+
+
+def test_a_classical_triple_product_eliminates_on_ints(monkeypatch):
+    # the elimination over Q runs on ints: Fractions are built only to lift, normalise and certify
+    # a returned coordinate (512,723 when it ran on Fractions)
+    f6 = finite_dim(6, CLASSICAL)
+    module = tensor(tensor(f6, f6), f6)
+    built = count_fractions(monkeypatch)
+    found = highest_weight_vectors(module)
+    assert len(found) == 37 and 0 < built["Fraction"] <= 3072 * FRACTION_SLACK
 
 
 @pytest.mark.parametrize("flavor", [CLASSICAL, QUANTUM], ids=["classical", "quantum"])
