@@ -5,8 +5,9 @@ per module kind (findim, verma, rasskazova); each declares only its own
 flags, so another kind's flag is a usage error.  The parser is built once
 per process, on first use.  Canonical argv (the command path, then whole
 flags of it, each once, each value its own token, a negative number too,
-or joined by "=") is read off the parser's action table; all else is
-argparse's: every usage error, help and spelling.
+or joined by "=") is read off the parser's action table, and so is its
+usage error, raised as argparse raises it, in argparse's own words; all
+else is argparse's: help and every other spelling, and their errors.
 
 Every invocation writes exactly one output envelope, except -h/--help:
 that prints argparse's help, no envelope, and exits 0 (main raises
@@ -165,22 +166,26 @@ def build_parser() -> _Parser:
 
 
 def _read_canonical(parser: _Parser, argv: list[str]) -> argparse.Namespace | None:
-    """parser.parse_args(argv) read off its actions, or None if argv is not canonical or fails a check."""
-    values, i = {}, 0
-    while commands := [a for a in parser._actions if not a.option_strings]:
-        (action,) = commands  # the sub-parser choice, the only positional
-        if i == len(argv) or argv[i] not in action.choices:
-            return None
-        values[action.dest], parser, i = argv[i], action.choices[argv[i]], i + 1
+    """parser.parse_args(argv) read off its actions, or None if argv is not canonical; a canonical
+    argv argparse refuses raises argparse's UsageError, made by argparse's own pieces: for an
+    unknown command, else for the first refused value, else for the required flags left out."""
+    values, i, refused = {}, 0, None
     try:
+        while commands := [a for a in parser._actions if not a.option_strings]:
+            (action,) = commands  # the sub-parser choice, the only positional
+            if i == len(argv) or argv[i][:1] == "-":
+                return None  # no command, or an option before it
+            if argv[i] not in action.choices:  # argparse refuses it, whatever follows
+                parser._check_value(action, argv[i])
+            values[action.dest], parser, i = argv[i], action.choices[argv[i]], i + 1
         actions = parser._option_string_actions  # the whole option strings of this command
         while i < len(argv):
             action, value = actions.get(argv[i]), None
             if action is None and argv[i].startswith("--"):  # --flag=value: the value may start with "-"
                 flag, _, value = argv[i].partition("=")
                 action = actions.get(flag)
-            if action is None or action.dest in values or action.default is argparse.SUPPRESS or value == "":
-                return None  # not a flag of this command, repeated, -h, or nothing after "="
+            if action is None or action.dest in values or action.default is argparse.SUPPRESS or value in ("", "--"):
+                return None  # not a flag of this command, repeated, -h, or nothing (argparse drops "--") after "="
             if action.nargs == 0 and value is None:
                 values[action.dest], i = action.const, i + 1
                 continue
@@ -190,22 +195,29 @@ def _read_canonical(parser: _Parser, argv: list[str]) -> argparse.Namespace | No
                 value, i = argv[i + 1], i + 1
             if action.nargs is not None or value is None:  # a switch given "=", or no value token
                 return None
-            value = value if action.type is None else action.type(value)
-            if action.choices is not None and value not in action.choices:
-                return None
+            try:
+                value = value if action.type is None else action.type(value)
+                if action.choices is not None and value not in action.choices:
+                    parser._check_value(action, value)
+            except argparse.ArgumentTypeError as exc:
+                refused = refused or argparse.ArgumentError(action, str(exc))
+            except argparse.ArgumentError as exc:
+                refused = refused or exc
             values[action.dest], i = value, i + 1
-        missing = [a for a in parser._actions if a.dest not in values]
-        if any(a.required for a in missing):
-            return None
-        # as argparse fills them in: no action here has both a type and a str default
-        values |= {a.dest: a.default for a in missing if a.default is not argparse.SUPPRESS}
-    except (argparse.ArgumentTypeError, TypeError, ValueError):
+    except (TypeError, ValueError):
         return None
-    return argparse.Namespace(**values)
+    except argparse.ArgumentError as exc:
+        raise UsageError(str(exc))
+    missing = [a for a in parser._actions if a.dest not in values]
+    required = [argparse._get_action_name(a) for a in missing if a.required]
+    if refused or required:  # as argparse words it: the one literal here is its required-flags text
+        raise UsageError(str(refused or argparse._("the following arguments are required: %s") % ", ".join(required)))
+    # as argparse fills them in: no action here has both a type and a str default
+    return argparse.Namespace(**values, **{a.dest: a.default for a in missing if a.default is not argparse.SUPPRESS})
 
 
 def parse_args(argv: list[str]) -> argparse.Namespace:
-    """build_parser().parse_args(argv), read off its action table when argv is canonical."""
+    """build_parser().parse_args(argv), or its UsageError, read off its action table when argv is canonical."""
     return _read_canonical(build_parser(), argv) or build_parser().parse_args(argv)
 
 

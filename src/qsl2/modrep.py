@@ -192,12 +192,14 @@ class WeightModule:
 class _FractionViews(WeightModule):  # den > 1: weights and action are built on first read
     __slots__ = ()
 
-    def __getattr__(self, name):  # reached while a slot is unset
-        if name not in ("weights", "action"):
+    def __getattr__(self, name):  # reached while a slot is unset: builds that view alone
+        if name == "weights":
+            self.weights = {lab: Fraction(w, self.den) for lab, w in self.num_weights.items()}
+        elif name == "action":
+            self.action = {g: {c: {row: Fraction(x, self.den) for row, x in col.items()}
+                               for c, col in mat.items()} for g, mat in self.num_action.items()}
+        else:
             raise AttributeError(f"'WeightModule' object has no attribute {name!r}")
-        self.weights = {lab: Fraction(w, self.den) for lab, w in self.num_weights.items()}
-        self.action = {g: {c: {row: Fraction(x, self.den) for row, x in col.items()}
-                           for c, col in mat.items()} for g, mat in self.num_action.items()}
         return getattr(self, name)
 
 
@@ -241,20 +243,22 @@ class Vector:
 
 
 def apply(module: WeightModule, gen: str, x: Vector) -> Vector:
-    """Exact sparse matrix-vector product g.x."""
+    """Exact sparse matrix-vector product g.x, on the stored numerators: one division by den per entry."""
     if gen not in module.flavor.generators:
         raise ValueError(f"generator {gen!r} not defined on {module.flavor.name} module {module.name}")
     if x.module is not module:
         raise ValueError(f"vector lives in {x.module.name}, not {module.name}")
-    mat = module.action.get(gen)
+    mat, den = module.num_action.get(gen), module.den
     if mat is None:  # h, K or Kinv: each basis vector times its eigenvalue
-        eigenvalue, weights = module.flavor.diagonal[gen], module.weights
-        return Vector(module, {lab: eigenvalue(weights[lab]) * c for lab, c in x.entries.items()})
-    out: dict = {}
-    for lab, c in x.entries.items():
-        for row, a in mat.get(lab, {}).items():
-            out[row] = out[row] + a * c if row in out else a * c
-    return Vector(module, out)
+        eigenvalue, weights = module.flavor.diagonal[gen], module.num_weights
+        out = {lab: eigenvalue(weights[lab]) * c for lab, c in x.entries.items()}
+    else:
+        out = {}
+        for lab, c in x.entries.items():
+            for row, a in mat.get(lab, {}).items():
+                out[row] = out[row] + a * c if row in out else a * c
+    # Fraction(y, den), not y / den: an int over an int is a float
+    return Vector(module, out if den == 1 else {row: Fraction(y, den) for row, y in out.items()})
 
 
 # -- constructors ------------------------------------------------------------

@@ -11,7 +11,7 @@ from collections import Counter
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import qsl2
 from qsl2 import modrep, qarith, tensorcg
@@ -272,6 +272,8 @@ USAGE_ERRORS = {
         "argument --window: must be >= 1, got -2",
     ("qtable", "--max-n", "-1"): "argument --max-n: must be >= 0, got -1",
     ("hwv", "--m", "1", "--n", "1", "--p=-2"): "argument --p: must be >= 0, got -2",
+    # an unknown kind is refused whatever follows
+    ("check", "nonsense", "--n", "1"): "argument kind: invalid choice: 'nonsense'",
 }
 
 
@@ -317,20 +319,32 @@ FLAGS = {
 SWITCHES = {"--quantum", "--inject-fault", "--describe"}
 
 
+def command_path(argv):
+    return tuple(argv[:2]) if argv[:1] == ["check"] else tuple(argv[:1])
+
+
 def is_canonical(argv):
     """A command path, then whole flags of it, each once, each value one
-    token not starting with "-" unless argparse reads it as a negative number."""
+    token not starting with "-" unless argparse reads it as a negative number,
+    or joined by "=" (not empty, not "--", which argparse drops, and not given
+    to a switch); or an unknown command or kind, which argparse refuses
+    whatever follows."""
     from qsl2 import cli
 
     negative = cli.build_parser()._negative_number_matcher
-    path = tuple(argv[:2]) if argv[:1] == ["check"] else tuple(argv[:1])
+    path = command_path(argv)
+    if path not in FLAGS:
+        return len(path) == 1 + (path[:1] == ("check",)) and not path[-1].startswith("-")
     rest, flags = argv[len(path):], []
     while rest:
-        flag, *rest = rest
-        if flag not in FLAGS.get(path, ()) or flag in flags:
+        token, *rest = rest
+        flag, joined, value = token.partition("=")
+        if flag not in FLAGS[path] or flag in flags:
             return False
         flags.append(flag)
-        if flag not in SWITCHES:
+        if joined and (flag in SWITCHES or value in ("", "--")):
+            return False
+        if flag not in SWITCHES and not joined:
             if not rest or rest[0].startswith("-") and not negative.fullmatch(rest[0]):
                 return False
             rest = rest[1:]
@@ -348,12 +362,29 @@ def argparse_or_error(argv):
         return exc
 
 
-def bench_argvs():
+def reader_or_error(argv):
+    """cli._read_canonical(build_parser(), argv): a Namespace, None, or the UsageError it raised."""
+    from qsl2 import cli
+
+    try:
+        return cli._read_canonical(cli.build_parser(), argv)
+    except cli.UsageError as exc:
+        return exc
+
+
+def agrees(read, expected):
+    """The reader deferred, or it gave argparse's Namespace, or argparse's UsageError word for word."""
+    from qsl2 import cli
+
+    return (read is None or read == expected  # an exception never equals a Namespace
+            or type(read) is type(expected) is cli.UsageError and str(read) == str(expected))
+
+
+def bench_items():
     """The benchmark's warm-up list and pass 0 of each workload."""
     workloads = runpy.run_path(str(Path(__file__).parents[1] / "bench" / "workloads.py"))
-    items = workloads["warmup_items"]() + [
+    return workloads["warmup_items"]() + [
         item for name in workloads["WORKLOADS"] for item in workloads["generate"](name, 0, 0)]
-    return [item["argv"] for item in items]
 
 
 # a valid value for each flag that takes one, by command path
@@ -384,39 +415,39 @@ def joined_argvs():
 
 def test_canonical_reading_equals_argparse():
     """On every argv the tests and the benchmark send, the reader either
-    defers or returns argparse's Namespace; it reads every canonical one,
-    and every --flag=value spelling argparse accepts."""
+    defers or gives argparse's Namespace or usage error, message included;
+    it reads exactly the canonical ones, --flag=value spellings among them."""
     import regen_golden
     from qsl2 import cli
 
     argvs = (regen_golden.grid() + [case["argv"] for case in MANIFEST.values()]
-             + [list(argv) for argv in USAGE_ERRORS] + bench_argvs())
+             + [list(argv) for argv in USAGE_ERRORS] + [item["argv"] for item in bench_items()])
     for argv in argvs:
-        ns = cli._read_canonical(cli.build_parser(), argv)
-        expected = argparse_or_error(argv)
-        assert ns is None or ns == expected, argv
-        if is_canonical(argv) and isinstance(expected, argparse.Namespace):
-            assert ns is not None, argv
-    read = 0
+        read, expected = reader_or_error(argv), argparse_or_error(argv)
+        assert agrees(read, expected), (argv, read, expected)
+        assert (read is None) == (not is_canonical(argv)), argv
+    read = refused = 0
     for argv in joined_argvs():
-        ns = cli._read_canonical(cli.build_parser(), argv)
-        expected = argparse_or_error(argv)
-        assert ns is None or ns == expected, argv
-        assert (ns is not None) == isinstance(expected, argparse.Namespace), (argv, expected)
-        read += ns is not None
+        ns, expected = reader_or_error(argv), argparse_or_error(argv)
+        assert agrees(ns, expected), (argv, ns, expected)
+        assert (ns is None) == (not is_canonical(argv)), argv
+        read += isinstance(ns, argparse.Namespace)
+        refused += isinstance(ns, cli.UsageError)
     assert read == 19 + 3  # every valid value, and "-3/2" for --hw, --beta and --lambda
+    assert refused == 16 + 19  # "-3/2" for an integer flag or --format, and every "x"
 
 
-ODD_VALUES = ["-3/2", "٣", "+5", "1_0", " 4", "", "--m", "-1", "3.0", "xml", "0"]
+ODD_VALUES = ["-3/2", "٣", "+5", "1_0", " 4", "", "--m", "-1", "3.0", "xml", "0", "--", "1/0"]
 VALUES = {"--format": ["json", "csv", "pretty"], "--hw": ["1/2", "5/2", "3"],
           "--beta": ["1/2", "5/2", "3"], "--lambda": ["1/2", "5/2", "3"]}
 
 
 @st.composite
 def spelled_argvs(draw):
-    """A command path, then its flags in any order; at a drawn rate each is
-    dropped, abbreviated, given an odd value, a missing one or one joined by
-    "=", and a repeated flag, -h, --help or an unknown flag is added."""
+    """A command path, then its flags in any order; at a drawn rate the path
+    is replaced by an invalid or missing command or kind, each flag is dropped,
+    abbreviated, given an odd value, a missing one or one joined by "=", and
+    a repeated flag, -h, --help or an unknown flag is added."""
     path = draw(st.sampled_from(sorted(FLAGS)))
     rate = draw(st.integers(0, 4))  # in tenths
 
@@ -428,6 +459,8 @@ def spelled_argvs(draw):
         extra = draw(st.sampled_from([*FLAGS[path], "-h", "--help", "--bogus"]))
         flags.insert(draw(st.integers(0, len(flags))), extra)
     argv = list(path)
+    if odd():
+        argv = draw(st.sampled_from([["tensor"], ["check", "bogus"], ["check"], [], [""], ["-3"], ["Hwv"]]))
     for flag in flags:
         if odd():
             continue
@@ -441,17 +474,19 @@ def spelled_argvs(draw):
 
 @settings(max_examples=400, deadline=None)
 @given(spelled_argvs())
+# argparse's first scan refuses an ambiguous abbreviation before any value: the reader defers
+@example(["check", "verma", "--depth", "0", "--h"])
+@example(["check", "verma", "--hw", "x", "--h", "1"])
 def test_reader_defers_wherever_argparse_fails(argv):
-    from qsl2 import cli
-
-    ns = cli._read_canonical(cli.build_parser(), argv)
-    expected = argparse_or_error(argv)  # an exception never equals a Namespace
-    assert ns is None or ns == expected, (argv, expected)
+    read, expected = reader_or_error(argv), argparse_or_error(argv)
+    assert agrees(read, expected), (argv, read, expected)
+    assert (read is None) == (not is_canonical(argv)), argv  # it defers only where it must
 
 
 def test_canonical_requests_need_no_argparse(monkeypatch):
-    """Every canonical grid and golden argv that argparse accepts, and a
-    negative rational given as its own token, gives its recorded output
+    """Every canonical grid and golden argv that argparse accepts, a
+    negative rational given as its own token, and every usage error of the
+    tests and the benchmark but an unknown flag gives its recorded output
     with argparse's parse_args disabled."""
     import regen_golden
     from qsl2 import cli
@@ -470,18 +505,35 @@ def test_canonical_requests_need_no_argparse(monkeypatch):
     digest = [line.split("  ", 1) for line in (GOLDEN / "grid_digest.txt").read_text().splitlines()]
     canonical = [(h, argv.split()) for h, argv in digest if accepted(argv.split())]
     golden = {name: case for name, case in MANIFEST.items() if accepted(case["argv"])}
-    # 3 of the canonical grid argvs and 1 golden give a negative rational as its own token
-    assert len(canonical) == 2773 and len(golden) == 36
+    # 75 of the canonical grid argvs join a value by "=", and 4 of them and 1 golden give a
+    # negative rational as its own token
+    assert len(canonical) == 2848 and len(golden) == 36
+    assert sum(any("=" in t for t in argv) for _, argv in canonical) == 75
+    assert sum(any(re.fullmatch(r"-\d+/\d+", t) for t in argv) for _, argv in canonical) == 4
     assert golden["check_verma_negative_hw"]["argv"] == ["check", "verma", "--hw", "-3/2", "--depth", "2"]
     negative = ["check", "rasskazova", "--beta", "-1/2", "--lambda", "-3", "--n", "2", "--window", "2"]
     assert accepted(negative)
-    recorded = run(negative)  # through argparse
+
+    def unknown_flag(argv):  # after an unknown command or kind, argparse reads no flag
+        path = command_path(argv)
+        return path in FLAGS and any(t.startswith("--") and t.partition("=")[0] not in FLAGS[path] for t in argv)
+
+    bench_usage = [item["argv"] for item in bench_items() if item["cmd"] == "usage"]
+    usage = [argv for argv in [*map(list, USAGE_ERRORS), *bench_usage] if not unknown_flag(argv)]
+    assert sum(unknown_flag(list(argv)) for argv in USAGE_ERRORS) == 5  # the flags of another check kind
+    assert {tuple(argv) for argv in bench_usage if unknown_flag(argv)} == {
+        ("check", "verma", "--hw", "1/3", "--depth", "4", "--quantum")}
+    with monkeypatch.context() as through_argparse:  # the reader defers: argparse parses every argv
+        through_argparse.setattr(cli, "_read_canonical", lambda parser, argv: None)
+        recorded, errors = run(negative), [run(argv) for argv in usage]
+    assert {code for code, _ in errors} == {2}
     monkeypatch.setattr(cli._Parser, "parse_args", parse_args)
     for h, argv in canonical:
         assert regen_golden.grid_hash(argv) == h, argv
     for name, case in golden.items():
         assert run(case["argv"]) == (case["exit"], (GOLDEN / f"{name}.json").read_text()), name
     assert run(negative) == recorded and recorded[0] == 0
+    assert [run(argv) for argv in usage] == errors
 
 
 def test_decompose_cross_check_mismatch_is_internal_failure(capsys, monkeypatch):

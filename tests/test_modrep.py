@@ -418,6 +418,25 @@ def test_apply_flavor_mismatch():
         apply(m, "e", basis_vector(other, "w_0"))
 
 
+def test_apply_over_a_common_denominator_reads_the_numerators():
+    # den 6: highest_weight_vectors' certificate applies e, and e, f and h on Fraction and on int
+    # coordinates are the products over the Fraction views, built without the action view
+    m = tensor(verma_classical(Fraction(1, 2), 3), verma_classical(Fraction(5, 3), 3))
+    assert m.den == 6
+    vectors = [x for _, x in highest_weight_vectors(m)] + [Vector(m, {lab: k - 5 for k, lab in enumerate(m.basis)})]
+    got = [(g, x, apply(m, g, x)) for g in ("e", "f", "h") for x in vectors]
+    with pytest.raises(AttributeError):  # the slot is still unset
+        WeightModule.action.__get__(m)
+    for g, x, gx in got:
+        expected = {}
+        for lab, c in x.entries.items():
+            for row, a in (m.action[g].get(lab, {}) if g != "h" else {lab: m.weights[lab]}).items():
+                expected[row] = expected.get(row, 0) + a * c
+        assert gx.entries == {row: y for row, y in expected.items() if y}
+        assert all(type(y) is Fraction for y in gx.entries.values())
+    assert any(apply(m, "f", x).entries for x in vectors)
+
+
 @pytest.mark.parametrize("gen, source, message", [
     ("K", lambda m: m, "generator 'K' not defined on classical module F"),
     ("e", lambda m: finite_dim(1, CLASSICAL), r"vector lives in F\(n=1\), not F\(n=1\)"),
