@@ -9,11 +9,10 @@ weight space (each space of F_m (x) F_n with a highest-weight vector) is
 solved straight into its normal form, a quantum one of +-v^e [a] entries
 by its cyclotomic factors, with no gcd; any other space by a rank mod p,
 then fraction-free (Bareiss) elimination, on int numerators over Q, and
-its ring's normaliser.
-The explicit highest-weight transfer formula, evaluated verbatim with
-exact q-factorial coefficients, is adjudicated against the nullspace
-oracle and the outcome reported as data.  Decomposition, Interpretation
-and ComparisonReport are frozen records on modrep's ``Record`` base.
+its ring's normaliser.  The explicit highest-weight transfer formula is
+adjudicated against the nullspace oracle, both as factored scalars (sign, power
+of v, count of each Phi_d), and the outcome reported as data.  Decomposition,
+Interpretation and ComparisonReport are frozen records on modrep's ``Record`` base.
 """
 
 from __future__ import annotations
@@ -21,10 +20,10 @@ from __future__ import annotations
 import functools
 import operator
 from collections import Counter
-from math import lcm, prod
+from math import gcd, lcm, prod
 
 from .modrep import QUANTUM, Flavor, Record, Vector, WeightModule, apply, finite_dim
-from .qarith import ExactDivisionError, LaurentPoly, lp_gcd, primitive, q_int
+from .qarith import LaurentPoly, _made, lp_gcd, primitive
 
 __all__ = ["ComparisonReport", "Decomposition", "DecompositionError", "Interpretation", "NullspaceError",
            "WEIGHT_MATCHED", "cg_decompose", "decompose_by_character", "highest_weight_vector",
@@ -184,25 +183,30 @@ def _cyclotomic(d: int) -> LaurentPoly:
 
 
 def _q_int_factors(c):
-    """(sign, low, ds) with c = sign v^low prod(Phi_d for d in ds) if the nonzero c is
-    +-v^e [a], its coefficients all 1 or all -1 on low, low+2, ..., low+2a-2, else None;
-    ds are the d >= 3 dividing 2a, as [a] = v^(1-a) prod(Phi_d for d | 2a, d >= 3):
+    """The factored scalar (sign, power of v, {d: count of Phi_d}) of c if the nonzero c is +-v^e [a],
+    its coefficients all 1 or all -1 on low, low+2, ..., low+2a-2, else None; each d >= 3 dividing 2a
+    counts once, as [a] = v^(1-a) prod(Phi_d for d | 2a, d >= 3):
 
-    >>> _q_int_factors(q_int(6))  # [6] = v^-5 Phi_3 Phi_4 Phi_6 Phi_12
-    (1, -5, [3, 4, 6, 12])
+    >>> _q_int_factors(LaurentPoly({e: 1 for e in range(-5, 6, 2)}))  # [6] = v^-5 Phi_3 Phi_4 Phi_6 Phi_12
+    (1, -5, {3: 1, 4: 1, 6: 1, 12: 1})
     """
     terms = list(c.terms()) if isinstance(c, LaurentPoly) else [(0, c)]
     (low, sign), a2 = terms[0], 2 * len(terms)
     if sign not in (1, -1) or terms != [(low + 2 * i, sign) for i in range(len(terms))]:
         return None
-    return sign, low, [d for d in range(3, a2 + 1) if a2 % d == 0]
+    return sign, low, {d: 1 for d in range(3, a2 + 1) if a2 % d == 0}
+
+
+def _expand(x):
+    """The Laurent polynomial of a factored scalar with no negative count (sign 0 is zero); any other x as is."""
+    return x if type(x) is not tuple else prod(
+        [_cyclotomic(d) for d, k in x[2].items() for _ in range(k)], start=_made({x[1]: x[0]}))
 
 
 def _factored_kernel(rows: list[list]) -> list | None:
-    """_normalize_laurent of the kernel x_k = (-1)^k d_0..d_{k-1} s_k..s_{p-1} of bidiagonal rows if each
-    nonzero entry is +-v^e [a], else None: a coordinate is a sign, a power of v and a count of each Phi_d
-    until the gcd, the least power and counts, is divided out; each Phi_d is monic, irreducible, primitive.
-    The gcd takes any common factor, x_0 too, so one walk holds x_k / x_0: 1, times -d_k / s_k per step."""
+    """_normalize_laurent's kernel x_k = (-1)^k d_0..d_{k-1} s_k..s_{p-1} of bidiagonal rows as factored scalars
+    (sign 0 past a zero d_k) if each nonzero entry is +-v^e [a], else None.  One walk holds x_k / x_0: 1, times
+    -d_k / s_k per step; then the gcd, the least power of v and count of each monic irreducible Phi_d, goes."""
     d, s = ([row[r + j] and _q_int_factors(row[r + j]) for r, row in enumerate(rows)] for j in (0, 1))
     if None in d or None in s:
         return None
@@ -216,9 +220,8 @@ def _factored_kernel(rows: list[list]) -> list | None:
             count[e] += by
         xs.append((-sign * dk[0] * sk[0], low + dk[1] - sk[1], count))
     common, e0 = list(map(min, zip(*[c for *_, c in xs]))), min(x[1] for x in xs)
-    return [prod([_cyclotomic(e) for e, (k, k0) in enumerate(zip(c, common)) for _ in range(k - k0)],
-                 start=LaurentPoly({low - e0: sign}))
-            for sign, low, c in xs] + [LaurentPoly()] * (len(rows) + 1 - len(xs))
+    return [(sign, low - e0, {e: k - k0 for e, (k, k0) in enumerate(zip(c, common)) if k > k0})
+            for sign, low, c in xs] + [(0, 0, {})] * (len(rows) + 1 - len(xs))
 
 
 # (v0, prime): v -> v0 mod prime can only lower a rank; 65537 is no small root, as 3 may be
@@ -267,7 +270,7 @@ def _kernel(rows: list[list], ncols: int, ring: type) -> list:
     complete, each vector in that ring's normal form.  A p x (p+1) bidiagonal matrix with
     every s_r nonzero has rank p (columns 1..p are triangular): over Fraction x_0 = 1 and
     x_{k+1} = -x_k d_k / s_k, one Fraction of two products of entries (ints from a module)
-    each; over LaurentPoly _factored_kernel if it applies.  Otherwise
+    each; over LaurentPoly _factored_kernel's factored vector if it applies.  Otherwise
     a rank of ncols at v0 mod prime proves the kernel is 0; else Bareiss's vectors must be
     independent there and as many as the nullity there, at the first (v0, prime) or the
     second; NullspaceError if at neither."""
@@ -312,9 +315,9 @@ def highest_weight_vectors(m: WeightModule, weight=None) -> list[tuple[object, V
     yielding these vectors up to ring scalars meets it; here it is
     ``_kernel``, proven complete, on the stored numerators (over Q den times the
     matrix, with the same kernel), which solves a rational bidiagonal space straight
-    into its normal form, a quantum one of +-v^e [a] entries by cyclotomic factors
-    with no gcd, any other by a rank mod p, Bareiss and the ring's normaliser; the raising
-    operator must take every returned vector to exactly zero.  Output is ordered by descending weight.
+    into its normal form, a quantum one of +-v^e [a] entries by cyclotomic factors, kept
+    beside the expansion, with no gcd, any other by a rank mod p, Bareiss and the ring's
+    normaliser; the raising operator must take every returned vector to exactly zero.  Output by descending weight.
     """
     raising, ring = m.flavor.raising, m.flavor.ring
     up = m.num_action[raising]
@@ -330,11 +333,16 @@ def highest_weight_vectors(m: WeightModule, weight=None) -> list[tuple[object, V
             for row_lab, c in up.get(src, {}).items():
                 rows[tpos[row_lab]][j] = c
         for coords in _kernel(rows, len(source), ring):
-            vec = Vector(m, dict(zip(source, coords)))
+            vec = _KernelVector(m, dict(zip(source, map(_expand, coords))))
+            vec.factored = {lab: x for lab, x in zip(source, coords) if x[0]} if type(coords[0]) is tuple else None
             if not apply(m, raising, vec).is_zero():
                 raise NullspaceError(f"nullspace certificate failed at weight {w} of {m.name}")
             out.append((w, vec))
     return out
+
+
+class _KernelVector(Vector):
+    __slots__ = ("factored",)  # its nonzero coordinates by label as _factored_kernel gave them, else None
 
 
 def highest_weight_vector(m: WeightModule, weight) -> Vector:
@@ -431,9 +439,15 @@ def phi_vector(
     coefficients are quotients that need not lie in the Laurent ring, so
     the returned vector is the formula multiplied through by the common
     denominator [m]!/[m-p]! = [m][m-1]...[m-p+1]; the cleared
-    coefficients [n-p+k]!/[n-p]! * [m-k]!/[m-p]! are exact ring elements.
-    phi_vs_oracle records the reading in its report.
+    coefficients [n-p+k]!/[n-p]! * [m-k]!/[m-p]! are exact ring elements,
+    each built factored, then expanded.  phi_vs_oracle records the reading.
     """
+    module, terms = _phi_terms(m, n, p, interpretation)
+    return Vector(module, {lab: _expand(c) for lab, c in terms.items()})
+
+
+def _phi_terms(m: int, n: int, p: int, interpretation: Interpretation) -> tuple:
+    """phi_vector's module and coefficient by label: factored, or expanded where terms share the label."""
     if m < 0 or n < 0:
         raise ValueError(f"need m, n >= 0, got ({m}, {n})")
     if not 0 <= p <= min(m, n):
@@ -442,7 +456,7 @@ def phi_vector(
     fa, fb = _finite_dim(m, QUANTUM), _finite_dim(n, QUANTUM)
     spaces = {m + n - 2 * p, m + n - 2 * p + 2}  # the oracle's weight space and its image under E
     sign = 1 if (n - p) % 2 == 0 else -1
-    entries: dict = {}
+    terms: dict = {}
     for k in range(p + 1):
         pos_a, pos_b = interpretation.positions(m, n, p, k)
         if not 0 <= pos_a <= m or not 0 <= pos_b <= n:
@@ -450,15 +464,17 @@ def phi_vector(
                 f"term k={k}: positions ({pos_a}, {pos_b}) fall outside "
                 f"F_{m} (x) F_{n} under interpretation {interpretation.ident}"
             )
-        # [n-p+k]!/[n-p]! times [m-k]!/[m-p]!
-        coeff = prod(map(q_int, [*range(n - p + 1, n - p + k + 1), *range(m - p + 1, m - k + 1)]),
-                     start=LaurentPoly({(k - p) * (2 + m) + p * p - k * k + n: sign}))
+        # [n-p+k]!/[n-p]! times [m-k]!/[m-p]!: v^(1-a) for each [a], and Phi_d for each a that d/gcd(d, 2) divides
+        bracket = [*range(n - p + 1, n - p + k + 1), *range(m - p + 1, m - k + 1)]
+        coeff = (sign, (k - p) * (2 + m) + p * p - k * k + n + sum(1 - a for a in bracket), {
+            d: c for d in range(3, 2 * max(m, n) + 1)
+            if (c := (n - p + k) // (e := d // gcd(d, 2)) - (n - p) // e + (m - k) // e - (m - p) // e)})
         la, lb = fa.basis[pos_a], fb.basis[pos_b]
         spaces.add(fa.weights[la] + fb.weights[lb])  # a reading may leave weight m+n-2p
         lab = f"{la}*{lb}"  # tensor's name for w_{pos_a} (x) w_{pos_b}
-        entries[lab] = entries.get(lab, LaurentPoly()) + coeff
+        terms[lab] = _expand(terms[lab]) + _expand(coeff) if lab in terms else coeff
 
-    return Vector(tensor(fa, fb, spaces), entries)
+    return tensor(fa, fb, spaces), terms
 
 
 class ComparisonReport(Record):
@@ -486,23 +502,27 @@ def phi_vs_oracle(
     """Compare the transfer formula's vector with the nullspace oracle's
     highest-weight vector of weight m+n-2p.  Disagreement is a report
     outcome, not an error; an oracle that is not one vector raises
-    NullspaceError."""
-    phi = phi_vector(m, n, p, interpretation)
-    module = phi.module
+    NullspaceError.  Both sides stay factored: in basis order, the quotient
+    formula / oracle must lie in the ring (no count negative) at the first label
+    of their support and be the same at each other; only what is reported is expanded."""
+    module, terms = _phi_terms(m, n, p, interpretation)
     oracle = highest_weight_vector(module, m + n - 2 * p)
-
-    zero = module.flavor.ring()
     ratio = None
     for lab in module.basis:
-        a, b = phi.entries.get(lab, zero), oracle.entries.get(lab, zero)
-        if not a and not b:
-            continue
-        if ratio is None and a and b:
-            try:
-                ratio = a / b
-                continue
-            except ExactDivisionError:
-                pass
-        if ratio is None or a != ratio * b:
-            return ComparisonReport(False, None, (lab, a, b), interpretation.ident, oracle)
-    return ComparisonReport(True, ratio, None, interpretation.ident, oracle)
+        a, b = terms.get(lab), oracle.factored.get(lab)
+        if a or b:
+            q = a and b and _over(a, b)
+            if not q or ratio and (q != ratio if type(q) is type(ratio) else _expand(q) != _expand(ratio)):
+                witness = (lab, _expand(a) if a else LaurentPoly(), oracle.entries.get(lab, LaurentPoly()))
+                return ComparisonReport(False, None, witness, interpretation.ident, oracle)
+            ratio = ratio or q
+    return ComparisonReport(True, _expand(ratio), None, interpretation.ident, oracle)
+
+
+def _over(a, b: tuple):
+    """a / b for a factored b if it lies in the ring, else None; an expanded a (terms that share a label) is divided."""
+    if isinstance(a, LaurentPoly):  # b divides a where their gcd spans as many powers of v as b
+        g = lp_gcd(a, bx := _expand(b))
+        return a / bx if g.max_exp - g.min_exp == bx.max_exp - bx.min_exp else None
+    counts = {d: k for d in a[2].keys() | b[2].keys() if (k := a[2].get(d, 0) - b[2].get(d, 0))}
+    return (a[0] * b[0], a[1] - b[1], counts) if min(counts.values(), default=0) >= 0 else None

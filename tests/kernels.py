@@ -5,6 +5,8 @@ walks the factored bidiagonal kernel once; these are the direct forms it
 replaced, kept unchanged so that the tests can compare the two:
 fraction-free elimination on the ring's own values, and a factored
 kernel that counts each coordinate's cyclotomic factors from scratch.
+The engine's factored kernel keeps its coordinates factored; ``expanded``
+multiplies them out for the comparison.
 """
 
 import functools
@@ -12,7 +14,7 @@ from collections import Counter
 from math import prod
 
 from qsl2.qarith import LaurentPoly
-from qsl2.tensorcg import _cyclotomic, _q_int_factors
+from qsl2.tensorcg import _cyclotomic, _expand, _q_int_factors
 
 
 def kernel_fraction_free(rows: list[list], ncols: int, ring: type):
@@ -70,3 +72,9 @@ def factored_kernel(rows: list[list]) -> list | None:
     common, e0, lead = functools.reduce(Counter.__and__, counts), min(lows), signs[0]
     return [prod(map(_cyclotomic, (c - common).elements()), start=LaurentPoly({low - e0: sign * lead}))
             for sign, low, c in zip(signs, lows, counts)] + [LaurentPoly()] * (len(rows) + 1 - live)
+
+
+def expanded(kernel: list) -> list:
+    """Kernel vectors with every coordinate in factored form (sign, power of v, counts of Phi_d)
+    multiplied out to a Laurent polynomial; any other coordinate as it is."""
+    return [[_expand(c) for c in x] for x in kernel]

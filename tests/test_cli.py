@@ -17,7 +17,7 @@ import qsl2
 from qsl2 import modrep, qarith, tensorcg
 from qsl2.cli import main, run
 from qsl2.modrep import CLASSICAL, QUANTUM
-from qsl2.qarith import ExactDivisionError, q_fact, q_int
+from qsl2.qarith import ExactDivisionError, LaurentPoly, q_fact, q_int
 from qsl2.serialize import laurent_token
 from calls import FRACTION_SLACK, count_calls, count_fractions, count_inits, count_muls
 
@@ -725,13 +725,14 @@ def test_hwv_oracle_failure_is_internal_failure(capsys, monkeypatch, flags, kern
 
 
 @pytest.mark.parametrize("argv, counter, pinned", [
-    (["hwv", "--m", "6", "--n", "6", "--p", "3", "--quantum"], count_inits, {"init": 23}),
+    (["hwv", "--m", "6", "--n", "6", "--p", "3", "--quantum"], count_inits, {"init": 10}),
     (["hwv", "--m", "14", "--n", "14", "--p", "7"], count_fractions, {"Fraction": 30 * FRACTION_SLACK}),
 ], ids=["quantum-laurent-validations", "classical-fractions"])
 def test_an_hwv_request_builds_a_pinned_count_of_ring_values(capsys, monkeypatch, argv, counter, pinned):
     # a deterministic stand-in for a time budget: a ring result is built canonical with no
-    # re-validation (73 validating constructions before), a rational kernel on int products with
-    # one Fraction per coordinate (51 Fractions before); the first run fills the F_n and q caches
+    # re-validation and the formula is compared factored (73 validating constructions with neither,
+    # 23 with the first alone), a rational kernel on int products with one Fraction per coordinate
+    # (51 Fractions before); the first run fills the F_n and q caches
     assert run_cli(capsys, argv)[0] == 0
     built = counter(monkeypatch)
     code, _ = run_cli(capsys, argv)
@@ -746,6 +747,20 @@ def test_quantum_hwv_requests_take_the_factored_path_and_no_gcd(capsys, monkeypa
                 calls.clear()
                 code, _ = run_cli(capsys, ["hwv", "--m", str(m), "--n", str(n), "--p", str(p), "--quantum"])
                 assert code == 0 and calls == Counter({"_factored_kernel": 1}), (m, n, p)
+
+
+def test_a_quantum_hwv_request_compares_without_dividing(capsys, monkeypatch):
+    # the transfer formula and the oracle are compared as factored scalars: a quotient is integer
+    # subtractions, so no request divides Laurent polynomials, and the oracle's space is walked once;
+    # the first pass fills the F_n and Phi_d caches (Phi_d is built by one division)
+    for argv in QUANTUM_HWV:
+        assert run_cli(capsys, argv)[0] == 0
+    calls = count_calls(monkeypatch, "_factored_kernel")
+    divisions = count_calls(monkeypatch, "div_exact", module=LaurentPoly)
+    for argv in QUANTUM_HWV:
+        calls.clear()
+        assert run_cli(capsys, argv)[0] == 0 and calls == Counter({"_factored_kernel": 1}), argv
+    assert divisions == Counter()
 
 
 def test_a_corrupted_cyclotomic_factor_fails_the_certificate(capsys, monkeypatch):

@@ -24,6 +24,7 @@ from qsl2.qarith import LaurentPoly, q_int, specialize_one, v
 from qsl2.serialize import module_descriptor, scalar_json
 from qsl2 import tensorcg
 from qsl2.tensorcg import highest_weight_vector, highest_weight_vectors, phi_vector, phi_vs_oracle, tensor, weight_spaces
+from kernels import expanded
 from vectors import add, basis_vector, scaled, sub, zero
 
 
@@ -999,7 +1000,7 @@ def test_factored_normal_form_is_the_gcd_normal_form_on_every_hwv_space(flavor):
                 if len(target) != len(source) - 1:
                     continue
                 rows = [[up.get(src, {}).get(lab, LaurentPoly()) for src in source] for lab in target]
-                factored = tensorcg._factored_kernel(rows)
+                (factored,) = expanded([tensorcg._factored_kernel(rows)])
                 (x,) = tensorcg._kernel_fraction_free(rows, len(source), LaurentPoly)
                 assert factored == tensorcg._normalize_laurent(x), (m, n, w)
                 solved += 1

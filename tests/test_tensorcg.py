@@ -16,7 +16,7 @@ from qsl2.modrep import (
     rasskazova,
     verma_classical,
 )
-from qsl2.qarith import LaurentPoly, q_int, specialize_one, v
+from qsl2.qarith import ExactDivisionError, LaurentPoly, q_int, specialize_one, v
 from qsl2 import tensorcg
 from qsl2.tensorcg import (
     ComparisonReport,
@@ -24,6 +24,7 @@ from qsl2.tensorcg import (
     DecompositionError,
     Interpretation,
     NullspaceError,
+    WEIGHT_MATCHED,
     _kernel_fraction_free,
     cg_decompose,
     decompose_by_character,
@@ -35,7 +36,7 @@ from qsl2.tensorcg import (
     weight_spaces,
 )
 from calls import FRACTION_SLACK, count_calls, count_fractions
-from kernels import factored_kernel, kernel_fraction_free
+from kernels import expanded, factored_kernel, kernel_fraction_free
 from vectors import basis_vector, scaled
 
 # -- tensor construction ------------------------------------------------------
@@ -408,11 +409,16 @@ def double_head(x):
     return [2 * x[0], *x[1:]]
 
 
+def double_factored_head(x):
+    """double_head on _factored_kernel's coordinates (sign, power of v, counts): the sign doubled."""
+    return [(2 * x[0][0], *x[0][1:]), *x[1:]]
+
+
 @pytest.mark.parametrize(
     "flavor, solver, doubled",
     [
         (CLASSICAL, "_kernel", lambda kernel: [double_head(x) for x in kernel]),
-        (QUANTUM, "_factored_kernel", double_head),
+        (QUANTUM, "_factored_kernel", double_factored_head),
     ],
     ids=["classical", "quantum"],
 )
@@ -481,7 +487,7 @@ def test_a_zero_superdiagonal_entry_takes_the_elimination(ring, monkeypatch):
 @pytest.mark.parametrize("ring", [Fraction, LaurentPoly], ids=["fraction", "laurent"])
 def test_an_empty_target_keeps_every_basis_vector(ring):
     for ncols in (1, 2, 3):
-        kernel = tensorcg._kernel([], ncols, ring)
+        kernel = expanded(tensorcg._kernel([], ncols, ring))
         assert kernel == [[ring(1) if i == j else ring() for i in range(ncols)] for j in range(ncols)]
         assert all(type(c) is ring for x in kernel for c in x)
     multi = rasskazova_tensor()  # weight 9 is its top: no target, two basis vectors
@@ -543,7 +549,7 @@ def raising_matrices(draw):
 @settings(max_examples=200, deadline=None)
 def test_certified_kernel_is_the_normalized_elimination_kernel(matrix):
     rows, ncols, ring = matrix
-    kernel = tensorcg._kernel(rows, ncols, ring)
+    kernel = expanded(tensorcg._kernel(rows, ncols, ring))
     assert kernel == normalized_elimination(rows, ncols, ring)
     # equality alone would accept an int coordinate, as 1 == Fraction(1)
     assert all(type(c) is ring for x in kernel for c in x)
@@ -590,12 +596,12 @@ def test_factored_kernel_is_the_normalized_recurrence_or_falls_back(matrix):
     # the shape proves rank p: the elimination kernel is one vector, normalised by gcds
     (reference,) = normalized_elimination(rows, ncols, LaurentPoly)
     if shaped:
-        assert factored == reference
+        assert expanded([factored]) == [reference]
     # either way the certified kernel is that vector; a near miss takes the certified path: every
     # s_r is nonzero at v = 3 mod the first prime, so one rank of rows, Bareiss once, one rank of its vector
     with pytest.MonkeyPatch.context() as patch:
         calls = count_calls(patch, "_factored_kernel", "_kernel_fraction_free", "_rank_mod")
-        assert tensorcg._kernel(rows, ncols, LaurentPoly) == [reference]
+        assert expanded(tensorcg._kernel(rows, ncols, LaurentPoly)) == [reference]
     near_miss = {"_kernel_fraction_free": 1, "_rank_mod": 2}
     assert calls == Counter({"_factored_kernel": 1} if shaped else {"_factored_kernel": 1, **near_miss})
 
@@ -605,7 +611,8 @@ def test_factored_kernel_is_the_normalized_recurrence_or_falls_back(matrix):
 def test_factored_kernel_is_the_reference_one(matrix):
     # the one walk against one Counter per coordinate (tests/kernels.py), near misses included
     rows, _ = matrix
-    assert tensorcg._factored_kernel(rows) == factored_kernel(rows)
+    factored = tensorcg._factored_kernel(rows)
+    assert (factored and expanded([factored])[0]) == factored_kernel(rows)
 
 
 @st.composite
@@ -876,6 +883,24 @@ def test_agreement_of_all_three_routes():
                 assert decompose_by_character(a, b) == decompose_by_character(tensor(a, b))
 
 
+@pytest.mark.parametrize("flavor, top", [(CLASSICAL, 4), (QUANTUM, 3)], ids=["classical", "quantum"])
+def test_agreement_of_all_three_routes_on_triple_products(flavor, top, monkeypatch):
+    # F_a (x) F_b (x) F_c has spaces that are not bidiagonal, solved by the rank mod p and the
+    # elimination: at each weight the kernel's dimension is the character's multiplicity and
+    # that of the closed form folded over the summands of F_a (x) F_b
+    calls = count_calls(monkeypatch, "_kernel_fraction_free")
+    for a in range(top + 1):
+        for b in range(top + 1):
+            for c in range(top + 1):
+                fa, fb, fc = (finite_dim(x, flavor) for x in (a, b, c))
+                dims = Counter(w for w, _ in highest_weight_vectors(tensor(tensor(fa, fb), fc)))
+                folded = Counter()
+                for w in cg_decompose(a, b).summands:
+                    folded.update(cg_decompose(w, c).summands)
+                assert dims == decompose_by_character(fa, fb, fc).summands == folded, (a, b, c)
+    assert calls["_kernel_fraction_free"] > 0
+
+
 def test_decompose_by_character_names_the_product_as_tensor_does():
     # a factor with a non-integral weight: the product's weights are too
     verma, f2 = verma_classical(Fraction(5, 2), 4), finite_dim(2, CLASSICAL)
@@ -989,6 +1014,81 @@ def test_phi_vs_oracle_reading_off_the_weight_space():
     report = phi_vs_oracle(2, 2, 1, reading)
     assert not report.proportional and report.scalar is None
     assert report.witness == ("w_0*w_0", -(v**-2 + 1), LaurentPoly())
+
+
+def compared_expanded(m, n, p, interpretation) -> ComparisonReport:
+    """The comparison phi_vs_oracle made on expanded Laurent polynomials, kept as the reference:
+    label by label in basis order, the first ratio one exact division, each later label a product."""
+    phi = phi_vector(m, n, p, interpretation)
+    module = phi.module
+    oracle = highest_weight_vector(module, m + n - 2 * p)
+    zero, ratio = LaurentPoly(), None
+    for lab in module.basis:
+        a, b = phi.entries.get(lab, zero), oracle.entries.get(lab, zero)
+        if not a and not b:
+            continue
+        if ratio is None and a and b:
+            try:
+                ratio = a / b
+                continue
+            except ExactDivisionError:
+                pass
+        if ratio is None or a != ratio * b:
+            return ComparisonReport(False, None, (lab, a, b), interpretation.ident, oracle)
+    return ComparisonReport(True, ratio, None, interpretation.ident, oracle)
+
+
+# two terms on one label: where the support begins, so that label's quotient is found by a
+# division of its expanded sum, or just after it, against a factored first quotient
+SHARED = [Interpretation("k//2,p-k//2", lambda m, n, p, k: (k // 2, p - k // 2)),
+          Interpretation("(k+1)//2,p-(k+1)//2", lambda m, n, p, k: ((k + 1) // 2, p - (k + 1) // 2))]
+READINGS = [WEIGHT_MATCHED, Interpretation("p-k,k", lambda m, n, p, k: (p - k, k)),
+            Interpretation("k,k", lambda m, n, p, k: (k, k)), *SHARED]
+
+
+@pytest.mark.parametrize("reading", READINGS, ids=["weight-matched", "reversed", "diagonal", "shared-first", "shared-next"])
+def test_factored_comparison_is_the_expanded_one(reading):
+    for m in range(9):
+        for n in range(9):
+            for p in range(min(m, n) + 1):
+                assert phi_vs_oracle(m, n, p, reading) == compared_expanded(m, n, p, reading), (m, n, p)
+
+
+def test_terms_that_share_a_label_are_compared_expanded(monkeypatch):
+    # phi_vector(1, 1, 1) is v^-1 w_0*w_1 + v w_1*w_0; read at (k//2, p-k//2) both terms sit on
+    # w_0*w_1, and the oracle there, v, divides their sum v^-1 + v: the first quotient is v^-2 + 1,
+    # found by one gcd and one division, and w_1*w_0, the oracle's -1, has no formula term
+    calls = count_calls(monkeypatch, "lp_gcd")
+    shared = SHARED[0]
+    assert phi_vector(1, 1, 1, shared).entries == {"w_0*w_1": v**-1 + v}
+    report = phi_vs_oracle(1, 1, 1, shared)
+    assert report.witness == ("w_1*w_0", LaurentPoly(), LaurentPoly(-1))
+    assert calls == Counter({"lp_gcd": 1})
+    # at (2, 1, 1) the oracle's v^2 + 1 at w_0*w_1 does not divide the sum there: a mismatch at once
+    report = phi_vs_oracle(2, 1, 1, shared)
+    assert report.witness == ("w_0*w_1", v**-3 + v**-1 + v, v**2 + 1)
+    assert calls == Counter({"lp_gcd": 2})
+
+
+def test_one_quotient_in_its_expanded_and_its_factored_form_agrees(monkeypatch):
+    # a quotient divided expanded (at a label two terms share) and one kept factored compare by
+    # value: no reading of the formula is known to reach this, so the terms are given, [2] times
+    # the oracle v w_0*w_1 - w_1*w_0 of (1, 1, 1), the first as a sum and the second factored
+    module, _ = tensorcg._phi_terms(1, 1, 1, WEIGHT_MATCHED)
+    terms = {"w_0*w_1": v**2 + 1, "w_1*w_0": (-1, -1, {4: 1})}  # [2] = v^-1 Phi_4
+    monkeypatch.setattr(tensorcg, "_phi_terms", lambda *args: (module, terms))
+    report = phi_vs_oracle(1, 1, 1)
+    assert report.oracle.entries == {"w_0*w_1": v, "w_1*w_0": LaurentPoly(-1)}
+    assert report.proportional and report.scalar == q_int(2)
+
+
+@given(st.sampled_from([1, -1, 0]), st.integers(-8, 8), st.dictionaries(st.integers(1, 16), st.integers(0, 3)))
+@settings(max_examples=200, deadline=None)
+def test_expand_is_the_product_of_cyclotomic_factors(sign, low, counts):
+    product = LaurentPoly({low: sign})
+    for d, k in counts.items():
+        product = product * tensorcg._cyclotomic(d) ** k
+    assert tensorcg._expand((sign, low, counts)) == product
 
 
 def test_phi_vs_oracle_runs_and_oracle_is_killed():
