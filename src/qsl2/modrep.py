@@ -38,7 +38,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import lcm
 
-from .qarith import LaurentPoly, q_int
+from .qarith import LaurentPoly, _made, q_int
 
 __all__ = ["CLASSICAL", "QUANTUM", "Flavor", "RasskazovaParams", "RelationFailure", "RelationReport", "Vector",
            "WeightModule", "apply", "check_relations", "corrupt_one_entry", "finite_dim", "rasskazova",
@@ -467,7 +467,7 @@ QUANTUM = Flavor(
     raising="E",
     lowering="F",
     ring=LaurentPoly,
-    diagonal={"K": lambda w: LaurentPoly({w: 1}), "Kinv": lambda w: LaurentPoly({-w: 1})},
+    diagonal={"K": lambda w: _made({w: 1}), "Kinv": lambda w: _made({-w: 1})},  # w: a validated int
     # D(E) = E (x) K + 1 (x) E, D(F) = F (x) 1 + Kinv (x) F, D(K) = K (x) K
     coproduct={"E": ("K", None), "F": (None, "Kinv")},
     relations=("K Kinv=1", "K E Kinv=v^2 E", "K F Kinv=v^-2 F", "[E,F]=[h]_v"),

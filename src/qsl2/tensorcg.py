@@ -11,8 +11,9 @@ by its cyclotomic factors, with no gcd; any other space by a rank mod p,
 then fraction-free (Bareiss) elimination, on int numerators over Q, and
 its ring's normaliser.  The explicit highest-weight transfer formula is
 adjudicated against the nullspace oracle, both as factored scalars (sign, power
-of v, count of each Phi_d), and the outcome reported as data.  Decomposition,
-Interpretation and ComparisonReport are frozen records on modrep's ``Record`` base.
+of v, count of each Phi_d), expanded as +-v^e times a cached product of Phi_d's,
+and the outcome reported as data.  Decomposition, Interpretation and
+ComparisonReport are frozen records on modrep's ``Record`` base.
 """
 
 from __future__ import annotations
@@ -190,17 +191,23 @@ def _q_int_factors(c):
     >>> _q_int_factors(LaurentPoly({e: 1 for e in range(-5, 6, 2)}))  # [6] = v^-5 Phi_3 Phi_4 Phi_6 Phi_12
     (1, -5, {3: 1, 4: 1, 6: 1, 12: 1})
     """
-    terms = list(c.terms()) if isinstance(c, LaurentPoly) else [(0, c)]
-    (low, sign), a2 = terms[0], 2 * len(terms)
-    if sign not in (1, -1) or terms != [(low + 2 * i, sign) for i in range(len(terms))]:
+    cs = c._coeffs if type(c) is LaurentPoly else {0: c}
+    sign, a2 = cs[low := min(cs)], 2 * len(cs)
+    if sign not in (1, -1) or any(cs.get(e) != sign for e in range(low + 2, low + a2, 2)):
         return None
     return sign, low, {d: 1 for d in range(3, a2 + 1) if a2 % d == 0}
 
 
+@functools.lru_cache(maxsize=128)  # phi_vs_oracle over m, n <= 8 takes 100 counts
+def _cyclotomic_product(counts: tuple) -> LaurentPoly:
+    """prod Phi_d^k over the sorted (d, k) pairs counts, built once per counts (m, n <= 6 take 37)."""
+    return prod([_cyclotomic(d) for d, k in counts for _ in range(k)], start=_made({0: 1}))
+
+
 def _expand(x):
-    """The Laurent polynomial of a factored scalar with no negative count (sign 0 is zero); any other x as is."""
-    return x if type(x) is not tuple else prod(
-        [_cyclotomic(d) for d, k in x[2].items() for _ in range(k)], start=_made({x[1]: x[0]}))
+    """The Laurent polynomial of a factored scalar with no negative count (sign 0 is zero): +-v^e shifts
+    the exponents of the shared product of its Phi_d's; any other x as is."""
+    return x if type(x) is not tuple else _made({x[1]: x[0]}) * _cyclotomic_product(tuple(sorted(x[2].items())))
 
 
 def _factored_kernel(rows: list[list]) -> list | None:

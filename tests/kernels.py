@@ -6,7 +6,10 @@ replaced, kept unchanged so that the tests can compare the two:
 fraction-free elimination on the ring's own values, and a factored
 kernel that counts each coordinate's cyclotomic factors from scratch.
 The engine's factored kernel keeps its coordinates factored; ``expanded``
-multiplies them out for the comparison.
+multiplies them out for the comparison.  The engine reads each product of
+Phi_d's from a cache and tests +-v^e [a] on the stored coefficients;
+``expand`` and ``q_int_factors`` are the uncached product and the sorted
+term list they replaced.
 """
 
 import functools
@@ -78,3 +81,19 @@ def expanded(kernel: list) -> list:
     """Kernel vectors with every coordinate in factored form (sign, power of v, counts of Phi_d)
     multiplied out to a Laurent polynomial; any other coordinate as it is."""
     return [[_expand(c) for c in x] for x in kernel]
+
+
+def expand(x):
+    """A factored scalar (sign, power of v, {d: count of Phi_d}) multiplied out, one Phi_d at a time
+    onto a validated +-v^e; any other x as is."""
+    return x if type(x) is not tuple else prod(
+        [_cyclotomic(d) for d, k in x[2].items() for _ in range(k)], start=LaurentPoly({x[1]: x[0]}))
+
+
+def q_int_factors(c):
+    """The factored scalar of a nonzero c that is +-v^e [a], else None, read off its sorted term list."""
+    terms = list(c.terms()) if isinstance(c, LaurentPoly) else [(0, c)]
+    (low, sign), a2 = terms[0], 2 * len(terms)
+    if sign not in (1, -1) or terms != [(low + 2 * i, sign) for i in range(len(terms))]:
+        return None
+    return sign, low, {d: 1 for d in range(3, a2 + 1) if a2 % d == 0}

@@ -1,5 +1,6 @@
 import argparse
 import contextlib
+import functools
 import io
 import json
 import os
@@ -725,14 +726,15 @@ def test_hwv_oracle_failure_is_internal_failure(capsys, monkeypatch, flags, kern
 
 
 @pytest.mark.parametrize("argv, counter, pinned", [
-    (["hwv", "--m", "6", "--n", "6", "--p", "3", "--quantum"], count_inits, {"init": 10}),
+    (["hwv", "--m", "6", "--n", "6", "--p", "3", "--quantum"], count_inits, {"init": 2}),
     (["hwv", "--m", "14", "--n", "14", "--p", "7"], count_fractions, {"Fraction": 30 * FRACTION_SLACK}),
 ], ids=["quantum-laurent-validations", "classical-fractions"])
 def test_an_hwv_request_builds_a_pinned_count_of_ring_values(capsys, monkeypatch, argv, counter, pinned):
     # a deterministic stand-in for a time budget: a ring result is built canonical with no
-    # re-validation and the formula is compared factored (73 validating constructions with neither,
-    # 23 with the first alone), a rational kernel on int products with one Fraction per coordinate
-    # (51 Fractions before); the first run fills the F_n and q caches
+    # re-validation, the formula is compared factored and a twist is built as a monomial (73
+    # validating constructions with none of them, 23 with the first alone, 10 without the last),
+    # a rational kernel on int products with one Fraction per coordinate (51 Fractions before);
+    # the first run fills the F_n, q and Phi_d product caches
     assert run_cli(capsys, argv)[0] == 0
     built = counter(monkeypatch)
     code, _ = run_cli(capsys, argv)
@@ -763,13 +765,29 @@ def test_a_quantum_hwv_request_compares_without_dividing(capsys, monkeypatch):
     assert divisions == Counter()
 
 
+def test_a_warm_quantum_hwv_sweep_builds_no_cyclotomic_product(capsys, monkeypatch):
+    # the oracle's coordinates and the formula's scalar are expanded as +-v^e times a product of
+    # Phi_d's read from a bounded cache, here an empty one of the engine's size: the 127 triples
+    # expand 450 scalars on 37 distinct counts, so the first pass builds 37 products, the second none
+    size = tensorcg._cyclotomic_product.cache_parameters()["maxsize"]
+    product = functools.lru_cache(size)(tensorcg._cyclotomic_product.__wrapped__)
+    monkeypatch.setattr(tensorcg, "_cyclotomic_product", product)
+    for hits in (413, 863):
+        for argv in QUANTUM_HWV:
+            assert run_cli(capsys, argv)[0] == 0
+        assert product.cache_info() == (hits, 37, size, 37)
+
+
 def test_a_corrupted_cyclotomic_factor_fails_the_certificate(capsys, monkeypatch):
     # hwv 3 3 2 expands Phi_3, Phi_4 and Phi_6; the cache is filled first, so
-    # that no other Phi_d is built by dividing by the corrupted Phi_4
+    # that no other Phi_d is built by dividing by the corrupted Phi_4, and the
+    # products are read from an empty cache of their own, so each one is built
+    # with the corrupted Phi_4 and the warm cache is back intact afterwards
     cyclotomic = tensorcg._cyclotomic
     for d in range(1, 20):
         cyclotomic(d)
     monkeypatch.setattr(tensorcg, "_cyclotomic", lambda d: cyclotomic(d) + 1 if d == 4 else cyclotomic(d))
+    monkeypatch.setattr(tensorcg, "_cyclotomic_product", functools.cache(tensorcg._cyclotomic_product.__wrapped__))
     argv = ["hwv", "--m", "3", "--n", "3", "--p", "2", "--quantum"]
     code, out = run_cli(capsys, argv)
     assert code == 1

@@ -24,7 +24,7 @@ from qsl2.qarith import LaurentPoly, q_int, specialize_one, v
 from qsl2.serialize import module_descriptor, scalar_json
 from qsl2 import tensorcg
 from qsl2.tensorcg import highest_weight_vector, highest_weight_vectors, phi_vector, phi_vs_oracle, tensor, weight_spaces
-from kernels import expanded
+from kernels import expand, expanded, q_int_factors
 from vectors import add, basis_vector, scaled, sub, zero
 
 
@@ -1005,6 +1005,71 @@ def test_factored_normal_form_is_the_gcd_normal_form_on_every_hwv_space(flavor):
                 assert factored == tensorcg._normalize_laurent(x), (m, n, w)
                 solved += 1
     assert solved == sum(min(m, n) + 1 for m in range(11) for n in range(11))
+
+
+@pytest.mark.parametrize("flavor", [QUANTUM, KASSEL], ids=["quantum", "kassel"])
+def test_the_cached_expansion_is_the_uncached_product(flavor):
+    # every factored scalar _factored_kernel gives on a bidiagonal space of F_m (x) F_n, m, n <= 8,
+    # and (under QUANTUM, the one flavour it builds) every coefficient _phi_terms gives there:
+    # _expand reads +-v^e times a cached product of Phi_d's, the reference multiplies each Phi_d
+    # onto a validated +-v^e; the second _expand of each scalar reads the cache
+    scalars = []
+    for m in range(9):
+        for n in range(9):
+            t = tensor(finite_dim(m, flavor), finite_dim(n, flavor))
+            spaces, up = weight_spaces(t), t.action[flavor.raising]
+            for w, source in spaces.items():
+                target = spaces.get(w + 2, [])
+                if len(target) == len(source) - 1:
+                    scalars += tensorcg._factored_kernel(
+                        [[up.get(src, {}).get(lab, LaurentPoly()) for src in source] for lab in target])
+            if flavor is QUANTUM:
+                for p in range(min(m, n) + 1):
+                    scalars += tensorcg._phi_terms(m, n, p, tensorcg.WEIGHT_MATCHED)[1].values()
+    # p + 1 coordinates in each of the min(m, n) + 1 spaces, and as many formula coefficients
+    assert len(scalars) == (2 if flavor is QUANTUM else 1) * 825
+    for x in scalars:
+        assert tensorcg._expand(x) == expand(x) == tensorcg._expand(x), x
+
+
+@st.composite
+def q_int_candidates(draw):
+    """A nonzero scalar that _q_int_factors reads: +-v^e [a], or one with a gap, mixed signs, a +-2 or
+    Fraction coefficient, a single term of any coefficient, or a plain int or Fraction."""
+    sign, low, a = draw(st.sampled_from([1, -1])), draw(st.integers(-6, 6)), draw(st.integers(1, 7))
+    coeffs = {low + 2 * i: sign for i in range(a)}
+    exps = sorted(coeffs)
+    kind = draw(st.sampled_from(["q-int", "gap", "mixed", "two", "fraction", "odd step", "single", "int"]))
+    if kind == "gap":  # an interior term dropped, or one more term past a gap above the top
+        if a >= 3:
+            del coeffs[exps[1]]
+        else:
+            coeffs[exps[-1] + 4] = sign
+    elif kind == "mixed":
+        coeffs[draw(st.sampled_from(exps))] = -sign
+    elif kind in ("two", "fraction"):
+        coeffs[draw(st.sampled_from(exps))] = (draw(st.sampled_from([2, -2])) if kind == "two"
+                                               else Fraction(draw(st.sampled_from([1, -1, 3])), 2))
+    elif kind == "odd step":
+        coeffs[exps[-1] + 1] = sign
+    elif kind in ("single", "int"):
+        c = draw(st.sampled_from([1, -1, 2, -2, Fraction(1, 2), Fraction(-3, 2)]))
+        return LaurentPoly({low: c}) if kind == "single" else c
+    return LaurentPoly(coeffs)
+
+
+@given(q_int_candidates())
+@example(LaurentPoly({0: 1, 4: 1}))  # a gap
+@example(LaurentPoly({-1: 1, 1: -1}))  # mixed signs
+@example(LaurentPoly({0: 1, 2: 2}))  # a 2
+@example(LaurentPoly({0: Fraction(1, 2)}))  # a Fraction
+@example(LaurentPoly({3: -1}))  # a single term
+@example(1)
+@example(-2)
+@example(Fraction(1))
+@settings(max_examples=300, deadline=None)
+def test_q_int_factors_on_the_stored_coefficients_is_the_sorted_terms_one(c):
+    assert tensorcg._q_int_factors(c) == q_int_factors(c)
 
 
 def kassel_coefficient(m, n, p, k):
