@@ -72,38 +72,39 @@ def tensor(a: WeightModule, b: WeightModule, spaces=None) -> WeightModule:
     the module holds one label per basis vector and every stored key is
     a basis label.  The vector la (x) lb is named f"{la}*{lb}", in basis
     order a's basis then b's; ValueError if two of these names coincide.
-    Given a set of weights ``spaces``, only the vectors of those weights
-    are built, in the same order, from those pairs alone, a twist evaluated
-    on their labels only; an entry whose row falls outside them is
-    dropped and its column marked boundary, as a truncation is.
+    Given a set of weights ``spaces``, each label of a is paired with b's
+    labels whose weights complete it into ``spaces``, in the same order; an
+    entry whose row falls outside them is dropped, its column marked boundary
+    as a truncation is.  A twist is evaluated only where an entry lands, once per weight.
     """
     if a.flavor is not b.flavor:
         raise ValueError(f"cannot tensor a {a.flavor.name} and a {b.flavor.name} module")
-    fl, one = a.flavor, a.flavor.ring(1)
-    wa, wb = a.weights, b.weights
-    in_b = {w: [(b.position(lb), lb) for lb in labs] for w, labs in weight_spaces(b).items()}
-    kept = {x + y for x in set(wa.values()) for y in in_b} if spaces is None else spaces
-    at = {(la, lb): f"{la}*{lb}" for _, _, la, lb in sorted(  # each la with b's labels that complete it into kept
-        (pa, pb, la, lb) for w in kept for pa, la in enumerate(a.basis) for pb, lb in in_b.get(w - wa[la], ()))}
+    fl, wa, wb, one = a.flavor, a.weights, b.weights, _made({0: 1})
+    bw = [(lb, wb[lb]) for lb in b.basis]
+    partners = {x: [lb for lb, y in bw if spaces is None or x + y in spaces] for x in set(wa.values())}
+    at = {(la, lb): f"{la}*{lb}" for la in a.basis for lb in partners[wa[la]]}
     weights = {lab: wa[la] + wb[lb] for (la, lb), lab in at.items()}
     clipped = {lab for (la, lb), lab in at.items() if la in a.boundary or lb in b.boundary}
 
-    def twists(m, gen, side):  # eigenvalue of a twist on m's labels in at (m's side of each pair), where it is not 1
-        labels = {pair[side] for pair in at} if gen else ()
-        return {lab: t for lab in labels if (t := fl.diagonal[gen](m.weights[lab])) != one}
+    evals: dict = {}  # (twist, weight): its eigenvalue there, None where it is 1
+
+    def twist(gen, w):
+        if (gen, w) not in evals:
+            evals[gen, w] = None if (t := fl.diagonal[gen](w)) == one else t
+        return evals[gen, w]
 
     action: dict = {}
     for g, (right, left) in fl.coproduct.items():
-        ga, gb, rts, lts = a.action[g], b.action[g], twists(b, right, 1), twists(a, left, 0)
+        ga, gb, empty = a.action[g], b.action[g], {}
         mat = action[g] = {}
         for (la, lb), lab in at.items():
-            col, rt, lt, ca, cb = {}, rts.get(lb), lts.get(la), ga.get(la, {}), gb.get(lb, {})
+            col, ca, cb = {}, ga.get(la, empty), gb.get(lb, empty)
             for ra, c in ca.items():
                 if row := at.get((ra, lb)):
-                    col[row] = c if rt is None else c * rt
+                    col[row] = c if right is None or (rt := twist(right, wb[lb])) is None else c * rt
             for rb, c in cb.items():  # g shifts weights, so these rows never meet the ones above
                 if row := at.get((la, rb)):
-                    col[row] = c if lt is None else lt * c
+                    col[row] = c if left is None or (lt := twist(left, wa[la])) is None else lt * c
             if len(col) < len(ca) + len(cb):
                 clipped.add(lab)
             if col:
@@ -217,17 +218,21 @@ def _factored_kernel(rows: list[list]) -> list | None:
     d, s = ([row[r + j] and _q_int_factors(row[r + j]) for r, row in enumerate(rows)] for j in (0, 1))
     if None in d or None in s:
         return None
-    xs = [(1, 0, [0] * (max((e for f in d + s if f for e in f[2]), default=0) + 1))]  # count[e]: the power of Phi_e
+    xs, least = [(1, 0, {})], {}  # {e: the power of Phi_e}, 0 if absent; least[e]: its least power, where < 0
     for dk, sk in zip(d, s):
         if not dk:  # x_k = 0 past a zero d_k
             break
         sign, low, count = xs[-1]
-        count = count[:]
-        for e, by in [*((e, 1) for e in dk[2]), *((e, -1) for e in sk[2])]:
-            count[e] += by
+        count = count.copy()
+        for e in dk[2]:
+            count[e] = count.get(e, 0) + 1
+        for e in sk[2]:
+            if (k := count.get(e, 0) - 1) < least.get(e, 0):
+                least[e] = k
+            count[e] = k
         xs.append((-sign * dk[0] * sk[0], low + dk[1] - sk[1], count))
-    common, e0 = list(map(min, zip(*[c for *_, c in xs]))), min(x[1] for x in xs)
-    return [(sign, low - e0, {e: k - k0 for e, (k, k0) in enumerate(zip(c, common)) if k > k0})
+    e0 = min(x[1] for x in xs)  # the least power of v; the last count holds every e met on the walk
+    return [(sign, low - e0, {e: k for e in xs[-1][2] if (k := c.get(e, 0) - least.get(e, 0))})
             for sign, low, c in xs] + [(0, 0, {})] * (len(rows) + 1 - len(xs))
 
 
@@ -324,7 +329,8 @@ def highest_weight_vectors(m: WeightModule, weight=None) -> list[tuple[object, V
     matrix, with the same kernel), which solves a rational bidiagonal space straight
     into its normal form, a quantum one of +-v^e [a] entries by cyclotomic factors, kept
     beside the expansion, with no gcd, any other by a rank mod p, Bareiss and the ring's
-    normaliser; the raising operator must take every returned vector to exactly zero.  Output by descending weight.
+    normaliser; the raising operator must take every returned vector to exactly zero, over Q checked
+    as D x for the lcm D of x's denominators (E.(D x) = D (E.x), on ints).  Output by descending weight.
     """
     raising, ring = m.flavor.raising, m.flavor.ring
     up = m.num_action[raising]
@@ -342,7 +348,10 @@ def highest_weight_vectors(m: WeightModule, weight=None) -> list[tuple[object, V
         for coords in _kernel(rows, len(source), ring):
             vec = _KernelVector(m, dict(zip(source, map(_expand, coords))))
             vec.factored = {lab: x for lab, x in zip(source, coords) if x[0]} if type(coords[0]) is tuple else None
-            if not apply(m, raising, vec).is_zero():
+            scaled = vec if ring is LaurentPoly else Vector(m, {  # over Q, D x: the certificate on ints
+                lab: c.numerator * (d // c.denominator) for d in [lcm(*[c.denominator for c in coords])]
+                for lab, c in vec.entries.items()})
+            if not apply(m, raising, scaled).is_zero():
                 raise NullspaceError(f"nullspace certificate failed at weight {w} of {m.name}")
             out.append((w, vec))
     return out
@@ -520,7 +529,7 @@ def phi_vs_oracle(
         if a or b:
             q = a and b and _over(a, b)
             if not q or ratio and (q != ratio if type(q) is type(ratio) else _expand(q) != _expand(ratio)):
-                witness = (lab, _expand(a) if a else LaurentPoly(), oracle.entries.get(lab, LaurentPoly()))
+                witness = (lab, *(_expand(x) if x else _made({}) for x in (a, oracle.entries.get(lab))))
                 return ComparisonReport(False, None, witness, interpretation.ident, oracle)
             ratio = ratio or q
     return ComparisonReport(True, _expand(ratio), None, interpretation.ident, oracle)

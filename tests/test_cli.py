@@ -9,6 +9,7 @@ import runpy
 import subprocess
 import sys
 from collections import Counter
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -725,20 +726,25 @@ def test_hwv_oracle_failure_is_internal_failure(capsys, monkeypatch, flags, kern
     assert envelope == {"version": qsl2.__version__, "command": HWV_3_3_1 + flags, "status": "error"}
 
 
-@pytest.mark.parametrize("argv, counter, pinned", [
-    (["hwv", "--m", "6", "--n", "6", "--p", "3", "--quantum"], count_inits, {"init": 2}),
-    (["hwv", "--m", "14", "--n", "14", "--p", "7"], count_fractions, {"Fraction": 30 * FRACTION_SLACK}),
+@pytest.mark.parametrize("argv, counter, pinned, control", [
+    (["hwv", "--m", "6", "--n", "6", "--p", "3", "--quantum"], count_inits, {"init": 0}, lambda: LaurentPoly(1)),
+    (["hwv", "--m", "14", "--n", "14", "--p", "7"], count_fractions, {"Fraction": 9 * FRACTION_SLACK},
+     lambda: Fraction(1, 3)),
 ], ids=["quantum-laurent-validations", "classical-fractions"])
-def test_an_hwv_request_builds_a_pinned_count_of_ring_values(capsys, monkeypatch, argv, counter, pinned):
+def test_an_hwv_request_builds_a_pinned_count_of_ring_values(capsys, monkeypatch, argv, counter, pinned, control):
     # a deterministic stand-in for a time budget: a ring result is built canonical with no
-    # re-validation, the formula is compared factored and a twist is built as a monomial (73
-    # validating constructions with none of them, 23 with the first alone, 10 without the last),
-    # a rational kernel on int products with one Fraction per coordinate (51 Fractions before);
-    # the first run fills the F_n, q and Phi_d product caches
+    # re-validation, the formula is compared factored, a twist is built as a monomial and no
+    # zero or one is validated (73 validating constructions with none of them, 23 with the first
+    # alone, 10 without the third, 2 without the last); a rational kernel on int products with one
+    # Fraction per coordinate, certified on int numerators (51 Fractions before the first, 30
+    # before the second); the first run fills the F_n, q and Phi_d product caches
     assert run_cli(capsys, argv)[0] == 0
     built = counter(monkeypatch)
     code, _ = run_cli(capsys, argv)
-    assert code == 0 and 0 < sum(built.values()) and all(built[k] <= n for k, n in pinned.items())
+    assert code == 0 and all(built[k] <= n for k, n in pinned.items())
+    request = built.copy()  # the positive control: one construction outside the request is counted
+    control()
+    assert built - request == Counter(dict.fromkeys(pinned, 1))
 
 
 def test_quantum_hwv_requests_take_the_factored_path_and_no_gcd(capsys, monkeypatch):

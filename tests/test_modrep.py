@@ -986,6 +986,36 @@ def test_tensor_of_two_weight_spaces_is_the_full_tensor_restricted(flavor, m, n)
         assert highest_weight_vectors(t, w) == highest_weight_vectors(full, w)
 
 
+def reference_tensor(a, b):
+    """The whole tensor of a and b on the reference coproduct: every pair in a's order then b's,
+    on the boundary where either factor's label is."""
+    pairs = [(la, lb) for la in a.basis for lb in b.basis]
+    weights = {f"{la}*{lb}": a.weights[la] + b.weights[lb] for la, lb in pairs}
+    boundary = [f"{la}*{lb}" for la, lb in pairs if la in a.boundary or lb in b.boundary]
+    return WeightModule(a.flavor, "reference", list(weights), weights, reference_tensor_action(a, b), boundary)
+
+
+def tensor_factors(flavor):
+    """F_0 .. F_4 of a flavour and, classically, truncated factors stored over den > 1."""
+    truncated = [verma_classical(Fraction(5, 2), 3), verma_classical(-3, 2),
+                 rasskazova(RasskazovaParams(Fraction(1, 2), Fraction(-1, 3), 2, 1)),
+                 rasskazova(RasskazovaParams(0, Fraction(2, 3), 1, 2))]
+    return [finite_dim(n, flavor) for n in range(5)] + (truncated if flavor is CLASSICAL else [])
+
+
+@FLAVORS
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_tensor_of_chosen_spaces_is_the_reference_tensor_cut_to_them(flavor, data):
+    # basis order, weights, boundary and columns, for any set of weights, among them weights the
+    # product lacks (odd, out of range or non-integral)
+    a, b = (data.draw(st.sampled_from(tensor_factors(flavor))) for _ in range(2))
+    present = sorted({wa + wb for wa in a.weights.values() for wb in b.weights.values()})
+    absent = [present[-1] + 2, present[0] - 2, present[0] + 1, Fraction(1, 3), Fraction(7, 2)]
+    spaces = data.draw(st.sets(st.sampled_from(present + [w for w in absent if w not in present])))
+    assert_is_the_restriction(tensor(a, b, spaces), reference_tensor(a, b), spaces)
+
+
 @pytest.mark.parametrize("flavor", [QUANTUM, KASSEL], ids=["quantum", "kassel"])
 def test_factored_normal_form_is_the_gcd_normal_form_on_every_hwv_space(flavor):
     # each bidiagonal space of F_m (x) F_n: the kernel vector normalised in factored form

@@ -430,6 +430,21 @@ def test_hwv_certifies_the_vector_it_returns(flavor, solver, doubled, monkeypatc
         highest_weight_vectors(tensor(finite_dim(1, flavor), finite_dim(1, flavor)), 0)
 
 
+@pytest.mark.parametrize("m, n, p", [(1, 1, 1), (3, 2, 2), (5, 4, 3), (14, 14, 7)])
+def test_the_rational_certificate_sees_a_non_integral_nudge(monkeypatch, m, n, p):
+    # over Q the returned vector x is certified as D x, D the lcm of its denominators; a coordinate
+    # c nudged to c / 3 keeps every numerator, so only a certificate that reads the denominators fails it
+    solve, w = tensorcg._kernel, m + n - 2 * p
+    t = tensor(finite_dim(m, CLASSICAL), finite_dim(n, CLASSICAL), {w, w + 2})
+    ((_, x),) = highest_weight_vectors(t, w)
+    assert any(c.denominator > 1 for c in x.entries.values()) or p < 2
+    for k in range(p + 1):
+        monkeypatch.setattr(tensorcg, "_kernel", lambda *args: [[c / 3 if j == k else c for j, c in enumerate(y)]
+                                                                for y in solve(*args)])
+        with pytest.raises(NullspaceError, match=f"nullspace certificate failed at weight {w} of "):
+            highest_weight_vectors(t, w)
+
+
 # -- certified kernels: recurrence, rank mod p, completeness -------------------------
 
 
