@@ -13,7 +13,8 @@ classical modules, LaurentPoly for quantum ones.  It stores each weight and
 classical entry once, as an int numerator over its least common denominator
 den (1 for F_n and quantum modules), and is graded, checked and described on
 them; ``weights`` and ``action`` read the values, Fractions where den > 1.
-Modules are immutable after construction and every operation here is pure.
+A module given den keeps the dicts it is handed, so they must not change
+afterwards; modules are immutable after construction and every operation is pure.
 
 A basis label is the vector's printed name, a str: w_k for F_n and the
 Verma modules, w^i_j for Rasskazova's, and la*lb for a tensor product.
@@ -116,6 +117,7 @@ class WeightModule:
     ``num_weights`` and ``num_action`` hold each weight and classical entry as an int numerator
     over ``den``, the least common denominator (1 for F_n and quantum modules), given with den or
     else rescaled from ints and Fractions; ``weights`` and ``action`` read values, Fractions if den > 1.
+    Given den, the module keeps the dicts it is handed, and nothing may write them afterwards.
     """
 
     __slots__ = ("flavor", "name", "basis", "den", "num_weights", "num_action", "weights", "action", "boundary", "_pos")
@@ -127,9 +129,8 @@ class WeightModule:
         self._pos = {lab: i for i, lab in enumerate(self.basis)}
         if len(self._pos) != len(self.basis):
             raise ValueError("basis labels must be pairwise distinct")
-        weights = dict(weights)
-        action = {g: {c: dict(col) for c, col in mat.items()} for g, mat in action.items()}
-        if den is None:  # values: over Q, their ints and Fractions become numerators over their lcm
+        if den is None:  # values: over Q, their ints and Fractions become numerators over their lcm, in copies
+            weights, action = dict(weights), {g: {c: dict(col) for c, col in m.items()} for g, m in action.items()}
             dicts = [] if flavor.ring is LaurentPoly else [weights, *(c for m in action.values() for c in m.values())]
             den = lcm(*{x.denominator for d in dicts for x in d.values() if type(x) is Fraction})
             for d in dicts:  # any other value is left for _validate to refuse

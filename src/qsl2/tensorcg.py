@@ -73,18 +73,27 @@ def tensor(a: WeightModule, b: WeightModule, spaces=None) -> WeightModule:
     a basis label.  The vector la (x) lb is named f"{la}*{lb}", in basis
     order a's basis then b's; ValueError if two of these names coincide.
     Given a set of weights ``spaces``, each label of a is paired with b's
-    labels whose weights complete it into ``spaces``, in the same order; an
-    entry whose row falls outside them is dropped, its column marked boundary
-    as a truncation is.  A twist is evaluated only where an entry lands, once per weight.
+    labels whose weights complete it into ``spaces``, looked up by weight, in
+    the same order; the cut holds the raising operator alone, all that a kernel
+    and its certificate read, with an empty lowering map and every vector on the
+    boundary.  A twist is evaluated only where an entry lands, once per weight.
     """
     if a.flavor is not b.flavor:
         raise ValueError(f"cannot tensor a {a.flavor.name} and a {b.flavor.name} module")
     fl, wa, wb, one = a.flavor, a.weights, b.weights, _made({0: 1})
-    bw = [(lb, wb[lb]) for lb in b.basis]
-    partners = {x: [lb for lb, y in bw if spaces is None or x + y in spaces] for x in set(wa.values())}
+    partners = dict.fromkeys(wa.values(), b.basis)  # a weight of a: b's labels to pair it with
+    if spaces is not None:  # b's labels by weight, so a weight x of a looks up s - x for each s in spaces
+        by_weight: dict = {}
+        for lb in b.basis:
+            by_weight.setdefault(wb[lb], []).append(lb)
+        for x in partners:
+            got = []
+            for s in spaces:
+                got += by_weight.get(s - x, ())
+            partners[x] = sorted(got, key=b.position) if len(got) > 1 else got  # in b's basis order
     at = {(la, lb): f"{la}*{lb}" for la in a.basis for lb in partners[wa[la]]}
     weights = {lab: wa[la] + wb[lb] for (la, lb), lab in at.items()}
-    clipped = {lab for (la, lb), lab in at.items() if la in a.boundary or lb in b.boundary}
+    clipped = {lab for (la, lb), lab in at.items() if spaces is not None or la in a.boundary or lb in b.boundary}
 
     evals: dict = {}  # (twist, weight): its eigenvalue there, None where it is 1
 
@@ -93,10 +102,11 @@ def tensor(a: WeightModule, b: WeightModule, spaces=None) -> WeightModule:
             evals[gen, w] = None if (t := fl.diagonal[gen](w)) == one else t
         return evals[gen, w]
 
-    action: dict = {}
+    action: dict = {g: {} for g in fl.coproduct}
     for g, (right, left) in fl.coproduct.items():
-        ga, gb, empty = a.action[g], b.action[g], {}
-        mat = action[g] = {}
+        if spaces is not None and g != fl.raising:
+            continue
+        ga, gb, empty, mat = a.action[g], b.action[g], {}, action[g]
         for (la, lb), lab in at.items():
             col, ca, cb = {}, ga.get(la, empty), gb.get(lb, empty)
             for ra, c in ca.items():
@@ -105,8 +115,6 @@ def tensor(a: WeightModule, b: WeightModule, spaces=None) -> WeightModule:
             for rb, c in cb.items():  # g shifts weights, so these rows never meet the ones above
                 if row := at.get((la, rb)):
                     col[row] = c if left is None or (lt := twist(left, wa[la])) is None else lt * c
-            if len(col) < len(ca) + len(cb):
-                clipped.add(lab)
             if col:
                 mat[lab] = col
 

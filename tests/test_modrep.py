@@ -478,6 +478,26 @@ def test_hand_built_module_passes_validation():
     assert m.dim == 2 and check_relations(m).ok
 
 
+@pytest.mark.parametrize("flavor, action", [(CLASSICAL, {"e": {"w_1": {"w_0": 1}}, "f": {"w_0": {"w_1": 1}}}),
+                                            (QUANTUM, F1_QUANTUM)], ids=["classical", "quantum"])
+def test_a_module_given_den_keeps_the_dicts_it_is_handed(flavor, action):
+    weights = {"w_0": 1, "w_1": -1}
+    m = hand_built_f1(flavor, action=action, weights=weights, den=1)
+    assert m.num_action is action and m.num_weights is weights
+    assert m.action is action and m.weights is weights  # den 1: the views are the stored dicts
+
+
+def test_a_module_rescaled_over_q_leaves_the_callers_dicts_unchanged():
+    # with no den the values are rescaled to numerators over their lcm, 6 here, in copies
+    weights = {"w_0": Fraction(1, 2), "w_1": Fraction(-3, 2)}
+    action = {"e": {"w_1": {"w_0": Fraction(1, 3)}}, "f": {"w_0": {"w_1": 1}}}
+    m = hand_built_f1(action=action, weights=weights)
+    assert m.den == 6 and m.num_weights == {"w_0": 3, "w_1": -9}
+    assert m.num_action == {"e": {"w_1": {"w_0": 2}}, "f": {"w_0": {"w_1": 6}}}
+    assert weights == {"w_0": Fraction(1, 2), "w_1": Fraction(-3, 2)}
+    assert action == {"e": {"w_1": {"w_0": Fraction(1, 3)}}, "f": {"w_0": {"w_1": 1}}}
+
+
 @pytest.mark.parametrize(
     "overrides, message",
     [
@@ -951,16 +971,16 @@ def test_tensor_of_a_verma_module_equals_the_reference_coproduct():
 
 def assert_is_the_restriction(t, full, spaces):
     """t is full cut to the vectors whose weights lie in spaces, in full's
-    order; an entry whose row is cut leaves its column on the boundary."""
+    order, holding the raising operator alone: its lowering map is empty and
+    every kept vector is on the boundary."""
     keep = {lab for lab in full.basis if full.weights[lab] in spaces}
+    raising, lowering = full.flavor.raising, full.flavor.lowering
     assert t.basis == tuple(lab for lab in full.basis if lab in keep)
     assert t.weights == {lab: full.weights[lab] for lab in t.basis}
-    assert t.action == {g: {col: kept for col, entries in mat.items() if col in keep
-                            if (kept := {row: c for row, c in entries.items() if row in keep})}
-                        for g, mat in full.action.items()}
-    clipped = {col for mat in full.action.values() for col, entries in mat.items()
-               if col in keep and not entries.keys() <= keep}
-    assert t.boundary == full.boundary & keep | clipped
+    assert t.action == {raising: {col: kept for col, entries in full.action[raising].items() if col in keep
+                                  if (kept := {row: c for row, c in entries.items() if row in keep})},
+                        lowering: {}}
+    assert t.boundary == keep
 
 
 @settings(max_examples=50, deadline=None)

@@ -128,6 +128,27 @@ def test_tensor_refuses_product_names_that_coincide():
         tensor(a, b)
 
 
+def test_a_quantum_hwv_cut_stores_and_multiplies_for_the_raising_operator_alone(monkeypatch):
+    # the 127 quantum hwv-sweep cuts, 1 <= m, n <= 6, on the weights m+n-2p and m+n-2p+2: each stores
+    # and multiplies for E's columns alone; the positive control takes the same counts on the whole
+    # tensor, which holds F's columns too, cut down to those weights by hand
+    factors = [finite_dim(n, QUANTUM) for n in range(7)]
+    cuts = [(factors[m], factors[n], {m + n - 2 * p, m + n - 2 * p + 2})
+            for m in range(1, 7) for n in range(1, 7) for p in range(min(m, n) + 1)]
+
+    def stored(t, spaces):
+        keep = {lab for lab in t.basis if t.weights[lab] in spaces}
+        return sum(col in keep and row in keep for mat in t.num_action.values()
+                   for col, entries in mat.items() for row in entries)
+
+    calls = count_calls(monkeypatch, "__mul__", module=LaurentPoly)
+    entries = sum(stored(tensor(a, b, spaces), spaces) for a, b, spaces in cuts)
+    assert len(cuts) == 127 and (entries, calls["__mul__"]) == (392, 178)
+    calls.clear()
+    entries = sum(stored(tensor(a, b), spaces) for a, b, spaces in cuts)
+    assert (entries, calls["__mul__"]) == (784, 4432)
+
+
 # -- weight spaces -------------------------------------------------------------
 
 
