@@ -62,6 +62,13 @@ class Decomposition(Record):
 # -- tensor products -----------------------------------------------------------
 
 
+def _one_flavor(a: WeightModule, b: WeightModule) -> Flavor:
+    """The flavour a and b share; ValueError if they differ, as no coproduct joins two flavours."""
+    if a.flavor is not b.flavor:
+        raise ValueError(f"cannot tensor a {a.flavor.name} and a {b.flavor.name} module")
+    return a.flavor
+
+
 def tensor(a: WeightModule, b: WeightModule, spaces=None) -> WeightModule:
     """Tensor product of two modules of one flavour under its coproduct.
 
@@ -72,20 +79,16 @@ def tensor(a: WeightModule, b: WeightModule, spaces=None) -> WeightModule:
     the module holds one label per basis vector and every stored key is
     a basis label.  The vector la (x) lb is named f"{la}*{lb}", in basis
     order a's basis then b's; ValueError if two of these names coincide.
-    Given a set of weights ``spaces``, each label of a is paired with b's
-    labels whose weights complete it into ``spaces``, looked up by weight, in
-    the same order; the cut holds the raising operator alone, all that a kernel
-    and its certificate read, with an empty lowering map and every vector on the
-    boundary.  A twist is evaluated only where an entry lands, once per weight.
+    Given weights ``spaces``, any iterable read once, each label of a is paired with
+    b's labels whose weights complete it into ``spaces``, from weight_spaces(b), in
+    the same order; the cut holds the raising operator alone, all that a kernel and
+    its certificate read, with an empty lowering map and every vector on the boundary.
+    A twist is read where its entry lands and skipped where it is 1.
     """
-    if a.flavor is not b.flavor:
-        raise ValueError(f"cannot tensor a {a.flavor.name} and a {b.flavor.name} module")
-    fl, wa, wb, one = a.flavor, a.weights, b.weights, _made({0: 1})
+    fl, wa, wb, one = _one_flavor(a, b), a.weights, b.weights, _made({0: 1})
     partners = dict.fromkeys(wa.values(), b.basis)  # a weight of a: b's labels to pair it with
     if spaces is not None:  # b's labels by weight, so a weight x of a looks up s - x for each s in spaces
-        by_weight: dict = {}
-        for lb in b.basis:
-            by_weight.setdefault(wb[lb], []).append(lb)
+        by_weight, spaces = weight_spaces(b), frozenset(spaces)
         for x in partners:
             got = []
             for s in spaces:
@@ -95,26 +98,17 @@ def tensor(a: WeightModule, b: WeightModule, spaces=None) -> WeightModule:
     weights = {lab: wa[la] + wb[lb] for (la, lb), lab in at.items()}
     clipped = {lab for (la, lb), lab in at.items() if spaces is not None or la in a.boundary or lb in b.boundary}
 
-    evals: dict = {}  # (twist, weight): its eigenvalue there, None where it is 1
-
-    def twist(gen, w):
-        if (gen, w) not in evals:
-            evals[gen, w] = None if (t := fl.diagonal[gen](w)) == one else t
-        return evals[gen, w]
-
     action: dict = {g: {} for g in fl.coproduct}
-    for g, (right, left) in fl.coproduct.items():
-        if spaces is not None and g != fl.raising:
-            continue
-        ga, gb, empty, mat = a.action[g], b.action[g], {}, action[g]
+    for g in fl.coproduct if spaces is None else [fl.raising]:  # a cut builds the raising operator alone
+        (right, left), ga, gb, empty, mat = fl.coproduct[g], a.action[g], b.action[g], {}, action[g]
         for (la, lb), lab in at.items():
             col, ca, cb = {}, ga.get(la, empty), gb.get(lb, empty)
             for ra, c in ca.items():
                 if row := at.get((ra, lb)):
-                    col[row] = c if right is None or (rt := twist(right, wb[lb])) is None else c * rt
+                    col[row] = c if right is None or (rt := fl.diagonal[right](wb[lb])) == one else c * rt
             for rb, c in cb.items():  # g shifts weights, so these rows never meet the ones above
                 if row := at.get((la, rb)):
-                    col[row] = c if left is None or (lt := twist(left, wa[la])) is None else lt * c
+                    col[row] = c if left is None or (lt := fl.diagonal[left](wa[la])) == one else lt * c
             if col:
                 mat[lab] = col
 
@@ -153,11 +147,7 @@ def _kernel_fraction_free(rows: list[list], ncols: int, ring: type):
     pivots: list[tuple[int, int]] = []  # (row, col)
     r = 0
     for c in range(ncols):
-        piv = None
-        for i in range(r, nrows):
-            if m[i][c]:
-                piv = i
-                break
+        piv = next((i for i in range(r, nrows) if m[i][c]), None)
         if piv is None:
             continue
         if piv != r:
@@ -396,12 +386,14 @@ def decompose_by_character(mod: WeightModule, *others: WeightModule) -> Decompos
     counts c are the convolution of the factors', so no tensor module is
     built.  They are those of a sum of F_n's exactly when c(-w) = c(w) and
     c(w) >= c(w+2) for every w >= 0; F_w then occurs c(w) - c(w+2) times
-    (Humphreys, Introduction to Lie Algebras, section 7).  Raises
-    DecompositionError, naming the product as tensor() would, on a
-    non-integral weight or on counts that fail the condition.
+    (Humphreys, Introduction to Lie Algebras, section 7).  Raises tensor()'s
+    ValueError on factors of two flavours, and DecompositionError, naming
+    the product as tensor() would, on a non-integral weight or on counts
+    that fail the condition.
     """
     product, name = {0: 1}, None  # the trivial module's character
     for factor in (mod, *others):
+        _one_flavor(mod, factor)
         weights = [factor.weights[lab] for lab in factor.basis]  # basis order: errors match tensor()'s
         acc: dict = {}
         for wa, ca in product.items():

@@ -1,3 +1,4 @@
+import functools
 from collections import Counter
 from fractions import Fraction
 
@@ -37,6 +38,7 @@ from qsl2.tensorcg import (
 )
 from calls import FRACTION_SLACK, count_calls, count_fractions
 from kernels import expanded, factored_kernel, kernel_fraction_free
+from test_modrep import KASSEL
 from vectors import basis_vector, scaled
 
 # -- tensor construction ------------------------------------------------------
@@ -128,11 +130,13 @@ def test_tensor_refuses_product_names_that_coincide():
         tensor(a, b)
 
 
-def test_a_quantum_hwv_cut_stores_and_multiplies_for_the_raising_operator_alone(monkeypatch):
+@pytest.mark.parametrize("flavor", [QUANTUM, KASSEL], ids=["quantum", "kassel"])
+def test_a_quantum_hwv_cut_stores_and_multiplies_for_the_raising_operator_alone(monkeypatch, flavor):
     # the 127 quantum hwv-sweep cuts, 1 <= m, n <= 6, on the weights m+n-2p and m+n-2p+2: each stores
-    # and multiplies for E's columns alone; the positive control takes the same counts on the whole
-    # tensor, which holds F's columns too, cut down to those weights by hand
-    factors = [finite_dim(n, QUANTUM) for n in range(7)]
+    # and multiplies for E's columns alone, and no twist of 1 multiplies (E's twist K sits on the right
+    # factor under QUANTUM, on the left under KASSEL); the positive control takes the same counts on the
+    # whole tensor, which holds F's columns too, cut down to those weights by hand
+    factors = [finite_dim(n, flavor) for n in range(7)]
     cuts = [(factors[m], factors[n], {m + n - 2 * p, m + n - 2 * p + 2})
             for m in range(1, 7) for n in range(1, 7) for p in range(min(m, n) + 1)]
 
@@ -147,6 +151,19 @@ def test_a_quantum_hwv_cut_stores_and_multiplies_for_the_raising_operator_alone(
     calls.clear()
     entries = sum(stored(tensor(a, b), spaces) for a, b, spaces in cuts)
     assert (entries, calls["__mul__"]) == (784, 4432)
+
+
+@pytest.mark.parametrize("flavor", [CLASSICAL, QUANTUM], ids=["classical", "quantum"])
+def test_a_cut_reads_its_spaces_once_and_as_a_set(flavor):
+    # an iterator is used up after one pass and a list may repeat a weight: each builds the cut of the set
+    a, b, spaces = finite_dim(2, flavor), finite_dim(3, flavor), {1, 3, 5}
+    want = tensor(a, b, spaces)
+    for given in (iter(sorted(spaces)), [5, 1, 5, 3, 1]):
+        got = tensor(a, b, given)
+        assert (got.basis, got.weights, got.num_action, got.boundary) == (
+            want.basis, want.weights, want.num_action, want.boundary)
+        assert highest_weight_vectors(got) == highest_weight_vectors(want)
+    assert len(want.basis) == 6 and [w for w, _ in highest_weight_vectors(want)] == [5, 3, 1]  # F_5 + F_3 + F_1
 
 
 # -- weight spaces -------------------------------------------------------------
@@ -935,6 +952,18 @@ def test_agreement_of_all_three_routes_on_triple_products(flavor, top, monkeypat
                     folded.update(cg_decompose(w, c).summands)
                 assert dims == decompose_by_character(fa, fb, fc).summands == folded, (a, b, c)
     assert calls["_kernel_fraction_free"] > 0
+
+
+def test_decompose_by_character_refuses_mixed_flavors_as_tensor_does():
+    c, q = finite_dim(1, CLASSICAL), finite_dim(1, QUANTUM)
+    for factors in ((c, q), (q, c), (c, c, q), (q, q, c)):
+        with pytest.raises(ValueError) as by_factors:
+            decompose_by_character(*factors)
+        with pytest.raises(ValueError) as by_tensor:
+            functools.reduce(tensor, factors)
+        assert type(by_factors.value) is ValueError
+        assert str(by_factors.value) == str(by_tensor.value) == (
+            f"cannot tensor a {factors[0].flavor.name} and a {factors[-1].flavor.name} module")
 
 
 def test_decompose_by_character_names_the_product_as_tensor_does():
