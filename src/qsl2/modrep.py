@@ -396,22 +396,34 @@ def check_relations(m: WeightModule) -> RelationReport:
     is graded; so only [raising, lowering] = commutator(w) is evaluated,
     read from the stored columns.  Over Q it reads the int numerators over
     m.den: products over den^2, h (the weight) times den, a defect / den^2.
-    Failures are reported as data (relation name, basis vector, exact
-    defect), never raised.
+    x's own coefficient is one running scalar: -commutator(w), plus each
+    product b*a of raising(lowering(x)) landing on x, minus each of
+    lowering(raising(x)); a landing off x goes into a dict made at the
+    first one (never on Verma modules, F_n or Rasskazova layer 1).
+    Failures are data (relation name, basis vector, exact defect), never raised.
     """
     fl, den, weights, commutator = m.flavor, m.den, m.num_weights, m.flavor.commutator
     up, down, empty = m.num_action[fl.raising].get, m.num_action[fl.lowering].get, {}
     checked = tuple([lab for lab in m.basis if lab not in m.boundary])  # a list: see qarith.primitive
     failures = []
     for lab in checked:
-        d = {lab: -commutator(weights[lab] * den)}  # den is 1 over Q[v, v^-1]
+        s, off = -commutator(weights[lab] * den), None  # den is 1 over Q[v, v^-1]
         for mid, a in down(lab, empty).items():  # + raising(lowering(x))
             for row, b in up(mid, empty).items():
-                d[row] = d[row] + b * a if row in d else b * a
+                if row == lab:
+                    s = s + b * a
+                else:
+                    off = off or {}  # made at the first landing off x
+                    off[row] = off[row] + b * a if row in off else b * a
         for mid, a in up(lab, empty).items():  # - lowering(raising(x))
             for row, b in down(mid, empty).items():
-                d[row] = d[row] - b * a if row in d else -(b * a)
-        if any(d.values()):
+                if row == lab:
+                    s = s - b * a
+                else:
+                    off = off or {}
+                    off[row] = off[row] - b * a if row in off else -(b * a)
+        if s or off and any(off.values()):
+            d = {lab: s, **(off or empty)}
             defect = [(row, c if fl.ring is LaurentPoly else Fraction(c, den * den)) for row, c in d.items() if c]
             defect.sort(key=lambda kv: m.position(kv[0]))
             failures.append(RelationFailure(fl.relations[-1], lab, tuple(defect)))

@@ -591,7 +591,7 @@ ENTRY_FAULTS = {
 @st.composite
 def faulty_module_data(draw):
     """(flavor, basis, weights, action, den) of a hand-built module: the layers
-    of graded_classical_modules as int numerators over den (1 and Laurent
+    of graded_modules as int numerators over den (1 and Laurent
     entries over Q[v, v^-1]), 0-2 ENTRY_FAULTS on each entry and perhaps an
     unknown column placed anywhere in one generator's matrix."""
     flavor = draw(st.sampled_from([CLASSICAL, QUANTUM]))
@@ -900,15 +900,22 @@ def test_checker_builds_no_vector_and_calls_no_apply(name, monkeypatch):
 
 
 @st.composite
-def graded_classical_modules(draw):
-    """Random graded classical module: layers k = 0, 1, .. of weight hw - 2k,
-    rational e entries from layer k+1 to k and f entries from k to k+1, and
-    a random boundary."""
-    hw = draw(st.one_of(st.integers(-4, 4), st.fractions(-4, 4, max_denominator=3)))
+def graded_modules(draw, flavor=CLASSICAL):
+    """Random graded module: layers k = 0, 1, .. of weight hw - 2k, raising
+    entries from layer k+1 to k and lowering entries from k to k+1, and a
+    random boundary.  Classical: rational hw and entries; quantum: integer
+    hw and entries 0 or +-v^e with |e| <= 2.  A layer of two or three
+    vectors makes paths that land off the vector checked."""
+    if flavor is CLASSICAL:
+        hw = draw(st.one_of(st.integers(-4, 4), st.fractions(-4, 4, max_denominator=3)))
+        scalars = st.fractions(-3, 3, max_denominator=3)
+    else:
+        hw = draw(st.integers(-4, 4))
+        monomial = st.builds(lambda c, e: LaurentPoly({e: c}), st.sampled_from([1, -1]), st.integers(-2, 2))
+        scalars = st.one_of(st.just(LaurentPoly()), monomial)
     sizes = draw(st.lists(st.integers(1, 3), min_size=1, max_size=4))
     basis = [(k, i) for k, size in enumerate(sizes) for i in range(size)]
     weights = {lab: hw - 2 * lab[0] for lab in basis}
-    scalars = st.fractions(-3, 3, max_denominator=3)
     e: dict = {}
     f: dict = {}
     for lo in basis:
@@ -920,13 +927,30 @@ def graded_classical_modules(draw):
                 if d:
                     f.setdefault(hi, {})[lo] = d
     boundary = draw(st.sets(st.sampled_from(basis)))
-    return WeightModule(CLASSICAL, "random", basis, weights, {"e": e, "f": f}, boundary)
+    return WeightModule(flavor, "random", basis, weights, {flavor.raising: e, flavor.lowering: f}, boundary)
 
 
 @settings(max_examples=100, deadline=None)
-@given(graded_classical_modules())
+@given(graded_modules())
 def test_checker_matches_the_reference_on_random_modules(m):
     assert check_relations(m) == reference_check_relations(m)
+
+
+@settings(max_examples=50, deadline=None)
+@given(graded_modules(QUANTUM))
+def test_checker_matches_the_reference_on_random_quantum_modules(m):
+    assert check_relations(m) == reference_check_relations(m)
+
+
+def test_a_defect_that_leaves_out_the_vector_itself():
+    # f.w^2_3 = -10 w^2_2 - w^1_2; doubling the second entry leaves [e,f] - h
+    # on w^2_2 zero at w^2_2 itself and nonzero only at w^1_2
+    m = rasskazova(RasskazovaParams(1, 2, 2, 3))
+    assert m.action["f"]["w^2_3"]["w^1_2"] == -1
+    bad = with_entry(m, "f", "w^2_3", "w^1_2", -2)
+    report = check_relations(bad)
+    assert report.failures == (RelationFailure("[e,f]=h", "w^2_2", (("w^1_2", Fraction(1)),)),)
+    assert report == reference_check_relations(bad)
 
 
 # -- tensor products against the coproduct, evaluated with apply ----------------
@@ -984,7 +1008,7 @@ def assert_is_the_restriction(t, full, spaces):
 
 
 @settings(max_examples=50, deadline=None)
-@given(graded_classical_modules(), graded_classical_modules(), st.data())
+@given(graded_modules(), graded_modules(), st.data())
 def test_tensor_of_random_modules_equals_the_reference_coproduct(a, b, data):
     t = tensor(a, b)
     assert t.action == reference_tensor_action(a, b)
@@ -1292,7 +1316,7 @@ def test_rasskazova_stores_its_formula_in_order(beta, lam):
 @st.composite
 def wide_denominator_data(draw):
     """(basis, weights, action, boundary) of a random graded classical module
-    as in graded_classical_modules, with weight and entry denominators up to
+    as in graded_modules, with weight and entry denominators up to
     13 (a common denominator up to lcm(1..13) = 360360) and plain int entries
     mixed in."""
     hw = draw(st.one_of(st.integers(-4, 4), st.fractions(-4, 4, max_denominator=13)))

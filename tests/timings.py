@@ -12,9 +12,11 @@ F_4^(x)3; phi_vs_oracle over the 127 quantum hwv-sweep triples
 q-integer and Phi_d product caches, then a warm one that reads them; the
 warm time of tensor alone over those triples' two weight spaces m+n-2p and
 m+n-2p+2, best of 5; then over the same two spaces of hwv-sweep's classical
-triples, 4 <= m, n <= 14.  These are per-version baselines, not gates: the
-exit status is 1 only if a timing raised.  Stdlib only; pytest does not
-collect this file.
+triples, 4 <= m, n <= 14; and the warm time of check_relations on the
+Verma module of highest weight 7/3 to depth 300 and on the Rasskazova
+module V(1/3, -2/5, 5) with window 40, best of 5.  These are per-version
+baselines, not gates: the exit status is 1 only if a timing raised.
+Stdlib only; pytest does not collect this file.
 """
 
 from __future__ import annotations
@@ -64,11 +66,25 @@ def cuts(flavor_name: str, lo: int, hi: int):
     print(f"tensor over the two weight spaces of the {len(t)} {flavor_name} hwv-sweep triples, warm: {best * 1e3:.2f} ms")
 
 
+def relation_checks():
+    from fractions import Fraction
+
+    from qsl2 import RasskazovaParams, check_relations, rasskazova, verma_classical
+
+    for name, m in (("Verma 7/3 to depth 300", verma_classical(Fraction(7, 3), 300)),
+                    ("Rasskazova 1/3, -2/5, n 5, window 40",
+                     rasskazova(RasskazovaParams(Fraction(1, 3), Fraction(-2, 5), 5, 40)))):
+        check_relations(m)
+        best = min(timeit.repeat(lambda: check_relations(m), number=1, repeat=5))
+        print(f"check_relations on {name}, warm: {best * 1e3:.2f} ms")
+
+
 TIMINGS = {
     "hwv-cubes": hwv_cubes,
     "phi-sweeps": phi_sweeps,
     "quantum-cuts": lambda: cuts("quantum", 1, 6),
     "classical-cuts": lambda: cuts("classical", 4, 14),
+    "relation-checks": relation_checks,
 }
 
 
