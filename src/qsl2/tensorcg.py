@@ -10,10 +10,10 @@ solved straight into its normal form, a quantum one of +-v^e [a] entries
 by its cyclotomic factors, with no gcd; any other space by a rank mod p,
 then fraction-free (Bareiss) elimination, on int numerators over Q, and
 its ring's normaliser.  The explicit highest-weight transfer formula is
-adjudicated against the nullspace oracle, both as factored scalars (sign, power
-of v, count of each Phi_d), expanded as +-v^e times a cached product of Phi_d's,
-and the outcome reported as data.  Decomposition, Interpretation and
-ComparisonReport are frozen records on modrep's ``Record`` base.
+adjudicated against the nullspace oracle, one formula term per basis vector, both
+sides as factored scalars (sign, power of v, count of each Phi_d; expanded as +-v^e
+times a cached product of Phi_d's), the outcome reported as data.  Decomposition,
+Interpretation and ComparisonReport are frozen records on modrep's ``Record`` base.
 """
 
 from __future__ import annotations
@@ -420,7 +420,8 @@ class Interpretation(Record):
 
     ``positions(m, n, p, k)`` gives the pair of basis positions (indexed
     from the highest-weight vector: position 0 is the top) used by term
-    k of the sum.
+    k of the sum, one term per basis vector: phi_vector refuses two terms on
+    one with ValueError, as it refuses a position outside F_m (x) F_n.
     """
 
     _fields = ("ident", "positions")
@@ -456,14 +457,15 @@ def phi_vector(
     the returned vector is the formula multiplied through by the common
     denominator [m]!/[m-p]! = [m][m-1]...[m-p+1]; the cleared
     coefficients [n-p+k]!/[n-p]! * [m-k]!/[m-p]! are exact ring elements,
-    each built factored, then expanded.  phi_vs_oracle records the reading.
+    each built factored, then expanded, one term per basis vector: a reading
+    that puts two on one raises ValueError.  phi_vs_oracle records the reading.
     """
     module, terms = _phi_terms(m, n, p, interpretation)
     return Vector(module, {lab: _expand(c) for lab, c in terms.items()})
 
 
 def _phi_terms(m: int, n: int, p: int, interpretation: Interpretation) -> tuple:
-    """phi_vector's module and coefficient by label: factored, or expanded where terms share the label."""
+    """phi_vector's module and factored term by label; ValueError, before any tensor is built, on a shared label."""
     if m < 0 or n < 0:
         raise ValueError(f"need m, n >= 0, got ({m}, {n})")
     if not 0 <= p <= min(m, n):
@@ -476,19 +478,19 @@ def _phi_terms(m: int, n: int, p: int, interpretation: Interpretation) -> tuple:
     for k in range(p + 1):
         pos_a, pos_b = interpretation.positions(m, n, p, k)
         if not 0 <= pos_a <= m or not 0 <= pos_b <= n:
-            raise ValueError(
-                f"term k={k}: positions ({pos_a}, {pos_b}) fall outside "
-                f"F_{m} (x) F_{n} under interpretation {interpretation.ident}"
-            )
+            raise ValueError(f"term k={k}: positions ({pos_a}, {pos_b}) fall outside "
+                             f"F_{m} (x) F_{n} under interpretation {interpretation.ident}")
+        la, lb = fa.basis[pos_a], fb.basis[pos_b]
+        lab = f"{la}*{lb}"  # tensor's name for w_{pos_a} (x) w_{pos_b}
+        if lab in terms:  # term j is the j-th key
+            raise ValueError(f"terms k={list(terms).index(lab)} and k={k} share positions ({pos_a}, {pos_b}) of "
+                             f"F_{m} (x) F_{n} under interpretation {interpretation.ident}")
+        spaces.add(fa.weights[la] + fb.weights[lb])  # a reading may leave weight m+n-2p, and builds that space too
         # [n-p+k]!/[n-p]! times [m-k]!/[m-p]!: v^(1-a) for each [a], and Phi_d for each a that d/gcd(d, 2) divides
         bracket = [*range(n - p + 1, n - p + k + 1), *range(m - p + 1, m - k + 1)]
-        coeff = (sign, (k - p) * (2 + m) + p * p - k * k + n + sum(1 - a for a in bracket), {
+        terms[lab] = (sign, (k - p) * (2 + m) + p * p - k * k + n + sum(1 - a for a in bracket), {
             d: c for d in range(3, 2 * max(m, n) + 1)
             if (c := (n - p + k) // (e := d // gcd(d, 2)) - (n - p) // e + (m - k) // e - (m - p) // e)})
-        la, lb = fa.basis[pos_a], fb.basis[pos_b]
-        spaces.add(fa.weights[la] + fb.weights[lb])  # a reading may leave weight m+n-2p
-        lab = f"{la}*{lb}"  # tensor's name for w_{pos_a} (x) w_{pos_b}
-        terms[lab] = _expand(terms[lab]) + _expand(coeff) if lab in terms else coeff
 
     return tensor(fa, fb, spaces), terms
 
@@ -518,9 +520,9 @@ def phi_vs_oracle(
     """Compare the transfer formula's vector with the nullspace oracle's
     highest-weight vector of weight m+n-2p.  Disagreement is a report
     outcome, not an error; an oracle that is not one vector raises
-    NullspaceError.  Both sides stay factored: in basis order, the quotient
-    formula / oracle must lie in the ring (no count negative) at the first label
-    of their support and be the same at each other; only what is reported is expanded."""
+    NullspaceError.  Both sides stay factored, one formula term per label: in basis order,
+    the quotient formula / oracle must lie in the ring (no count negative) at the first
+    label of their support and be the same at each other; only what is reported is expanded."""
     module, terms = _phi_terms(m, n, p, interpretation)
     oracle = highest_weight_vector(module, m + n - 2 * p)
     ratio = None
@@ -528,17 +530,14 @@ def phi_vs_oracle(
         a, b = terms.get(lab), oracle.factored.get(lab)
         if a or b:
             q = a and b and _over(a, b)
-            if not q or ratio and (q != ratio if type(q) is type(ratio) else _expand(q) != _expand(ratio)):
+            if not q or ratio and q != ratio:
                 witness = (lab, *(_expand(x) if x else _made({}) for x in (a, oracle.entries.get(lab))))
                 return ComparisonReport(False, None, witness, interpretation.ident, oracle)
             ratio = ratio or q
     return ComparisonReport(True, _expand(ratio), None, interpretation.ident, oracle)
 
 
-def _over(a, b: tuple):
-    """a / b for a factored b if it lies in the ring, else None; an expanded a (terms that share a label) is divided."""
-    if isinstance(a, LaurentPoly):  # b divides a where their gcd spans as many powers of v as b
-        g = lp_gcd(a, bx := _expand(b))
-        return a / bx if g.max_exp - g.min_exp == bx.max_exp - bx.min_exp else None
+def _over(a: tuple, b: tuple):
+    """a / b for a formula term a and an oracle coordinate b, both factored, if it lies in the ring, else None."""
     counts = {d: k for d in a[2].keys() | b[2].keys() if (k := a[2].get(d, 0) - b[2].get(d, 0))}
     return (a[0] * b[0], a[1] - b[1], counts) if min(counts.values(), default=0) >= 0 else None

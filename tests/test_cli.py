@@ -21,6 +21,7 @@ from qsl2.cli import main, run
 from qsl2.modrep import CLASSICAL, QUANTUM
 from qsl2.qarith import ExactDivisionError, LaurentPoly, q_fact, q_int
 from qsl2.serialize import laurent_token
+from argv_differential import FLAGS, ODD_VALUES, SWITCHES, VALID, agrees, argparse_or_error, reader_or_error
 from calls import FRACTION_SLACK, count_calls, count_fractions, count_inits, count_muls
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -308,19 +309,6 @@ def test_negative_rational_spellings_agree(capsys, separate, joined):
 
 # -- canonical argv is read off argparse's action table ------------------------------
 
-# each command path and its whole flags; the switches take no value
-FLAGS = {
-    ("decompose",): ["--m", "--n", "--quantum", "--format"],
-    ("hwv",): ["--m", "--n", "--p", "--quantum", "--format"],
-    ("check", "findim"): ["--n", "--quantum", "--inject-fault", "--describe", "--format"],
-    ("check", "verma"): ["--hw", "--depth", "--inject-fault", "--describe", "--format"],
-    ("check", "rasskazova"):
-        ["--beta", "--lambda", "--n", "--window", "--inject-fault", "--describe", "--format"],
-    ("qtable",): ["--max-n", "--format"],
-}
-SWITCHES = {"--quantum", "--inject-fault", "--describe"}
-
-
 def command_path(argv):
     return tuple(argv[:2]) if argv[:1] == ["check"] else tuple(argv[:1])
 
@@ -353,51 +341,11 @@ def is_canonical(argv):
     return True
 
 
-def argparse_or_error(argv):
-    """build_parser().parse_args(argv), or the exception it raised (SystemExit for help)."""
-    from qsl2 import cli
-
-    try:
-        with contextlib.redirect_stdout(io.StringIO()):
-            return cli.build_parser().parse_args(argv)
-    except (cli.UsageError, SystemExit) as exc:
-        return exc
-
-
-def reader_or_error(argv):
-    """cli._read_canonical(build_parser(), argv): a Namespace, None, or the UsageError it raised."""
-    from qsl2 import cli
-
-    try:
-        return cli._read_canonical(cli.build_parser(), argv)
-    except cli.UsageError as exc:
-        return exc
-
-
-def agrees(read, expected):
-    """The reader deferred, or it gave argparse's Namespace, or argparse's UsageError word for word."""
-    from qsl2 import cli
-
-    return (read is None or read == expected  # an exception never equals a Namespace
-            or type(read) is type(expected) is cli.UsageError and str(read) == str(expected))
-
-
 def bench_items():
     """The benchmark's warm-up list and pass 0 of each workload."""
     workloads = runpy.run_path(str(Path(__file__).parents[1] / "bench" / "workloads.py"))
     return workloads["warmup_items"]() + [
         item for name in workloads["WORKLOADS"] for item in workloads["generate"](name, 0, 0)]
-
-
-# a valid value for each flag that takes one, by command path
-VALID = {
-    ("decompose",): {"--m": "2", "--n": "1"},
-    ("hwv",): {"--m": "2", "--n": "1", "--p": "1"},
-    ("check", "findim"): {"--n": "2"},
-    ("check", "verma"): {"--hw": "1/2", "--depth": "2"},
-    ("check", "rasskazova"): {"--beta": "1/2", "--lambda": "3", "--n": "1", "--window": "1"},
-    ("qtable",): {"--max-n": "3"},
-}
 
 
 def joined_argvs():
@@ -439,7 +387,20 @@ def test_canonical_reading_equals_argparse():
     assert refused == 16 + 19  # "-3/2" for an integer flag or --format, and every "x"
 
 
-ODD_VALUES = ["-3/2", "٣", "+5", "1_0", " 4", "", "--m", "-1", "3.0", "xml", "0", "--", "1/0"]
+def test_the_argv_differential_finds_no_difference(capsys):
+    # tests/argv_differential.py, run in process: every argv it enumerates is deferred, read
+    # as argparse reads it, or refused in argparse's words
+    import argv_differential
+    import regen_golden
+
+    assert argv_differential.main() == 0
+    out = capsys.readouterr().out
+    counts = re.fullmatch(r"Python \S+: (\d+) argvs, (\d+) read, (\d+) deferred, (\d+) refused, 0 differ\n", out)
+    assert counts, out
+    total, read, deferred, refused = map(int, counts.groups())
+    assert total == read + deferred + refused > len(regen_golden.grid())
+
+
 VALUES = {"--format": ["json", "csv", "pretty"], "--hw": ["1/2", "5/2", "3"],
           "--beta": ["1/2", "5/2", "3"], "--lambda": ["1/2", "5/2", "3"]}
 

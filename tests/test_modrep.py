@@ -2,6 +2,7 @@ from fractions import Fraction
 from math import gcd, lcm, prod
 
 import pytest
+import sympy
 from hypothesis import example, given, settings, strategies as st
 
 from qsl2 import modrep
@@ -1182,8 +1183,48 @@ def test_transfer_formula_holds_under_kassel_with_an_alternating_sign():
             here, there = f"{a.basis[k]}*{b.basis[p - k]}", f"{a.basis[k + 1]}*{b.basis[p - k - 1]}"
             assert oracle[there] / oracle[here] == -Fraction(n - p + k + 1, m - k), (m, n, p, k)
             assert specialize_one(written[there]) / specialize_one(written[here]) == Fraction(n - p + k + 1, m - k)
+            # the correction restores the alternating sign the written coefficients lack
+            corrected = [specialize_one(kassel_coefficient(m, n, p, j)) for j in (k, k + 1)]
+            assert corrected[1] / corrected[0] == -Fraction(n - p + k + 1, m - k), (m, n, p, k)
             pairs += 1
     assert pairs == 540
+
+
+def test_the_kassel_formula_spans_the_kernel_for_every_size():
+    """The corrected formula is the highest-weight vector for every m, n and 1 <= p <= min(m, n).
+
+    Under KASSEL, D(E) = E (x) 1 + K (x) E, the cut of weight w = m+n-2p is
+    bidiagonal: row k, the vector w_k (x) w_{p-k-1} of weight w+2, holds
+    [m-k] from w_{k+1} (x) w_{p-k-1} and v^(m-2k) [n-p+k+1] from w_k (x) w_{p-k},
+    and nothing else.  So c is in the kernel exactly when
+    c_{k+1} [m-k] = -v^(m-2k) [n-p+k+1] c_k for 0 <= k < p.  kassel_coefficient's
+    product gives c_{k+1} [m-k] = -v^(e(k+1)-e(k)) [n-p+k+1] c_k, with
+    e(k) = (k-p)(1+m)+p^2-k^2+n, and e(k+1) - e(k) = m - 2k identically.
+    Each [m-k] with k < p <= m is nonzero, so columns 1..p are triangular with a
+    nonzero diagonal: the kernel is one-dimensional, and the formula, whose c_0 is
+    nonzero, spans it.  Below: the matrix for m, n <= 6, the recurrence for
+    m, n <= 8, and the exponent identity in sympy."""
+    for m in range(7):
+        for n in range(7):
+            for p in range(1, min(m, n) + 1):
+                a, b, w = finite_dim(m, KASSEL), finite_dim(n, KASSEL), m + n - 2 * p
+                up: dict = {}  # the raising operator's columns, by label, as the argument above gives them
+                for k in range(p):
+                    row = f"{a.basis[k]}*{b.basis[p - k - 1]}"
+                    up.setdefault(f"{a.basis[k + 1]}*{b.basis[p - k - 1]}", {})[row] = q_int(m - k)
+                    up.setdefault(f"{a.basis[k]}*{b.basis[p - k]}", {})[row] = v ** (m - 2 * k) * q_int(n - p + k + 1)
+                assert tensor(a, b, {w, w + 2}).action["E"] == up, (m, n, p)
+    for m in range(9):
+        for n in range(9):
+            for p in range(1, min(m, n) + 1):
+                e = [(k - p) * (1 + m) + p * p - k * k + n for k in range(p + 1)]
+                c = [kassel_coefficient(m, n, p, k) for k in range(p + 1)]
+                for k in range(p):
+                    right = -(v ** (e[k + 1] - e[k])) * q_int(n - p + k + 1) * c[k]
+                    assert c[k + 1] * q_int(m - k) == right, (m, n, p, k)
+    m, n, p, k = sympy.symbols("m n p k")
+    e = sympy.Lambda(k, (k - p) * (1 + m) + p**2 - k**2 + n)
+    assert sympy.expand(e(k + 1) - e(k) - (m - 2 * k)) == 0
 
 
 # -- the constructors on integer numerators -------------------------------------

@@ -1,4 +1,5 @@
 import functools
+import re
 from collections import Counter
 from fractions import Fraction
 
@@ -1103,44 +1104,57 @@ def compared_expanded(m, n, p, interpretation) -> ComparisonReport:
     return ComparisonReport(True, ratio, None, interpretation.ident, oracle)
 
 
-# two terms on one label: where the support begins, so that label's quotient is found by a
-# division of its expanded sum, or just after it, against a factored first quotient
+# two terms on one basis vector: k = 0 and 1 at (0, p) from p = 1 on, or k = 1 and 2 at (1, p-1) from p = 2 on
 SHARED = [Interpretation("k//2,p-k//2", lambda m, n, p, k: (k // 2, p - k // 2)),
           Interpretation("(k+1)//2,p-(k+1)//2", lambda m, n, p, k: ((k + 1) // 2, p - (k + 1) // 2))]
 READINGS = [WEIGHT_MATCHED, Interpretation("p-k,k", lambda m, n, p, k: (p - k, k)),
-            Interpretation("k,k", lambda m, n, p, k: (k, k)), *SHARED]
+            Interpretation("k,k", lambda m, n, p, k: (k, k))]
 
 
-@pytest.mark.parametrize("reading", READINGS, ids=["weight-matched", "reversed", "diagonal", "shared-first", "shared-next"])
-def test_factored_comparison_is_the_expanded_one(reading):
+@pytest.mark.parametrize("reading", READINGS, ids=["weight-matched", "reversed", "diagonal"])
+def test_factored_comparison_is_the_expanded_one(reading, monkeypatch):
+    calls = count_calls(monkeypatch, "lp_gcd")
     for m in range(9):
         for n in range(9):
             for p in range(min(m, n) + 1):
                 assert phi_vs_oracle(m, n, p, reading) == compared_expanded(m, n, p, reading), (m, n, p)
+    assert not calls  # one factored term per label, against a bidiagonal oracle: no polynomial gcd
 
 
-def test_terms_that_share_a_label_are_compared_expanded(monkeypatch):
-    # phi_vector(1, 1, 1) is v^-1 w_0*w_1 + v w_1*w_0; read at (k//2, p-k//2) both terms sit on
-    # w_0*w_1, and the oracle there, v, divides their sum v^-1 + v: the first quotient is v^-2 + 1,
-    # found by one gcd and one division, and w_1*w_0, the oracle's -1, has no formula term
-    calls = count_calls(monkeypatch, "lp_gcd")
-    shared = SHARED[0]
-    assert phi_vector(1, 1, 1, shared).entries == {"w_0*w_1": v**-1 + v}
-    report = phi_vs_oracle(1, 1, 1, shared)
-    assert report.witness == ("w_1*w_0", LaurentPoly(), LaurentPoly(-1))
-    assert calls == Counter({"lp_gcd": 1})
-    # at (2, 1, 1) the oracle's v^2 + 1 at w_0*w_1 does not divide the sum there: a mismatch at once
-    report = phi_vs_oracle(2, 1, 1, shared)
-    assert report.witness == ("w_0*w_1", v**-3 + v**-1 + v, v**2 + 1)
-    assert calls == Counter({"lp_gcd": 2})
+@pytest.mark.parametrize("reading, refused", zip(SHARED, (204, 140)), ids=["shared-first", "shared-next"])
+def test_a_reading_that_stacks_two_terms_on_one_vector_is_refused(reading, refused):
+    # exactly where two k share a pair of positions, phi_vector and phi_vs_oracle raise;
+    # at every other size the reading is compared as any other is
+    sizes = [(m, n, p) for m in range(9) for n in range(9) for p in range(min(m, n) + 1)]
+    stacked = {(m, n, p) for m, n, p in sizes if len({reading.positions(m, n, p, k) for k in range(p + 1)}) <= p}
+    assert (len(sizes), len(stacked)) == (285, refused)
+    refusal = rf"share positions .* under interpretation {re.escape(reading.ident)}$"
+    for m, n, p in sizes:
+        if (m, n, p) in stacked:
+            for evaluate in (phi_vector, phi_vs_oracle):
+                with pytest.raises(ValueError, match=refusal):
+                    evaluate(m, n, p, reading)
+        else:
+            assert phi_vs_oracle(m, n, p, reading) == compared_expanded(m, n, p, reading), (m, n, p)
 
 
-def test_one_quotient_in_its_expanded_and_its_factored_form_agrees(monkeypatch):
-    # a quotient divided expanded (at a label two terms share) and one kept factored compare by
-    # value: no reading of the formula is known to reach this, so the terms are given, [2] times
-    # the oracle v w_0*w_1 - w_1*w_0 of (1, 1, 1), the first as a sum and the second factored
+def test_the_refusal_names_both_terms_and_builds_no_tensor(monkeypatch):
+    calls = count_calls(monkeypatch, "tensor", "highest_weight_vector")
+    with pytest.raises(ValueError) as refused:
+        phi_vs_oracle(1, 1, 1, SHARED[0])
+    assert str(refused.value) == (
+        "terms k=0 and k=1 share positions (0, 1) of F_1 (x) F_1 under interpretation k//2,p-k//2")
+    with pytest.raises(ValueError) as refused:
+        phi_vector(3, 4, 3, SHARED[1])  # k = 0, 1, 2, 3 at (0, 3), (1, 2), (1, 2), (2, 1)
+    assert str(refused.value).startswith("terms k=1 and k=2 share positions (1, 2) of F_3 (x) F_4 ")
+    assert not calls
+
+
+def test_a_proportional_quotient_subtracts_the_oracles_power_of_v(monkeypatch):
+    # no reading of the written formula is proportional past p = 0, where the oracle is 1, so the terms
+    # are given: [2] times the oracle v w_0*w_1 - w_1*w_0 of (1, 1, 1), factored ([2] = v^-1 Phi_4)
     module, _ = tensorcg._phi_terms(1, 1, 1, WEIGHT_MATCHED)
-    terms = {"w_0*w_1": v**2 + 1, "w_1*w_0": (-1, -1, {4: 1})}  # [2] = v^-1 Phi_4
+    terms = {"w_0*w_1": (1, 0, {4: 1}), "w_1*w_0": (-1, -1, {4: 1})}
     monkeypatch.setattr(tensorcg, "_phi_terms", lambda *args: (module, terms))
     report = phi_vs_oracle(1, 1, 1)
     assert report.oracle.entries == {"w_0*w_1": v, "w_1*w_0": LaurentPoly(-1)}
