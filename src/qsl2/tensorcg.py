@@ -7,20 +7,21 @@ off the product of the factors' characters, and exact raising-operator
 nullspaces, each certified annihilated and complete.  A rational bidiagonal
 weight space (each space of F_m (x) F_n with a highest-weight vector) is
 solved straight into its normal form, a quantum one of +-v^e [a] entries
-by its cyclotomic factors, with no gcd; any other space by a rank mod p,
-then fraction-free (Bareiss) elimination, on int numerators over Q, and
-its ring's normaliser.  The explicit highest-weight transfer formula is
-adjudicated against the nullspace oracle, one formula term per basis vector, both
-sides as factored scalars (sign, power of v, count of each Phi_d; expanded as +-v^e
-times a cached product of Phi_d's), the outcome reported as data.  Decomposition,
-Interpretation and ComparisonReport are frozen records on modrep's ``Record`` base.
+by its cyclotomic factors, with no gcd; any other space by a rank mod p, then
+one fraction-free (Bareiss) elimination on ints (over Q the numerators, over
+Z[v, v^-1] the rows packed at v = 2^b) and its ring's normaliser.  The explicit
+highest-weight transfer formula is adjudicated against the nullspace oracle, one
+formula term per basis vector, both sides as factored scalars (sign, power of v, count
+of each Phi_d; expanded as +-v^e times a cached product of Phi_d's), the outcome
+reported as data.  Decomposition, Interpretation and ComparisonReport are frozen
+records on modrep's ``Record`` base.
 """
 
 from __future__ import annotations
 
 import functools
-import operator
 from collections import Counter
+from fractions import Fraction
 from math import gcd, lcm, prod
 
 from .modrep import QUANTUM, Flavor, Record, Vector, WeightModule, apply, finite_dim
@@ -127,53 +128,67 @@ def weight_spaces(m: WeightModule) -> dict:
 # -- exact nullspaces: elimination, recurrence, rank mod p ---------------------
 
 
-def _kernel_fraction_free(rows: list[list], ncols: int, ring: type):
-    """Right kernel of a matrix over the exact integral domain ``ring``
-    (Fraction or LaurentPoly), whose entries may also be plain ints.
-
-    One-step fraction-free Gauss-Jordan elimination: every division is
-    by the previous pivot and is exact in the ring, so entries never
-    leave it; over Fraction each row is first scaled by its denominators'
-    lcm (the same kernel), so each division is an exact int ``//``.
-    Pivoting scans columns left to right and rows top down; no reordering
-    beyond the forced swaps, so results are deterministic.  Returns kernel
-    vectors (one per free column, in column order) whose entries are all
-    of type ``ring``: ``ring(c)`` lifts an int.
-    """
-    m = [list(r) for r in rows] if ring is LaurentPoly else [  # splat a list: see qarith.primitive
-        [c.numerator * (d // c.denominator) for c in r] for r in rows for d in [lcm(*[c.denominator for c in r])]]
-    prev, div = (ring(1), operator.truediv) if ring is LaurentPoly else (1, operator.floordiv)
-    nrows = len(m)
-    pivots: list[tuple[int, int]] = []  # (row, col)
-    r = 0
+def _kernel_fraction_free(rows: list[list[int]], ncols: int) -> list[list[int]]:
+    """Right kernel of an int matrix by one-step fraction-free Gauss-Jordan elimination, each
+    division by the previous pivot an exact ``//``; pivots are taken column by column, top down,
+    with no row swap but the forced ones.  One int vector per free column, in column order."""
+    m, prev = [list(r) for r in rows], 1
+    pivots: list[int] = []  # the pivot column of each row, top down
     for c in range(ncols):
-        piv = next((i for i in range(r, nrows) if m[i][c]), None)
+        r = len(pivots)
+        piv = next((i for i in range(r, len(m)) if m[i][c]), None)
         if piv is None:
             continue
-        if piv != r:
-            m[piv], m[r] = m[r], m[piv]
+        m[r], m[piv] = m[piv], m[r]
         p = m[r][c]
         # every non-pivot row gets the one-step update, even where its f is
         # zero: the uniform rescaling keeps later divisions exact
-        for i in range(nrows):
+        for i in range(len(m)):
             if i != r:
                 f = m[i][c]
-                m[i] = [div(p * x - f * y, prev) for x, y in zip(m[i], m[r])]
-        pivots.append((r, c))
+                m[i] = [(p * x - f * y) // prev for x, y in zip(m[i], m[r])]
+        pivots.append(c)
         prev = p
-        r += 1
 
-    pivot_cols = {c for _, c in pivots}
     kernel = []
     for f in range(ncols):
-        if f in pivot_cols:
-            continue
-        x = [ring()] * ncols
-        x[f] = prev
-        for i, c in pivots:
-            x[c] = -m[i][f]
-        kernel.append([c if type(c) is ring else ring(c) for c in x])
+        if f not in pivots:
+            x = [0] * ncols
+            x[f] = prev
+            for i, c in enumerate(pivots):
+                x[c] = -m[i][f]
+            kernel.append(x)
     return kernel
+
+
+def _packed_kernel(rows: list[list], ncols: int) -> list[list[LaurentPoly]]:
+    """_kernel_fraction_free on Laurent rows by Kronecker substitution (von zur Gathen and Gerhard,
+    Modern Computer Algebra, 8.4): each row times the unit d v^-low that makes it int polynomials,
+    valued at v = 2^b, 2^(b-1) above the product of the nonzero rows' L1 norms, which bounds each
+    coefficient of every minor: no nonzero minor vanishes, each division stays exact, _unpack decodes."""
+    polys, norm = [], 1
+    for row in rows:
+        cs = [c._coeffs if type(c) is LaurentPoly else {0: c} for c in row]
+        low = min([e for c in cs for e, a in c.items() if a], default=0)
+        d = lcm(*[a.denominator for c in cs for a in c.values()])
+        polys.append([{e - low: a.numerator * (d // a.denominator) for e, a in c.items() if a} for c in cs])
+        norm *= sum([abs(a) for c in polys[-1] for a in c.values()]) or 1
+    b = norm.bit_length() + 1
+    ints = [[sum([a << b * e for e, a in c.items()]) for c in row] for row in polys]
+    return [[_unpack(x, b) for x in vec] for vec in _kernel_fraction_free(ints, ncols)]
+
+
+def _unpack(x: int, b: int) -> LaurentPoly:
+    """The polynomial whose coefficient of v^i is the i-th balanced base-2^b digit of x, in [-2^(b-1), 2^(b-1)):
+
+    >>> _unpack(8**2 - 3, 3)  # the digits -3, 0, 1
+    LaurentPoly({0: -3, 2: 1})
+    """
+    coeffs, half = [], 1 << b - 1
+    while x:
+        coeffs.append(((x + half) & (2 * half - 1)) - half)
+        x = (x - coeffs[-1]) >> b
+    return _made(dict(enumerate(coeffs)))
 
 
 @functools.cache
@@ -259,10 +274,10 @@ def _rank_mod(rows: list[list], v0: int, prime: int) -> int:
     return rank
 
 
-def _normalize_rational(coords: list) -> list:
+def _normalize_rational(coords: list[int]) -> list[Fraction]:
     """First nonzero coordinate scaled to 1."""
     lead = next(c for c in coords if c)
-    return [c / lead for c in coords]
+    return [Fraction(c, lead) for c in coords]
 
 
 def _normalize_laurent(coords: list) -> list:
@@ -276,14 +291,14 @@ def _normalize_laurent(coords: list) -> list:
 
 
 def _kernel(rows: list[list], ncols: int, ring: type) -> list:
-    """Right kernel of rows (ncols columns) over ring, Fraction or LaurentPoly, proven
-    complete, each vector in that ring's normal form.  A p x (p+1) bidiagonal matrix with
+    """Right kernel of rows (ncols columns) over ring, Fraction (rows of ints) or LaurentPoly,
+    proven complete, each vector in that ring's normal form.  A p x (p+1) bidiagonal matrix with
     every s_r nonzero has rank p (columns 1..p are triangular): over Fraction x_0 = 1 and
-    x_{k+1} = -x_k d_k / s_k, one Fraction of two products of entries (ints from a module)
-    each; over LaurentPoly _factored_kernel's factored vector if it applies.  Otherwise
-    a rank of ncols at v0 mod prime proves the kernel is 0; else Bareiss's vectors must be
-    independent there and as many as the nullity there, at the first (v0, prime) or the
-    second; NullspaceError if at neither."""
+    x_{k+1} = -x_k d_k / s_k, one Fraction of two int products each; over LaurentPoly
+    _factored_kernel's factored vector if it applies.  Otherwise a rank of ncols at v0 mod prime
+    proves the kernel is 0; else the int elimination's vectors (of _packed_kernel's ints over
+    LaurentPoly) must be independent there and as many as the nullity there, at the first
+    (v0, prime) or the second; NullspaceError if at neither."""
     if len(rows) == ncols - 1 and all(
             row[r + 1] and not any(row[:r] + row[r + 2:]) for r, row in enumerate(rows)):
         if ring is not LaurentPoly:  # x_k = num / den on int products, one Fraction each
@@ -303,7 +318,7 @@ def _kernel(rows: list[list], ncols: int, ring: type) -> list:
         if kernel is None:
             if not nullity:
                 return []
-            kernel = _kernel_fraction_free(rows, ncols, ring)  # minors of rows: no new denominator
+            kernel = (_packed_kernel if ring is LaurentPoly else _kernel_fraction_free)(rows, ncols)  # int minors
         if len(kernel) == nullity == _rank_mod(kernel, v0, prime):
             return [normalize(x) for x in kernel]
     raise NullspaceError(f"kernel not proven complete: {len(kernel or ())} vectors, nullity {nullity} mod p")
@@ -323,10 +338,10 @@ def highest_weight_vectors(m: WeightModule, weight=None) -> list[tuple[object, V
     positive leading coefficient in the first nonzero entry).
     Normalisation removes every scalar factor, so any exact method
     yielding these vectors up to ring scalars meets it; here it is
-    ``_kernel``, proven complete, on the stored numerators (over Q den times the
-    matrix, with the same kernel), which solves a rational bidiagonal space straight
-    into its normal form, a quantum one of +-v^e [a] entries by cyclotomic factors, kept
-    beside the expansion, with no gcd, any other by a rank mod p, Bareiss and the ring's
+    ``_kernel``, proven complete, on the stored numerators (over Q den times the matrix, with
+    the same kernel), which solves a rational bidiagonal space straight into its normal form, a
+    quantum one of +-v^e [a] entries by cyclotomic factors, kept beside the expansion, with no gcd,
+    any other by a rank mod p, one int elimination (Laurent rows packed at v = 2^b) and the ring's
     normaliser; the raising operator must take every returned vector to exactly zero, over Q checked
     as D x for the lcm D of x's denominators (E.(D x) = D (E.x), on ints).  Output by descending weight.
     """

@@ -1,9 +1,12 @@
 """Reference kernel solvers for the differential tests.
 
-The engine eliminates over Q on int numerators with exact ``//`` and
-walks the factored bidiagonal kernel once; these are the direct forms it
-replaced, kept unchanged so that the tests can compare the two:
-fraction-free elimination on the ring's own values, and a factored
+The engine runs one fraction-free elimination, on ints: over Q on the
+int numerators, over Q[v, v^-1] on the rows packed into ints at v = 2^b
+(Kronecker substitution), each division an exact ``//``; and it walks the
+factored bidiagonal kernel once.  These are the direct forms it replaced,
+kept unchanged so that the tests can compare the two: fraction-free
+elimination on the ring's own values, each division ``/`` in the ring (the
+one elimination over Laurent polynomials in the repository), and a factored
 kernel that counts each coordinate's cyclotomic factors from scratch.
 The engine's factored kernel keeps its coordinates factored; ``expanded``
 multiplies them out for the comparison.  The engine reads each product of

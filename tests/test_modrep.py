@@ -1064,7 +1064,8 @@ def test_tensor_of_chosen_spaces_is_the_reference_tensor_cut_to_them(flavor, dat
 @pytest.mark.parametrize("flavor", [QUANTUM, KASSEL], ids=["quantum", "kassel"])
 def test_factored_normal_form_is_the_gcd_normal_form_on_every_hwv_space(flavor):
     # each bidiagonal space of F_m (x) F_n: the kernel vector normalised in factored form
-    # equals Bareiss's one vector there through tensorcg._normalize_laurent, computed with lp_gcd
+    # equals the packed elimination's one vector there through tensorcg._normalize_laurent,
+    # computed with lp_gcd
     solved = 0
     for m in range(11):
         for n in range(11):
@@ -1076,7 +1077,7 @@ def test_factored_normal_form_is_the_gcd_normal_form_on_every_hwv_space(flavor):
                     continue
                 rows = [[up.get(src, {}).get(lab, LaurentPoly()) for src in source] for lab in target]
                 (factored,) = expanded([tensorcg._factored_kernel(rows)])
-                (x,) = tensorcg._kernel_fraction_free(rows, len(source), LaurentPoly)
+                (x,) = tensorcg._packed_kernel(rows, len(source))
                 assert factored == tensorcg._normalize_laurent(x), (m, n, w)
                 solved += 1
     assert solved == sum(min(m, n) + 1 for m in range(11) for n in range(11))

@@ -2,6 +2,7 @@ import functools
 import re
 from collections import Counter
 from fractions import Fraction
+from math import lcm
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -39,6 +40,7 @@ from qsl2.tensorcg import (
 )
 from calls import FRACTION_SLACK, count_calls, count_fractions
 from kernels import expanded, factored_kernel, kernel_fraction_free
+from regen_golden import products
 from test_modrep import KASSEL
 from vectors import basis_vector, scaled
 
@@ -203,7 +205,7 @@ def frac_matrices(max_dim=4):
 @settings(max_examples=60)
 def test_kernel_annihilates(matrix_and_ncols):
     rows, ncols = matrix_and_ncols
-    kernel = _kernel_fraction_free(rows, ncols, Fraction)
+    kernel = _kernel_fraction_free([[int(a) for a in row] for row in rows], ncols)
     for x in kernel:
         for row in rows:
             assert sum(a * b for a, b in zip(row, x)) == 0
@@ -246,7 +248,7 @@ def rref_kernel(rows, ncols):
 def test_kernel_is_the_normalized_rref_kernel_basis(matrix_and_ncols):
     # the contract of highest_weight_vectors, on any small integer matrix
     rows, ncols = matrix_and_ncols
-    kernel = _kernel_fraction_free([[Fraction(a) for a in row] for row in rows], ncols, Fraction)
+    kernel = _kernel_fraction_free(rows, ncols)
     expected, rank = rref_kernel(rows, ncols)
     assert len(kernel) == len(expected) == ncols - rank
     normalize = tensorcg._normalize_rational
@@ -299,8 +301,10 @@ def test_classical_hwv_coordinates_are_fractions():
 
 @pytest.mark.parametrize("ring", [Fraction, LaurentPoly], ids=["fraction", "laurent"])
 def test_kernel_of_int_rows_has_ring_entries(ring):
+    # the elimination returns ints; _kernel lifts them into the ring as it normalises
     for rows in ([[2, 2]], [[1], [1]], [[2, 2, 0], [1, 1, 3]], [[1, 2, 3], [4, 5, 6]]):
-        kernel = _kernel_fraction_free(rows, len(rows[0]), ring)
+        assert all(type(c) is int for x in _kernel_fraction_free(rows, len(rows[0])) for c in x)
+        kernel = tensorcg._kernel(rows, len(rows[0]), ring)
         assert all(type(c) is ring for x in kernel for c in x)
         for x in kernel:
             for row in rows:
@@ -309,13 +313,13 @@ def test_kernel_of_int_rows_has_ring_entries(ring):
 
 def test_kernel_known_case():
     # [[1, 1]] has kernel spanned by (-1, 1)
-    (x,) = _kernel_fraction_free([[Fraction(1), Fraction(1)]], 2, Fraction)
+    (x,) = _kernel_fraction_free([[1, 1]], 2)
     assert x[0] * 1 + x[1] * 1 == 0 and any(x)
 
 
 def test_kernel_laurent_entries():
     rows = [[v - v**-1, v**2 - v**-2, LaurentPoly()], [LaurentPoly(), v, v**3]]
-    kernel = _kernel_fraction_free(rows, 3, LaurentPoly)
+    kernel = tensorcg._packed_kernel(rows, 3)
     assert kernel
     for x in kernel:
         for row in rows:
@@ -505,7 +509,7 @@ def test_an_incomplete_kernel_raises(monkeypatch, mutation, count):
     for w in wide:
         # the one-sided check, apply on every returned vector, accepts the mutation
         rows, ncols = raising_rows(multi, w)
-        mutated = tensorcg._kernel_fraction_free(rows, ncols, multi.flavor.ring)
+        mutated = tensorcg._kernel_fraction_free([[int(c * multi.den) for c in row] for row in rows], ncols)
         vectors = [Vector(multi, dict(zip(weight_spaces(multi)[w], x))) for x in mutated]
         assert len(vectors) == count and all(apply(multi, multi.flavor.raising, x).is_zero() for x in vectors)
         # the nullity mod p, and the rank of the vectors mod p, do not
@@ -514,8 +518,9 @@ def test_an_incomplete_kernel_raises(monkeypatch, mutation, count):
 
 
 def normalized_elimination(rows, ncols, ring):
+    """The reference elimination's kernel over ring (tests/kernels.py), in the ring's normal form."""
     normalize = tensorcg._normalize_laurent if ring is LaurentPoly else tensorcg._normalize_rational
-    return [normalize(x) for x in _kernel_fraction_free(rows, ncols, ring)]
+    return [normalize(x) for x in kernel_fraction_free(rows, ncols, ring)]
 
 
 @pytest.mark.parametrize("ring", [Fraction, LaurentPoly], ids=["fraction", "laurent"])
@@ -523,7 +528,7 @@ def test_a_zero_superdiagonal_entry_takes_the_elimination(ring, monkeypatch):
     calls = count_calls(monkeypatch, "_factored_kernel", "_kernel_fraction_free", "_rank_mod")
     zero_s = ([[4, 0]], [[1, 0, 0], [0, 2, 3]], [[1, 2, 0], [0, 3, 0]], [[0, 0, 0], [0, 1, 1]])
     for rows in zero_s:
-        rows = [[ring(c) for c in row] for row in rows]
+        rows = [[ring(c) if ring is LaurentPoly else c for c in row] for row in rows]  # over Q, ints
         ncols = len(rows) + 1
         assert tensorcg._kernel(rows, ncols, ring) == normalized_elimination(rows, ncols, ring)
     # each proven complete at the first specialisation: the rank of rows, then of the kernel
@@ -581,19 +586,21 @@ def raising_matrices(draw):
     ring = draw(st.sampled_from([Fraction, LaurentPoly]))
     ncols = draw(st.integers(1, 6))
 
+    zero = LaurentPoly() if ring is LaurentPoly else 0  # over Q an int, as a module's numerators are
+
     def entry(nonzero=False):
         if not nonzero and not draw(st.integers(0, 2)):  # a third of the cells are zero
-            return ring()
+            return zero
         coeff = st.integers(-4, 4).filter(bool)
         if ring is Fraction:
-            return Fraction(draw(coeff))
+            return draw(coeff)
         return LaurentPoly(draw(st.dictionaries(st.integers(-3, 3), coeff, min_size=1, max_size=2)))
 
     if draw(st.booleans()):
-        rows = [[ring()] * ncols for _ in range(ncols - 1)]
+        rows = [[zero] * ncols for _ in range(ncols - 1)]
         zero_at = draw(st.sampled_from([None, *range(ncols - 1)]))
         for r, row in enumerate(rows):
-            row[r], row[r + 1] = entry(), ring() if r == zero_at else entry(nonzero=True)
+            row[r], row[r + 1] = entry(), zero if r == zero_at else entry(nonzero=True)
     else:
         rows = [[entry() for _ in range(ncols)] for _ in range(draw(st.integers(0, 6)))]
     return rows, ncols, ring
@@ -687,9 +694,9 @@ def int_matrices(draw):
 def test_elimination_on_ints_is_the_elimination_on_fractions(matrix, kind):
     # integer entries, as ints or as Fractions, take the same minors as the reference
     rows, ncols = matrix
-    expected = kernel_fraction_free([[Fraction(c) for c in row] for row in rows], ncols, Fraction)
-    kernel = _kernel_fraction_free([[kind(c) for c in row] for row in rows], ncols, Fraction)
-    assert kernel == expected and all(type(c) is Fraction for x in kernel for c in x)
+    expected = kernel_fraction_free([[kind(c) for c in row] for row in rows], ncols, Fraction)
+    kernel = _kernel_fraction_free(rows, ncols)
+    assert kernel == expected and all(type(c) is int for x in kernel for c in x)
     assert len(kernel) == ncols - rref_kernel(rows, ncols)[1]
 
 
@@ -701,14 +708,68 @@ def test_elimination_on_rationals_is_the_reference_up_to_scale(matrix):
     rows, ncols = matrix
     normalize = tensorcg._normalize_rational
     expected = [normalize(x) for x in kernel_fraction_free(rows, ncols, Fraction)]
-    assert [normalize(x) for x in _kernel_fraction_free(rows, ncols, Fraction)] == expected
+    # each row times its denominators' lcm: int numerators with the same kernel
+    numerators = [[c.numerator * (d // c.denominator) for c in row] for row in rows
+                  for d in [lcm(*[c.denominator for c in row])]]
+    assert [normalize(x) for x in _kernel_fraction_free(numerators, ncols)] == expected
 
 
 @given(raising_matrices())
 @settings(max_examples=100, deadline=None)
 def test_elimination_on_raising_matrices_is_the_reference(matrix):
     rows, ncols, ring = matrix
-    assert _kernel_fraction_free(rows, ncols, ring) == kernel_fraction_free(rows, ncols, ring)
+    if ring is Fraction:  # the same minors
+        assert _kernel_fraction_free(rows, ncols) == kernel_fraction_free(rows, ncols, ring)
+    else:  # packed rows are the rows times units: the same kernel, so the same normal form
+        packed = [tensorcg._normalize_laurent(x) for x in tensorcg._packed_kernel(rows, ncols)]
+        assert packed == normalized_elimination(rows, ncols, ring)
+
+
+@st.composite
+def laurent_matrices(draw):
+    """(rows, ncols): a small matrix over Q[v, v^-1], its exponents from -20 to 20 and its
+    coefficients small ints or Fractions, or its exponents from -2 to 2 and its coefficients
+    also past 2^40, of either sign (the normal form's gcd over Q would swell on both at once);
+    a third of the cells zero; in half of them a row that is a Laurent combination of the rows
+    before, so the rank falls short, and in half of them a zero row."""
+    ncols, wide = draw(st.integers(1, 3)), draw(st.booleans())
+    small = st.one_of(st.integers(-5, 5), st.fractions(-5, 5, max_denominator=9))
+    big = st.one_of(st.integers(2**40, 2**64), st.integers(-2**64, -2**40))
+    coeff = (small if wide else st.one_of(small, big)).filter(bool)
+    exponent = st.integers(-20, 20) if wide else st.integers(-2, 2)
+
+    def entry():
+        if not draw(st.integers(0, 2)):
+            return LaurentPoly()
+        return LaurentPoly(draw(st.dictionaries(exponent, coeff, min_size=1, max_size=2)))
+
+    rows = [[entry() for _ in range(ncols)] for _ in range(draw(st.integers(0, 2)))]
+    if rows and draw(st.booleans()):
+        mix = [entry() for _ in rows]
+        rows.append([sum((a * row[j] for a, row in zip(mix, rows)), LaurentPoly()) for j in range(ncols)])
+    if draw(st.booleans()):
+        rows.insert(draw(st.integers(0, len(rows))), [LaurentPoly()] * ncols)
+    return rows, ncols
+
+
+@given(laurent_matrices())
+@settings(max_examples=150, deadline=None)
+def test_packed_kernel_is_the_normalized_laurent_reference(matrix):
+    # the rows packed into ints at v = 2^b against the elimination on Laurent polynomials
+    # (tests/kernels.py), through _kernel and its certificate and straight from _packed_kernel
+    rows, ncols = matrix
+    expected = normalized_elimination(rows, ncols, LaurentPoly)
+    assert expanded(tensorcg._kernel(rows, ncols, LaurentPoly)) == expected
+    assert [tensorcg._normalize_laurent(x) for x in tensorcg._packed_kernel(rows, ncols)] == expected
+
+
+def test_the_packing_base_has_room_for_every_coefficient_of_a_minor():
+    # [1, -2] has L1 norm 3, so b = 3 and v = 8: the kernel coordinate 2 is the digit 2, which
+    # at b = 2 would read back as v - 2, a vector that passes the rank mod p but is no kernel
+    rows = [[LaurentPoly(1), LaurentPoly(-2)]]
+    assert tensorcg._packed_kernel(rows, 2) == [[LaurentPoly(2), LaurentPoly(1)]]
+    assert tensorcg._kernel(rows, 2, LaurentPoly) == [[LaurentPoly(2), LaurentPoly(1)]]
+    assert tensorcg._unpack(2, 2) == v - 2
 
 
 @given(st.lists(st.tuples(st.fractions(min_value=-6, max_value=6, max_denominator=5).filter(
@@ -724,8 +785,8 @@ def test_hwv_of_a_tensor_over_a_common_denominator_is_the_reference_kernel(verma
         rows, ncols = raising_rows(module, w)
         expected = [normalize(x) for x in kernel_fraction_free(rows, ncols, Fraction)]
         assert [[x.entries.get(lab, 0) for lab in source] for u, x in found if u == w] == expected
-        numerators = [[c * module.den for c in row] for row in rows]
-        assert [normalize(x) for x in _kernel_fraction_free(numerators, ncols, Fraction)] == expected
+        numerators = [[int(c * module.den) for c in row] for row in rows]
+        assert [normalize(x) for x in _kernel_fraction_free(numerators, ncols)] == expected
 
 
 def test_a_classical_triple_product_eliminates_on_ints(monkeypatch):
@@ -937,22 +998,21 @@ def test_agreement_of_all_three_routes():
                 assert decompose_by_character(a, b) == decompose_by_character(tensor(a, b))
 
 
-@pytest.mark.parametrize("flavor, top", [(CLASSICAL, 4), (QUANTUM, 3)], ids=["classical", "quantum"])
-def test_agreement_of_all_three_routes_on_triple_products(flavor, top, monkeypatch):
-    # F_a (x) F_b (x) F_c has spaces that are not bidiagonal, solved by the rank mod p and the
-    # elimination: at each weight the kernel's dimension is the character's multiplicity and
-    # that of the closed form folded over the summands of F_a (x) F_b
-    calls = count_calls(monkeypatch, "_kernel_fraction_free")
-    for a in range(top + 1):
-        for b in range(top + 1):
-            for c in range(top + 1):
-                fa, fb, fc = (finite_dim(x, flavor) for x in (a, b, c))
-                dims = Counter(w for w, _ in highest_weight_vectors(tensor(tensor(fa, fb), fc)))
-                folded = Counter()
-                for w in cg_decompose(a, b).summands:
-                    folded.update(cg_decompose(w, c).summands)
-                assert dims == decompose_by_character(fa, fb, fc).summands == folded, (a, b, c)
-    assert calls["_kernel_fraction_free"] > 0
+@pytest.mark.parametrize("flavor", [CLASSICAL, QUANTUM], ids=["classical", "quantum"])
+def test_agreement_of_all_three_routes_on_triple_products(flavor, monkeypatch):
+    # every product of tests/golden/product_digest.txt: F_a (x) F_b (x) F_c has spaces that are not
+    # bidiagonal, solved by the rank mod p and the int elimination, of packed rows over Q[v, v^-1]:
+    # at each weight the kernel's dimension is the character's multiplicity and that of the closed
+    # form folded over the summands of F_a (x) F_b
+    calls = count_calls(monkeypatch, "_kernel_fraction_free", "_packed_kernel")
+    for _, a, b, c in [case for case in products() if case[0] is flavor]:
+        fa, fb, fc = (finite_dim(x, flavor) for x in (a, b, c))
+        dims = Counter(w for w, _ in highest_weight_vectors(tensor(tensor(fa, fb), fc)))
+        folded = Counter()
+        for w in cg_decompose(a, b).summands:
+            folded.update(cg_decompose(w, c).summands)
+        assert dims == decompose_by_character(fa, fb, fc).summands == folded, (a, b, c)
+    assert calls["_kernel_fraction_free"] > 0 and (calls["_packed_kernel"] > 0) == (flavor is QUANTUM)
 
 
 def test_decompose_by_character_refuses_mixed_flavors_as_tensor_does():

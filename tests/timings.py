@@ -7,7 +7,7 @@ Run from anywhere:
 Each timing runs in a fresh interpreter, as ``python3 tests/timings.py
 NAME``, so a cold one reads no cache that another has built.  The lines:
 all-weight highest_weight_vectors on classical F_6^(x)3 and quantum
-F_4^(x)3; phi_vs_oracle over the 127 quantum hwv-sweep triples
+F_4^(x)3 and F_5^(x)3; phi_vs_oracle over the 127 quantum hwv-sweep triples
 1 <= m, n <= 6, 0 <= p <= min(m, n), a cold sweep, which builds the F_n,
 q-integer and Phi_d product caches, then a warm one that reads them; the
 warm time of tensor alone over those triples' two weight spaces m+n-2p and
@@ -32,7 +32,7 @@ ROOT = Path(__file__).resolve().parents[1]
 def hwv_cubes():
     from qsl2 import CLASSICAL, QUANTUM, finite_dim, highest_weight_vectors, tensor
 
-    for fl, n in ((CLASSICAL, 6), (QUANTUM, 4)):
+    for fl, n in ((CLASSICAL, 6), (QUANTUM, 4), (QUANTUM, 5)):
         f = finite_dim(n, fl)
         t = timeit.timeit(lambda: highest_weight_vectors(tensor(tensor(f, f), f)), number=1)
         print(f"all-weight hwv of {fl.name} F_{n}^(x)3: {t:.3f} s")
