@@ -356,13 +356,15 @@ def lp_gcd(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
     if not (a and b):
         return primitive([a or b])[0]
     shift = min(a.min_exp, b.min_exp)
-    pa = a._dense(a.min_exp)
-    pb = b._dense(b.min_exp)
-    while any(pb):
-        _, rem = _poly_divmod(pa, pb)
-        while rem and not rem[-1]:
-            rem.pop()
-        pa, pb = pb, rem
+    pa, pb = (primitive([p])[0]._dense(p.min_exp) for p in (a, b))  # int coefficients
+    while pb:  # a primitive pseudo-remainder sequence: each remainder over its content, no Fraction
+        while len(pa) >= len(pb):  # pa times lc(pb), less lc(pa) v^k pb: its top term cancels
+            c, k = pa.pop(), len(pa) + 1 - len(pb)
+            pa = [pb[-1] * x - (c * pb[i - k] if i >= k else 0) for i, x in enumerate(pa)]
+            while pa and not pa[-1]:
+                pa.pop()
+        g = gcd(*pa)  # 0 only for an empty pa, which divides nothing
+        pa, pb = pb, [x // g for x in pa]
     return primitive([LaurentPoly({shift + i: c for i, c in enumerate(pa) if c})])[0]
 
 

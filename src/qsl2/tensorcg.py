@@ -7,9 +7,9 @@ off the product of the factors' characters, and exact raising-operator
 nullspaces, each certified annihilated and complete.  A rational bidiagonal
 weight space (each space of F_m (x) F_n with a highest-weight vector) is
 solved straight into its normal form, a quantum one of +-v^e [a] entries
-by its cyclotomic factors, with no gcd; any other space by a rank mod p, then
-one fraction-free (Bareiss) elimination on ints (over Q the numerators, over
-Z[v, v^-1] the rows packed at v = 2^b) and its ring's normaliser.  The explicit
+by its cyclotomic factors, with no gcd; any other space by the general route,
+a rank mod p, then one fraction-free (Bareiss) elimination on ints and its
+ring's normaliser, which lives in qsl2._elimination, loaded on first use.  The explicit
 highest-weight transfer formula is adjudicated against the nullspace oracle, one
 formula term per basis vector, both sides as factored scalars (sign, power of v, count
 of each Phi_d; expanded as +-v^e times a cached product of Phi_d's), the outcome
@@ -21,11 +21,10 @@ from __future__ import annotations
 
 import functools
 from collections import Counter
-from fractions import Fraction
 from math import gcd, lcm, prod
 
 from .modrep import QUANTUM, Flavor, Record, Vector, WeightModule, apply, finite_dim
-from .qarith import LaurentPoly, _made, lp_gcd, primitive
+from .qarith import LaurentPoly, _made
 
 __all__ = ["ComparisonReport", "Decomposition", "DecompositionError", "Interpretation", "NullspaceError",
            "WEIGHT_MATCHED", "cg_decompose", "decompose_by_character", "highest_weight_vector",
@@ -125,70 +124,7 @@ def weight_spaces(m: WeightModule) -> dict:
     return spaces
 
 
-# -- exact nullspaces: elimination, recurrence, rank mod p ---------------------
-
-
-def _kernel_fraction_free(rows: list[list[int]], ncols: int) -> list[list[int]]:
-    """Right kernel of an int matrix by one-step fraction-free Gauss-Jordan elimination, each
-    division by the previous pivot an exact ``//``; pivots are taken column by column, top down,
-    with no row swap but the forced ones.  One int vector per free column, in column order."""
-    m, prev = [list(r) for r in rows], 1
-    pivots: list[int] = []  # the pivot column of each row, top down
-    for c in range(ncols):
-        r = len(pivots)
-        piv = next((i for i in range(r, len(m)) if m[i][c]), None)
-        if piv is None:
-            continue
-        m[r], m[piv] = m[piv], m[r]
-        p = m[r][c]
-        # every non-pivot row gets the one-step update, even where its f is
-        # zero: the uniform rescaling keeps later divisions exact
-        for i in range(len(m)):
-            if i != r:
-                f = m[i][c]
-                m[i] = [(p * x - f * y) // prev for x, y in zip(m[i], m[r])]
-        pivots.append(c)
-        prev = p
-
-    kernel = []
-    for f in range(ncols):
-        if f not in pivots:
-            x = [0] * ncols
-            x[f] = prev
-            for i, c in enumerate(pivots):
-                x[c] = -m[i][f]
-            kernel.append(x)
-    return kernel
-
-
-def _packed_kernel(rows: list[list], ncols: int) -> list[list[LaurentPoly]]:
-    """_kernel_fraction_free on Laurent rows by Kronecker substitution (von zur Gathen and Gerhard,
-    Modern Computer Algebra, 8.4): each row times the unit d v^-low that makes it int polynomials,
-    valued at v = 2^b, 2^(b-1) above the product of the nonzero rows' L1 norms, which bounds each
-    coefficient of every minor: no nonzero minor vanishes, each division stays exact, _unpack decodes."""
-    polys, norm = [], 1
-    for row in rows:
-        cs = [c._coeffs if type(c) is LaurentPoly else {0: c} for c in row]
-        low = min([e for c in cs for e, a in c.items() if a], default=0)
-        d = lcm(*[a.denominator for c in cs for a in c.values()])
-        polys.append([{e - low: a.numerator * (d // a.denominator) for e, a in c.items() if a} for c in cs])
-        norm *= sum([abs(a) for c in polys[-1] for a in c.values()]) or 1
-    b = norm.bit_length() + 1
-    ints = [[sum([a << b * e for e, a in c.items()]) for c in row] for row in polys]
-    return [[_unpack(x, b) for x in vec] for vec in _kernel_fraction_free(ints, ncols)]
-
-
-def _unpack(x: int, b: int) -> LaurentPoly:
-    """The polynomial whose coefficient of v^i is the i-th balanced base-2^b digit of x, in [-2^(b-1), 2^(b-1)):
-
-    >>> _unpack(8**2 - 3, 3)  # the digits -3, 0, 1
-    LaurentPoly({0: -3, 2: 1})
-    """
-    coeffs, half = [], 1 << b - 1
-    while x:
-        coeffs.append(((x + half) & (2 * half - 1)) - half)
-        x = (x - coeffs[-1]) >> b
-    return _made(dict(enumerate(coeffs)))
+# -- exact nullspaces: recurrence, factored kernel; elimination in _elimination
 
 
 @functools.cache
@@ -249,56 +185,14 @@ def _factored_kernel(rows: list[list]) -> list | None:
             for sign, low, c in xs] + [(0, 0, {})] * (len(rows) + 1 - len(xs))
 
 
-# (v0, prime): v -> v0 mod prime can only lower a rank; 65537 is no small root, as 3 may be
-_SPECIALIZATIONS = ((3, 2**61 - 1), (65537, 2**89 - 1))
-
-
-def _rank_mod(rows: list[list], v0: int, prime: int) -> int:
-    """Rank of rows at v = v0 over GF(prime); ValueError if a denominator vanishes there."""
-
-    def at(c):
-        if isinstance(c, LaurentPoly):
-            return sum(at(a) * pow(v0, e, prime) for e, a in c.terms())
-        return c % prime if type(c) is int else c.numerator * pow(c.denominator, -1, prime)
-
-    m, rank = [[at(c) % prime for c in row] for row in rows], 0
-    for c in range(len(m[0]) if m else 0):
-        piv = next((i for i in range(rank, len(m)) if m[i][c]), None)
-        if piv is not None:
-            m[rank], m[piv] = m[piv], m[rank]
-            inv = pow(m[rank][c], -1, prime)
-            for i in range(rank + 1, len(m)):
-                if f := m[i][c] * inv % prime:
-                    m[i] = [(a - f * b) % prime for a, b in zip(m[i], m[rank])]
-            rank += 1
-    return rank
-
-
-def _normalize_rational(coords: list[int]) -> list[Fraction]:
-    """First nonzero coordinate scaled to 1."""
-    lead = next(c for c in coords if c)
-    return [Fraction(c, lead) for c in coords]
-
-
-def _normalize_laurent(coords: list) -> list:
-    """No common Laurent factor, coprime integer coefficients, positive
-    leading coefficient in the first nonzero coordinate."""
-    nonzero = [c for c in coords if c]
-    g = nonzero[0]
-    for c in nonzero[1:]:
-        g = lp_gcd(g, c)
-    return primitive([c.div_exact(g) if c else c for c in coords])
-
-
 def _kernel(rows: list[list], ncols: int, ring: type) -> list:
     """Right kernel of rows (ncols columns) over ring, Fraction (rows of ints) or LaurentPoly,
     proven complete, each vector in that ring's normal form.  A p x (p+1) bidiagonal matrix with
     every s_r nonzero has rank p (columns 1..p are triangular): over Fraction x_0 = 1 and
     x_{k+1} = -x_k d_k / s_k, one Fraction of two int products each; over LaurentPoly
-    _factored_kernel's factored vector if it applies.  Otherwise a rank of ncols at v0 mod prime
-    proves the kernel is 0; else the int elimination's vectors (of _packed_kernel's ints over
-    LaurentPoly) must be independent there and as many as the nullity there, at the first
-    (v0, prime) or the second; NullspaceError if at neither."""
+    _factored_kernel's factored vector if it applies.  Any other space takes the general route,
+    _elimination.certified_kernel (a rank mod p, one int elimination, the ring's normaliser, a
+    two-sided certificate; NullspaceError if it fails), a module loaded on first use."""
     if len(rows) == ncols - 1 and all(
             row[r + 1] and not any(row[:r] + row[r + 2:]) for r, row in enumerate(rows)):
         if ring is not LaurentPoly:  # x_k = num / den on int products, one Fraction each
@@ -308,20 +202,8 @@ def _kernel(rows: list[list], ncols: int, ring: type) -> list:
             return [x]
         if x := _factored_kernel(rows):
             return [x]
-    normalize = _normalize_laurent if ring is LaurentPoly else _normalize_rational
-    kernel = nullity = None
-    for v0, prime in _SPECIALIZATIONS:
-        try:
-            nullity = ncols - _rank_mod(rows, v0, prime)
-        except ValueError:  # a denominator of rows vanishes mod prime
-            continue
-        if kernel is None:
-            if not nullity:
-                return []
-            kernel = (_packed_kernel if ring is LaurentPoly else _kernel_fraction_free)(rows, ncols)  # int minors
-        if len(kernel) == nullity == _rank_mod(kernel, v0, prime):
-            return [normalize(x) for x in kernel]
-    raise NullspaceError(f"kernel not proven complete: {len(kernel or ())} vectors, nullity {nullity} mod p")
+    from ._elimination import certified_kernel  # here, not at the top: no CLI request takes this route
+    return certified_kernel(rows, ncols, ring)
 
 
 def highest_weight_vectors(m: WeightModule, weight=None) -> list[tuple[object, Vector]]:
@@ -341,9 +223,10 @@ def highest_weight_vectors(m: WeightModule, weight=None) -> list[tuple[object, V
     ``_kernel``, proven complete, on the stored numerators (over Q den times the matrix, with
     the same kernel), which solves a rational bidiagonal space straight into its normal form, a
     quantum one of +-v^e [a] entries by cyclotomic factors, kept beside the expansion, with no gcd,
-    any other by a rank mod p, one int elimination (Laurent rows packed at v = 2^b) and the ring's
-    normaliser; the raising operator must take every returned vector to exactly zero, over Q checked
-    as D x for the lcm D of x's denominators (E.(D x) = D (E.x), on ints).  Output by descending weight.
+    any other by the general route in qsl2._elimination, loaded on first use: a rank mod p, one int
+    elimination (Laurent rows packed at v = 2^b) and the ring's normaliser; the raising operator
+    must take every returned vector to exactly zero, over Q checked as D x for the lcm D of x's
+    denominators (E.(D x) = D (E.x), on ints).  Output by descending weight.
     """
     raising, ring = m.flavor.raising, m.flavor.ring
     up = m.num_action[raising]

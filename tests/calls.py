@@ -6,16 +6,19 @@ import sys
 from collections import Counter
 from fractions import Fraction
 
-from qsl2 import tensorcg
+from qsl2 import _elimination, tensorcg
 from qsl2.qarith import LaurentPoly
 
 
-def count_calls(monkeypatch, *names, module=tensorcg):
-    """A Counter of the calls to the named functions of module, each still run."""
+def count_calls(monkeypatch, *names, module=None):
+    """A Counter of the calls to the named functions of module, each still run; by default of
+    tensorcg and of its general kernel route, _elimination, in each that defines the name."""
     calls = Counter()
     for name in names:
-        fn = getattr(module, name)
-        monkeypatch.setattr(module, name, lambda *args, n=name, f=fn: calls.update([n]) or f(*args))
+        defining = [m for m in (tensorcg, _elimination) if hasattr(m, name)] or [tensorcg]
+        for mod in [module] if module else defining:
+            fn = getattr(mod, name)
+            monkeypatch.setattr(mod, name, lambda *args, n=name, f=fn: calls.update([n]) or f(*args))
     return calls
 
 

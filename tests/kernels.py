@@ -12,14 +12,15 @@ The engine's factored kernel keeps its coordinates factored; ``expanded``
 multiplies them out for the comparison.  The engine reads each product of
 Phi_d's from a cache and tests +-v^e [a] on the stored coefficients;
 ``expand`` and ``q_int_factors`` are the uncached product and the sorted
-term list they replaced.
+term list they replaced.  ``lp_gcd`` is Euclid's algorithm over Q, which
+the engine's primitive pseudo-remainder sequence on ints replaced.
 """
 
 import functools
 from collections import Counter
 from math import prod
 
-from qsl2.qarith import LaurentPoly
+from qsl2.qarith import LaurentPoly, _poly_divmod, primitive
 from qsl2.tensorcg import _cyclotomic, _expand, _q_int_factors
 
 
@@ -100,3 +101,18 @@ def q_int_factors(c):
     if sign not in (1, -1) or terms != [(low + 2 * i, sign) for i in range(len(terms))]:
         return None
     return sign, low, {d: 1 for d in range(3, a2 + 1) if a2 % d == 0}
+
+
+def lp_gcd(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
+    """qarith.lp_gcd's normal form by Euclid's algorithm over Q, each remainder a long division."""
+    if not (a and b):
+        return primitive([a or b])[0]
+    shift = min(a.min_exp, b.min_exp)
+    pa = a._dense(a.min_exp)
+    pb = b._dense(b.min_exp)
+    while any(pb):
+        _, rem = _poly_divmod(pa, pb)
+        while rem and not rem[-1]:
+            rem.pop()
+        pa, pb = pb, rem
+    return primitive([LaurentPoly({shift + i: c for i, c in enumerate(pa) if c})])[0]

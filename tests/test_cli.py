@@ -33,13 +33,14 @@ def run_cli(capsys, argv):
     return code, capsys.readouterr().out
 
 
-def run_python(*args):
-    """``python args`` with the qsl2 this test imported on the path."""
+def run_python(*args, input=None):
+    """``python args`` with the qsl2 this test imported on the path, ``input`` on its stdin."""
     src = str(Path(qsl2.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
     return subprocess.run(
         [sys.executable, *args],
         capture_output=True,
+        input=input,
         text=True,
         env={**os.environ, "PYTHONPATH": path},
     )
@@ -802,7 +803,29 @@ def test_import_loads_no_dataclasses_inspect_or_typing():
     assert proc.returncode == 0, proc.stderr
     added = set(json.loads(proc.stdout.splitlines()[-1]))
     assert "qsl2.cli" in added
-    assert not added & {"dataclasses", "inspect", "typing", "ast", "dis", "tokenize"}, sorted(added)
+    forbidden = {"dataclasses", "inspect", "typing", "ast", "dis", "tokenize", "qsl2._elimination"}
+    assert not added & forbidden, sorted(added)
+
+
+def test_no_cli_request_loads_the_general_kernel_route():
+    """The golden argvs and the grid run in a fresh interpreter without loading qsl2._elimination,
+    so an import that leaves it out saves its compile instead of moving it into a request; all-weight
+    hwv on F_1 (x) F_2 loads it, as its weight -1 space is square and takes the general route."""
+    probe = (
+        "import contextlib, io, json, sys\n"
+        "sys.path.insert(0, sys.argv[1])\n"
+        "from regen_golden import grid\n"
+        "from qsl2 import CLASSICAL, cli, finite_dim, highest_weight_vectors, tensor\n"
+        "golden = [case['argv'] for case in json.loads(sys.stdin.read()).values()]\n"
+        "with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):\n"
+        "    codes = [cli.main(argv) for argv in golden + grid()]\n"
+        "print(len(codes), 'qsl2._elimination' in sys.modules)\n"
+        "highest_weight_vectors(tensor(finite_dim(1, CLASSICAL), finite_dim(2, CLASSICAL)))\n"
+        "print('qsl2._elimination' in sys.modules)\n"
+    )
+    proc = run_python("-c", probe, str(Path(__file__).parent), input=json.dumps(MANIFEST))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == [str(len(MANIFEST) + 2851), "False", "True"]
 
 
 def test_public_api_is_exactly_all():

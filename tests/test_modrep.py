@@ -23,7 +23,7 @@ from qsl2.modrep import (
 )
 from qsl2.qarith import LaurentPoly, q_int, specialize_one, v
 from qsl2.serialize import module_descriptor, scalar_json
-from qsl2 import tensorcg
+from qsl2 import _elimination, tensorcg
 from qsl2.tensorcg import highest_weight_vector, highest_weight_vectors, phi_vector, phi_vs_oracle, tensor, weight_spaces
 from kernels import expand, expanded, q_int_factors
 from vectors import add, basis_vector, scaled, sub, zero
@@ -1064,7 +1064,7 @@ def test_tensor_of_chosen_spaces_is_the_reference_tensor_cut_to_them(flavor, dat
 @pytest.mark.parametrize("flavor", [QUANTUM, KASSEL], ids=["quantum", "kassel"])
 def test_factored_normal_form_is_the_gcd_normal_form_on_every_hwv_space(flavor):
     # each bidiagonal space of F_m (x) F_n: the kernel vector normalised in factored form
-    # equals the packed elimination's one vector there through tensorcg._normalize_laurent,
+    # equals the packed elimination's one vector there through _elimination._normalize_laurent,
     # computed with lp_gcd
     solved = 0
     for m in range(11):
@@ -1077,8 +1077,8 @@ def test_factored_normal_form_is_the_gcd_normal_form_on_every_hwv_space(flavor):
                     continue
                 rows = [[up.get(src, {}).get(lab, LaurentPoly()) for src in source] for lab in target]
                 (factored,) = expanded([tensorcg._factored_kernel(rows)])
-                (x,) = tensorcg._packed_kernel(rows, len(source))
-                assert factored == tensorcg._normalize_laurent(x), (m, n, w)
+                (x,) = _elimination._packed_kernel(rows, len(source))
+                assert factored == _elimination._normalize_laurent(x), (m, n, w)
                 solved += 1
     assert solved == sum(min(m, n) + 1 for m in range(11) for n in range(11))
 

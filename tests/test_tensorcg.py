@@ -20,7 +20,8 @@ from qsl2.modrep import (
     verma_classical,
 )
 from qsl2.qarith import ExactDivisionError, LaurentPoly, q_int, specialize_one, v
-from qsl2 import tensorcg
+from qsl2 import _elimination, tensorcg
+from qsl2._elimination import _kernel_fraction_free
 from qsl2.tensorcg import (
     ComparisonReport,
     Decomposition,
@@ -28,7 +29,6 @@ from qsl2.tensorcg import (
     Interpretation,
     NullspaceError,
     WEIGHT_MATCHED,
-    _kernel_fraction_free,
     cg_decompose,
     decompose_by_character,
     highest_weight_vector,
@@ -251,7 +251,7 @@ def test_kernel_is_the_normalized_rref_kernel_basis(matrix_and_ncols):
     kernel = _kernel_fraction_free(rows, ncols)
     expected, rank = rref_kernel(rows, ncols)
     assert len(kernel) == len(expected) == ncols - rank
-    normalize = tensorcg._normalize_rational
+    normalize = _elimination._normalize_rational
     assert [normalize(x) for x in kernel] == [normalize(x) for x in expected]
 
 
@@ -319,7 +319,7 @@ def test_kernel_known_case():
 
 def test_kernel_laurent_entries():
     rows = [[v - v**-1, v**2 - v**-2, LaurentPoly()], [LaurentPoly(), v, v**3]]
-    kernel = tensorcg._packed_kernel(rows, 3)
+    kernel = _elimination._packed_kernel(rows, 3)
     assert kernel
     for x in kernel:
         for row in rows:
@@ -505,11 +505,11 @@ def test_an_incomplete_kernel_raises(monkeypatch, mutation, count):
     multi = rasskazova_tensor()
     wide = [w for w in weight_spaces(multi) if len(highest_weight_vectors(multi, w)) > 1]
     assert sorted(wide) == [1, 3, 5, 7, 9]
-    monkeypatch.setattr(tensorcg, "_kernel_fraction_free", lambda *args: mutation(_kernel_fraction_free(*args)))
+    monkeypatch.setattr(_elimination, "_kernel_fraction_free", lambda *args: mutation(_kernel_fraction_free(*args)))
     for w in wide:
         # the one-sided check, apply on every returned vector, accepts the mutation
         rows, ncols = raising_rows(multi, w)
-        mutated = tensorcg._kernel_fraction_free([[int(c * multi.den) for c in row] for row in rows], ncols)
+        mutated = _elimination._kernel_fraction_free([[int(c * multi.den) for c in row] for row in rows], ncols)
         vectors = [Vector(multi, dict(zip(weight_spaces(multi)[w], x))) for x in mutated]
         assert len(vectors) == count and all(apply(multi, multi.flavor.raising, x).is_zero() for x in vectors)
         # the nullity mod p, and the rank of the vectors mod p, do not
@@ -519,7 +519,7 @@ def test_an_incomplete_kernel_raises(monkeypatch, mutation, count):
 
 def normalized_elimination(rows, ncols, ring):
     """The reference elimination's kernel over ring (tests/kernels.py), in the ring's normal form."""
-    normalize = tensorcg._normalize_laurent if ring is LaurentPoly else tensorcg._normalize_rational
+    normalize = _elimination._normalize_laurent if ring is LaurentPoly else _elimination._normalize_rational
     return [normalize(x) for x in kernel_fraction_free(rows, ncols, ring)]
 
 
@@ -556,7 +556,7 @@ def test_an_empty_target_keeps_every_basis_vector(ring):
 
 
 def test_a_root_of_the_first_specialization_is_decided_by_the_second(monkeypatch):
-    (v0, first), (_, second) = tensorcg._SPECIALIZATIONS
+    (v0, first), (_, second) = _elimination._SPECIALIZATIONS
     root = v - v0  # zero at the first pair
     cases = [
         ([[root]], 1, LaurentPoly),  # nullity 0, but 1 at the first pair
@@ -564,15 +564,15 @@ def test_a_root_of_the_first_specialization_is_decided_by_the_second(monkeypatch
         ([[Fraction(1, first), 0], [0, 1]], 2, Fraction),  # no image at the first pair
     ]
     primes = []
-    rank_mod = tensorcg._rank_mod
-    monkeypatch.setattr(tensorcg, "_rank_mod", lambda rows, v0, p: primes.append(p) or rank_mod(rows, v0, p))
+    rank_mod = _elimination._rank_mod
+    monkeypatch.setattr(_elimination, "_rank_mod", lambda rows, v0, p: primes.append(p) or rank_mod(rows, v0, p))
     for rows, ncols, ring in cases:
         primes.clear()
         assert tensorcg._kernel(rows, ncols, ring) == normalized_elimination(rows, ncols, ring)
         assert primes[0] == first and primes[-1] == second
     hw = Fraction(1, first)  # every e entry of this Verma module has no image at the first pair
     assert [(w, x.entries) for w, x in highest_weight_vectors(verma_classical(hw, 4))] == [(hw, {"w_0": 1})]
-    monkeypatch.setattr(tensorcg, "_SPECIALIZATIONS", ((v0, first), (v0, second)))
+    monkeypatch.setattr(_elimination, "_SPECIALIZATIONS", ((v0, first), (v0, second)))
     for rows, ncols, ring in cases[:2]:
         with pytest.raises(NullspaceError, match="not proven complete"):
             tensorcg._kernel(rows, ncols, ring)
@@ -620,7 +620,7 @@ def test_certified_kernel_is_the_normalized_elimination_kernel(matrix):
     if ring is Fraction:
         assert len(kernel) == ncols - rref_kernel(rows, ncols)[1]
     # a specialisation can only raise the nullity: no pair admits a kernel one vector short
-    assert all(len(kernel) <= ncols - tensorcg._rank_mod(rows, v0, p) for v0, p in tensorcg._SPECIALIZATIONS)
+    assert all(len(kernel) <= ncols - _elimination._rank_mod(rows, v0, p) for v0, p in _elimination._SPECIALIZATIONS)
 
 
 @st.composite
@@ -706,7 +706,7 @@ def test_elimination_on_ints_is_the_elimination_on_fractions(matrix, kind):
 @settings(max_examples=200, deadline=None)
 def test_elimination_on_rationals_is_the_reference_up_to_scale(matrix):
     rows, ncols = matrix
-    normalize = tensorcg._normalize_rational
+    normalize = _elimination._normalize_rational
     expected = [normalize(x) for x in kernel_fraction_free(rows, ncols, Fraction)]
     # each row times its denominators' lcm: int numerators with the same kernel
     numerators = [[c.numerator * (d // c.denominator) for c in row] for row in rows
@@ -721,7 +721,7 @@ def test_elimination_on_raising_matrices_is_the_reference(matrix):
     if ring is Fraction:  # the same minors
         assert _kernel_fraction_free(rows, ncols) == kernel_fraction_free(rows, ncols, ring)
     else:  # packed rows are the rows times units: the same kernel, so the same normal form
-        packed = [tensorcg._normalize_laurent(x) for x in tensorcg._packed_kernel(rows, ncols)]
+        packed = [_elimination._normalize_laurent(x) for x in _elimination._packed_kernel(rows, ncols)]
         assert packed == normalized_elimination(rows, ncols, ring)
 
 
@@ -760,16 +760,16 @@ def test_packed_kernel_is_the_normalized_laurent_reference(matrix):
     rows, ncols = matrix
     expected = normalized_elimination(rows, ncols, LaurentPoly)
     assert expanded(tensorcg._kernel(rows, ncols, LaurentPoly)) == expected
-    assert [tensorcg._normalize_laurent(x) for x in tensorcg._packed_kernel(rows, ncols)] == expected
+    assert [_elimination._normalize_laurent(x) for x in _elimination._packed_kernel(rows, ncols)] == expected
 
 
 def test_the_packing_base_has_room_for_every_coefficient_of_a_minor():
     # [1, -2] has L1 norm 3, so b = 3 and v = 8: the kernel coordinate 2 is the digit 2, which
     # at b = 2 would read back as v - 2, a vector that passes the rank mod p but is no kernel
     rows = [[LaurentPoly(1), LaurentPoly(-2)]]
-    assert tensorcg._packed_kernel(rows, 2) == [[LaurentPoly(2), LaurentPoly(1)]]
+    assert _elimination._packed_kernel(rows, 2) == [[LaurentPoly(2), LaurentPoly(1)]]
     assert tensorcg._kernel(rows, 2, LaurentPoly) == [[LaurentPoly(2), LaurentPoly(1)]]
-    assert tensorcg._unpack(2, 2) == v - 2
+    assert _elimination._unpack(2, 2) == v - 2
 
 
 @given(st.lists(st.tuples(st.fractions(min_value=-6, max_value=6, max_denominator=5).filter(
@@ -780,7 +780,7 @@ def test_hwv_of_a_tensor_over_a_common_denominator_is_the_reference_kernel(verma
     module = tensor(*(verma_classical(hw, depth) for hw, depth in vermas))
     assert module.den > 1
     found = highest_weight_vectors(module)
-    normalize = tensorcg._normalize_rational
+    normalize = _elimination._normalize_rational
     for w, source in weight_spaces(module).items():
         rows, ncols = raising_rows(module, w)
         expected = [normalize(x) for x in kernel_fraction_free(rows, ncols, Fraction)]

@@ -6,8 +6,12 @@ Run from anywhere:
 
 Each timing runs in a fresh interpreter, as ``python3 tests/timings.py
 NAME``, so a cold one reads no cache that another has built.  The lines:
-all-weight highest_weight_vectors on classical F_6^(x)3 and quantum
-F_4^(x)3 and F_5^(x)3; phi_vs_oracle over the 127 quantum hwv-sweep triples
+the median of 15 ``import qsl2, qsl2.cli``, each in a fresh interpreter,
+in raw ms, with that interpreter's sys.dont_write_bytecode beside it (True:
+every import compiles qsl2's source); all-weight highest_weight_vectors on
+classical F_6^(x)3 and quantum F_4^(x)3 and F_5^(x)3, with the general
+kernel route (qsl2._elimination) imported first, so no compile is timed;
+phi_vs_oracle over the 127 quantum hwv-sweep triples
 1 <= m, n <= 6, 0 <= p <= min(m, n), a cold sweep, which builds the F_n,
 q-integer and Phi_d product caches, then a warm one that reads them; the
 warm time of tensor alone over those triples' two weight spaces m+n-2p and
@@ -21,6 +25,8 @@ Stdlib only; pytest does not collect this file.
 
 from __future__ import annotations
 
+import os
+import statistics
 import subprocess
 import sys
 import timeit
@@ -29,7 +35,18 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 
 
+def startup():
+    probe = ("import sys, time; t = time.perf_counter(); import qsl2, qsl2.cli; "
+             "print(time.perf_counter() - t, sys.dont_write_bytecode)")
+    runs = [subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, check=True,
+                           env={**os.environ, "PYTHONPATH": str(ROOT / "src")}).stdout.split() for _ in range(15)]
+    ms = statistics.median(float(t) * 1e3 for t, _ in runs)
+    print(f"import qsl2, qsl2.cli, median of {len(runs)} fresh interpreters: {ms:.1f} ms raw "
+          f"(sys.dont_write_bytecode {runs[0][1]})")
+
+
 def hwv_cubes():
+    import qsl2._elimination  # noqa: F401  the general route, compiled here rather than in a timed call
     from qsl2 import CLASSICAL, QUANTUM, finite_dim, highest_weight_vectors, tensor
 
     for fl, n in ((CLASSICAL, 6), (QUANTUM, 4), (QUANTUM, 5)):
@@ -80,6 +97,7 @@ def relation_checks():
 
 
 TIMINGS = {
+    "startup": startup,
     "hwv-cubes": hwv_cubes,
     "phi-sweeps": phi_sweeps,
     "quantum-cuts": lambda: cuts("quantum", 1, 6),
