@@ -204,8 +204,6 @@ def _read_canonical(parser: _Parser, argv: list[str]) -> argparse.Namespace | No
             except argparse.ArgumentError as exc:
                 refused = refused or exc
             values[action.dest], i = value, i + 1
-    except (TypeError, ValueError):
-        return None
     except argparse.ArgumentError as exc:
         raise UsageError(str(exc))
     missing = [a for a in parser._actions if a.dest not in values]

@@ -38,6 +38,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import lcm
+from operator import index
 
 from .qarith import LaurentPoly, _made, q_int
 
@@ -272,7 +273,7 @@ def finite_dim(n: int, flavor: Flavor) -> WeightModule:
     [k+1] w_{k+1}, where [a] = flavor.commutator(a): a classically, the
     q-integer [a]_v quantum; so h.w_k = (n-2k) w_k or K.w_k = v^(n-2k) w_k.
     """
-    if n < 0:
+    if (n := index(n)) < 0:  # index: a size is an int, so a bool or a float never reaches the name
         raise ValueError(f"finite-dimensional module needs n >= 0, got {n}")
     if not isinstance(flavor, Flavor):  # its fields are read before WeightModule checks it
         raise ValueError(f"unknown flavor {flavor!r}")
@@ -290,7 +291,7 @@ def verma_classical(hw, depth: int) -> WeightModule:
     f acts freely (f.w_k = w_{k+1}) with w_{depth+1} clipped, so w_depth
     is marked as the truncation boundary; e.w_k = k(hw-k+1) w_{k-1}.
     """
-    if depth < 1:
+    if (depth := index(depth)) < 1:  # index: as finite_dim reads n
         raise ValueError(f"Verma truncation depth must be >= 1, got {depth}")
     if isinstance(hw, float):
         raise ValueError(f"highest weight {hw!r} is a float: give an int, a Fraction or 'a/b'")
@@ -314,9 +315,9 @@ class RasskazovaParams(Record):
         if isinstance(beta, float) or isinstance(lam, float):
             raise ValueError(f"beta {beta!r} or lambda {lam!r} is a float: give an int, a Fraction or 'a/b'")
         beta, lam = Fraction(beta), Fraction(lam)
-        if n < 1:
+        if (n := index(n)) < 1:  # index: as finite_dim reads n
             raise ValueError(f"Rasskazova family needs n >= 1, got {n}")
-        if window < 1:
+        if (window := index(window)) < 1:
             raise ValueError(f"window must be >= 1, got {window}")
         self.__dict__.update(beta=beta, lam=lam, n=n, window=window)
 

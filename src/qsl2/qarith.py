@@ -20,7 +20,6 @@ from collections.abc import Iterator, Mapping
 from fractions import Fraction
 from math import gcd, lcm
 from operator import index
-from threading import Lock
 
 __all__ = ["ExactDivisionError", "LaurentPoly", "lp_gcd", "q_binom", "q_fact", "q_facts", "q_int", "specialize_one", "v"]
 
@@ -262,10 +261,9 @@ def _made(coeffs: dict) -> LaurentPoly:
 v = LaurentPoly.gen()
 
 
-_KEPT = 16  # q_int and q_fact keep [n] and [n]! for |n| up to this; the bench requests reach 10
+_KEPT = 16  # q_int and q_fact keep [n] and [n]! for |n| up to this, [n]! as [n] is; the bench requests reach 10
 _q_ints: dict[int, LaurentPoly] = {}
-_q_facts: list[LaurentPoly] = [LaurentPoly({0: 1})] * 2  # [0]! = [1]! = 1, then each one product from the last
-_q_facts_lock = Lock()  # two threads must not both append the same [k]!
+_q_facts: dict[int, LaurentPoly] = dict.fromkeys((0, 1), LaurentPoly({0: 1}))  # [0]! = [1]! = 1
 
 
 def q_int(n: int) -> LaurentPoly:
@@ -283,19 +281,19 @@ def q_int(n: int) -> LaurentPoly:
 
 def q_fact(n: int) -> LaurentPoly:
     """q-factorial [n]! = [n][n-1]...[1], with [0]! = 1; built once and shared for n <= 16, else q_facts(n)'s last."""
-    if n < 0:
-        raise ValueError(f"q-factorial undefined for negative n = {n}")
-    if len(_q_facts) <= min(n, _KEPT):  # checked again under the lock
-        with _q_facts_lock:
-            while len(_q_facts) <= min(n, _KEPT):
-                _q_facts.append(_q_facts[-1] * q_int(len(_q_facts)))
-    return _q_facts[n] if n <= _KEPT else [*q_facts(n)][-1]
+    if (out := _q_facts.get(index(n))) is None:  # index: as q_int reads n
+        if n < 0:
+            raise ValueError(f"q-factorial undefined for negative n = {n}")
+        if n > _KEPT:
+            return [*q_facts(n)][-1]
+        out = _q_facts.setdefault(n, q_fact(n - 1) * q_int(n))  # as in q_int: the first [n]! stored is every caller's
+    return out
 
 
 def q_facts(n: int) -> Iterator[LaurentPoly]:
     """Yield [0]!, [1]!, ..., [n]!: the shared values up to [16]!, then one product each."""
     out = q_fact(min(n, _KEPT))
-    yield from _q_facts[:n + 1]
+    yield from map(_q_facts.get, range(min(n, _KEPT) + 1))
     for k in range(_KEPT + 1, n + 1):
         out = out * q_int(k)
         yield out
@@ -305,7 +303,7 @@ def q_binom(n: int, k: int) -> LaurentPoly:
     """q-binomial [n]! / ([k]! [n-k]!), the three from one q_facts(n) walk; zero when k is out of range."""
     if n < 0:
         raise ValueError(f"q-binomial needs n >= 0, got {n}")
-    if k < 0 or k > n:
+    if (k := index(k)) < 0 or k > n:  # index: k is a list position below
         return LaurentPoly()
     facts = [*q_facts(n)]
     return facts[n].div_exact(facts[k] * facts[n - k])

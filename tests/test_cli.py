@@ -616,6 +616,21 @@ def test_engine_exception_is_internal_failure(capsys, monkeypatch, fault, flags)
     assert err.startswith("Traceback") and f"{type(fault).__name__}: {fault}" in err
 
 
+@pytest.mark.parametrize("argv", [[3], ["hwv", "--m", 3, "--n", "1", "--p", "0"]], ids=["command", "value"])
+def test_a_non_str_argv_ends_in_the_engine_fault_envelope(capsys, argv):
+    # a library caller's int token is no usage error: indexing it raises, as argparse would
+    code = main(argv)
+    out, err = capsys.readouterr()
+    assert code == 1
+    assert json.loads(out) == {
+        "version": qsl2.__version__,
+        "command": argv,
+        "status": "error",
+        "error": "TypeError: 'int' object is not subscriptable",
+    }
+    assert err.startswith("Traceback")
+
+
 def test_fault_injection_payload(capsys):
     code, out = run_cli(capsys, ["check", "findim", "--n", "4", "--inject-fault"])
     assert code == 1
@@ -803,7 +818,8 @@ def test_import_loads_no_dataclasses_inspect_or_typing():
     assert proc.returncode == 0, proc.stderr
     added = set(json.loads(proc.stdout.splitlines()[-1]))
     assert "qsl2.cli" in added
-    forbidden = {"dataclasses", "inspect", "typing", "ast", "dis", "tokenize", "qsl2._elimination"}
+    forbidden = {"dataclasses", "inspect", "typing", "ast", "dis", "tokenize", "qsl2._elimination", "threading",
+                 "_weakrefset"}
     assert not added & forbidden, sorted(added)
 
 

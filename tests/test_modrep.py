@@ -179,6 +179,21 @@ def test_finite_dim_refuses_what_is_no_flavor(flavor):
         finite_dim(2, flavor)
 
 
+@pytest.mark.parametrize("build, name", [
+    (lambda x: finite_dim(x, QUANTUM), "Fq(n={})"),
+    (lambda x: verma_classical(Fraction(1, 2), x), "M(hw=1/2;depth={})"),
+    (lambda x: RasskazovaParams(0, 0, x, 1), "V(beta=0;lambda=0;n={};J=1)"),
+    (lambda x: RasskazovaParams(0, 0, 2, x), "V(beta=0;lambda=0;n=2;J={})"),
+], ids=["finite-dim-n", "verma-depth", "rasskazova-n", "rasskazova-window"])
+def test_a_size_is_read_as_an_int(build, name):
+    # refused where it is given, not stored to fail later in range; a bool reads as the int it is
+    for x in (1.5, Fraction(3), "2"):
+        with pytest.raises(TypeError):
+            build(x)
+    built = build(True)
+    assert (rasskazova(built) if isinstance(built, RasskazovaParams) else built).name == name.format(1)
+
+
 def test_verma_boundary_marked():
     m = verma_classical(Fraction(5, 2), 8)
     assert m.boundary == {"w_8"}

@@ -229,7 +229,7 @@ def test_q_int_and_q_fact_match_their_definitions_on_both_sides_of_the_kept_rang
     assert q_int(-500) == -closed_q_int(500)
     # kept: [n] for |n| <= 16 and [0]! .. [16]!, nothing past them
     assert qarith._KEPT == 16
-    assert sorted(qarith._q_ints) == list(range(-16, 17)) and len(qarith._q_facts) == 17
+    assert sorted(qarith._q_ints) == list(range(-16, 17)) and sorted(qarith._q_facts) == list(range(17))
 
 
 def test_q_int_and_q_fact_return_one_shared_value(empty_q_tables):
@@ -249,7 +249,7 @@ def test_q_int_and_q_fact_return_one_shared_value(empty_q_tables):
 
 def test_q_fact_negative_leaves_the_tables_as_they_were(empty_q_tables):
     q_fact(5)
-    before = list(qarith._q_facts), dict(qarith._q_ints)
+    before = dict(qarith._q_facts), dict(qarith._q_ints)
     with pytest.raises(ValueError):
         q_fact(-1)
     with pytest.raises(ValueError):
@@ -277,17 +277,26 @@ def in_threads(rounds, setup, target, check):
 
 
 def test_threads_growing_the_factorial_table_leave_each_entry_right(empty_q_tables):
-    expected = [one, one]
-    for k in range(2, qarith._KEPT + 1):
-        expected.append(expected[-1] * closed_q_int(k))
+    kept = range(qarith._KEPT + 1)
+    expected = {0: one, 1: one}
+    for k in kept[2:]:
+        expected[k] = expected[k - 1] * closed_q_int(k)
+    got = []
 
     def setup():
-        del qarith._q_facts[2:]
+        for k in kept[2:]:
+            qarith._q_facts.pop(k, None)
+        got.clear()
 
-    def check():  # a race that appends one [k]! twice leaves the table too long
-        assert qarith._q_facts == expected  # [0]! .. [16]!: q_fact(30) keeps nothing past [16]!
+    def grow():  # q_fact(16) builds [2]! .. [16]! in every thread at once
+        got.append({k: q_fact(k) for k in reversed(kept)})
+        q_fact(30)
 
-    in_threads(10, setup, lambda: q_fact(30), check)
+    def check():  # [0]! .. [16]!: q_fact(30) keeps nothing past [16]!, and each thread got the kept [k]!
+        assert qarith._q_facts == expected
+        assert all(x is qarith._q_facts[k] for values in got for k, x in values.items())
+
+    in_threads(10, setup, grow, check)
 
 
 def test_threads_building_the_same_q_integer_get_the_one_kept_value(empty_q_tables):
@@ -327,6 +336,10 @@ def test_q_binom_boundary():
     assert q_binom(4, 5) == LaurentPoly()
     with pytest.raises(ValueError, match="needs n >= 0"):
         q_binom(-1, 0)
+    for k in (2.0, 1.5, Fraction(2), "2"):  # k is a list position: refused, as q_int refuses a float
+        with pytest.raises(TypeError):
+            q_binom(5, k)
+    assert q_binom(5, True) == q_binom(5, 1) == q_int(5)
 
 
 def test_q_binom_two_one():

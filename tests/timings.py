@@ -8,9 +8,13 @@ Each timing runs in a fresh interpreter, as ``python3 tests/timings.py
 NAME``, so a cold one reads no cache that another has built.  The lines:
 the median of 15 ``import qsl2, qsl2.cli``, each in a fresh interpreter,
 in raw ms, with that interpreter's sys.dont_write_bytecode beside it (True:
-every import compiles qsl2's source); all-weight highest_weight_vectors on
-classical F_6^(x)3 and quantum F_4^(x)3 and F_5^(x)3, with the general
-kernel route (qsl2._elimination) imported first, so no compile is timed;
+no bytecode is written, so where src holds no __pycache__ every import
+compiles qsl2's source), then the same under ``python -S``,
+where no site ``.pth`` file has imported a module (threading, say) before
+qsl2, so it times all that qsl2 itself imports; all-weight
+highest_weight_vectors on classical F_6^(x)3 and quantum F_4^(x)3 and
+F_5^(x)3, with the general kernel route (qsl2._elimination) imported
+first, so no compile is timed;
 phi_vs_oracle over the 127 quantum hwv-sweep triples
 1 <= m, n <= 6, 0 <= p <= min(m, n), a cold sweep, which builds the F_n,
 q-integer and Phi_d product caches, then a warm one that reads them; the
@@ -38,11 +42,12 @@ ROOT = Path(__file__).resolve().parents[1]
 def startup():
     probe = ("import sys, time; t = time.perf_counter(); import qsl2, qsl2.cli; "
              "print(time.perf_counter() - t, sys.dont_write_bytecode)")
-    runs = [subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, check=True,
-                           env={**os.environ, "PYTHONPATH": str(ROOT / "src")}).stdout.split() for _ in range(15)]
-    ms = statistics.median(float(t) * 1e3 for t, _ in runs)
-    print(f"import qsl2, qsl2.cli, median of {len(runs)} fresh interpreters: {ms:.1f} ms raw "
-          f"(sys.dont_write_bytecode {runs[0][1]})")
+    for flags, how in (((), ""), (("-S",), " under python -S")):
+        runs = [subprocess.run([sys.executable, *flags, "-c", probe], capture_output=True, text=True, check=True,
+                               env={**os.environ, "PYTHONPATH": str(ROOT / "src")}).stdout.split() for _ in range(15)]
+        ms = statistics.median(float(t) * 1e3 for t, _ in runs)
+        print(f"import qsl2, qsl2.cli{how}, median of {len(runs)} fresh interpreters: {ms:.1f} ms raw "
+              f"(sys.dont_write_bytecode {runs[0][1]})")
 
 
 def hwv_cubes():
